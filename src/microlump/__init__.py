@@ -8,16 +8,15 @@ analyze absorption, and validate everything against a seeded simulator.
 from .analysis import (absorption_analysis, aggregate, classify_states,
                        commutation_check, commutation_profile, point_mass,
                        propagate)
-from .chain import (MicroChain, RandomMap, build_micro_chain, enumerate_maps,
+from .chain import (Chain, RandomMap, build_micro_chain, enumerate_maps,
                     grammar_arcs, load_chain, read_sparse, transition_prob,
                     write_sparse)
 from .errors import (AnalysisError, CapExceededError, DocumentParseError,
                      MicrolumpError, NotLumpableError, ValidationError)
-from .lumping import (MacroChain, Partition, check_lumpable,
-                      frequency_partition, half_hypercube_partition,
-                      induced_partition, load_partition, lump,
-                      moran_partition, read_partition, singleton_partition,
-                      write_partition)
+from .lumping import (Partition, check_lumpable, frequency_partition,
+                      half_hypercube_partition, induced_partition,
+                      load_partition, lump, moran_partition, read_partition,
+                      singleton_partition, write_partition)
 from .model import (Alphabet, ChoiceDistribution, ModelSpec, Topology,
                     UpdateRule, builtin_voter, load_model, model_fingerprint,
                     parse_model, serialize_model)

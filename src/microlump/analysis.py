@@ -119,6 +119,7 @@ class AbsorptionReport:
 
     absorbing: Tuple[int, ...]
     transient: Tuple[int, ...]
+    recurrent_classes: Tuple[Tuple[int, ...], ...]
     probs: np.ndarray          # (len(transient), len(absorbing))
     expected_steps: np.ndarray  # (len(transient),)
     residual_probs: float
@@ -166,8 +167,8 @@ def absorption_analysis(chain) -> AbsorptionReport:
             else:
                 R[t_pos[x], a_pos[y]] = float(p)
     if nt == 0:
-        return AbsorptionReport(absorbing, transient, np.zeros((0, na)),
-                                np.zeros(0), 0.0, 0.0)
+        return AbsorptionReport(absorbing, transient, cls.recurrent_classes,
+                                np.zeros((0, na)), np.zeros(0), 0.0, 0.0)
     A = np.eye(nt) - Q
     probs = np.linalg.solve(A, R)
     steps = np.linalg.solve(A, np.ones(nt))
@@ -180,8 +181,8 @@ def absorption_analysis(chain) -> AbsorptionReport:
     row_sums = probs.sum(axis=1)
     if np.max(np.abs(row_sums - 1.0)) > RESIDUAL_BOUND:
         raise AnalysisError("absorption probabilities do not sum to one")
-    return AbsorptionReport(absorbing, transient, probs, steps,
-                            residual_probs, residual_steps)
+    return AbsorptionReport(absorbing, transient, cls.recurrent_classes, probs,
+                            steps, residual_probs, residual_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +214,18 @@ def propagate(chain, mu: Sequence[Fraction], t: int) -> List[Fraction]:
         raise ValidationError("step count must be non-negative")
     mu = validate_distribution(mu, chain.n_states)
     for _ in range(t):
-        nxt = [Fraction(0)] * chain.n_states
-        for x, px in enumerate(mu):
-            if px == 0:
-                continue
-            for y, p in chain.rows[x]:
-                nxt[y] += px * p
-        mu = nxt
+        mu = _step(chain.rows, mu)
     return mu
+
+
+def _step(rows: Sequence, mu: Sequence[Fraction]) -> List[Fraction]:
+    nxt = [Fraction(0)] * len(mu)
+    for x, px in enumerate(mu):
+        if px == 0:
+            continue
+        for y, p in rows[x]:
+            nxt[y] += px * p
+    return nxt
 
 
 def aggregate(mu: Sequence[Fraction], part: Partition) -> List[Fraction]:
@@ -259,19 +264,9 @@ def commutation_profile(chain, part: Partition, mu0: Sequence[Fraction],
         out.append(max(abs(a - b) for a, b in zip(projected, nu)))
         if step == t_max:
             break
-        mu = propagate_once(chain.rows, mu)
-        nu = propagate_once(macro_rows, nu)
+        mu = _step(chain.rows, mu)
+        nu = _step(macro_rows, nu)
     return out
-
-
-def propagate_once(rows: Sequence, mu: Sequence[Fraction]) -> List[Fraction]:
-    nxt = [Fraction(0)] * len(mu)
-    for x, px in enumerate(mu):
-        if px == 0:
-            continue
-        for y, p in rows[x]:
-            nxt[y] += px * p
-    return nxt
 
 
 def commutation_check(chain, part: Partition, mu0: Sequence[Fraction],

@@ -37,10 +37,6 @@ class RandomMap:
     rule_table: object
     delta: int
 
-    @property
-    def key(self) -> Tuple[Tuple[int, ...], str]:
-        return (self.agents, self.option_label)
-
     def apply(self, config: Config) -> Config:
         args = tuple(config[a] for a in self.agents) + (self.option,)
         new = self.rule_table[args]
@@ -68,18 +64,21 @@ def enumerate_maps(spec: ModelSpec) -> List[RandomMap]:
 
 
 @dataclass(frozen=True)
-class MicroChain:
-    """Exact sparse transition matrix over a configuration space."""
+class Chain:
+    """Exact sparse transition matrix, one row per state, columns ascending.
 
-    space: ConfigSpace
+    Compiled chains carry their configuration space; chains read from a
+    file or reduced over a partition have none. `exact` is False when an
+    imported entry was written as a decimal rather than a ratio.
+    """
+
     rows: Tuple[Row, ...]
+    space: Optional[ConfigSpace] = None
+    exact: bool = True
 
     @property
     def n_states(self) -> int:
-        return self.space.size
-
-    def row(self, idx: int) -> Row:
-        return self.rows[idx]
+        return len(self.rows)
 
     def entry(self, x: int, y: int) -> Fraction:
         for col, p in self.rows[x]:
@@ -93,7 +92,7 @@ class MicroChain:
         return sum(len(row) for row in self.rows)
 
 
-def build_micro_chain(spec: ModelSpec, cap: Optional[int] = None) -> MicroChain:
+def build_micro_chain(spec: ModelSpec, cap: Optional[int] = None) -> Chain:
     """Assemble the exact transition matrix row by row.
 
     Off-diagonal mass is accumulated as integer weights over the common
@@ -136,15 +135,15 @@ def build_micro_chain(spec: ModelSpec, cap: Optional[int] = None) -> MicroChain:
         if stay:
             acc[idx] = stay
         rows.append(tuple((y, Fraction(w, denom)) for y, w in sorted(acc.items())))
-    return MicroChain(space=space, rows=tuple(rows))
+    return Chain(rows=tuple(rows), space=space)
 
 
-def transition_prob(chain: MicroChain, x: Sequence[int], y: Sequence[int]) -> Fraction:
+def transition_prob(chain: Chain, x: Sequence[int], y: Sequence[int]) -> Fraction:
     """Probability of a one-step transition between two configurations."""
     return chain.entry(chain.space.index_of(x), chain.space.index_of(y))
 
 
-def grammar_arcs(chain: MicroChain) -> List[Tuple[int, int]]:
+def grammar_arcs(chain: Chain) -> List[Tuple[int, int]]:
     """All ordered state pairs the dynamics can realize in one step.
 
     Because every draw has positive probability this is exactly the nonzero
@@ -154,26 +153,7 @@ def grammar_arcs(chain: MicroChain) -> List[Tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# sparse matrix file format and imported chains
-
-@dataclass(frozen=True)
-class ImportedChain:
-    """A chain read from a sparse file; `exact` is False when any entry was
-    written as a decimal rather than a ratio."""
-
-    n_states: int
-    rows: Tuple[Row, ...]
-    exact: bool = True
-
-    def row(self, idx: int) -> Row:
-        return self.rows[idx]
-
-    def entry(self, x: int, y: int) -> Fraction:
-        for col, p in self.rows[x]:
-            if col == y:
-                return p
-        return Fraction(0)
-
+# sparse matrix file format
 
 def validate_stochastic(rows: Sequence[Row], exact: bool = True,
                         tol: float = 1e-9) -> None:
@@ -201,12 +181,7 @@ def write_sparse(rows: Sequence[Row], fh: TextIO) -> None:
             fh.write(f"{x} {y} {p.numerator}/{p.denominator}\n")
 
 
-def write_sparse_path(rows: Sequence[Row], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        write_sparse(rows, fh)
-
-
-def read_sparse(text: str) -> ImportedChain:
+def read_sparse(text: str) -> Chain:
     """Parse the sparse format; entries may be ratios or decimals."""
     lines = [ln for ln in (l.split("#")[0].strip() for l in text.splitlines()) if ln]
     if not lines:
@@ -247,9 +222,9 @@ def read_sparse(text: str) -> ImportedChain:
         entries[x].append((y, p))
     rows = tuple(tuple(row) for row in entries)
     validate_stochastic(rows, exact=exact)
-    return ImportedChain(n_states=n_states, rows=rows, exact=exact)
+    return Chain(rows=rows, exact=exact)
 
 
-def load_chain(path) -> ImportedChain:
+def load_chain(path) -> Chain:
     with open(path, "r", encoding="utf-8") as fh:
         return read_sparse(fh.read())

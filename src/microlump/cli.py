@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from typing import List, Optional
 
 from . import analysis, chain as chainmod, lumping, sim, symmetry
@@ -29,32 +30,27 @@ def _cap(args) -> Optional[int]:
     return args.cap if getattr(args, "cap", None) is not None else default_cap()
 
 
-def _out(args):
+@contextmanager
+def _output(args):
+    """The `-o` file when given, else stdout. Verbs open it only once their
+    result is computed, so a failing verb leaves an existing file intact."""
     if getattr(args, "output", None):
-        return open(args.output, "w", encoding="utf-8")
-    return sys.stdout
+        with open(args.output, "w", encoding="utf-8") as fh:
+            yield fh
+    else:
+        yield sys.stdout
 
 
 def _write(args, text: str) -> None:
-    fh = _out(args)
-    try:
-        fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    with _output(args) as fh:
+        fh.write(text if text.endswith("\n") else text + "\n")
 
 
 def cmd_compile(args) -> int:
     spec = load_model(args.model)
     mc = chainmod.build_micro_chain(spec, cap=_cap(args))
-    fh = _out(args)
-    try:
+    with _output(args) as fh:
         chainmod.write_sparse(mc.rows, fh)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     print(f"states={mc.n_states} nnz={mc.nnz()}", file=sys.stderr)
     return EXIT_OK
 
@@ -93,12 +89,8 @@ def cmd_orbits(args) -> int:
     space = ConfigSpace(spec.n_agents, spec.delta,
                         labels=spec.alphabet.symbols, cap=_cap(args))
     part = symmetry.orbits(space, gens)
-    fh = _out(args)
-    try:
+    with _output(args) as fh:
         lumping.write_partition(part, fh)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     print(f"blocks={part.n_blocks}", file=sys.stderr)
     return EXIT_OK
 
@@ -135,32 +127,21 @@ def cmd_check_lump(args) -> int:
 def cmd_lump(args) -> int:
     imported = chainmod.load_chain(args.chain)
     part = lumping.load_partition(args.partition)
-    try:
-        macro = lumping.lump(imported, part, tol=args.tol)
-    except NotLumpableError as exc:
-        print("not lumpable")
-        print(f"witness: {exc.witness}")
-        return EXIT_VERDICT
-    fh = _out(args)
-    try:
+    macro = lumping.lump(imported, part, tol=args.tol)
+    with _output(args) as fh:
         chainmod.write_sparse(macro.rows, fh)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     for k, label in enumerate(part.labels):
         print(f"block {k} {label} size={len(part.blocks[k])}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
-    imported = chainmod.load_chain(args.chain)
-    cls = analysis.classify_states(imported)
-    report = analysis.absorption_analysis(imported)
+    report = analysis.absorption_analysis(chainmod.load_chain(args.chain))
     if args.format == "kv":
         text = analysis.absorption_kv(report)
     else:
         classes = " ".join("{" + " ".join(map(str, c)) + "}"
-                           for c in cls.recurrent_classes)
+                           for c in report.recurrent_classes)
         text = f"recurrent classes: {classes}\n" + analysis.absorption_text(report)
     _write(args, text)
     return EXIT_OK
@@ -174,12 +155,8 @@ def cmd_propagate(args) -> int:
         with open(args.mu0, "r", encoding="utf-8") as fh:
             mu = analysis.read_distribution(fh.read(), imported.n_states)
     mu = analysis.propagate(imported, mu, args.steps)
-    fh = _out(args)
-    try:
+    with _output(args) as fh:
         analysis.write_distribution(mu, fh)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return EXIT_OK
 
 
@@ -187,10 +164,9 @@ def _parse_start(raw: str, space: ConfigSpace):
     if raw.isdigit():
         return space.config_of(int(raw))
     labels = [tok.strip() for tok in raw.strip("()").split(",")]
-    try:
-        return tuple(space.labels.index(lab) for lab in labels)
-    except ValueError:
+    if not set(labels) <= set(space.labels):
         raise ValidationError(f"bad start configuration {raw!r}")
+    return tuple(space.labels.index(lab) for lab in labels)
 
 
 def cmd_simulate(args) -> int:
@@ -198,14 +174,13 @@ def cmd_simulate(args) -> int:
     space = ConfigSpace(spec.n_agents, spec.delta,
                         labels=spec.alphabet.symbols, cap=_cap(args))
     start = _parse_start(args.start, space)
-    run = sim.simulate(spec, start, args.steps, args.seed, cap=_cap(args))
     part = lumping.load_partition(args.partition) if args.partition else None
-    fh = _out(args)
-    try:
+    if part is not None and part.n_states != space.size:
+        raise ValidationError(
+            f"partition covers {part.n_states} states, model has {space.size}")
+    run = sim.simulate(spec, start, args.steps, args.seed, cap=_cap(args))
+    with _output(args) as fh:
         sim.write_trajectory(run, space, fh, part)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return EXIT_OK
 
 
@@ -318,8 +293,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValidationError, AnalysisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except NotLumpableError as exc:
-        print(f"not lumpable: {exc.witness}", file=sys.stderr)
+    except NotLumpableError as exc:  # from `lump`: reported like check-lump
+        print("not lumpable")
+        print(f"witness: {exc.witness}")
         return EXIT_VERDICT
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -15,11 +15,11 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
+import numpy as np
+
+from .chain import Chain, Row
 from .errors import DocumentParseError, NotLumpableError, ValidationError
 from .space import ConfigSpace
-
-ONE = Fraction(1)
-Row = Tuple[Tuple[int, Fraction], ...]
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,16 @@ def singleton_partition(n_states: int) -> Partition:
                      tuple(str(x) for x in range(n_states)))
 
 
-def _angle_label(counts: Sequence[int]) -> str:
+def group_blocks(keys) -> Tuple[Tuple[int, ...], ...]:
+    """States grouped by an integer key per state: blocks in ascending key
+    order, members ascending."""
+    keys = np.asarray(keys)
+    order = np.argsort(keys, kind="stable")
+    cuts = np.flatnonzero(np.diff(keys[order])) + 1
+    return tuple(tuple(b.tolist()) for b in np.split(order, cuts))
+
+
+def count_label(counts: Sequence[int]) -> str:
     return "⟨" + ",".join(str(int(k)) for k in counts) + "⟩"
 
 
@@ -87,19 +96,10 @@ def frequency_partition(space: ConfigSpace) -> Partition:
     C(N+delta-1, delta-1); blocks are ordered by smallest member state.
     """
     counts = space.counts_matrix
-    blocks: List[List[int]] = []
-    labels: List[str] = []
-    where: Dict[bytes, int] = {}
-    for x in range(space.size):
-        key = counts[x].tobytes()
-        bid = where.get(key)
-        if bid is None:
-            bid = len(blocks)
-            where[key] = bid
-            blocks.append([])
-            labels.append(_angle_label(counts[x]))
-        blocks[bid].append(x)
-    return Partition(tuple(tuple(b) for b in blocks), tuple(labels))
+    _, first, inverse = np.unique(counts, axis=0, return_index=True,
+                                  return_inverse=True)
+    blocks = group_blocks(first[inverse.reshape(-1)])
+    return Partition(blocks, tuple(count_label(counts[b[0]]) for b in blocks))
 
 
 def moran_partition(space: ConfigSpace, distinguished: int = 0) -> Partition:
@@ -107,13 +107,8 @@ def moran_partition(space: ConfigSpace, distinguished: int = 0) -> Partition:
     code; coincides with the count partition when there are two codes."""
     if not 0 <= distinguished < space.delta:
         raise ValidationError(f"attribute code {distinguished} out of range")
-    tallies = space.counts_matrix[:, distinguished]
-    n = space.n_agents
-    blocks: List[List[int]] = [[] for _ in range(n + 1)]
-    for x in range(space.size):
-        blocks[int(tallies[x])].append(x)
-    labels = tuple(f"X_{k}" for k in range(n + 1))
-    return Partition(tuple(tuple(b) for b in blocks), labels)
+    blocks = group_blocks(space.counts_matrix[:, distinguished])
+    return Partition(blocks, tuple(f"X_{k}" for k in range(space.n_agents + 1)))
 
 
 def half_hypercube_partition(space: ConfigSpace) -> Partition:
@@ -123,12 +118,8 @@ def half_hypercube_partition(space: ConfigSpace) -> Partition:
         raise ValidationError("half-hypercube reduction needs exactly two codes")
     n = space.n_agents
     tallies = space.counts_matrix[:, 0]
-    blocks: List[List[int]] = [[] for _ in range(n // 2 + 1)]
-    for x in range(space.size):
-        k = int(tallies[x])
-        blocks[min(k, n - k)].append(x)
-    labels = tuple(f"Y_{k}" for k in range(n // 2 + 1))
-    return Partition(tuple(tuple(b) for b in blocks), labels)
+    blocks = group_blocks(np.minimum(tallies, n - tallies))
+    return Partition(blocks, tuple(f"Y_{k}" for k in range(n // 2 + 1)))
 
 
 def induced_partition(fine: Partition, coarse: Partition) -> Partition:
@@ -228,29 +219,7 @@ def check_lumpable(chain, part: Partition, tol: Optional[float] = None,
     return LumpVerdict(True)
 
 
-@dataclass(frozen=True)
-class MacroChain:
-    """The reduced chain over a partition's blocks."""
-
-    partition: Partition
-    rows: Tuple[Row, ...]
-    origin: object = None
-
-    @property
-    def n_states(self) -> int:
-        return self.partition.n_blocks
-
-    def row(self, idx: int) -> Row:
-        return self.rows[idx]
-
-    def entry(self, k: int, l: int) -> Fraction:
-        for col, p in self.rows[k]:
-            if col == l:
-                return p
-        return Fraction(0)
-
-
-def lump(chain, part: Partition, tol: Optional[float] = None) -> MacroChain:
+def lump(chain, part: Partition, tol: Optional[float] = None) -> Chain:
     """Reduce the chain; raises NotLumpableError (with the witness) if the
     partition fails the test."""
     verdict = check_lumpable(chain, part, tol=tol)
@@ -261,7 +230,7 @@ def lump(chain, part: Partition, tol: Optional[float] = None) -> MacroChain:
         agg = block_row_sums(chain, part, block[0])
         row = tuple((l, p) for l, p in sorted(agg.items()) if p != 0)
         rows.append(row)
-    return MacroChain(partition=part, rows=tuple(rows), origin=chain)
+    return Chain(rows=tuple(rows), exact=chain.exact)
 
 
 # ---------------------------------------------------------------------------

@@ -37,11 +37,24 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from numbers import Rational
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import DocumentParseError, ValidationError
 
 ONE = Fraction(1)
+
+
+def _exact_values(values: Mapping, what: Callable[[object], str]) -> Mapping:
+    """`values` with integer values as Fractions; floats and anything else
+    are rejected, since every probability downstream is an exact rational.
+    `what(key)` names a rejected value."""
+    if all(type(p) is Fraction for p in values.values()):
+        return values
+    for key, p in values.items():
+        if not isinstance(p, Rational):
+            raise ValidationError(f"{what(key)} must be an integer or a Fraction, got {p!r}")
+    return {key: Fraction(p) for key, p in values.items()}
 
 
 @dataclass(frozen=True)
@@ -77,6 +90,8 @@ class Topology:
     def __post_init__(self):
         if self.n_agents < 1:
             raise ValidationError("need at least one agent")
+        object.__setattr__(self, "edges", _exact_values(
+            self.edges, lambda e: f"edge ({e[0] + 1},{e[1] + 1}) weight"))
         for (i, j), w in self.edges.items():
             if i == j:
                 raise ValidationError(f"self-edge on agent {i + 1}")
@@ -123,6 +138,8 @@ class UpdateRule:
         labels = [lab for lab, _ in self.options]
         if len(set(labels)) != len(labels):
             raise ValidationError("option labels must be distinct")
+        object.__setattr__(self, "options", tuple(_exact_values(
+            dict(self.options), lambda lab: f"option {lab!r} probability").items()))
         total = sum(p for _, p in self.options)
         for lab, p in self.options:
             if p <= 0:
@@ -170,6 +187,8 @@ class ChoiceDistribution:
     def __post_init__(self):
         if not self.entries:
             raise ValidationError("choice distribution is empty")
+        object.__setattr__(self, "entries", _exact_values(
+            self.entries, lambda tup: f"choice {_show_tuple(tup)} probability"))
         total = sum(self.entries.values())
         for tup, p in self.entries.items():
             if p <= 0:
@@ -204,9 +223,6 @@ class ChoiceDistribution:
             for j, w in nbrs:
                 entries[(i, j)] = Fraction(1, n) * (w / wsum)
         return cls(entries)
-
-    def prob(self, tup: Tuple[int, ...]) -> Fraction:
-        return self.entries.get(tuple(tup), Fraction(0))
 
 
 @dataclass(frozen=True)

@@ -17,42 +17,33 @@ from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
-from .chain import build_micro_chain
+from .chain import build_micro_chain, enumerate_maps
 from .errors import ValidationError
 from .lumping import Partition
 from .model import ModelSpec, model_fingerprint
 from .space import Config, ConfigSpace
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+def _seed_sequence(seed: int) -> np.random.SeedSequence:
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
+    return np.random.SeedSequence(seed)
 
 
 class Sampler:
     """Precomputed draw table for repeated stepping of one model."""
 
     def __init__(self, spec: ModelSpec):
-        self.spec = spec
-        self.choices = spec.joint_choices()
-        self.weights = np.array([float(p) for _, _, p in self.choices])
+        self.maps = enumerate_maps(spec)
+        self.weights = np.array([float(m.probability) for m in self.maps])
         self.cum = list(np.cumsum(self.weights))
         self.cum[-1] = 1.0  # guard against float round-off at the top end
 
     def draw(self, rng: np.random.Generator) -> int:
         return bisect.bisect_right(self.cum, rng.random())
 
-    def apply(self, which: int, config: Config) -> Config:
-        tup, opt, _ = self.choices[which]
-        rule = self.spec.rule
-        args = tuple(config[a] for a in tup) + (opt,)
-        new = rule.table[args]
-        focal = tup[0]
-        if new == config[focal]:
-            return config
-        return config[:focal] + (new,) + config[focal + 1:]
-
     def step(self, config: Config, rng: np.random.Generator) -> Config:
-        return self.apply(self.draw(rng), config)
+        return self.maps[self.draw(rng)].apply(config)
 
 
 def step(spec: ModelSpec, config: Sequence[int], rng: np.random.Generator) -> Config:
@@ -73,11 +64,13 @@ class SimRun:
 def simulate(spec: ModelSpec, start: Sequence[int], steps: int, seed: int,
              cap: Optional[int] = None) -> SimRun:
     """Run one trajectory; identical (model, seed, steps) reproduce it."""
+    if steps < 0:
+        raise ValidationError(f"step count must be non-negative, got {steps}")
+    rng = np.random.Generator(np.random.Philox(_seed_sequence(seed)))
     sampler = Sampler(spec)
     space = ConfigSpace(spec.n_agents, spec.delta,
                         labels=spec.alphabet.symbols, cap=cap)
     config = space.check_config(start)
-    rng = _rng(seed)
     visited = [space.index_of(config)]
     counts: Dict[Tuple[int, int], int] = {}
     for _ in range(steps):
@@ -144,18 +137,18 @@ def estimate_matrix(spec: ModelSpec, steps_per_state: int, seed: int,
     """
     if steps_per_state < 1:
         raise ValidationError("need at least one sample per state")
+    seeds = _seed_sequence(seed)
     chain = build_micro_chain(spec, cap=cap)
     space = chain.space
     sampler = Sampler(spec)
     pvals = sampler.weights / sampler.weights.sum()
-    streams = np.random.SeedSequence(seed).spawn(space.size)
+    streams = seeds.spawn(space.size)
     counts: List[Dict[int, int]] = []
     max_dev = 0.0
     violations: List[Deviation] = []
     for x in range(space.size):
         config = space.config_of(x)
-        targets = [space.index_of(sampler.apply(w, config))
-                   for w in range(len(sampler.choices))]
+        targets = [space.index_of(m.apply(config)) for m in sampler.maps]
         rng = np.random.Generator(np.random.Philox(streams[x]))
         drawn = rng.multinomial(steps_per_state, pvals)
         tally: Dict[int, int] = {}

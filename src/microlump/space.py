@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -99,11 +99,6 @@ class ConfigSpace:
             idx, code = divmod(idx, self.delta)
             codes.append(code)
         return tuple(codes)
-
-    def configs(self) -> Iterator[Config]:
-        """All configurations in index order."""
-        for idx in range(self.size):
-            yield self.config_of(idx)
 
     def neighbors(self, config: Sequence[int]):
         """All (agent, configuration) pairs reachable by changing one agent.

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DocumentParseError, ValidationError
-from .lumping import Partition
+from .lumping import Partition, count_label, group_blocks
 from .space import Config, ConfigSpace
 
 
@@ -76,10 +76,6 @@ class SpacePermutation:
         inv = self.inverse().agents
         image = relabeled[:, list(inv)]
         return image.astype(np.int64) @ space.radix
-
-
-def apply(perm: SpacePermutation, config: Sequence[int]) -> Config:
-    return perm.apply(config)
 
 
 @dataclass(frozen=True)
@@ -268,34 +264,22 @@ def orbits(space: ConfigSpace, gens: GeneratorSet) -> Partition:
         union = uf.union
         for x in moved.tolist():
             union(x, int(image[x]))
-    block_ids: dict[int, int] = {}
-    blocks: List[List[int]] = []
     find = uf.find
-    for x in range(space.size):
-        root = find(x)
-        bid = block_ids.get(root)
-        if bid is None:
-            bid = len(blocks)
-            block_ids[root] = bid
-            blocks.append([])
-        blocks[bid].append(x)
+    blocks = group_blocks([find(x) for x in range(space.size)])
     counts = space.counts_matrix
-    class_size: dict[bytes, int] = {}
-    for x in range(space.size):
-        key = counts[x].tobytes()
-        class_size[key] = class_size.get(key, 0) + 1
+    _, cls, class_size = np.unique(counts, axis=0, return_inverse=True,
+                                   return_counts=True)
+    cls = cls.reshape(-1)
     labels = []
     for bid, members in enumerate(blocks):
-        first = counts[members[0]]
+        first = cls[members[0]]
         # count labels only for blocks that are a whole count class, so
         # labels stay unique and mean what they say
-        whole_class = (bool((counts[members] == first).all())
-                       and len(members) == class_size[first.tobytes()])
-        if whole_class:
-            labels.append("⟨" + ",".join(str(int(k)) for k in first) + "⟩")
+        if len(members) == class_size[first] and bool((cls[list(members)] == first).all()):
+            labels.append(count_label(counts[members[0]]))
         else:
             labels.append(f"O{bid}")
-    return Partition(tuple(tuple(b) for b in blocks), tuple(labels))
+    return Partition(blocks, tuple(labels))
 
 
 # ---------------------------------------------------------------------------

@@ -187,3 +187,42 @@ def test_generator_file_via_cli(tmp_path, capsys):
     gens.write_text("agents: (1 2)\n")
     code, out, _ = run(capsys, "check-sym", VOTER3, "--gens-file", str(gens))
     assert code == 0
+
+
+def rejected(capsys, tmp_path, *argv):
+    """Run a verb that must fail validation with `-o` on an existing file;
+    returns stderr after checking the exit code and the file."""
+    target = tmp_path / "existing.txt"
+    target.write_text("keep\n")
+    code, out, err = run(capsys, *argv, "-o", str(target))
+    assert code == 5 and out == ""
+    assert target.read_text() == "keep\n"
+    return err
+
+
+def test_simulate_rejects_partition_of_another_state_count(tmp_path, capsys):
+    part = tmp_path / "four.part"
+    part.write_text("A: 0\nB: 1\nC: 2\nD: 3\n")
+    # start 5 lies outside the partition, start 1 inside it
+    for start in ("5", "1"):
+        err = rejected(capsys, tmp_path, "simulate", VOTER3, "--start", start,
+                       "--steps", "3", "--seed", "1", "--partition", str(part))
+        assert "partition covers 4 states, model has 8" in err
+
+
+def test_simulate_rejects_negative_seed(tmp_path, capsys):
+    err = rejected(capsys, tmp_path, "simulate", VOTER3, "--start", "1",
+                   "--steps", "3", "--seed", "-3")
+    assert "seed must be non-negative" in err
+
+
+def test_simulate_rejects_negative_steps(tmp_path, capsys):
+    err = rejected(capsys, tmp_path, "simulate", VOTER3, "--start", "1",
+                   "--steps", "-4", "--seed", "1")
+    assert "step count must be non-negative" in err
+
+
+def test_estimate_rejects_negative_seed(tmp_path, capsys):
+    err = rejected(capsys, tmp_path, "estimate", VOTER3, "--samples", "10",
+                   "--seed", "-1")
+    assert "seed must be non-negative" in err

@@ -213,3 +213,56 @@ def test_tolerance_mode_for_float_chains():
     part = Partition(((0,), (3,), (1, 2)), ("lo", "hi", "mids"))
     assert not check_lumpable(chain, part)          # exact mode sees the jitter
     assert check_lumpable(chain, part, tol=1e-9)    # tolerance mode accepts it
+
+
+def _reference_blocks(keys, by_first_member):
+    """Loop grouping of states 0..n-1 by key: blocks ordered by smallest
+    member or by key, members ascending."""
+    groups = {}
+    for x, key in enumerate(keys):
+        groups.setdefault(key, []).append(x)
+    order = groups if by_first_member else sorted(groups)
+    return tuple(tuple(groups[key]) for key in order)
+
+
+def _count_label(counts):
+    return "⟨" + ",".join(map(str, counts)) + "⟩"
+
+
+@pytest.mark.parametrize("n,delta", [(3, 2), (6, 2), (3, 3), (4, 3), (2, 4)])
+def test_partitions_match_the_loop_reference(n, delta):
+    space = ConfigSpace(n, delta)
+    counts = [space.counts(space.config_of(x)) for x in range(space.size)]
+    freq = frequency_partition(space)
+    assert freq.blocks == _reference_blocks(counts, by_first_member=True)
+    assert freq.labels == tuple(_count_label(counts[b[0]]) for b in freq.blocks)
+    for code in range(delta):
+        moran = moran_partition(space, code)
+        assert moran.blocks == _reference_blocks([c[code] for c in counts], False)
+    if delta == 2:
+        half = half_hypercube_partition(space)
+        assert half.blocks == _reference_blocks([min(c[0], n - c[0]) for c in counts], False)
+    for preset in ("SN", "Sdelta", "full") + (("flip",) if delta == 2 else ()):
+        gens = parse_presets(preset, n, delta)
+        # orbit of x by closing {x} under the generators
+        orbit_of = {}
+        for x in range(space.size):
+            if x in orbit_of:
+                continue
+            orbit, todo = {x}, [x]
+            while todo:
+                cfg = space.config_of(todo.pop())
+                for g in gens.perms:
+                    y = space.index_of(g.apply(cfg))
+                    if y not in orbit:
+                        orbit.add(y)
+                        todo.append(y)
+            for y in orbit:
+                orbit_of[y] = min(orbit)
+        part = orbits(space, gens)
+        assert part.blocks == _reference_blocks([orbit_of[x] for x in range(space.size)], True)
+        for bid, block in enumerate(part.blocks):
+            whole = set(block) == {x for x in range(space.size)
+                                   if counts[x] == counts[block[0]]}
+            assert part.labels[bid] == (_count_label(counts[block[0]]) if whole
+                                        else f"O{bid}")

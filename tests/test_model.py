@@ -227,3 +227,23 @@ def test_undirected_flag_expands_both_directions():
     from-topology uniform
     """)
     assert spec.topology.edges == {(0, 1): Fraction(3, 2), (1, 0): Fraction(3, 2)}
+
+
+def test_integer_weights_become_fractions_and_floats_are_rejected():
+    from microlump import UpdateRule, build_micro_chain
+    from microlump.model import voter_rule
+    ints = Topology(3, {(0, 1): 1, (1, 0): 1, (1, 2): 1, (2, 1): 1})
+    assert all(type(w) is Fraction for w in ints.edges.values())
+    spec = builtin_voter(ints)
+    assert all(type(p) is Fraction for p in spec.choice.entries.values())
+    chain = build_micro_chain(spec)
+    reference = build_micro_chain(builtin_voter(Topology(3, {
+        (0, 1): Fraction(1), (1, 0): Fraction(1), (1, 2): Fraction(1), (2, 1): Fraction(1)})))
+    assert chain.rows == reference.rows
+    with pytest.raises(ValidationError, match="edge \\(1,2\\) weight"):
+        Topology(2, {(0, 1): 1.0, (1, 0): 1})
+    assert ChoiceDistribution({(0,): 1}).entries == {(0,): Fraction(1)}
+    with pytest.raises(ValidationError, match="choice \\(1\\) probability"):
+        ChoiceDistribution({(0,): 0.5, (1,): Fraction(1, 2)})
+    with pytest.raises(ValidationError, match="option 'copy' probability"):
+        UpdateRule(arity=2, options=(("copy", 1.0),), table=voter_rule(2).table, delta=2)
