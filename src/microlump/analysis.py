@@ -286,6 +286,7 @@ def write_distribution(mu: Sequence[Fraction], fh: TextIO) -> None:
 
 def read_distribution(text: str, n_states: int) -> List[Fraction]:
     mu = [Fraction(0)] * n_states
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#")[0].strip()
         if not line:
@@ -300,6 +301,9 @@ def read_distribution(text: str, n_states: int) -> List[Fraction]:
             raise DocumentParseError(f"bad distribution line {line!r}", lineno)
         if not 0 <= x < n_states:
             raise DocumentParseError(f"state {x} out of range", lineno)
+        if x in seen:
+            raise DocumentParseError(f"state {x} listed twice", lineno)
+        seen.add(x)
         mu[x] = p
     return validate_distribution(mu, n_states)
 

@@ -6,15 +6,21 @@ probabilities over all draws that send configuration x to configuration y
 gives the transition probability; the stay probability is one minus the
 row's off-diagonal mass. Rows are exactly stochastic rationals and every
 off-diagonal entry connects configurations differing in a single agent,
-so each row holds at most (delta-1)*N + 1 nonzeros.
+so each row holds at most (delta-1)*N + 1 nonzeros, each an integer over
+the common denominator of the draw probabilities.
 """
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Dict, List, Optional, Sequence, TextIO, Tuple
+from functools import cached_property
+from math import floor, lcm
+from typing import Iterator, List, Optional, Sequence, TextIO, Tuple
+
+import numpy as np
 
 from .errors import DocumentParseError, ValidationError
 from .model import ModelSpec
@@ -22,7 +28,7 @@ from .space import Config, ConfigSpace
 
 Row = Tuple[Tuple[int, Fraction], ...]
 
-ONE = Fraction(1)
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -63,79 +69,141 @@ def enumerate_maps(spec: ModelSpec) -> List[RandomMap]:
     ]
 
 
-@dataclass(frozen=True)
-class Chain:
-    """Exact sparse transition matrix, one row per state, columns ascending.
+def _fits_int64(denom: int, width: int) -> bool:
+    """Whether numerators over `denom` in rows of up to `width` entries stay
+    in int64, row sums and their distance from one included, given every
+    entry lies in [-1, 1]."""
+    return denom * (width + 1) <= INT64_MAX
 
-    Compiled chains carry their configuration space; chains read from a
-    file or reduced over a partition have none. `exact` is False when an
-    imported entry was written as a decimal rather than a ratio.
+
+def _int_array(values: Sequence[int]) -> np.ndarray:
+    """Python ints as int64, or as an object array when one does not fit."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _over_common_denominator(num: np.ndarray, den: np.ndarray,
+                             indptr: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Numerators of the ratios num/den over the lcm of their reduced
+    denominators, and that lcm. int64 when `_fits_int64` allows it and no
+    ratio lies outside [-1, 1] (such a chain fails validation, which then
+    reports exact sums), else Python ints; the check runs before any
+    multiply."""
+    g = np.gcd(num, den)
+    num, den = num // g, den // g
+    denom = lcm(*np.unique(den).tolist())
+    width = int(np.diff(indptr).max(initial=0))
+    small = _fits_int64(denom, width) and bool(np.all(abs(num) <= den))
+    dtype = np.int64 if small else object
+    return num.astype(dtype) * (denom // den.astype(dtype)), denom
+
+
+@dataclass(frozen=True, eq=False)
+class Chain:
+    """Exact sparse transition matrix in CSR form over one common
+    denominator.
+
+    Row x keeps its entries at positions indptr[x]:indptr[x+1] of `cols`
+    (ascending) and `nums`; entry k is the probability nums[k] / denom.
+    `nums` is int64 when every numerator and row sum fits in it, an object
+    array of Python ints otherwise, and every kernel runs the same numpy
+    code on both. Compiled chains carry their configuration space; chains
+    read from a file or reduced over a partition have none. `exact` is
+    False when an imported entry was written as a decimal rather than a
+    ratio.
     """
 
-    rows: Tuple[Row, ...]
+    indptr: np.ndarray
+    cols: np.ndarray
+    nums: np.ndarray
+    denom: int
     space: Optional[ConfigSpace] = None
     exact: bool = True
 
     @property
     def n_states(self) -> int:
-        return len(self.rows)
-
-    def entry(self, x: int, y: int) -> Fraction:
-        for col, p in self.rows[x]:
-            if col == y:
-                return p
-            if col > y:
-                break
-        return Fraction(0)
+        return len(self.indptr) - 1
 
     def nnz(self) -> int:
-        return sum(len(row) for row in self.rows)
+        return len(self.cols)
+
+    @cached_property
+    def sources(self) -> np.ndarray:
+        """Row index of every stored entry."""
+        return np.repeat(np.arange(self.n_states, dtype=np.int64), np.diff(self.indptr))
+
+    @cached_property
+    def rows(self) -> Tuple[Row, ...]:
+        """The matrix as `((col, Fraction), ...)` per row, built on first
+        use; one Fraction object per distinct numerator."""
+        values, inverse = np.unique(self.nums, return_inverse=True)
+        fracs = [Fraction(v, self.denom) for v in values.tolist()]
+        entries = list(zip(self.cols.tolist(),
+                           map(fracs.__getitem__, inverse.tolist())))
+        bounds = self.indptr.tolist()
+        return tuple(tuple(entries[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    def entry(self, x: int, y: int) -> Fraction:
+        a, b = self.indptr[x], self.indptr[x + 1]
+        k = a + int(np.searchsorted(self.cols[a:b], y))
+        if k < b and self.cols[k] == y:
+            return Fraction(int(self.nums[k]), self.denom)
+        return Fraction(0)
 
 
 def build_micro_chain(spec: ModelSpec, cap: Optional[int] = None) -> Chain:
-    """Assemble the exact transition matrix row by row.
+    """Assemble the exact transition matrix, one numpy pass per draw.
 
-    Off-diagonal mass is accumulated as integer weights over the common
-    denominator of all draw probabilities, which keeps the inner loop off
-    rational arithmetic; rows come out exactly stochastic.
+    An off-diagonal entry is fixed by its (focal agent, new code) pair, so
+    each draw adds its integer weight over the common denominator of all
+    draw probabilities into that slot of every state it changes; the stay
+    column takes the rest of each row, which comes out exactly stochastic.
     """
     space = ConfigSpace(spec.n_agents, spec.delta,
                         labels=spec.alphabet.symbols, cap=cap)
-    delta = spec.delta
+    n, delta, size = spec.n_agents, spec.delta, space.size
     choices = spec.joint_choices()
-    denom = lcm(*(p.denominator for _, _, p in choices)) if choices else 1
+    denom = lcm(*(p.denominator for _, _, p in choices))
     n_opts = len(spec.rule.options)
 
     # flat rule table: ((arg codes in mixed radix) * n_opts + option) -> new code
-    arity = spec.rule.arity
-    flat = [0] * (delta ** arity * n_opts)
+    flat = np.zeros(delta ** spec.rule.arity * n_opts, dtype=np.int64)
     for key, out in spec.rule.table.items():
         pack = 0
         for c in reversed(key[:-1]):
             pack = pack * delta + c
         flat[pack * n_opts + key[-1]] = out
 
-    weighted = [(tup, opt, int(p * denom)) for tup, opt, p in choices]
-    pows = [delta ** i for i in range(spec.n_agents)]
+    codes = np.ascontiguousarray(space.codes_matrix.T, dtype=np.int64)  # [agent, state]
+    other = delta - 1
+    dtype = np.int64 if _fits_int64(denom, n * other + 1) else object
+    # slot (state, focal, k): the focal agent takes the k-th code other than its own
+    slots = np.zeros((size, n, other), dtype=dtype)
+    for tup, opt, p in choices:
+        pack = codes[tup[-1]]
+        for a in reversed(tup[:-1]):
+            pack = pack * delta + codes[a]
+        new = flat[pack * n_opts + opt]
+        cur = codes[tup[0]]
+        moved = np.flatnonzero(new != cur)
+        new, cur = new[moved], cur[moved]
+        slots[moved, tup[0], new - (new > cur)] += p.numerator * (denom // p.denominator)
 
-    rows: List[Row] = []
-    for idx in range(space.size):
-        cfg = space.config_of(idx)
-        acc: Dict[int, int] = {}
-        for tup, opt, w in weighted:
-            pack = 0
-            for a in reversed(tup):
-                pack = pack * delta + cfg[a]
-            new = flat[pack * n_opts + opt]
-            focal = tup[0]
-            if new != cfg[focal]:
-                y = idx + (new - cfg[focal]) * pows[focal]
-                acc[y] = acc.get(y, 0) + w
-        stay = denom - sum(acc.values())
-        if stay:
-            acc[idx] = stay
-        rows.append(tuple((y, Fraction(w, denom)) for y, w in sorted(acc.items())))
-    return Chain(rows=tuple(rows), space=space)
+    states = np.arange(size, dtype=np.int64)
+    k = np.arange(other)
+    cur = codes.T[:, :, None]
+    targets = states[:, None, None] + (k + (k >= cur) - cur) * space.radix[:, None]
+    targets = np.concatenate([targets.reshape(size, -1), states[:, None]], axis=1)
+    values = np.concatenate([slots.reshape(size, -1),
+                             (denom - slots.sum(axis=(1, 2)))[:, None]], axis=1)
+    order = np.argsort(targets, axis=1)
+    targets = np.take_along_axis(targets, order, axis=1)
+    values = np.take_along_axis(values, order, axis=1)
+    keep = values != 0
+    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+    return Chain(indptr, targets[keep], values[keep], denom, space=space)
 
 
 def transition_prob(chain: Chain, x: Sequence[int], y: Sequence[int]) -> Fraction:
@@ -149,41 +217,176 @@ def grammar_arcs(chain: Chain) -> List[Tuple[int, int]]:
     Because every draw has positive probability this is exactly the nonzero
     pattern of the matrix, loops included.
     """
-    return [(x, y) for x, row in enumerate(chain.rows) for y, _ in row]
+    return list(zip(chain.sources.tolist(), chain.cols.tolist()))
 
 
 # ---------------------------------------------------------------------------
 # sparse matrix file format
 
-def validate_stochastic(rows: Sequence[Row], exact: bool = True,
-                        tol: float = 1e-9) -> None:
-    for x, row in enumerate(rows):
-        cols = [c for c, _ in row]
-        if cols != sorted(set(cols)):
-            raise ValidationError(f"row {x} has unsorted or duplicate columns")
-        if any(p < 0 for _, p in row):
-            raise ValidationError(f"row {x} has a negative entry")
-        total = sum(p for _, p in row)
-        if exact:
-            if total != ONE:
-                raise ValidationError(f"row {x} sums to {total} ≠ 1")
-        elif abs(total - ONE) > tol:
-            raise ValidationError(f"row {x} sums to {float(total)} outside 1±{tol}")
+# lines written, and characters read, at a time: bounds the temporary
+# strings and token lists held at once
+_CHUNK_LINES = 1 << 12
+_CHUNK_CHARS = 1 << 16
 
 
-def write_sparse(rows: Sequence[Row], fh: TextIO) -> None:
-    """`states=<n> nnz=<m>` header, then `row col num/den` lines, rows and
-    columns ascending."""
-    nnz = sum(len(row) for row in rows)
-    fh.write(f"states={len(rows)} nnz={nnz}\n")
-    for x, row in enumerate(rows):
-        for y, p in row:
-            fh.write(f"{x} {y} {p.numerator}/{p.denominator}\n")
+def validate_stochastic(chain: Chain, tol: float = 1e-9) -> None:
+    """Columns strictly ascending, no negative entry, and every row summing
+    to one: exactly, or within `tol` when `chain.exact` is False. Reports
+    the first failing row."""
+    n, nums, denom = chain.n_states, chain.nums, chain.denom
+    src = chain.sources
+    unsorted = np.zeros(n, dtype=bool)
+    unsorted[src[1:][(src[1:] == src[:-1]) & (chain.cols[1:] <= chain.cols[:-1])]] = True
+    negative = np.zeros(n, dtype=bool)
+    negative[src[nums < 0]] = True
+    sums = np.zeros(n, dtype=nums.dtype)
+    filled = np.flatnonzero(np.diff(chain.indptr))
+    if len(filled):
+        sums[filled] = np.add.reduceat(nums, chain.indptr[filled])
+    if chain.exact:
+        off = sums != denom
+    else:
+        # |sum - denom| is an integer, so comparing it with floor(tol * denom)
+        # is exact; the clamp keeps the bound inside int64
+        limit = max(-1, min(floor(Fraction(tol) * denom), INT64_MAX))
+        off = abs(sums - denom) > limit
+    bad = np.flatnonzero(unsorted | negative | off)
+    if not len(bad):
+        return
+    x = int(bad[0])
+    if unsorted[x]:
+        raise ValidationError(f"row {x} has unsorted or duplicate columns")
+    if negative[x]:
+        raise ValidationError(f"row {x} has a negative entry")
+    total = Fraction(int(sums[x]), denom)
+    if chain.exact:
+        raise ValidationError(f"row {x} sums to {total} ≠ 1")
+    raise ValidationError(f"row {x} sums to {float(total)} outside 1±{tol}")
+
+
+def write_sparse(chain: Chain, fh: TextIO) -> None:
+    """`states=<n> nnz=<m>` header, then `row col num/den` lines in lowest
+    terms, rows and columns ascending."""
+    fh.write(f"states={chain.n_states} nnz={chain.nnz()}\n")
+    for lo in range(0, chain.nnz(), _CHUNK_LINES):
+        at = slice(lo, lo + _CHUNK_LINES)
+        nums = chain.nums[at]
+        g = np.gcd(nums, chain.denom)
+        fh.write("".join(map("{} {} {}/{}\n".format, chain.sources[at].tolist(),
+                             chain.cols[at].tolist(), (nums // g).tolist(),
+                             (chain.denom // g).tolist())))
+
+
+# every token a plain ratio of decimal digit strings
+_RATIOS = re.compile(r"(?:[0-9]+/[0-9]+\n)*[0-9]+/[0-9]+")
+
+
+def _line_chunks(text: str) -> Iterator[List[str]]:
+    """The non-empty lines of `text`, comments and outer blanks stripped,
+    a bounded piece of text at a time. Pieces end just after a newline, so
+    no line, nor a \\r\\n pair, is cut."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS)
+        end = len(text) if end < 0 else end + 1
+        piece = text[start:end]
+        lines = piece.splitlines()
+        if "#" in piece:
+            lines = [ln.split("#")[0] for ln in lines]
+        yield [ln for ln in map(str.strip, lines) if ln]
+        start = end
+
+
+def _entry_error(toks: List[str], n_states: int, prev: Tuple[int, int]) -> Optional[str]:
+    """What is wrong with one entry line, checks in the order they apply."""
+    if len(toks) != 3:
+        return "expected: row col value"
+    try:
+        x, y = int(toks[0]), int(toks[1])
+    except ValueError:
+        return "row and col must be integers"
+    if not (0 <= x < n_states and 0 <= y < n_states):
+        return f"state pair ({x},{y}) out of range"
+    if (x, y) <= prev:
+        return "entries must be strictly ascending by (row, col)"
+    try:
+        Fraction(toks[2])
+    except (ValueError, ZeroDivisionError):
+        return f"bad value {toks[2]!r}"
+    return None
+
+
+def _each(convert, tokens: List[str], errors, blank):
+    """`convert` applied token by token, `blank` where it raises one of
+    `errors`, and which tokens converted."""
+    values, ok = [], []
+    for tok in tokens:
+        try:
+            values.append(convert(tok))
+            ok.append(True)
+        except errors:
+            values.append(blank)
+            ok.append(False)
+    return values, np.array(ok, dtype=bool)
+
+
+def _parse_ints(tokens: List[str]) -> Tuple[np.ndarray, np.ndarray]:
+    """Values of integer tokens and which tokens parsed (0 where not)."""
+    try:
+        return _int_array(list(map(int, tokens))), np.ones(len(tokens), dtype=bool)
+    except ValueError:
+        values, ok = _each(int, tokens, ValueError, 0)
+        return _int_array(values), ok
+
+
+def _parse_values(tokens: List[str]):
+    """Numerators, nonzero denominators, parse flags and exactness of
+    value tokens, which are ratios or decimals."""
+    if _RATIOS.fullmatch("\n".join(tokens)):
+        terms = _int_array(list(map(int, "/".join(tokens).split("/"))))
+        num, den = terms[0::2], terms[1::2]
+        return num, np.where(den == 0, 1, den), den != 0, True
+    fracs, ok = _each(Fraction, tokens, (ValueError, ZeroDivisionError), Fraction(0))
+    return (_int_array([p.numerator for p in fracs]),
+            _int_array([p.denominator for p in fracs]),
+            ok, all("/" in tok for tok in tokens))
+
+
+def _parse_entries(lines: List[str], n_states: int, prev: Tuple[int, int]):
+    """Rows, columns, numerators and denominators of `row col value` lines
+    that follow the entry `prev`, whether every value is a ratio, and the
+    index of the first line failing a check (None when all pass).
+
+    Tokens are converted in bulk and the checks run as array comparisons;
+    the lines after the first one without three tokens are not converted.
+    """
+    wrong = np.flatnonzero(np.fromiter(map(len, map(str.split, lines)), np.int64,
+                                       len(lines)) != 3)
+    cut = int(wrong[0]) if len(wrong) else len(lines)
+    toks = " ".join(lines[:cut]).split()
+    xs, x_ok = _parse_ints(toks[0::3])
+    ys, y_ok = _parse_ints(toks[1::3])
+    num, den, v_ok, exact = _parse_values(toks[2::3])
+    ok = x_ok & y_ok & v_ok & (xs >= 0) & (xs < n_states) & (ys >= 0) & (ys < n_states)
+    px, py = np.append(prev[0], xs[:-1]), np.append(prev[1], ys[:-1])
+    ok &= (xs > px) | ((xs == px) & (ys > py))
+    bad = np.flatnonzero(~ok)
+    first_bad = int(bad[0]) if len(bad) else (cut if cut < len(lines) else None)
+    return (xs, ys, num, den), exact, first_bad
 
 
 def read_sparse(text: str) -> Chain:
-    """Parse the sparse format; entries may be ratios or decimals."""
-    lines = [ln for ln in (l.split("#")[0].strip() for l in text.splitlines()) if ln]
+    """Parse the sparse format; entries may be ratios or decimals.
+
+    Lines are converted a chunk at a time. Only the first line failing a
+    check is examined one rule at a time, for its message, and the entry
+    count is checked before any line's message is reported.
+    """
+    chunks = _line_chunks(text)
+    lines: List[str] = []
+    for lines in chunks:
+        if lines:
+            break
     if not lines:
         raise DocumentParseError("empty sparse file")
     header = lines[0].split()
@@ -194,35 +397,36 @@ def read_sparse(text: str) -> Chain:
         n_states, nnz = int(fields["states"]), int(fields["nnz"])
     except ValueError:
         raise DocumentParseError("header counts must be integers", 1)
-    if len(lines) - 1 != nnz:
-        raise DocumentParseError(f"expected {nnz} entry lines, found {len(lines) - 1}")
-    entries: List[List[Tuple[int, Fraction]]] = [[] for _ in range(n_states)]
-    exact = True
-    prev = (-1, -1)
-    for lineno, line in enumerate(lines[1:], start=2):
-        toks = line.split()
-        if len(toks) != 3:
-            raise DocumentParseError("expected: row col value", lineno)
-        try:
-            x, y = int(toks[0]), int(toks[1])
-        except ValueError:
-            raise DocumentParseError("row and col must be integers", lineno)
-        if not (0 <= x < n_states and 0 <= y < n_states):
-            raise DocumentParseError(f"state pair ({x},{y}) out of range", lineno)
-        if (x, y) <= prev:
-            raise DocumentParseError("entries must be strictly ascending by (row, col)", lineno)
-        prev = (x, y)
-        tok = toks[2]
-        if "/" not in tok:
-            exact = False
-        try:
-            p = Fraction(tok)
-        except (ValueError, ZeroDivisionError):
-            raise DocumentParseError(f"bad value {tok!r}", lineno)
-        entries[x].append((y, p))
-    rows = tuple(tuple(row) for row in entries)
-    validate_stochastic(rows, exact=exact)
-    return Chain(rows=rows, exact=exact)
+    if n_states < 1 or nnz < 0:
+        raise DocumentParseError(
+            f"header needs states >= 1 and nnz >= 0, got states={n_states} nnz={nnz}", 1)
+    columns = [[np.zeros(0, dtype=np.int64)] for _ in range(4)]
+    exact, error, found, prev = True, None, 0, (-1, -1)
+    for body in itertools.chain([lines[1:]], chunks):
+        if error is None and body:
+            arrays, chunk_exact, bad = _parse_entries(body, n_states, prev)
+            xs, ys = arrays[:2]
+            if bad is None:
+                for column, array in zip(columns, arrays):
+                    column.append(array)
+                exact = exact and chunk_exact
+                prev = (int(xs[-1]), int(ys[-1]))
+            else:
+                before = (int(xs[bad - 1]), int(ys[bad - 1])) if bad else prev
+                error = DocumentParseError(
+                    _entry_error(body[bad].split(), n_states, before), found + bad + 2)
+        found += len(body)
+    if found != nnz:
+        raise DocumentParseError(f"expected {nnz} entry lines, found {found}")
+    if error is not None:
+        raise error
+    xs, ys, num, den = map(np.concatenate, columns)
+    xs, ys = xs.astype(np.int64), ys.astype(np.int64)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(xs, minlength=n_states))))
+    nums, denom = _over_common_denominator(num, den, indptr)
+    chain = Chain(indptr, ys, nums, denom, exact=exact)
+    validate_stochastic(chain)
+    return chain
 
 
 def load_chain(path) -> Chain:

@@ -50,7 +50,7 @@ def cmd_compile(args) -> int:
     spec = load_model(args.model)
     mc = chainmod.build_micro_chain(spec, cap=_cap(args))
     with _output(args) as fh:
-        chainmod.write_sparse(mc.rows, fh)
+        chainmod.write_sparse(mc, fh)
     print(f"states={mc.n_states} nnz={mc.nnz()}", file=sys.stderr)
     return EXIT_OK
 
@@ -129,7 +129,7 @@ def cmd_lump(args) -> int:
     part = lumping.load_partition(args.partition)
     macro = lumping.lump(imported, part, tol=args.tol)
     with _output(args) as fh:
-        chainmod.write_sparse(macro.rows, fh)
+        chainmod.write_sparse(macro, fh)
     for k, label in enumerate(part.labels):
         print(f"block {k} {label} size={len(part.blocks[k])}", file=sys.stderr)
     return EXIT_OK
@@ -283,6 +283,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        if getattr(args, "cap", None) is not None and args.cap < 1:
+            raise ValidationError(f"--cap must be positive, got {args.cap}")
         return args.fn(args)
     except DocumentParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

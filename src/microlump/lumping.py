@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import floor
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
-from .chain import Chain, Row
+from .chain import Chain
 from .errors import DocumentParseError, NotLumpableError, ValidationError
 from .space import ConfigSpace
 
@@ -169,12 +170,40 @@ class LumpVerdict:
 
 
 def block_row_sums(chain, part: Partition, state: int) -> Dict[int, Fraction]:
-    """Total probability the state sends into each block, by block id."""
+    """Total probability the state sends into each block, by block id, in
+    the order the row first reaches each block."""
     agg: Dict[int, Fraction] = {}
-    for y, p in chain.rows[state]:
+    lo, hi = int(chain.indptr[state]), int(chain.indptr[state + 1])
+    for y, num in zip(chain.cols[lo:hi].tolist(), chain.nums[lo:hi].tolist()):
         b = part.block_of[y]
-        agg[b] = agg.get(b, Fraction(0)) + p
+        agg[b] = agg.get(b, Fraction(0)) + Fraction(num, chain.denom)
     return agg
+
+
+def _block_sums(chain, block_of: np.ndarray, n_blocks: int, own: bool):
+    """Every (state, block) pair a row reaches, with the summed numerator,
+    ordered by state then block: the keys are grouped by a sort and summed
+    by `reduceat`, in the chain's exact integers. `own=False` leaves out
+    each state's own block."""
+    src = chain.sources
+    blk = block_of[chain.cols]
+    keys = src * n_blocks + blk
+    nums = chain.nums
+    if not own:
+        other = blk != block_of[src]
+        keys, nums = keys[other], nums[other]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    sums = np.add.reduceat(nums[order], starts) if len(keys) else nums[:0]
+    keys = keys[starts]
+    return keys // n_blocks, keys % n_blocks, sums
+
+
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated index ranges starts[i] : starts[i] + lengths[i]."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
 
 
 def check_lumpable(chain, part: Partition, tol: Optional[float] = None,
@@ -186,31 +215,64 @@ def check_lumpable(chain, part: Partition, tol: Optional[float] = None,
     comparison including the own block, for chains imported from floats.
     `exhaustive` collects every violating (state, block) pair instead of
     stopping at the first.
+
+    One vector pass over the block sums flags the states that differ from
+    their block's first member; witnesses are then built row by row for
+    the flagged states only.
     """
     if part.n_states != chain.n_states:
         raise ValidationError(
             f"partition covers {part.n_states} states, chain has {chain.n_states}")
     tol_frac = None if tol is None else Fraction(tol)
-    ref: List[Optional[Dict[int, Fraction]]] = [None] * part.n_blocks
-    ref_state: List[int] = [0] * part.n_blocks
+    # sums are integers over chain.denom, so |a - b| > tol exactly when
+    # their numerators differ by more than floor(tol * denom)
+    limit = 0 if tol_frac is None else max(-1, min(floor(tol_frac * chain.denom),
+                                                   chain.denom))
+    block_of = np.asarray(part.block_of, dtype=np.int64)
+    n_blocks = part.n_blocks
+    states, blocks, sums = _block_sums(chain, block_of, n_blocks, own=tol_frac is not None)
+    if not len(states):
+        return LumpVerdict(True)
+    keys = states * n_blocks + blocks
+
+    def sum_at(x, b):
+        """Summed numerator of each (x, b) pair, 0 where the row misses b."""
+        want = x * n_blocks + b
+        pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        return np.where(keys[pos] == want, sums[pos], 0)
+
+    _, first = np.unique(block_of, return_index=True)
+    ref = first[block_of]
+    # each state's sums against its reference's, then the reference's
+    # sums against every member of its block
+    bad_own = abs(sums - sum_at(ref[states], blocks)) > limit
+    ptr = np.searchsorted(states, np.arange(chain.n_states + 1))
+    lengths = np.diff(ptr)[ref]
+    members = np.repeat(np.arange(chain.n_states), lengths)
+    at = _spans(ptr[ref], lengths)
+    bad_ref = abs(sum_at(members, blocks[at]) - sums[at]) > limit
+    flagged = np.unique(np.concatenate((states[bad_own], members[bad_ref])))
+    flagged = flagged[ref[flagged] != flagged]
+
     violations: List[LumpWitness] = []
-    for x in range(chain.n_states):
-        agg = block_row_sums(chain, part, x)
+    bases: Dict[int, Dict[int, Fraction]] = {}
+    for x in flagged.tolist():
+        r = int(ref[x])
         k = part.block_of[x]
+        if r not in bases:
+            bases[r] = block_row_sums(chain, part, r)
+            if tol_frac is None:
+                bases[r].pop(k, None)
+        base = bases[r]
+        agg = block_row_sums(chain, part, x)
         if tol_frac is None:
             agg.pop(k, None)
-        if ref[k] is None:
-            ref[k] = agg
-            ref_state[k] = x
-            continue
-        base = ref[k]
         for l in base.keys() | agg.keys():
             a = base.get(l, Fraction(0))
             b = agg.get(l, Fraction(0))
             bad = abs(a - b) > tol_frac if tol_frac is not None else a != b
             if bad:
-                witness = LumpWitness(part.labels[k], part.labels[l],
-                                      x, b, ref_state[k], a)
+                witness = LumpWitness(part.labels[k], part.labels[l], x, b, r, a)
                 if not exhaustive:
                     return LumpVerdict(False, witness, (witness,))
                 violations.append(witness)
@@ -221,16 +283,22 @@ def check_lumpable(chain, part: Partition, tol: Optional[float] = None,
 
 def lump(chain, part: Partition, tol: Optional[float] = None) -> Chain:
     """Reduce the chain; raises NotLumpableError (with the witness) if the
-    partition fails the test."""
+    partition fails the test. Row k holds the nonzero block sums of the
+    first listed member of block k."""
     verdict = check_lumpable(chain, part, tol=tol)
     if not verdict:
         raise NotLumpableError(verdict.witness)
-    rows: List[Row] = []
-    for k, block in enumerate(part.blocks):
-        agg = block_row_sums(chain, part, block[0])
-        row = tuple((l, p) for l, p in sorted(agg.items()) if p != 0)
-        rows.append(row)
-    return Chain(rows=tuple(rows), exact=chain.exact)
+    block_of = np.asarray(part.block_of, dtype=np.int64)
+    states, blocks, sums = _block_sums(chain, block_of, part.n_blocks, own=True)
+    ptr = np.searchsorted(states, np.arange(chain.n_states + 1))
+    firsts = np.array([block[0] for block in part.blocks], dtype=np.int64)
+    lengths = np.diff(ptr)[firsts]
+    at = _spans(ptr[firsts], lengths)
+    keep = sums[at] != 0
+    counts = np.bincount(np.repeat(np.arange(part.n_blocks), lengths)[keep],
+                         minlength=part.n_blocks)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return Chain(indptr, blocks[at][keep], sums[at][keep], chain.denom, exact=chain.exact)
 
 
 # ---------------------------------------------------------------------------

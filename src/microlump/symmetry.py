@@ -313,23 +313,27 @@ def is_chain_symmetric(chain, gens: GeneratorSet) -> SymmetryVerdict:
     """Does every generator preserve all transition probabilities?
 
     Checking generators suffices for the generated group: the invariance
-    property survives composition and inversion. On failure the witness
-    names the generator, the entry, and both probabilities.
+    property survives composition and inversion. Each generator maps the
+    key of every stored entry through its index map and compares the
+    numerator found there with the entry's own. On failure the witness
+    names the generator, the first mismatching entry in row-major order,
+    and both probabilities.
     """
-    space = chain.space
-    rows = chain.rows
+    n = chain.space.size
+    src, cols, nums = chain.sources, chain.cols, chain.nums
+    keys = src * n + cols
     for gi, perm in enumerate(gens.perms):
-        image = perm.index_map(space)
-        for x in range(space.size):
-            row = rows[x]
-            ix = int(image[x])
-            mapped = sorted((int(image[y]), p) for y, p in row)
-            if tuple(mapped) != rows[ix]:
-                target = dict(rows[ix])
-                for y, p in row:
-                    iy = int(image[y])
-                    pi = target.get(iy, Fraction(0))
-                    if pi != p:
-                        witness = SymmetryWitness(gi, x, y, p, ix, iy, pi)
-                        return SymmetryVerdict(False, witness)
+        image = perm.index_map(chain.space)
+        ix, iy = image[src], image[cols]
+        want = ix * n + iy
+        pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        found = np.where(keys[pos] == want, nums[pos], 0)
+        bad = np.flatnonzero(found != nums)
+        if len(bad):
+            j = int(bad[0])
+            witness = SymmetryWitness(gi, int(src[j]), int(cols[j]),
+                                      Fraction(int(nums[j]), chain.denom),
+                                      int(ix[j]), int(iy[j]),
+                                      Fraction(int(found[j]), chain.denom))
+            return SymmetryVerdict(False, witness)
     return SymmetryVerdict(True)

@@ -1,0 +1,196 @@
+"""Reference implementations of the exact chain kernels over `Fraction`
+rows: a matrix is a tuple of rows, a row a tuple of (column, Fraction)
+pairs with columns ascending.
+
+These are the plain-loop versions the integer CSR core replaced, kept as
+the oracle `test_oracle.py` compares it against. They return the package's
+own verdict and witness types, so results compare with `==`.
+"""
+
+from fractions import Fraction
+from math import lcm
+
+from microlump import ConfigSpace, DocumentParseError, ValidationError
+from microlump.lumping import LumpVerdict, LumpWitness
+from microlump.symmetry import SymmetryVerdict, SymmetryWitness
+
+ONE = Fraction(1)
+
+
+def build_rows(spec, cap=None):
+    """Row-by-row assembly over the common denominator of the draws."""
+    space = ConfigSpace(spec.n_agents, spec.delta,
+                        labels=spec.alphabet.symbols, cap=cap)
+    delta = spec.delta
+    choices = spec.joint_choices()
+    denom = lcm(*(p.denominator for _, _, p in choices)) if choices else 1
+    n_opts = len(spec.rule.options)
+
+    arity = spec.rule.arity
+    flat = [0] * (delta ** arity * n_opts)
+    for key, out in spec.rule.table.items():
+        pack = 0
+        for c in reversed(key[:-1]):
+            pack = pack * delta + c
+        flat[pack * n_opts + key[-1]] = out
+
+    weighted = [(tup, opt, int(p * denom)) for tup, opt, p in choices]
+    pows = [delta ** i for i in range(spec.n_agents)]
+
+    rows = []
+    for idx in range(space.size):
+        cfg = space.config_of(idx)
+        acc = {}
+        for tup, opt, w in weighted:
+            pack = 0
+            for a in reversed(tup):
+                pack = pack * delta + cfg[a]
+            new = flat[pack * n_opts + opt]
+            focal = tup[0]
+            if new != cfg[focal]:
+                y = idx + (new - cfg[focal]) * pows[focal]
+                acc[y] = acc.get(y, 0) + w
+        stay = denom - sum(acc.values())
+        if stay:
+            acc[idx] = stay
+        rows.append(tuple((y, Fraction(w, denom)) for y, w in sorted(acc.items())))
+    return tuple(rows)
+
+
+def validate_stochastic(rows, exact=True, tol=1e-9):
+    for x, row in enumerate(rows):
+        cols = [c for c, _ in row]
+        if cols != sorted(set(cols)):
+            raise ValidationError(f"row {x} has unsorted or duplicate columns")
+        if any(p < 0 for _, p in row):
+            raise ValidationError(f"row {x} has a negative entry")
+        total = sum(p for _, p in row)
+        if exact:
+            if total != ONE:
+                raise ValidationError(f"row {x} sums to {total} ≠ 1")
+        elif abs(total - ONE) > tol:
+            raise ValidationError(f"row {x} sums to {float(total)} outside 1±{tol}")
+
+
+def write_sparse(rows, fh):
+    nnz = sum(len(row) for row in rows)
+    fh.write(f"states={len(rows)} nnz={nnz}\n")
+    for x, row in enumerate(rows):
+        for y, p in row:
+            fh.write(f"{x} {y} {p.numerator}/{p.denominator}\n")
+
+
+def read_sparse(text):
+    """(rows, exact) of a sparse document, line by line."""
+    lines = [ln for ln in (l.split("#")[0].strip() for l in text.splitlines()) if ln]
+    if not lines:
+        raise DocumentParseError("empty sparse file")
+    header = lines[0].split()
+    fields = dict(part.split("=", 1) for part in header if "=" in part)
+    if "states" not in fields or "nnz" not in fields:
+        raise DocumentParseError("header must be 'states=<n> nnz=<m>'", 1)
+    try:
+        n_states, nnz = int(fields["states"]), int(fields["nnz"])
+    except ValueError:
+        raise DocumentParseError("header counts must be integers", 1)
+    if len(lines) - 1 != nnz:
+        raise DocumentParseError(f"expected {nnz} entry lines, found {len(lines) - 1}")
+    entries = [[] for _ in range(n_states)]
+    exact = True
+    prev = (-1, -1)
+    for lineno, line in enumerate(lines[1:], start=2):
+        toks = line.split()
+        if len(toks) != 3:
+            raise DocumentParseError("expected: row col value", lineno)
+        try:
+            x, y = int(toks[0]), int(toks[1])
+        except ValueError:
+            raise DocumentParseError("row and col must be integers", lineno)
+        if not (0 <= x < n_states and 0 <= y < n_states):
+            raise DocumentParseError(f"state pair ({x},{y}) out of range", lineno)
+        if (x, y) <= prev:
+            raise DocumentParseError("entries must be strictly ascending by (row, col)", lineno)
+        prev = (x, y)
+        tok = toks[2]
+        if "/" not in tok:
+            exact = False
+        try:
+            p = Fraction(tok)
+        except (ValueError, ZeroDivisionError):
+            raise DocumentParseError(f"bad value {tok!r}", lineno)
+        entries[x].append((y, p))
+    rows = tuple(tuple(row) for row in entries)
+    validate_stochastic(rows, exact=exact)
+    return rows, exact
+
+
+def is_chain_symmetric(rows, space, gens):
+    for gi, perm in enumerate(gens.perms):
+        image = perm.index_map(space)
+        for x in range(space.size):
+            row = rows[x]
+            ix = int(image[x])
+            mapped = sorted((int(image[y]), p) for y, p in row)
+            if tuple(mapped) != rows[ix]:
+                target = dict(rows[ix])
+                for y, p in row:
+                    iy = int(image[y])
+                    pi = target.get(iy, Fraction(0))
+                    if pi != p:
+                        witness = SymmetryWitness(gi, x, y, p, ix, iy, pi)
+                        return SymmetryVerdict(False, witness)
+    return SymmetryVerdict(True)
+
+
+def block_row_sums(rows, part, state):
+    agg = {}
+    for y, p in rows[state]:
+        b = part.block_of[y]
+        agg[b] = agg.get(b, Fraction(0)) + p
+    return agg
+
+
+def check_lumpable(rows, part, tol=None, exhaustive=False):
+    if part.n_states != len(rows):
+        raise ValidationError(
+            f"partition covers {part.n_states} states, chain has {len(rows)}")
+    tol_frac = None if tol is None else Fraction(tol)
+    ref = [None] * part.n_blocks
+    ref_state = [0] * part.n_blocks
+    violations = []
+    for x in range(len(rows)):
+        agg = block_row_sums(rows, part, x)
+        k = part.block_of[x]
+        if tol_frac is None:
+            agg.pop(k, None)
+        if ref[k] is None:
+            ref[k] = agg
+            ref_state[k] = x
+            continue
+        base = ref[k]
+        for l in base.keys() | agg.keys():
+            a = base.get(l, Fraction(0))
+            b = agg.get(l, Fraction(0))
+            bad = abs(a - b) > tol_frac if tol_frac is not None else a != b
+            if bad:
+                witness = LumpWitness(part.labels[k], part.labels[l],
+                                      x, b, ref_state[k], a)
+                if not exhaustive:
+                    return LumpVerdict(False, witness, (witness,))
+                violations.append(witness)
+    if violations:
+        return LumpVerdict(False, violations[0], tuple(violations))
+    return LumpVerdict(True)
+
+
+def lump(rows, part, tol=None):
+    """Reduced rows; raises ValueError carrying the verdict when the
+    partition fails the test."""
+    verdict = check_lumpable(rows, part, tol=tol)
+    if not verdict:
+        raise ValueError(verdict)
+    out = []
+    for block in part.blocks:
+        agg = block_row_sums(rows, part, block[0])
+        out.append(tuple((l, p) for l, p in sorted(agg.items()) if p != 0))
+    return tuple(out)

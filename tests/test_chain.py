@@ -1,9 +1,10 @@
 import io
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from microlump import (DocumentParseError, Topology,
+from microlump import (Chain, DocumentParseError, Topology,
                        ValidationError, build_micro_chain, builtin_voter,
                        enumerate_maps, grammar_arcs, read_sparse,
                        transition_prob, write_sparse)
@@ -138,14 +139,14 @@ def test_voter_flip_symmetry_random_topologies():
 
 def test_sparse_roundtrip(voter3_chain):
     buf = io.StringIO()
-    write_sparse(voter3_chain.rows, buf)
+    write_sparse(voter3_chain, buf)
     text = buf.getvalue()
     assert text.splitlines()[0] == f"states=8 nnz={voter3_chain.nnz()}"
     imported = read_sparse(text)
     assert imported.exact
     assert imported.rows == voter3_chain.rows
     buf2 = io.StringIO()
-    write_sparse(imported.rows, buf2)
+    write_sparse(imported, buf2)
     assert buf2.getvalue() == text
 
 
@@ -166,10 +167,11 @@ def test_sparse_import_rejects_bad_rows():
 
 
 def test_validate_stochastic_rejects_negative():
-    rows = (((0, Fraction(3, 2)), (1, Fraction(-1, 2))),
-            ((1, Fraction(1)),))
+    # rows ((0, 3/2), (1, -1/2)) and ((1, 1),) over the denominator 2
+    chain = Chain(indptr=np.array([0, 2, 3]), cols=np.array([0, 1, 1]),
+                  nums=np.array([3, -1, 2]), denom=2)
     with pytest.raises(ValidationError, match="negative"):
-        validate_stochastic(rows)
+        validate_stochastic(chain)
 
 
 def test_build_respects_cap():

@@ -226,3 +226,28 @@ def test_estimate_rejects_negative_seed(tmp_path, capsys):
     err = rejected(capsys, tmp_path, "estimate", VOTER3, "--samples", "10",
                    "--seed", "-1")
     assert "seed must be non-negative" in err
+
+
+def test_compile_rejects_a_cap_below_one(tmp_path, capsys):
+    for cap in ("-1", "0"):
+        err = rejected(capsys, tmp_path, "compile", VOTER3, "--cap", cap)
+        assert f"--cap must be positive, got {cap}" in err
+
+
+def test_sparse_header_needs_a_state_and_a_count(tmp_path, capsys):
+    chain = tmp_path / "chain.sparse"
+    for header in ("states=-1 nnz=0", "states=0 nnz=0", "states=2 nnz=-1"):
+        chain.write_text(header + "\n")
+        code, out, err = run(capsys, "analyze", str(chain))
+        assert code == 4 and out == ""
+        assert err.startswith("parse error: line 1: header needs states >= 1 and nnz >= 0")
+
+
+def test_propagate_rejects_a_repeated_state(tmp_path, capsys):
+    chain = tmp_path / "chain.sparse"
+    run(capsys, "compile", VOTER3, "-o", str(chain))
+    mu = tmp_path / "mu.dist"
+    mu.write_text("0 1/2\n# again\n0 1/2\n7 1/2\n")
+    code, out, err = run(capsys, "propagate", str(chain), "--mu0", str(mu), "-t", "1")
+    assert code == 4 and out == ""
+    assert "line 3: state 0 listed twice" in err

@@ -1,0 +1,260 @@
+"""The integer CSR chain core against the plain-loop `Fraction` references
+in `oracle.py`: built rows, sparse bytes, parse results and errors,
+symmetry verdicts and witnesses, block-sum verdicts (exact, tolerance and
+exhaustive) and reduced chains, on seeded random models."""
+
+import io
+import random
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+from microlump import chain as chainmod
+from microlump import (Alphabet, ChoiceDistribution, DocumentParseError,
+                       GeneratorSet, ModelSpec, NotLumpableError, Partition,
+                       SpacePermutation, Topology, UpdateRule, ValidationError,
+                       build_micro_chain, builtin_voter, check_lumpable,
+                       frequency_partition, half_hypercube_partition,
+                       is_chain_symmetric, lump, moran_partition, orbits,
+                       parse_presets, read_sparse, write_sparse)
+from conftest import path_topology, random_topology
+
+import oracle
+
+LABELS = ("a", "b", "c")
+
+
+def majority_rule(delta, p_majority):
+    """Arity 3: join the triple's majority (keep the own code on a
+    three-way tie), or copy the second agent."""
+    table = {}
+    for a in range(delta):
+        for b in range(delta):
+            for c in range(delta):
+                top, k = Counter((a, b, c)).most_common(1)[0]
+                table[(a, b, c, 0)] = top if k >= 2 else a
+                table[(a, b, c, 1)] = b
+    return UpdateRule(arity=3, options=(("majority", p_majority), ("copy", 1 - p_majority)),
+                      table=table, delta=delta)
+
+
+def random_model(seed):
+    """A seeded voter or majority model on a complete, path or random
+    topology with two or three codes, small enough for the references."""
+    rng = random.Random(seed)
+    delta = rng.choice((2, 3))
+    rule_name = rng.choice(("voter", "majority"))
+    shape = rng.choice(("complete", "path", "random"))
+    top_n = {(2, "voter"): 8, (2, "majority"): 6, (3, "voter"): 5, (3, "majority"): 4}
+    n = rng.randint(3, top_n[delta, rule_name])
+    if shape == "complete":
+        topology = Topology.complete(n)
+    elif shape == "path":
+        topology = path_topology(n)
+    else:
+        topology = random_topology(n, seed)
+    labels = LABELS[:delta]
+    if rule_name == "voter":
+        return builtin_voter(topology, labels=labels, name=f"voter-{shape}")
+    weights = {}
+    for i in range(n):
+        nbrs = [j for (a, j) in topology.edges if a == i]
+        for j in nbrs:
+            for k in nbrs:
+                if j != k or len(nbrs) == 1:
+                    weights[(i, j, k)] = rng.randint(1, 3)
+    total = sum(weights.values())
+    choice = ChoiceDistribution({t: Fraction(w, total) for t, w in weights.items()})
+    rule = majority_rule(delta, Fraction(rng.randint(1, 4), 5))
+    return ModelSpec(name=f"majority-{shape}", alphabet=Alphabet(labels),
+                     topology=topology, rule=rule, choice=choice)
+
+
+def generator_sets(spec, rng):
+    """Preset, reflection and random generators: some symmetries of the
+    model, some not."""
+    n, delta = spec.n_agents, spec.delta
+    sets = [parse_presets(name, n, delta)
+            for name in ("SN", "Sdelta", "full") + (("flip",) if delta == 2 else ())]
+    flipped = SpacePermutation(tuple(reversed(range(n))), tuple(range(delta)))
+    sets.append(GeneratorSet("reflect", (flipped,)))
+    agents, attrs = list(range(n)), list(range(delta))
+    rng.shuffle(agents)
+    rng.shuffle(attrs)
+    sets.append(GeneratorSet("random", (SpacePermutation(tuple(agents), tuple(attrs)),)))
+    return sets
+
+
+def random_partition(n_states, rng):
+    """Random blocks, members listed in random order, so that a block's
+    first listed member is often not its smallest."""
+    k = rng.randint(1, min(6, n_states))
+    groups = [[] for _ in range(k)]
+    for x in range(n_states):
+        groups[x % k if x < k else rng.randrange(k)].append(x)
+    for g in groups:
+        rng.shuffle(g)
+    return Partition(tuple(tuple(g) for g in groups), tuple(f"R{i}" for i in range(k)))
+
+
+def sparse_text(write, matrix):
+    buf = io.StringIO()
+    write(matrix, buf)
+    return buf.getvalue()
+
+
+def check_lumping(chain, rows, part):
+    for tol in (None, 1e-12, 0.2):
+        for exhaustive in (False, True):
+            assert (check_lumpable(chain, part, tol=tol, exhaustive=exhaustive)
+                    == oracle.check_lumpable(rows, part, tol=tol, exhaustive=exhaustive))
+        try:
+            ref = oracle.lump(rows, part, tol=tol)
+        except ValueError as exc:
+            with pytest.raises(NotLumpableError) as err:
+                lump(chain, part, tol=tol)
+            assert err.value.witness == exc.args[0].witness
+        else:
+            macro = lump(chain, part, tol=tol)
+            assert macro.rows == ref
+            assert sparse_text(write_sparse, macro) == sparse_text(oracle.write_sparse, ref)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_core_matches_the_fraction_references(seed):
+    spec = random_model(seed)
+    rng = random.Random(1000 + seed)
+    chain = build_micro_chain(spec)
+    rows = oracle.build_rows(spec)
+    assert chain.rows == rows
+
+    text = sparse_text(oracle.write_sparse, rows)
+    assert sparse_text(write_sparse, chain) == text
+    imported = read_sparse(text)
+    assert (imported.rows, imported.exact) == oracle.read_sparse(text)
+    assert sparse_text(write_sparse, imported) == text
+
+    space = chain.space
+    gen_sets = generator_sets(spec, rng)
+    for gens in gen_sets:
+        assert (is_chain_symmetric(chain, gens)
+                == oracle.is_chain_symmetric(rows, space, gens))
+
+    parts = [orbits(space, gens) for gens in gen_sets]
+    parts += [frequency_partition(space), moran_partition(space, 0),
+              random_partition(space.size, rng)]
+    if spec.delta == 2:
+        parts.append(half_hypercube_partition(space))
+    for part in parts:
+        check_lumping(imported, rows, part)
+
+
+def test_the_seeds_cover_both_verdicts():
+    """The random models above include symmetric and non-symmetric
+    generator sets, and both lumping verdicts."""
+    sym, lumpable = Counter(), Counter()
+    for seed in range(24):
+        spec = random_model(seed)
+        chain = build_micro_chain(spec)
+        for gens in generator_sets(spec, random.Random(1000 + seed)):
+            sym[bool(is_chain_symmetric(chain, gens))] += 1
+        lumpable[bool(check_lumpable(chain, frequency_partition(chain.space)))] += 1
+    assert min(sym.values()) >= 10 and min(lumpable.values()) >= 3
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (DocumentParseError, ValidationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _mutations(text, rng):
+    """Malformed and unusual variants of a sparse document."""
+    header, *body = text.splitlines()
+    out = []
+
+    def doc(lines):
+        out.append("\n".join([header] + lines) + "\n")
+
+    i = rng.randrange(1, len(body))
+    doc(body[:i - 1] + [body[i], body[i - 1]] + body[i + 1:])          # out of order
+    doc(body[:i] + [body[i - 1]] + body[i + 1:])                        # repeated pair
+    doc(body[:i] + body[i + 1:])                                        # entry count
+    x, y, value = body[i].split()
+    for bad in ("1/0", "abc", "1/-2", "-1/6", "0.5", "1e-1", "+1/6", "1/7", "٣/6",
+                "1_0/60", "1/99999999999999999999999999"):
+        doc(body[:i] + [f"{x} {y} {bad}"] + body[i + 1:])
+    for row, col in (("-1", y), (x, "99999"), ("99999999999999999999999", y), ("1.0", y)):
+        doc(body[:i] + [f"{row} {col} {value}"] + body[i + 1:])
+    doc(body[:i] + [f"{x} {y}"] + body[i + 1:])                         # missing token
+    doc(body[:i] + [f"{x} {y} {value} 1"] + body[i + 1:])               # extra token
+    doc(body[:i] + [f"  {x}\t{y}   {value}  # note", "", "# comment only"] + body[i + 1:])
+    out.append(text.replace("\n", "\r\n"))
+    out.append("# leading comment\n\n" + text)
+    decimals = [f"{a} {b} {float(Fraction(p)):.3f}" for a, b, p in map(str.split, body)]
+    doc(decimals)
+    return out
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 100])
+@pytest.mark.parametrize("seed", range(6))
+def test_parse_errors_match_the_reference(seed, chunk, monkeypatch):
+    """Also with pieces of text so short that entries, errors and the
+    ascending check fall across piece boundaries."""
+    if chunk is not None:
+        monkeypatch.setattr(chainmod, "_CHUNK_CHARS", chunk)
+        monkeypatch.setattr(chainmod, "_CHUNK_LINES", chunk)
+    rng = random.Random(seed)
+    rows = oracle.build_rows(random_model(seed))
+    text = sparse_text(oracle.write_sparse, rows)
+    assert sparse_text(write_sparse, read_sparse(text)) == text
+    for variant in [text] + _mutations(text, rng):
+        got = _outcome(lambda t: (lambda c: (c.rows, c.exact))(read_sparse(t)), variant)
+        assert got == _outcome(oracle.read_sparse, variant), variant
+
+
+# primes near 2**31: every lcm of two or more of them exceeds 2**63
+P1, P2, P3 = 2147483647, 2147483629, 2147483587
+
+
+def test_denominators_beyond_int64_use_python_ints():
+    """A chain whose common denominator P1*P2*P3 exceeds 2**63 stays exact
+    through read, lumping test, reduction and write."""
+    a, b = Fraction(1, P1), Fraction(1, P2)
+    rows = (
+        ((0, 1 - a), (2, a / 2), (3, a / 2)),
+        ((0, Fraction(1, P3)), (1, 1 - a - Fraction(1, P3)), (2, a / 3), (3, 2 * a / 3)),
+        ((0, b), (2, 1 - b)),
+        ((1, b), (2, Fraction(1, P3)), (3, 1 - b - Fraction(1, P3))),
+    )
+    text = sparse_text(oracle.write_sparse, rows)
+    chain = read_sparse(text)
+    assert chain.nums.dtype == object and chain.denom == P1 * P2 * P3 * 6
+    assert chain.rows == rows
+    assert sparse_text(write_sparse, chain) == text
+    good = Partition(((1, 0), (2, 3)), ("A", "B"))
+    bad = Partition(((0, 2), (1, 3)), ("C", "D"))
+    assert check_lumpable(chain, good)
+    for part in (good, bad):
+        check_lumping(chain, rows, part)
+    macro = lump(chain, good)
+    assert macro.rows == (((0, 1 - a), (1, a)), ((0, b), (1, 1 - b)))
+    assert sparse_text(write_sparse, macro) == f"states=2 nnz=4\n0 0 {P1 - 1}/{P1}\n" \
+        f"0 1 1/{P1}\n1 0 1/{P2}\n1 1 {P2 - 1}/{P2}\n"
+
+
+def test_build_beyond_int64_uses_python_ints():
+    """Edge weights whose sums are large primes give draw probabilities
+    with a common denominator above 2**63."""
+    edges = {(0, 1): 1, (0, 2): P1 - 1, (1, 0): 1, (1, 2): P2 - 1,
+             (2, 0): 1, (2, 1): P3 - 1}
+    spec = builtin_voter(Topology(3, edges))
+    chain = build_micro_chain(spec)
+    assert chain.nums.dtype == object
+    rows = oracle.build_rows(spec)
+    assert chain.rows == rows
+    assert sparse_text(write_sparse, chain) == sparse_text(oracle.write_sparse, rows)
+    gens = parse_presets("Sdelta", 3, 2)
+    assert is_chain_symmetric(chain, gens) == oracle.is_chain_symmetric(rows, chain.space, gens)
