@@ -1,25 +1,32 @@
 """Chain analysis: state classification, absorption solves, exact
 distribution propagation, and the micro/macro commutation check.
 
-Verdict-style computations (propagation, commutation) stay in exact
-rationals; absorption probabilities and expected step counts come from
-dense float solves of the standard transient-block linear systems, with
-the residuals reported and bounded.
+Everything reads the chain's integer CSR arrays. Verdict-style
+computations (propagation, commutation) stay exact: a distribution is held
+as integer numerators over one common denominator and pushed one numpy
+pass per step. Absorption probabilities and expected step counts come
+from dense float solves of the standard transient-block linear systems,
+with the residuals reported and bounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, TextIO, Tuple
+from itertools import islice
+from math import gcd, lcm
+from typing import Iterator, List, Sequence, TextIO, Tuple
 
 import numpy as np
 
+from .chain import INT64_MAX, Chain, to_fractions
 from .errors import AnalysisError, DocumentParseError, ValidationError
 from .lumping import Partition, block_row_sums, lump
 
 ONE = Fraction(1)
 RESIDUAL_BOUND = 1e-9
+# largest integer a double holds exactly
+FLOAT_EXACT = 2 ** 53
 
 
 @dataclass(frozen=True)
@@ -27,10 +34,6 @@ class Classification:
     absorbing: Tuple[int, ...]
     transient: Tuple[int, ...]
     recurrent_classes: Tuple[Tuple[int, ...], ...]
-
-
-def _successors(chain) -> List[List[int]]:
-    return [[y for y, _ in row] for row in chain.rows]
 
 
 def _strongly_connected_components(succ: List[List[int]]) -> List[List[int]]:
@@ -83,31 +86,29 @@ def _strongly_connected_components(succ: List[List[int]]) -> List[List[int]]:
     return components
 
 
-def classify_states(chain) -> Classification:
+def classify_states(chain: Chain) -> Classification:
     """Absorbing states, transient states, and the recurrent classes.
 
-    A state is absorbing when its row is a unit self-loop; a strongly
-    connected component is recurrent when no edge leaves it.
+    A state is absorbing when its row is one entry, on the diagonal, equal
+    to `denom`; a strongly connected component is recurrent when no edge
+    leaves it.
     """
-    succ = _successors(chain)
-    components = _strongly_connected_components(succ)
-    comp_of = [0] * chain.n_states
+    cols, bounds = chain.cols.tolist(), chain.indptr.tolist()
+    components = _strongly_connected_components(
+        [cols[a:b] for a, b in zip(bounds, bounds[1:])])
+    comp_of = np.zeros(chain.n_states, dtype=np.int64)
     for cid, comp in enumerate(components):
-        for x in comp:
-            comp_of[x] = cid
-    recurrent: List[Tuple[int, ...]] = []
-    transient: List[int] = []
-    for cid, comp in enumerate(components):
-        leaves = any(comp_of[y] != cid for x in comp for y in succ[x])
-        if leaves:
-            transient.extend(comp)
-        else:
-            recurrent.append(tuple(comp))
-    absorbing = tuple(x for x in range(chain.n_states)
-                      if chain.rows[x] == ((x, ONE),))
-    recurrent.sort()
-    return Classification(absorbing=absorbing,
-                          transient=tuple(sorted(transient)),
+        comp_of[comp] = cid
+    src, dst = comp_of[chain.sources], comp_of[chain.cols]
+    leaves = np.zeros(len(components), dtype=bool)
+    leaves[src[src != dst]] = True
+    recurrent = sorted(tuple(comp) for comp, out in zip(components, leaves) if not out)
+    transient = sorted(x for comp, out in zip(components, leaves) if out for x in comp)
+    single = np.flatnonzero(np.diff(chain.indptr) == 1)
+    first = chain.indptr[single]
+    absorbing = single[(chain.cols[first] == single) & (chain.nums[first] == chain.denom)]
+    return Classification(absorbing=tuple(absorbing.tolist()),
+                          transient=tuple(transient),
                           recurrent_classes=tuple(recurrent))
 
 
@@ -139,7 +140,17 @@ class AbsorptionReport:
         return float(self.expected_steps[self.transient.index(state)])
 
 
-def absorption_analysis(chain) -> AbsorptionReport:
+def _floats(nums: np.ndarray, denom: int) -> np.ndarray:
+    """nums / denom rounded as float(Fraction(num, denom)) rounds it, to
+    the nearest double: a double division of exact operands while `denom`
+    (and so every |num|) is exact in a double, Python's correctly rounded
+    int division above that."""
+    if denom <= FLOAT_EXACT:
+        return nums.astype(np.float64) / float(denom)
+    return np.array([num / denom for num in nums.tolist()], dtype=np.float64)
+
+
+def absorption_analysis(chain: Chain) -> AbsorptionReport:
     """Solve the transient-block systems for absorption probabilities and
     expected absorption times.
 
@@ -155,17 +166,21 @@ def absorption_analysis(chain) -> AbsorptionReport:
         raise AnalysisError("chain has no absorbing state")
     transient = cls.transient
     absorbing = cls.absorbing
-    t_pos = {x: i for i, x in enumerate(transient)}
-    a_pos = {x: i for i, x in enumerate(absorbing)}
     nt, na = len(transient), len(absorbing)
+    # every state is transient or absorbing here: pos is its index in Q or R
+    pos = np.zeros(chain.n_states, dtype=np.int64)
+    pos[list(transient)] = np.arange(nt)
+    pos[list(absorbing)] = np.arange(na)
+    is_transient = np.zeros(chain.n_states, dtype=bool)
+    is_transient[list(transient)] = True
+    at = np.flatnonzero(is_transient[chain.sources])
+    src, dst = pos[chain.sources[at]], chain.cols[at]
+    values = _floats(chain.nums[at], chain.denom)
+    to_q = is_transient[dst]
     Q = np.zeros((nt, nt))
     R = np.zeros((nt, na))
-    for x in transient:
-        for y, p in chain.rows[x]:
-            if y in t_pos:
-                Q[t_pos[x], t_pos[y]] = float(p)
-            else:
-                R[t_pos[x], a_pos[y]] = float(p)
+    Q[src[to_q], pos[dst[to_q]]] = values[to_q]
+    R[src[~to_q], pos[dst[~to_q]]] = values[~to_q]
     if nt == 0:
         return AbsorptionReport(absorbing, transient, cls.recurrent_classes,
                                 np.zeros((0, na)), np.zeros(0), 0.0, 0.0)
@@ -187,6 +202,11 @@ def absorption_analysis(chain) -> AbsorptionReport:
 
 # ---------------------------------------------------------------------------
 # exact distribution propagation
+#
+# A distribution is held as non-negative integer numerators over one common
+# denominator. Numerators are int64 while every sum the next operation can
+# form fits in int64, and Python ints (an object array) otherwise; the same
+# numpy code runs on both, and float64 never enters (no `bincount`).
 
 def point_mass(n_states: int, state: int) -> List[Fraction]:
     if not 0 <= state < n_states:
@@ -208,45 +228,87 @@ def validate_distribution(mu: Sequence[Fraction], n_states: int) -> List[Fractio
     return mu
 
 
-def propagate(chain, mu: Sequence[Fraction], t: int) -> List[Fraction]:
+def _ints(values, bound: int) -> np.ndarray:
+    """Integers as int64 when `bound` fits in int64, else as Python ints."""
+    return np.asarray(values, dtype=np.int64 if bound <= INT64_MAX else object)
+
+
+def _numerators(mu: Sequence[Fraction]) -> Tuple[np.ndarray, int]:
+    """Numerators of rationals over the lcm of their denominators, and
+    that lcm."""
+    denom = lcm(*(p.denominator for p in mu))
+    nums = [p.numerator * (denom // p.denominator) for p in mu]
+    return _ints(nums, sum(map(abs, nums))), denom
+
+
+def _trajectory(chain: Chain, nums: np.ndarray, denom: int) -> Iterator[Tuple[np.ndarray, int]]:
+    """The distribution nums / denom at t = 0, 1, 2, ...
+
+    One step multiplies each entry's source numerator by the entry's
+    numerator, sums the products by column (entries sorted by column once,
+    summed by `reduceat`), and reduces the new numerators over
+    denom * chain.denom by their gcd. No partial sum exceeds the total
+    mass times the largest row sum, which is checked before the multiply.
+    """
+    order = np.argsort(chain.cols, kind="stable")
+    cols = chain.cols[order]
+    starts = np.flatnonzero(np.diff(cols, prepend=-1))
+    targets, src, weights = cols[starts], chain.sources[order], chain.nums[order]
+    filled = chain.indptr[:-1][np.diff(chain.indptr) > 0]
+    row_max = int(np.add.reduceat(chain.nums, filled).max()) if len(filled) else 0
+    while True:
+        yield nums, denom
+        nums = _ints(nums, int(nums.sum()) * row_max)
+        sums = np.add.reduceat(nums[src] * weights, starts)
+        pushed = np.zeros(chain.n_states, dtype=sums.dtype)
+        pushed[targets] = sums
+        denom *= chain.denom
+        g = gcd(int(np.gcd.reduce(pushed)), denom)
+        nums, denom = pushed // g, denom // g
+
+
+def _block_mass(nums: np.ndarray, part: Partition) -> np.ndarray:
+    """Numerators summed block by block (every block is non-empty)."""
+    block_of = np.asarray(part.block_of, dtype=np.int64)
+    order = np.argsort(block_of, kind="stable")
+    starts = np.searchsorted(block_of[order], np.arange(part.n_blocks))
+    return np.add.reduceat(nums[order], starts)
+
+
+def propagate(chain: Chain, mu: Sequence[Fraction], t: int) -> List[Fraction]:
     """mu after t steps of the chain, in exact rationals."""
     if t < 0:
         raise ValidationError("step count must be non-negative")
     mu = validate_distribution(mu, chain.n_states)
-    for _ in range(t):
-        mu = _step(chain.rows, mu)
-    return mu
-
-
-def _step(rows: Sequence, mu: Sequence[Fraction]) -> List[Fraction]:
-    nxt = [Fraction(0)] * len(mu)
-    for x, px in enumerate(mu):
-        if px == 0:
-            continue
-        for y, p in rows[x]:
-            nxt[y] += px * p
-    return nxt
+    nums, denom = next(islice(_trajectory(chain, *_numerators(mu)), t, None))
+    return to_fractions(nums, denom)
 
 
 def aggregate(mu: Sequence[Fraction], part: Partition) -> List[Fraction]:
     """Block-wise mass of a micro distribution."""
-    out = [Fraction(0)] * part.n_blocks
-    for x, px in enumerate(mu):
-        out[part.block_of[x]] += px
-    return out
+    part.check_covers(len(mu))
+    nums, denom = _numerators(mu)
+    return to_fractions(_block_mass(nums, part), denom)
 
 
-def _macro_rows(chain, part: Partition, force: bool):
-    if force:
-        rows = []
-        for block in part.blocks:
-            agg = block_row_sums(chain, part, block[0])
-            rows.append(tuple(sorted(agg.items())))
-        return tuple(rows)
-    return lump(chain, part).rows
+def _macro_chain(chain: Chain, part: Partition, force: bool) -> Chain:
+    """The reduced chain; with `force`, each block's first member's block
+    sums, lumpable or not, as integers over `chain.denom`."""
+    if not force:
+        return lump(chain, part)
+    cols: List[int] = []
+    nums: List[int] = []
+    indptr = [0]
+    for block in part.blocks:
+        for b, p in sorted(block_row_sums(chain, part, block[0]).items()):
+            cols.append(b)
+            nums.append(p.numerator * (chain.denom // p.denominator))
+        indptr.append(len(cols))
+    return Chain(np.array(indptr, dtype=np.int64), np.array(cols, dtype=np.int64),
+                 np.array(nums, dtype=chain.nums.dtype), chain.denom, exact=chain.exact)
 
 
-def commutation_profile(chain, part: Partition, mu0: Sequence[Fraction],
+def commutation_profile(chain: Chain, part: Partition, mu0: Sequence[Fraction],
                         t_max: int, force: bool = False) -> List[Fraction]:
     """Max block-mass discrepancy between aggregate-then-step and
     step-then-aggregate, at every time 0..t_max.
@@ -255,21 +317,25 @@ def commutation_profile(chain, part: Partition, mu0: Sequence[Fraction],
     the lumpability check and aggregates each block's first row so the
     mismatch of a non-lumpable partition can be demonstrated.
     """
+    if t_max < 0:
+        raise ValidationError("step count must be non-negative")
     mu = validate_distribution(mu0, chain.n_states)
-    macro_rows = _macro_rows(chain, part, force)
-    nu = aggregate(mu, part)
+    part.check_covers(chain.n_states)
+    macro = _macro_chain(chain, part, force)
+    nums, denom = _numerators(mu)
+    steps = zip(_trajectory(chain, nums, denom),
+                _trajectory(macro, _block_mass(nums, part), denom))
     out = []
-    for step in range(t_max + 1):
-        projected = aggregate(mu, part)
-        out.append(max(abs(a - b) for a, b in zip(projected, nu)))
-        if step == t_max:
-            break
-        mu = _step(chain.rows, mu)
-        nu = _step(macro_rows, nu)
+    for (nums, d), (nu, e) in islice(steps, t_max + 1):
+        # |proj/d - nu/e| over the common denominator d*e
+        proj = _block_mass(nums, part)
+        bound = max(int(proj.sum()), d) * max(int(nu.sum()), e)
+        gap = np.abs(_ints(proj, bound) * e - _ints(nu, bound) * d).max()
+        out.append(Fraction(int(gap), d * e))
     return out
 
 
-def commutation_check(chain, part: Partition, mu0: Sequence[Fraction],
+def commutation_check(chain: Chain, part: Partition, mu0: Sequence[Fraction],
                       t: int, force: bool = False) -> Fraction:
     """Discrepancy at time t only; zero exactly for lumpable partitions."""
     return commutation_profile(chain, part, mu0, t, force=force)[-1]

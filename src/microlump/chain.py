@@ -100,6 +100,14 @@ def _over_common_denominator(num: np.ndarray, den: np.ndarray,
     return num.astype(dtype) * (denom // den.astype(dtype)), denom
 
 
+def to_fractions(nums: np.ndarray, denom: int) -> List[Fraction]:
+    """The ratios nums[i] / denom, one Fraction object per distinct
+    numerator."""
+    values, inverse = np.unique(nums, return_inverse=True)
+    fracs = [Fraction(v, denom) for v in values.tolist()]
+    return list(map(fracs.__getitem__, inverse.tolist()))
+
+
 @dataclass(frozen=True, eq=False)
 class Chain:
     """Exact sparse transition matrix in CSR form over one common
@@ -137,11 +145,8 @@ class Chain:
     @cached_property
     def rows(self) -> Tuple[Row, ...]:
         """The matrix as `((col, Fraction), ...)` per row, built on first
-        use; one Fraction object per distinct numerator."""
-        values, inverse = np.unique(self.nums, return_inverse=True)
-        fracs = [Fraction(v, self.denom) for v in values.tolist()]
-        entries = list(zip(self.cols.tolist(),
-                           map(fracs.__getitem__, inverse.tolist())))
+        use."""
+        entries = list(zip(self.cols.tolist(), to_fractions(self.nums, self.denom)))
         bounds = self.indptr.tolist()
         return tuple(tuple(entries[a:b]) for a, b in zip(bounds, bounds[1:]))
 

@@ -63,6 +63,12 @@ class Partition:
                 out[x] = bid
         return tuple(out)
 
+    def check_covers(self, n_states: int) -> None:
+        """Raise unless the blocks cover exactly `n_states` chain states."""
+        if self.n_states != n_states:
+            raise ValidationError(
+                f"partition covers {self.n_states} states, chain has {n_states}")
+
     def label_of(self, state: int) -> str:
         return self.labels[self.block_of[state]]
 
@@ -220,9 +226,7 @@ def check_lumpable(chain, part: Partition, tol: Optional[float] = None,
     their block's first member; witnesses are then built row by row for
     the flagged states only.
     """
-    if part.n_states != chain.n_states:
-        raise ValidationError(
-            f"partition covers {part.n_states} states, chain has {chain.n_states}")
+    part.check_covers(chain.n_states)
     tol_frac = None if tol is None else Fraction(tol)
     # sums are integers over chain.denom, so |a - b| > tol exactly when
     # their numerators differ by more than floor(tol * denom)

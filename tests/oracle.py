@@ -4,13 +4,17 @@ pairs with columns ascending.
 
 These are the plain-loop versions the integer CSR core replaced, kept as
 the oracle `test_oracle.py` compares it against. They return the package's
-own verdict and witness types, so results compare with `==`.
+own verdict, witness and report types, so results compare with `==`.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from microlump import ConfigSpace, DocumentParseError, ValidationError
+import numpy as np
+
+from microlump import AnalysisError, ConfigSpace, DocumentParseError, ValidationError
+from microlump.analysis import (RESIDUAL_BOUND, AbsorptionReport, Classification,
+                                validate_distribution)
 from microlump.lumping import LumpVerdict, LumpWitness
 from microlump.symmetry import SymmetryVerdict, SymmetryWitness
 
@@ -194,3 +198,107 @@ def lump(rows, part, tol=None):
         agg = block_row_sums(rows, part, block[0])
         out.append(tuple((l, p) for l, p in sorted(agg.items()) if p != 0))
     return tuple(out)
+
+
+def _step(rows, mu):
+    nxt = [Fraction(0)] * len(mu)
+    for x, px in enumerate(mu):
+        if px == 0:
+            continue
+        for y, p in rows[x]:
+            nxt[y] += px * p
+    return nxt
+
+
+def propagate(rows, mu, t):
+    mu = validate_distribution(mu, len(rows))
+    for _ in range(t):
+        mu = _step(rows, mu)
+    return mu
+
+
+def aggregate(mu, part):
+    out = [Fraction(0)] * part.n_blocks
+    for x, px in enumerate(mu):
+        out[part.block_of[x]] += px
+    return out
+
+
+def commutation_profile(rows, part, mu0, t_max, force=False):
+    """Raises ValueError carrying the verdict, as `lump` does, when the
+    partition fails the test and `force` is not set."""
+    mu = validate_distribution(mu0, len(rows))
+    if force:
+        macro = tuple(tuple(sorted(block_row_sums(rows, part, block[0]).items()))
+                      for block in part.blocks)
+    else:
+        macro = lump(rows, part)
+    nu = aggregate(mu, part)
+    out = []
+    for step in range(t_max + 1):
+        projected = aggregate(mu, part)
+        out.append(max(abs(a - b) for a, b in zip(projected, nu)))
+        if step == t_max:
+            break
+        mu = _step(rows, mu)
+        nu = _step(macro, nu)
+    return out
+
+
+def classify_states(rows):
+    """Components as the classes of mutual reachability, found by a
+    search from every state; recurrent when no edge leaves the class."""
+    n = len(rows)
+    reach = []
+    for x in range(n):
+        seen, todo = {x}, [x]
+        while todo:
+            for y, _ in rows[todo.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        reach.append(seen)
+    classes = {tuple(sorted(y for y in reach[x] if x in reach[y])) for x in range(n)}
+    recurrent = sorted(c for c in classes if all(reach[x] <= set(c) for x in c))
+    transient = sorted(x for c in classes if c not in recurrent for x in c)
+    absorbing = tuple(x for x in range(n) if rows[x] == ((x, Fraction(1)),))
+    return Classification(absorbing, tuple(transient), tuple(recurrent))
+
+
+def absorption_analysis(rows):
+    """The transient-block matrices filled entry by entry with
+    float(Fraction), then the package's own solves and bounds."""
+    cls = classify_states(rows)
+    for comp in cls.recurrent_classes:
+        if len(comp) > 1 or comp[0] not in cls.absorbing:
+            raise AnalysisError(f"state {comp[0]} cannot reach any absorbing state")
+    if not cls.absorbing:
+        raise AnalysisError("chain has no absorbing state")
+    transient, absorbing = cls.transient, cls.absorbing
+    t_pos = {x: i for i, x in enumerate(transient)}
+    a_pos = {x: i for i, x in enumerate(absorbing)}
+    nt, na = len(transient), len(absorbing)
+    Q = np.zeros((nt, nt))
+    R = np.zeros((nt, na))
+    for x in transient:
+        for y, p in rows[x]:
+            if y in t_pos:
+                Q[t_pos[x], t_pos[y]] = float(p)
+            else:
+                R[t_pos[x], a_pos[y]] = float(p)
+    if nt == 0:
+        return AbsorptionReport(absorbing, transient, cls.recurrent_classes,
+                                np.zeros((0, na)), np.zeros(0), 0.0, 0.0)
+    A = np.eye(nt) - Q
+    probs = np.linalg.solve(A, R)
+    steps = np.linalg.solve(A, np.ones(nt))
+    residual_probs = float(np.max(np.abs(A @ probs - R))) if na else 0.0
+    residual_steps = float(np.max(np.abs(A @ steps - 1.0)))
+    if residual_probs > RESIDUAL_BOUND or residual_steps > RESIDUAL_BOUND:
+        raise AnalysisError(
+            f"solve residuals {residual_probs:.2e}/{residual_steps:.2e} "
+            f"exceed {RESIDUAL_BOUND:.0e}")
+    if np.max(np.abs(probs.sum(axis=1) - 1.0)) > RESIDUAL_BOUND:
+        raise AnalysisError("absorption probabilities do not sum to one")
+    return AbsorptionReport(absorbing, transient, cls.recurrent_classes, probs,
+                            steps, residual_probs, residual_steps)

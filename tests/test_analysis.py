@@ -7,7 +7,7 @@ from microlump import (AnalysisError, Topology, ValidationError,
                        absorption_analysis, aggregate, build_micro_chain,
                        builtin_voter, classify_states, commutation_check,
                        commutation_profile, frequency_partition, lump,
-                       moran_partition, point_mass, propagate, read_sparse)
+                       moran_partition, Partition, point_mass, propagate, read_sparse)
 from microlump.analysis import (absorption_kv, absorption_text,
                                 read_distribution, write_distribution)
 from conftest import letter_index
@@ -172,3 +172,25 @@ def test_validate_distribution_errors(voter3_chain):
         propagate(voter3_chain, [Fraction(1, 2)] * 8, 1)
     with pytest.raises(ValidationError):
         propagate(voter3_chain, point_mass(8, 0), -1)
+
+
+def test_commutation_rejects_negative_steps(voter3_chain):
+    part = frequency_partition(voter3_chain.space)
+    mu = point_mass(8, 1)
+    for force in (False, True):
+        with pytest.raises(ValidationError, match="step count must be non-negative"):
+            commutation_check(voter3_chain, part, mu, -1, force=force)
+        with pytest.raises(ValidationError, match="step count must be non-negative"):
+            commutation_profile(voter3_chain, part, mu, -1, force=force)
+
+
+@pytest.mark.parametrize("n_states", [4, 11])
+def test_partition_of_another_size_is_rejected(voter3_chain, n_states):
+    part = Partition(((0,), tuple(range(1, n_states))), ("A", "B"))
+    mu = point_mass(8, 1)
+    message = f"partition covers {n_states} states, chain has 8"
+    for force in (False, True):
+        with pytest.raises(ValidationError, match=message):
+            commutation_profile(voter3_chain, part, mu, 3, force=force)
+    with pytest.raises(ValidationError, match=message):
+        aggregate(mu, part)

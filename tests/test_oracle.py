@@ -1,17 +1,23 @@
 """The integer CSR chain core against the plain-loop `Fraction` references
 in `oracle.py`: built rows, sparse bytes, parse results and errors,
 symmetry verdicts and witnesses, block-sum verdicts (exact, tolerance and
-exhaustive) and reduced chains, on seeded random models."""
+exhaustive), reduced chains, propagation, aggregation, commutation
+profiles, state classification and absorption, on seeded random models."""
 
 import io
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from microlump import analysis, cli
 from microlump import chain as chainmod
-from microlump import (Alphabet, ChoiceDistribution, DocumentParseError,
+from microlump import (absorption_analysis, aggregate, classify_states,
+                       commutation_profile, propagate)
+from microlump import (AnalysisError, Alphabet, ChoiceDistribution, DocumentParseError,
                        GeneratorSet, ModelSpec, NotLumpableError, Partition,
                        SpacePermutation, Topology, UpdateRule, ValidationError,
                        build_micro_chain, builtin_voter, check_lumpable,
@@ -221,7 +227,7 @@ P1, P2, P3 = 2147483647, 2147483629, 2147483587
 
 def test_denominators_beyond_int64_use_python_ints():
     """A chain whose common denominator P1*P2*P3 exceeds 2**63 stays exact
-    through read, lumping test, reduction and write."""
+    through read, lumping test, reduction, write and analysis."""
     a, b = Fraction(1, P1), Fraction(1, P2)
     rows = (
         ((0, 1 - a), (2, a / 2), (3, a / 2)),
@@ -239,6 +245,7 @@ def test_denominators_beyond_int64_use_python_ints():
     assert check_lumpable(chain, good)
     for part in (good, bad):
         check_lumping(chain, rows, part)
+    check_analysis(chain, rows, [Fraction(1, 4)] * 4, [good, bad], 5)
     macro = lump(chain, good)
     assert macro.rows == (((0, 1 - a), (1, a)), ((0, b), (1, 1 - b)))
     assert sparse_text(write_sparse, macro) == f"states=2 nnz=4\n0 0 {P1 - 1}/{P1}\n" \
@@ -258,3 +265,149 @@ def test_build_beyond_int64_uses_python_ints():
     assert sparse_text(write_sparse, chain) == sparse_text(oracle.write_sparse, rows)
     gens = parse_presets("Sdelta", 3, 2)
     assert is_chain_symmetric(chain, gens) == oracle.is_chain_symmetric(rows, chain.space, gens)
+
+
+# ---------------------------------------------------------------------------
+# analysis over the integer arrays
+
+
+def random_distribution(n_states, rng):
+    """Mass on a few states, with mixed denominators."""
+    support = rng.sample(range(n_states), min(n_states, rng.randint(1, 5)))
+    weights = [Fraction(rng.randint(1, 9), rng.choice((1, 2, 3, 5, 7, 11))) for _ in support]
+    mu = [Fraction(0)] * n_states
+    for x, w in zip(support, weights):
+        mu[x] = w / sum(weights)
+    return mu
+
+
+def absorption_outcome(analyze, matrix):
+    """Everything a report holds, float arrays as their bytes."""
+    try:
+        r = analyze(matrix)
+    except AnalysisError as exc:
+        return str(exc)
+    return (r.absorbing, r.transient, r.recurrent_classes, r.probs.shape,
+            r.probs.tobytes(), r.expected_steps.tobytes(), r.residual_probs, r.residual_steps)
+
+
+def check_profiles(chain, rows, part, mu, t_max):
+    assert (commutation_profile(chain, part, mu, t_max, force=True)
+            == oracle.commutation_profile(rows, part, mu, t_max, force=True))
+    try:
+        ref = oracle.commutation_profile(rows, part, mu, t_max)
+    except ValueError as exc:
+        with pytest.raises(NotLumpableError) as err:
+            commutation_profile(chain, part, mu, t_max)
+        assert err.value.witness == exc.args[0].witness
+    else:
+        assert commutation_profile(chain, part, mu, t_max) == ref
+
+
+def check_analysis(chain, rows, mu, parts, horizon):
+    for t in (0, 1, horizon):
+        assert propagate(chain, mu, t) == oracle.propagate(rows, mu, t)
+    assert classify_states(chain) == oracle.classify_states(rows)
+    assert (absorption_outcome(absorption_analysis, chain)
+            == absorption_outcome(oracle.absorption_analysis, rows))
+    for part in parts:
+        assert aggregate(mu, part) == oracle.aggregate(mu, part)
+        check_profiles(chain, rows, part, mu, horizon)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_analysis_matches_the_fraction_references(seed):
+    spec = random_model(seed)
+    rng = random.Random(2000 + seed)
+    chain = build_micro_chain(spec)
+    rows = oracle.build_rows(spec)
+    space = chain.space
+    parts = [orbits(space, gens) for gens in generator_sets(spec, rng)]
+    parts += [frequency_partition(space), random_partition(space.size, rng)]
+    check_analysis(chain, rows, random_distribution(space.size, rng), parts, 6)
+
+
+def dtypes_along(chain, mu, t):
+    """Numerator dtype at each of the first t + 1 steps."""
+    steps = analysis._trajectory(chain, *analysis._numerators(mu))
+    return [nums.dtype for nums, _ in itertools.islice(steps, t + 1)]
+
+
+def test_long_horizon_crosses_into_python_ints(voter3, voter3_chain):
+    """Step denominators grow past 2**63 within 40 steps: int64 first,
+    Python ints after, equal to the references throughout."""
+    chain, rows = voter3_chain, oracle.build_rows(voter3)
+    mu = [Fraction(1, 3), Fraction(0), Fraction(1, 7), Fraction(0),
+          Fraction(0), Fraction(11, 21), Fraction(0), Fraction(0)]
+    kinds = dtypes_along(chain, mu, 40)
+    assert kinds[0] == np.int64 and kinds[-1] == object
+    parts = [frequency_partition(chain.space), moran_partition(chain.space, 0),
+             Partition(((0, 1, 2), (3, 4, 5, 6, 7)), ("L", "H"))]
+    check_analysis(chain, rows, mu, parts, 40)
+
+
+def absorbing_rows(a, b, c):
+    """Two absorbing ends joined by two transient states."""
+    return (((0, Fraction(1)),),
+            ((0, a), (1, 1 - a - c), (2, c)),
+            ((1, b), (2, 1 - b - a), (3, a)),
+            ((3, Fraction(1)),))
+
+
+# lies between 2**53 and 2**63: int64 numerators that a double division
+# would round twice
+D55 = P1 * 3 ** 15
+
+
+@pytest.mark.parametrize("dtype, rows", [
+    (np.int64, absorbing_rows(Fraction(D55 // 3 + 1, D55), Fraction(1, 4),
+                              Fraction(D55 // 5 + 7, D55))),
+    (object, absorbing_rows(Fraction(P1 // 3, P1), Fraction(P2 // 4, P2),
+                            Fraction(P3 // 5, P3))),
+], ids=["int64-above-2**53", "python-ints"])
+def test_large_denominators_match_the_references(dtype, rows):
+    chain = read_sparse(sparse_text(oracle.write_sparse, rows))
+    assert chain.nums.dtype == dtype and chain.denom > 2 ** 53
+    parts = [Partition(((0,), (1, 2), (3,)), ("A", "T", "B")),
+             Partition(((0, 3), (1, 2)), ("E", "T"))]
+    check_analysis(chain, rows, [Fraction(0), Fraction(2, 5), Fraction(3, 5), Fraction(0)],
+                   parts, 9)
+
+
+@pytest.mark.parametrize("last", ["1", "0.99999999999"])
+def test_decimal_chain_matches_the_references(last):
+    """Decimal entries whose rows sum to one only within the tolerance:
+    mass is not conserved, and the references see the same rationals. A
+    lone self-loop short of one is not absorbing."""
+    text = ("states=5 nnz=11\n0 0 1.0\n"
+            "1 0 0.333333333333\n1 1 0.333333333333\n1 2 0.333333333333\n"
+            "2 1 0.25\n2 2 0.5\n2 3 0.25\n"
+            f"3 2 0.1\n3 3 0.2\n3 4 0.7000000001\n4 4 {last}\n")
+    chain = read_sparse(text)
+    assert not chain.exact
+    rows, exact = oracle.read_sparse(text)
+    assert chain.rows == rows and not exact
+    parts = [Partition(((0,), (1, 2, 3), (4,)), ("A", "T", "B")),
+             Partition(((0, 4), (1, 3), (2,)), ("E", "O", "M"))]
+    mu = [Fraction(0), Fraction(1, 6), Fraction(1, 2), Fraction(1, 3), Fraction(0)]
+    check_analysis(chain, rows, mu, parts, 12)
+    assert sum(propagate(chain, mu, 12)) != 1
+
+
+def test_mu0_file_with_mixed_denominators(tmp_path):
+    """`propagate --mu0` through the command line writes the reference
+    distribution."""
+    rows = oracle.build_rows(random_model(5))
+    chain_path, mu_path, out = tmp_path / "c.sparse", tmp_path / "mu0", tmp_path / "out"
+    chain_path.write_text(sparse_text(oracle.write_sparse, rows), encoding="utf-8")
+    mu = [Fraction(0)] * len(rows)
+    mu[0], mu[3], mu[5], mu[-1] = Fraction(1, 3), Fraction(1, 4), Fraction(1, 6), Fraction(1, 4)
+    mu_path.write_text("0 1/3\n3 1/4\n5 2/12\n# last state\n"
+                       f"{len(rows) - 1} 0.25\n", encoding="utf-8")
+    code = cli.main(["propagate", str(chain_path), "--mu0", str(mu_path), "-t", "9",
+                     "-o", str(out)])
+    assert code == 0
+    ref = oracle.propagate(rows, mu, 9)
+    buf = io.StringIO()
+    analysis.write_distribution(ref, buf)
+    assert out.read_text(encoding="utf-8") == buf.getvalue()
