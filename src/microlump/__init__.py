@@ -20,8 +20,7 @@ from .lumping import (Partition, check_lumpable, frequency_partition,
 from .model import (Alphabet, ChoiceDistribution, ModelSpec, Topology,
                     UpdateRule, builtin_voter, load_model, model_fingerprint,
                     parse_model, serialize_model)
-from .sim import (Sampler, SimRun, estimate_matrix, project_trajectory,
-                  simulate, step)
+from .sim import SimRun, estimate_matrix, project_trajectory, simulate
 from .space import Config, ConfigSpace, DEFAULT_CAP, default_cap
 from .symmetry import (GeneratorSet, SpacePermutation, agent_symmetric_group,
                        attr_group_fixing, attr_symmetric_group,

@@ -19,14 +19,12 @@ from typing import Iterator, List, Sequence, TextIO, Tuple
 
 import numpy as np
 
-from .chain import INT64_MAX, Chain, to_fractions
+from .chain import INT64_MAX, Chain, to_floats, to_fractions
 from .errors import AnalysisError, DocumentParseError, ValidationError
 from .lumping import Partition, block_row_sums, lump
 
 ONE = Fraction(1)
 RESIDUAL_BOUND = 1e-9
-# largest integer a double holds exactly
-FLOAT_EXACT = 2 ** 53
 
 
 @dataclass(frozen=True)
@@ -140,16 +138,6 @@ class AbsorptionReport:
         return float(self.expected_steps[self.transient.index(state)])
 
 
-def _floats(nums: np.ndarray, denom: int) -> np.ndarray:
-    """nums / denom rounded as float(Fraction(num, denom)) rounds it, to
-    the nearest double: a double division of exact operands while `denom`
-    (and so every |num|) is exact in a double, Python's correctly rounded
-    int division above that."""
-    if denom <= FLOAT_EXACT:
-        return nums.astype(np.float64) / float(denom)
-    return np.array([num / denom for num in nums.tolist()], dtype=np.float64)
-
-
 def absorption_analysis(chain: Chain) -> AbsorptionReport:
     """Solve the transient-block systems for absorption probabilities and
     expected absorption times.
@@ -175,7 +163,7 @@ def absorption_analysis(chain: Chain) -> AbsorptionReport:
     is_transient[list(transient)] = True
     at = np.flatnonzero(is_transient[chain.sources])
     src, dst = pos[chain.sources[at]], chain.cols[at]
-    values = _floats(chain.nums[at], chain.denom)
+    values = to_floats(chain.nums[at], chain.denom)
     to_q = is_transient[dst]
     Q = np.zeros((nt, nt))
     R = np.zeros((nt, na))

@@ -24,11 +24,13 @@ import numpy as np
 
 from .errors import DocumentParseError, ValidationError
 from .model import ModelSpec
-from .space import Config, ConfigSpace
+from .space import ConfigSpace
 
 Row = Tuple[Tuple[int, Fraction], ...]
 
 INT64_MAX = int(np.iinfo(np.int64).max)
+# largest integer a double holds exactly
+FLOAT_EXACT = 2 ** 53
 
 
 @dataclass(frozen=True)
@@ -40,21 +42,6 @@ class RandomMap:
     option: int
     option_label: str
     probability: Fraction
-    rule_table: object
-    delta: int
-
-    def apply(self, config: Config) -> Config:
-        args = tuple(config[a] for a in self.agents) + (self.option,)
-        new = self.rule_table[args]
-        focal = self.agents[0]
-        if new == config[focal]:
-            return tuple(config)
-        return config[:focal] + (new,) + config[focal + 1:]
-
-    def materialize(self, space: ConfigSpace) -> Tuple[int, ...]:
-        """Full action as an index table; only for cap-sized spaces."""
-        return tuple(space.index_of(self.apply(space.config_of(i)))
-                     for i in range(space.size))
 
 
 def enumerate_maps(spec: ModelSpec) -> List[RandomMap]:
@@ -64,9 +51,42 @@ def enumerate_maps(spec: ModelSpec) -> List[RandomMap]:
     """
     return [
         RandomMap(agents=tup, option=opt, option_label=spec.rule.option_label(opt),
-                  probability=p, rule_table=spec.rule.table, delta=spec.delta)
+                  probability=p)
         for tup, opt, p in spec.joint_choices()
     ]
+
+
+def rule_table(spec: ModelSpec) -> np.ndarray:
+    """The total update table as one flat array: the focal agent's new code
+    at pack * len(options) + option, pack being the argument codes in mixed
+    radix `delta`, the first argument least significant."""
+    keys = np.array(list(spec.rule.table), dtype=np.int64)
+    pack = keys[:, :-1] @ spec.delta ** np.arange(spec.rule.arity, dtype=np.int64)
+    flat = np.zeros(len(keys), dtype=np.int64)
+    flat[pack * len(spec.rule.options) + keys[:, -1]] = list(spec.rule.table.values())
+    return flat
+
+
+def apply_draws(spec: ModelSpec, space: ConfigSpace
+                ) -> Iterator[Tuple[Tuple[int, ...], Fraction, np.ndarray, np.ndarray]]:
+    """Every draw of `spec.joint_choices()`, in order, applied to every
+    state of `space` at once: the draw's agent tuple and probability, then
+    the focal agent's current code and its new code, one per state."""
+    flat, delta, n_opts = rule_table(spec), spec.delta, len(spec.rule.options)
+    codes = np.ascontiguousarray(space.codes_matrix.T, dtype=np.int64)  # [agent, state]
+    for tup, opt, p in spec.joint_choices():
+        pack = codes[tup[-1]]
+        for a in reversed(tup[:-1]):
+            pack = pack * delta + codes[a]
+        yield tup, p, codes[tup[0]], flat[pack * n_opts + opt]
+
+
+def draw_targets(spec: ModelSpec, space: ConfigSpace) -> Iterator[np.ndarray]:
+    """Per draw, in `enumerate_maps` order: the index of the state each
+    state of `space` moves to."""
+    states = np.arange(space.size, dtype=np.int64)
+    for tup, _, cur, new in apply_draws(spec, space):
+        yield states + (new - cur) * space.radix[tup[0]]
 
 
 def _fits_int64(denom: int, width: int) -> bool:
@@ -106,6 +126,16 @@ def to_fractions(nums: np.ndarray, denom: int) -> List[Fraction]:
     values, inverse = np.unique(nums, return_inverse=True)
     fracs = [Fraction(v, denom) for v in values.tolist()]
     return list(map(fracs.__getitem__, inverse.tolist()))
+
+
+def to_floats(nums: np.ndarray, denom: int) -> np.ndarray:
+    """nums / denom rounded as float(Fraction(num, denom)) rounds it, to
+    the nearest double: a double division of exact operands while `denom`
+    (and so every |num|) is exact in a double, Python's correctly rounded
+    int division above that."""
+    if denom <= FLOAT_EXACT:
+        return nums.astype(np.float64) / float(denom)
+    return np.array([num / denom for num in nums.tolist()], dtype=np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,36 +199,19 @@ def build_micro_chain(spec: ModelSpec, cap: Optional[int] = None) -> Chain:
     space = ConfigSpace(spec.n_agents, spec.delta,
                         labels=spec.alphabet.symbols, cap=cap)
     n, delta, size = spec.n_agents, spec.delta, space.size
-    choices = spec.joint_choices()
-    denom = lcm(*(p.denominator for _, _, p in choices))
-    n_opts = len(spec.rule.options)
-
-    # flat rule table: ((arg codes in mixed radix) * n_opts + option) -> new code
-    flat = np.zeros(delta ** spec.rule.arity * n_opts, dtype=np.int64)
-    for key, out in spec.rule.table.items():
-        pack = 0
-        for c in reversed(key[:-1]):
-            pack = pack * delta + c
-        flat[pack * n_opts + key[-1]] = out
-
-    codes = np.ascontiguousarray(space.codes_matrix.T, dtype=np.int64)  # [agent, state]
+    denom = lcm(*(p.denominator for _, _, p in spec.joint_choices()))
     other = delta - 1
     dtype = np.int64 if _fits_int64(denom, n * other + 1) else object
     # slot (state, focal, k): the focal agent takes the k-th code other than its own
     slots = np.zeros((size, n, other), dtype=dtype)
-    for tup, opt, p in choices:
-        pack = codes[tup[-1]]
-        for a in reversed(tup[:-1]):
-            pack = pack * delta + codes[a]
-        new = flat[pack * n_opts + opt]
-        cur = codes[tup[0]]
+    for tup, p, cur, new in apply_draws(spec, space):
         moved = np.flatnonzero(new != cur)
         new, cur = new[moved], cur[moved]
         slots[moved, tup[0], new - (new > cur)] += p.numerator * (denom // p.denominator)
 
     states = np.arange(size, dtype=np.int64)
     k = np.arange(other)
-    cur = codes.T[:, :, None]
+    cur = space.codes_matrix[:, :, None]
     targets = states[:, None, None] + (k + (k >= cur) - cur) * space.radix[:, None]
     targets = np.concatenate([targets.reshape(size, -1), states[:, None]], axis=1)
     values = np.concatenate([slots.reshape(size, -1),

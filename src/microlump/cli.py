@@ -57,20 +57,14 @@ def cmd_compile(args) -> int:
 
 def cmd_maps(args) -> int:
     spec = load_model(args.model)
-    maps = chainmod.enumerate_maps(spec)
-    lines = []
-    space = None
+    lines = [f"z={z} agents=({','.join(str(a + 1) for a in m.agents)}) "
+             f"option={m.option_label} p={m.probability.numerator}/{m.probability.denominator}"
+             for z, m in enumerate(chainmod.enumerate_maps(spec), start=1)]
     if args.table:
         space = ConfigSpace(spec.n_agents, spec.delta,
                             labels=spec.alphabet.symbols, cap=_cap(args))
-    for z, m in enumerate(maps, start=1):
-        agents = ",".join(str(a + 1) for a in m.agents)
-        head = (f"z={z} agents=({agents}) option={m.option_label} "
-                f"p={m.probability.numerator}/{m.probability.denominator}")
-        if space is not None:
-            action = " ".join(str(t) for t in m.materialize(space))
-            head += f" action: {action}"
-        lines.append(head)
+        lines = [f"{head} action: {' '.join(map(str, action.tolist()))}"
+                 for head, action in zip(lines, chainmod.draw_targets(spec, space))]
     _write(args, "\n".join(lines))
     return EXIT_OK
 

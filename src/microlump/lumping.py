@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import floor
+from math import floor, isfinite
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
@@ -226,12 +226,13 @@ def check_lumpable(chain, part: Partition, tol: Optional[float] = None,
     their block's first member; witnesses are then built row by row for
     the flagged states only.
     """
+    if tol is not None and not (isfinite(tol) and tol >= 0):
+        raise ValidationError(f"tolerance must be a finite number >= 0, got {tol}")
     part.check_covers(chain.n_states)
     tol_frac = None if tol is None else Fraction(tol)
     # sums are integers over chain.denom, so |a - b| > tol exactly when
     # their numerators differ by more than floor(tol * denom)
-    limit = 0 if tol_frac is None else max(-1, min(floor(tol_frac * chain.denom),
-                                                   chain.denom))
+    limit = 0 if tol_frac is None else min(floor(tol_frac * chain.denom), chain.denom)
     block_of = np.asarray(part.block_of, dtype=np.int64)
     n_blocks = part.n_blocks
     states, blocks, sums = _block_sums(chain, block_of, n_blocks, own=tol_frac is not None)

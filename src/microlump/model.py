@@ -110,10 +110,6 @@ class Topology:
         }
         return cls(n_agents, edges)
 
-    def out_neighbors(self, i: int) -> List[Tuple[int, Fraction]]:
-        """Targets of edges leaving agent i, with weights, by target index."""
-        return sorted((j, w) for (a, j), w in self.edges.items() if a == i)
-
 
 @dataclass(frozen=True)
 class UpdateRule:
@@ -214,9 +210,12 @@ class ChoiceDistribution:
                 "from-topology uniform supports arity 1 or 2; "
                 f"rule has arity {arity}"
             )
+        out_edges: Dict[int, List[Tuple[int, Fraction]]] = {}
+        for (i, j), w in topology.edges.items():
+            out_edges.setdefault(i, []).append((j, w))
         entries: Dict[Tuple[int, ...], Fraction] = {}
         for i in range(n):
-            nbrs = topology.out_neighbors(i)
+            nbrs = sorted(out_edges.get(i, ()))
             if not nbrs:
                 raise ValidationError(f"agent {i + 1} has no out-neighbors")
             wsum = sum(w for _, w in nbrs)

@@ -11,17 +11,20 @@ once, for sampling speed only; the exact path is the matrix itself.
 
 from __future__ import annotations
 
-import bisect
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
-from .chain import build_micro_chain, enumerate_maps
+from .chain import build_micro_chain, draw_targets, rule_table, to_floats
 from .errors import ValidationError
 from .lumping import Partition
 from .model import ModelSpec, model_fingerprint
-from .space import Config, ConfigSpace
+from .space import ConfigSpace
+
+# uniforms drawn per call to the generator while simulating
+_DRAW_BLOCK = 1 << 12
 
 
 def _seed_sequence(seed: int) -> np.random.SeedSequence:
@@ -30,25 +33,9 @@ def _seed_sequence(seed: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-class Sampler:
-    """Precomputed draw table for repeated stepping of one model."""
-
-    def __init__(self, spec: ModelSpec):
-        self.maps = enumerate_maps(spec)
-        self.weights = np.array([float(m.probability) for m in self.maps])
-        self.cum = list(np.cumsum(self.weights))
-        self.cum[-1] = 1.0  # guard against float round-off at the top end
-
-    def draw(self, rng: np.random.Generator) -> int:
-        return bisect.bisect_right(self.cum, rng.random())
-
-    def step(self, config: Config, rng: np.random.Generator) -> Config:
-        return self.maps[self.draw(rng)].apply(config)
-
-
-def step(spec: ModelSpec, config: Sequence[int], rng: np.random.Generator) -> Config:
-    """One sampled update; build a Sampler instead when stepping in a loop."""
-    return Sampler(spec).step(tuple(config), rng)
+def _draw_weights(spec: ModelSpec) -> np.ndarray:
+    """Draw probabilities as floats, in `joint_choices` order."""
+    return np.array([float(p) for _, _, p in spec.joint_choices()])
 
 
 @dataclass(frozen=True)
@@ -63,22 +50,37 @@ class SimRun:
 
 def simulate(spec: ModelSpec, start: Sequence[int], steps: int, seed: int,
              cap: Optional[int] = None) -> SimRun:
-    """Run one trajectory; identical (model, seed, steps) reproduce it."""
+    """Run one trajectory; identical (model, seed, steps) reproduce it.
+
+    A state index walks through the compiled rule table. Uniforms come in
+    blocks, the same doubles as drawn one at a time."""
     if steps < 0:
         raise ValidationError(f"step count must be non-negative, got {steps}")
     rng = np.random.Generator(np.random.Philox(_seed_sequence(seed)))
-    sampler = Sampler(spec)
     space = ConfigSpace(spec.n_agents, spec.delta,
                         labels=spec.alphabet.symbols, cap=cap)
-    config = space.check_config(start)
-    visited = [space.index_of(config)]
-    counts: Dict[Tuple[int, int], int] = {}
-    for _ in range(steps):
-        nxt = sampler.step(config, rng)
-        pair = (visited[-1], space.index_of(nxt))
-        counts[pair] = counts.get(pair, 0) + 1
-        visited.append(pair[1])
-        config = nxt
+    config = list(space.check_config(start))
+    x = space.index_of(config)
+    cum = np.cumsum(_draw_weights(spec))
+    cum[-1] = 1.0  # guard against float round-off at the top end
+    flat, delta, n_opts = rule_table(spec).tolist(), spec.delta, len(spec.rule.options)
+    radix = space.radix.tolist()
+    # per draw: its agents last first (the order codes are packed in), option, focal agent
+    draws = [(tup[::-1], opt, tup[0]) for tup, opt, _ in spec.joint_choices()]
+    visited = [x]
+    for lo in range(0, steps, _DRAW_BLOCK):
+        u = rng.random(min(_DRAW_BLOCK, steps - lo))
+        for k in np.searchsorted(cum, u, side="right").tolist():
+            agents, opt, focal = draws[k]
+            pack = 0
+            for a in agents:
+                pack = pack * delta + config[a]
+            new = flat[pack * n_opts + opt]
+            if new != config[focal]:
+                x += (new - config[focal]) * radix[focal]
+                config[focal] = new
+            visited.append(x)
+    counts = dict(Counter(zip(visited, visited[1:])))
     return SimRun(seed=seed, steps=steps, start=visited[0],
                   states=tuple(visited), counts=counts,
                   fingerprint=model_fingerprint(spec))
@@ -139,26 +141,28 @@ def estimate_matrix(spec: ModelSpec, steps_per_state: int, seed: int,
         raise ValidationError("need at least one sample per state")
     seeds = _seed_sequence(seed)
     chain = build_micro_chain(spec, cap=cap)
-    space = chain.space
-    sampler = Sampler(spec)
-    pvals = sampler.weights / sampler.weights.sum()
-    streams = seeds.spawn(space.size)
+    weights = _draw_weights(spec)
+    pvals = weights / weights.sum()
+    # targets[x, k]: where draw k sends state x
+    targets = np.stack(list(draw_targets(spec, chain.space)), axis=1)
+    bounds = chain.indptr.tolist()
+    cols, probs = chain.cols.tolist(), to_floats(chain.nums, chain.denom).tolist()
+    streams = seeds.spawn(chain.n_states)
     counts: List[Dict[int, int]] = []
     max_dev = 0.0
     violations: List[Deviation] = []
-    for x in range(space.size):
-        config = space.config_of(x)
-        targets = [space.index_of(m.apply(config)) for m in sampler.maps]
+    for x in range(chain.n_states):
         rng = np.random.Generator(np.random.Philox(streams[x]))
         drawn = rng.multinomial(steps_per_state, pvals)
         tally: Dict[int, int] = {}
-        for tgt, cnt in zip(targets, drawn):
+        for tgt, cnt in zip(targets[x].tolist(), drawn.tolist()):
             if cnt:
-                tally[tgt] = tally.get(tgt, 0) + int(cnt)
+                tally[tgt] = tally.get(tgt, 0) + cnt
         counts.append(tally)
-        exact_row = dict(chain.rows[x])
+        lo, hi = bounds[x], bounds[x + 1]
+        exact_row = dict(zip(cols[lo:hi], probs[lo:hi]))
         for y in tally.keys() | exact_row.keys():
-            p = float(exact_row.get(y, 0))
+            p = exact_row.get(y, 0.0)
             emp = tally.get(y, 0) / steps_per_state
             dev = abs(emp - p)
             max_dev = max(max_dev, dev)

@@ -5,17 +5,24 @@ pairs with columns ascending.
 These are the plain-loop versions the integer CSR core replaced, kept as
 the oracle `test_oracle.py` compares it against. They return the package's
 own verdict, witness and report types, so results compare with `==`.
+
+The last section applies draws to configuration tuples through the rule
+dict: the map actions, simulator and matrix estimate that the compiled
+rule table replaced.
 """
 
+import bisect
 from fractions import Fraction
 from math import lcm
 
 import numpy as np
 
-from microlump import AnalysisError, ConfigSpace, DocumentParseError, ValidationError
+from microlump import (AnalysisError, ConfigSpace, DocumentParseError, ValidationError,
+                       enumerate_maps, model_fingerprint)
 from microlump.analysis import (RESIDUAL_BOUND, AbsorptionReport, Classification,
                                 validate_distribution)
 from microlump.lumping import LumpVerdict, LumpWitness
+from microlump.sim import Deviation, EstimateReport, SimRun
 from microlump.symmetry import SymmetryVerdict, SymmetryWitness
 
 ONE = Fraction(1)
@@ -302,3 +309,86 @@ def absorption_analysis(rows):
         raise AnalysisError("absorption probabilities do not sum to one")
     return AbsorptionReport(absorbing, transient, cls.recurrent_classes, probs,
                             steps, residual_probs, residual_steps)
+
+
+# ---------------------------------------------------------------------------
+# draws applied to configurations through the rule dict
+
+
+def apply_map(spec, m, config):
+    """The configuration the draw `m` turns `config` into."""
+    args = tuple(config[a] for a in m.agents) + (m.option,)
+    new = spec.rule.table[args]
+    focal = m.agents[0]
+    if new == config[focal]:
+        return tuple(config)
+    return config[:focal] + (new,) + config[focal + 1:]
+
+
+def materialize(spec, m, space):
+    """The full action of the draw `m` as an index table."""
+    return tuple(space.index_of(apply_map(spec, m, space.config_of(i)))
+                 for i in range(space.size))
+
+
+class Sampler:
+    """One bisection over the float draw weights per step."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.maps = enumerate_maps(spec)
+        self.weights = np.array([float(m.probability) for m in self.maps])
+        self.cum = list(np.cumsum(self.weights))
+        self.cum[-1] = 1.0
+
+    def step(self, config, rng):
+        return apply_map(self.spec, self.maps[bisect.bisect_right(self.cum, rng.random())],
+                         config)
+
+
+def simulate(spec, start, steps, seed, cap=None):
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    sampler = Sampler(spec)
+    space = ConfigSpace(spec.n_agents, spec.delta, labels=spec.alphabet.symbols, cap=cap)
+    config = space.check_config(start)
+    visited = [space.index_of(config)]
+    counts = {}
+    for _ in range(steps):
+        nxt = sampler.step(config, rng)
+        pair = (visited[-1], space.index_of(nxt))
+        counts[pair] = counts.get(pair, 0) + 1
+        visited.append(pair[1])
+        config = nxt
+    return SimRun(seed=seed, steps=steps, start=visited[0], states=tuple(visited),
+                  counts=counts, fingerprint=model_fingerprint(spec))
+
+
+def estimate_matrix(spec, steps_per_state, seed, cap=None):
+    """The report alone, checked against `build_rows`."""
+    rows = build_rows(spec, cap=cap)
+    space = ConfigSpace(spec.n_agents, spec.delta, labels=spec.alphabet.symbols, cap=cap)
+    sampler = Sampler(spec)
+    pvals = sampler.weights / sampler.weights.sum()
+    streams = np.random.SeedSequence(seed).spawn(space.size)
+    counts, max_dev, violations = [], 0.0, []
+    for x in range(space.size):
+        config = space.config_of(x)
+        targets = [space.index_of(apply_map(spec, m, config)) for m in sampler.maps]
+        rng = np.random.Generator(np.random.Philox(streams[x]))
+        drawn = rng.multinomial(steps_per_state, pvals)
+        tally = {}
+        for tgt, cnt in zip(targets, drawn):
+            if cnt:
+                tally[tgt] = tally.get(tgt, 0) + int(cnt)
+        counts.append(tally)
+        exact_row = dict(rows[x])
+        for y in tally.keys() | exact_row.keys():
+            p = float(exact_row.get(y, 0))
+            emp = tally.get(y, 0) / steps_per_state
+            dev = abs(emp - p)
+            max_dev = max(max_dev, dev)
+            bound = 3.0 * (p * (1.0 - p) / steps_per_state) ** 0.5
+            if dev > bound:
+                violations.append(Deviation(x, y, emp, p, bound))
+    return EstimateReport(samples_per_state=steps_per_state, seed=seed, counts=tuple(counts),
+                          max_abs_dev=max_dev, violations=tuple(violations))

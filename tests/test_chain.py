@@ -4,12 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from microlump import (Chain, DocumentParseError, Topology,
+from microlump import (Chain, ConfigSpace, DocumentParseError, Topology,
                        ValidationError, build_micro_chain, builtin_voter,
                        enumerate_maps, grammar_arcs, read_sparse,
                        transition_prob, write_sparse)
-from microlump.chain import validate_stochastic
+from microlump.chain import draw_targets, validate_stochastic
 from conftest import LETTERS, letter_index
+
+import oracle
 
 
 def by_pair(spec):
@@ -22,23 +24,28 @@ def test_six_maps_with_equal_weight(voter3):
     assert all(m.probability == Fraction(1, 6) for m in maps.values())
 
 
+def actions(spec):
+    """Each map's action as a table of target indices, by 1-based pair."""
+    space = ConfigSpace(spec.n_agents, spec.delta)
+    return {pair: t.tolist() for pair, t in zip(by_pair(spec), draw_targets(spec, space))}
+
+
 def test_map_12_action(voter3, voter3_chain):
-    m = by_pair(voter3)[(1, 2)]
-    assert m.apply(LETTERS["c"]) == LETTERS["g"]
+    action = actions(voter3)[(1, 2)]
+    assert action[letter_index("c")] == letter_index("g")
     for fixed in "abgh":
-        assert m.apply(LETTERS[fixed]) == LETTERS[fixed]
+        assert action[letter_index(fixed)] == letter_index(fixed)
 
 
 def test_map_23_fixes_d(voter3):
     # agents 2 and 3 agree in d, so the copy changes nothing
-    m = by_pair(voter3)[(2, 3)]
-    assert m.apply(LETTERS["d"]) == LETTERS["d"]
+    assert actions(voter3)[(2, 3)][letter_index("d")] == letter_index("d")
 
 
 def test_homogeneous_fixed_by_every_map(voter3):
-    for m in enumerate_maps(voter3):
-        assert m.apply(LETTERS["a"]) == LETTERS["a"]
-        assert m.apply(LETTERS["h"]) == LETTERS["h"]
+    for action in actions(voter3).values():
+        assert action[letter_index("a")] == letter_index("a")
+        assert action[letter_index("h")] == letter_index("h")
 
 
 def test_row_d(voter3_chain):
@@ -121,7 +128,7 @@ def test_matrix_agrees_with_materialized_maps(spec_name, request):
     space = chain.space
     brute = [dict() for _ in range(space.size)]
     for m in enumerate_maps(spec):
-        action = m.materialize(space)
+        action = oracle.materialize(spec, m, space)
         for x, y in enumerate(action):
             brute[x][y] = brute[x].get(y, Fraction(0)) + m.probability
     for x in range(space.size):

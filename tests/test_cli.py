@@ -1,6 +1,8 @@
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from microlump import read_sparse
 from microlump.cli import main
 
@@ -156,6 +158,18 @@ def test_check_lump_bare_tol_flag(tmp_path, capsys):
     run(capsys, "compile", VOTER3, "-o", str(chain))
     run(capsys, "orbits", VOTER3, "--gens", "SN", "-o", str(part))
     assert run(capsys, "check-lump", str(chain), str(part), "--tol")[0] == 0
+
+
+@pytest.mark.parametrize("verb", ["check-lump", "lump"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_tolerance_must_be_finite_and_non_negative(tmp_path, capsys, verb, tol):
+    chain = tmp_path / "chain.sparse"
+    part = tmp_path / "freq.part"
+    run(capsys, "compile", VOTER3, "-o", str(chain))
+    run(capsys, "orbits", VOTER3, "--gens", "SN", "-o", str(part))
+    code, out, err = run(capsys, verb, str(chain), str(part), f"--tol={tol}")
+    assert code == 5 and out == ""
+    assert "tolerance must be a finite number >= 0" in err
 
 
 def test_estimate_runs(capsys):

@@ -2,7 +2,10 @@
 in `oracle.py`: built rows, sparse bytes, parse results and errors,
 symmetry verdicts and witnesses, block-sum verdicts (exact, tolerance and
 exhaustive), reduced chains, propagation, aggregation, commutation
-profiles, state classification and absorption, on seeded random models."""
+profiles, state classification and absorption, on seeded random models;
+and the draws applied through the compiled rule table (map actions,
+`maps --table`, trajectories and matrix estimates) against the rule-dict
+references."""
 
 import io
 import itertools
@@ -13,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from microlump import analysis, cli
+from microlump import analysis, cli, sim
 from microlump import chain as chainmod
 from microlump import (absorption_analysis, aggregate, classify_states,
                        commutation_profile, propagate)
@@ -21,9 +24,10 @@ from microlump import (AnalysisError, Alphabet, ChoiceDistribution, DocumentPars
                        GeneratorSet, ModelSpec, NotLumpableError, Partition,
                        SpacePermutation, Topology, UpdateRule, ValidationError,
                        build_micro_chain, builtin_voter, check_lumpable,
-                       frequency_partition, half_hypercube_partition,
-                       is_chain_symmetric, lump, moran_partition, orbits,
-                       parse_presets, read_sparse, write_sparse)
+                       enumerate_maps, estimate_matrix, frequency_partition,
+                       half_hypercube_partition, is_chain_symmetric, lump,
+                       moran_partition, orbits, parse_presets, read_sparse,
+                       serialize_model, simulate, write_sparse)
 from conftest import path_topology, random_topology
 
 import oracle
@@ -411,3 +415,58 @@ def test_mu0_file_with_mixed_denominators(tmp_path):
     buf = io.StringIO()
     analysis.write_distribution(ref, buf)
     assert out.read_text(encoding="utf-8") == buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# draws through the compiled rule table
+
+
+def table_actions(tmp_path, capsys, spec):
+    """The action lists `maps --table` prints, one per draw."""
+    path = tmp_path / "model.txt"
+    path.write_text(serialize_model(spec), encoding="utf-8")
+    assert cli.main(["maps", str(path), "--table"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    return [[int(t) for t in line.split("action: ")[1].split()] for line in lines]
+
+
+def check_draws(spec, seed, tmp_path, capsys):
+    rng = random.Random(3000 + seed)
+    chain = build_micro_chain(spec)
+    space = chain.space
+    assert chain.rows == oracle.build_rows(spec)
+    actions = [list(oracle.materialize(spec, m, space)) for m in enumerate_maps(spec)]
+    assert [t.tolist() for t in chainmod.draw_targets(spec, space)] == actions
+    assert table_actions(tmp_path, capsys, spec) == actions
+
+    start = space.config_of(rng.randrange(space.size))
+    for steps in (0, 1, sim._DRAW_BLOCK + 37):
+        assert (simulate(spec, start, steps, seed)
+                == oracle.simulate(spec, start, steps, seed))
+    for samples in (3, 200):
+        report, _ = estimate_matrix(spec, samples, seed)
+        assert report == oracle.estimate_matrix(spec, samples, seed)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_draws_match_the_rule_dict_references(seed, tmp_path, capsys):
+    check_draws(random_model(seed), seed, tmp_path, capsys)
+
+
+def test_arity_one_draws_match_the_rule_dict_references(tmp_path, capsys):
+    """Spontaneous moves to the next code or the one after, with unequal
+    option weights: no second agent in the packed arguments."""
+    table = {(a, opt): (a + 1 + opt) % 3 for a in range(3) for opt in range(2)}
+    rule = UpdateRule(arity=1, options=(("next", Fraction(2, 3)), ("skip", Fraction(1, 3))),
+                      table=table, delta=3)
+    choice = ChoiceDistribution.uniform_from_topology(path_topology(4), 1)
+    spec = ModelSpec(name="cycle", alphabet=Alphabet(LABELS), topology=path_topology(4),
+                     rule=rule, choice=choice)
+    check_draws(spec, 7, tmp_path, capsys)
+
+
+def test_the_estimates_above_include_violations():
+    """So that the comparison above covers the order of the violations."""
+    flagged = [len(estimate_matrix(random_model(seed), 3, seed)[0].violations)
+               for seed in range(24)]
+    assert sum(n > 1 for n in flagged) >= 10

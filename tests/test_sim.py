@@ -1,42 +1,32 @@
 import io
 
-import numpy as np
 import pytest
 
-from microlump import (Sampler, estimate_matrix, frequency_partition, lump,
-                       project_trajectory, simulate, step)
+from microlump import (ConfigSpace, estimate_matrix, frequency_partition, lump,
+                       project_trajectory, simulate)
 from microlump.sim import write_trajectory
 from conftest import LETTERS, letter_index
 
 
-def fresh_rng(seed):
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
 def test_step_from_homogeneous_is_fixed(voter3):
-    rng = fresh_rng(0)
-    for _ in range(20):
-        assert step(voter3, LETTERS["a"], rng) == LETTERS["a"]
-        assert step(voter3, LETTERS["h"], rng) == LETTERS["h"]
+    for letter in "ah":
+        run = simulate(voter3, LETTERS[letter], 20, seed=0)
+        assert set(run.states) == {letter_index(letter)}
 
 
 def test_step_changes_at_most_one_agent(majority3):
-    sampler = Sampler(majority3)
-    rng = fresh_rng(9)
-    cfg = LETTERS["d"]
-    for _ in range(300):
-        nxt = sampler.step(cfg, rng)
+    run = simulate(majority3, LETTERS["d"], 300, seed=9)
+    space = ConfigSpace(majority3.n_agents, majority3.delta)
+    configs = [space.config_of(x) for x in run.states]
+    for cfg, nxt in zip(configs, configs[1:]):
         assert sum(1 for u, v in zip(cfg, nxt) if u != v) <= 1
-        cfg = nxt
 
 
 def test_step_outcome_in_row_support(voter3, voter3_chain):
     support = {y for y, _ in voter3_chain.rows[letter_index("d")]}
-    sampler = Sampler(voter3)
-    rng = fresh_rng(123)
-    for _ in range(200):
-        nxt = sampler.step(LETTERS["d"], rng)
-        assert voter3_chain.space.index_of(nxt) in support
+    for seed in range(200):
+        run = simulate(voter3, LETTERS["d"], 1, seed=seed)
+        assert run.states[1] in support
 
 
 def test_trajectory_support(voter3, voter3_chain):
