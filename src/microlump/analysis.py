@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import gcd, lcm
+from math import gcd
 from typing import Iterator, List, Sequence, TextIO, Tuple
 
 import numpy as np
@@ -22,6 +22,7 @@ import numpy as np
 from .chain import INT64_MAX, Chain, to_floats, to_fractions
 from .errors import AnalysisError, DocumentParseError, ValidationError
 from .lumping import Partition, block_row_sums, lump
+from .model import to_numerators
 
 ONE = Fraction(1)
 RESIDUAL_BOUND = 1e-9
@@ -221,14 +222,6 @@ def _ints(values, bound: int) -> np.ndarray:
     return np.asarray(values, dtype=np.int64 if bound <= INT64_MAX else object)
 
 
-def _numerators(mu: Sequence[Fraction]) -> Tuple[np.ndarray, int]:
-    """Numerators of rationals over the lcm of their denominators, and
-    that lcm."""
-    denom = lcm(*(p.denominator for p in mu))
-    nums = [p.numerator * (denom // p.denominator) for p in mu]
-    return _ints(nums, sum(map(abs, nums))), denom
-
-
 def _trajectory(chain: Chain, nums: np.ndarray, denom: int) -> Iterator[Tuple[np.ndarray, int]]:
     """The distribution nums / denom at t = 0, 1, 2, ...
 
@@ -268,14 +261,14 @@ def propagate(chain: Chain, mu: Sequence[Fraction], t: int) -> List[Fraction]:
     if t < 0:
         raise ValidationError("step count must be non-negative")
     mu = validate_distribution(mu, chain.n_states)
-    nums, denom = next(islice(_trajectory(chain, *_numerators(mu)), t, None))
+    nums, denom = next(islice(_trajectory(chain, *to_numerators(mu)), t, None))
     return to_fractions(nums, denom)
 
 
 def aggregate(mu: Sequence[Fraction], part: Partition) -> List[Fraction]:
     """Block-wise mass of a micro distribution."""
     part.check_covers(len(mu))
-    nums, denom = _numerators(mu)
+    nums, denom = to_numerators(mu)
     return to_fractions(_block_mass(nums, part), denom)
 
 
@@ -310,7 +303,7 @@ def commutation_profile(chain: Chain, part: Partition, mu0: Sequence[Fraction],
     mu = validate_distribution(mu0, chain.n_states)
     part.check_covers(chain.n_states)
     macro = _macro_chain(chain, part, force)
-    nums, denom = _numerators(mu)
+    nums, denom = to_numerators(mu)
     steps = zip(_trajectory(chain, nums, denom),
                 _trajectory(macro, _block_mass(nums, part), denom))
     out = []

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from math import floor, lcm
@@ -23,12 +24,11 @@ from typing import Iterator, List, Optional, Sequence, TextIO, Tuple
 import numpy as np
 
 from .errors import DocumentParseError, ValidationError
-from .model import ModelSpec
+from .model import INT64_MAX, ModelSpec, to_fractions
 from .space import ConfigSpace
 
 Row = Tuple[Tuple[int, Fraction], ...]
 
-INT64_MAX = int(np.iinfo(np.int64).max)
 # largest integer a double holds exactly
 FLOAT_EXACT = 2 ** 53
 
@@ -49,11 +49,9 @@ def enumerate_maps(spec: ModelSpec) -> List[RandomMap]:
 
     Probabilities sum to one; each map changes at most the focal agent.
     """
-    return [
-        RandomMap(agents=tup, option=opt, option_label=spec.rule.option_label(opt),
-                  probability=p)
-        for tup, opt, p in spec.joint_choices()
-    ]
+    labels = [label for label, _ in spec.rule.options]
+    return [RandomMap(agents=tup, option=opt, option_label=labels[opt], probability=p)
+            for tup, opt, p in spec.joint_choices()]
 
 
 def rule_table(spec: ModelSpec) -> np.ndarray:
@@ -68,17 +66,19 @@ def rule_table(spec: ModelSpec) -> np.ndarray:
 
 
 def apply_draws(spec: ModelSpec, space: ConfigSpace
-                ) -> Iterator[Tuple[Tuple[int, ...], Fraction, np.ndarray, np.ndarray]]:
-    """Every draw of `spec.joint_choices()`, in order, applied to every
-    state of `space` at once: the draw's agent tuple and probability, then
-    the focal agent's current code and its new code, one per state."""
+                ) -> Iterator[Tuple[List[int], int, np.ndarray, np.ndarray]]:
+    """Every draw of `spec.draws`, in order, applied to every state of
+    `space` at once: its agents and numerator over `spec.draws.denom`,
+    then the focal agent's current and new code, one per state."""
     flat, delta, n_opts = rule_table(spec), spec.delta, len(spec.rule.options)
     codes = np.ascontiguousarray(space.codes_matrix.T, dtype=np.int64)  # [agent, state]
-    for tup, opt, p in spec.joint_choices():
+    table = spec.draws
+    for tup, opt, num in zip(table.agents.tolist(), table.options.tolist(),
+                             table.nums.tolist()):
         pack = codes[tup[-1]]
         for a in reversed(tup[:-1]):
             pack = pack * delta + codes[a]
-        yield tup, p, codes[tup[0]], flat[pack * n_opts + opt]
+        yield tup, num, codes[tup[0]], flat[pack * n_opts + opt]
 
 
 def draw_targets(spec: ModelSpec, space: ConfigSpace) -> Iterator[np.ndarray]:
@@ -118,14 +118,6 @@ def _over_common_denominator(num: np.ndarray, den: np.ndarray,
     small = _fits_int64(denom, width) and bool(np.all(abs(num) <= den))
     dtype = np.int64 if small else object
     return num.astype(dtype) * (denom // den.astype(dtype)), denom
-
-
-def to_fractions(nums: np.ndarray, denom: int) -> List[Fraction]:
-    """The ratios nums[i] / denom, one Fraction object per distinct
-    numerator."""
-    values, inverse = np.unique(nums, return_inverse=True)
-    fracs = [Fraction(v, denom) for v in values.tolist()]
-    return list(map(fracs.__getitem__, inverse.tolist()))
 
 
 def to_floats(nums: np.ndarray, denom: int) -> np.ndarray:
@@ -199,15 +191,15 @@ def build_micro_chain(spec: ModelSpec, cap: Optional[int] = None) -> Chain:
     space = ConfigSpace(spec.n_agents, spec.delta,
                         labels=spec.alphabet.symbols, cap=cap)
     n, delta, size = spec.n_agents, spec.delta, space.size
-    denom = lcm(*(p.denominator for _, _, p in spec.joint_choices()))
+    denom = spec.draws.denom
     other = delta - 1
     dtype = np.int64 if _fits_int64(denom, n * other + 1) else object
     # slot (state, focal, k): the focal agent takes the k-th code other than its own
     slots = np.zeros((size, n, other), dtype=dtype)
-    for tup, p, cur, new in apply_draws(spec, space):
+    for tup, num, cur, new in apply_draws(spec, space):
         moved = np.flatnonzero(new != cur)
         new, cur = new[moved], cur[moved]
-        slots[moved, tup[0], new - (new > cur)] += p.numerator * (denom // p.denominator)
+        slots[moved, tup[0], new - (new > cur)] += num
 
     states = np.arange(size, dtype=np.int64)
     k = np.arange(other)
@@ -279,7 +271,11 @@ def validate_stochastic(chain: Chain, tol: float = 1e-9) -> None:
     total = Fraction(int(sums[x]), denom)
     if chain.exact:
         raise ValidationError(f"row {x} sums to {total} ≠ 1")
-    raise ValidationError(f"row {x} sums to {float(total)} outside 1±{tol}")
+    try:
+        shown = str(float(total))
+    except OverflowError:  # beyond the largest double: 17 digits in decimal
+        shown = f"{Decimal(total.numerator) / total.denominator:.17g}"
+    raise ValidationError(f"row {x} sums to {shown} outside 1±{tol}")
 
 
 def write_sparse(chain: Chain, fh: TextIO) -> None:

@@ -35,14 +35,59 @@ labels exist only in documents and display output.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from numbers import Rational
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple)
+
+import numpy as np
 
 from .errors import DocumentParseError, ValidationError
 
 ONE = Fraction(1)
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def to_numerators(values: Iterable[Fraction]) -> Tuple[np.ndarray, int]:
+    """Rationals over the lcm of their denominators: the numerators, int64
+    while the sum of their absolute values fits in it and else Python ints,
+    and that lcm."""
+    values = list(values)
+    denom = lcm(*{p.denominator for p in values})
+    nums = [p.numerator * (denom // p.denominator) for p in values]
+    return np.array(nums, dtype=np.int64 if sum(map(abs, nums)) <= INT64_MAX else object), denom
+
+
+def to_fractions(nums: np.ndarray, denom: int) -> List[Fraction]:
+    """The ratios nums[i] / denom, one Fraction object per distinct value."""
+    values, inverse = np.unique(nums, return_inverse=True)
+    fracs = [Fraction(v, denom) for v in values.tolist()]
+    return list(map(fracs.__getitem__, inverse.tolist()))
+
+
+def _index_array(keys: Iterable, width: int) -> Optional[np.ndarray]:
+    """Tuples of `width` integers as int64 rows; None when one has another
+    length or holds anything else."""
+    try:
+        keys = np.array(list(keys))
+    except ValueError:
+        return None
+    good = keys.shape[1:] == (width,) and keys.dtype.kind in "bi"
+    return keys.astype(np.int64) if good else None
+
+
+def _first_error(items, bad: Optional[np.ndarray], error: Callable) -> None:
+    """Raise what `error(item)` says of the first item it finds wrong, among
+    those an array pass marks `bad` (a superset of the failing ones), or all."""
+    if bad is None or bad.any():
+        items = list(items)
+        for k in range(len(items)) if bad is None else np.flatnonzero(bad):
+            message = error(items[k])
+            if message is not None:
+                raise ValidationError(message)
 
 
 def _exact_values(values: Mapping, what: Callable[[object], str]) -> Mapping:
@@ -86,19 +131,20 @@ class Topology:
 
     n_agents: int
     edges: Mapping[Tuple[int, int], Fraction]
+    # (source, target) of every edge as int64 rows, in `edges` order
+    pairs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_agents < 1:
             raise ValidationError("need at least one agent")
         object.__setattr__(self, "edges", _exact_values(
             self.edges, lambda e: f"edge ({e[0] + 1},{e[1] + 1}) weight"))
-        for (i, j), w in self.edges.items():
-            if i == j:
-                raise ValidationError(f"self-edge on agent {i + 1}")
-            if not (0 <= i < self.n_agents and 0 <= j < self.n_agents):
-                raise ValidationError(f"edge ({i + 1},{j + 1}) outside agents 1..{self.n_agents}")
-            if w <= 0:
-                raise ValidationError(f"edge ({i + 1},{j + 1}) has non-positive weight {w}")
+        n, pairs = self.n_agents, _index_array(self.edges, 2)
+        _first_error(self.edges.items(), None if pairs is None else (
+            (pairs[:, 0] == pairs[:, 1]) | ((pairs < 0) | (pairs >= n)).any(axis=1)
+            | np.array([w.numerator <= 0 for w in self.edges.values()])), self._edge_error)
+        object.__setattr__(self, "pairs", np.array(list(self.edges), dtype=np.int64)
+                           .reshape(-1, 2) if pairs is None else pairs)
 
     @classmethod
     def complete(cls, n_agents: int, weight: Fraction = ONE) -> "Topology":
@@ -109,6 +155,17 @@ class Topology:
             if i != j
         }
         return cls(n_agents, edges)
+
+    def _edge_error(self, item: Tuple[Tuple[int, int], Fraction]) -> Optional[str]:
+        """What is wrong with one edge, checks in the order they apply."""
+        (i, j), w, n = *item, self.n_agents
+        if i == j:
+            return f"self-edge on agent {i + 1}"
+        if not (0 <= i < n and 0 <= j < n):
+            return f"edge ({i + 1},{j + 1}) outside agents 1..{n}"
+        if w <= 0:
+            return f"edge ({i + 1},{j + 1}) has non-positive weight {w}"
+        return None
 
 
 @dataclass(frozen=True)
@@ -185,14 +242,12 @@ class ChoiceDistribution:
             raise ValidationError("choice distribution is empty")
         object.__setattr__(self, "entries", _exact_values(
             self.entries, lambda tup: f"choice {_show_tuple(tup)} probability"))
-        total = sum(self.entries.values())
-        for tup, p in self.entries.items():
-            if p <= 0:
-                raise ValidationError(
-                    f"choice {_show_tuple(tup)} has non-positive probability {p}"
-                )
-        if total != ONE:
-            raise ValidationError(f"choice distribution sums to {total} ≠ 1")
+        nums, denom = to_numerators(self.entries.values())
+        _first_error(self.entries.items(), nums <= 0, lambda item: (
+            f"choice {_show_tuple(item[0])} has non-positive probability {item[1]}"))
+        total = sum(nums.tolist())
+        if total != denom:
+            raise ValidationError(f"choice distribution sums to {Fraction(total, denom)} ≠ 1")
 
     @classmethod
     def uniform_from_topology(cls, topology: Topology, arity: int) -> "ChoiceDistribution":
@@ -204,24 +259,36 @@ class ChoiceDistribution:
         """
         n = topology.n_agents
         if arity == 1:
-            return cls({(i,): Fraction(1, n) for i in range(n)})
+            return cls(dict.fromkeys(((i,) for i in range(n)), Fraction(1, n)))
         if arity != 2:
             raise ValidationError(
                 "from-topology uniform supports arity 1 or 2; "
                 f"rule has arity {arity}"
             )
-        out_edges: Dict[int, List[Tuple[int, Fraction]]] = {}
-        for (i, j), w in topology.edges.items():
-            out_edges.setdefault(i, []).append((j, w))
-        entries: Dict[Tuple[int, ...], Fraction] = {}
-        for i in range(n):
-            nbrs = sorted(out_edges.get(i, ()))
-            if not nbrs:
-                raise ValidationError(f"agent {i + 1} has no out-neighbors")
-            wsum = sum(w for _, w in nbrs)
-            for j, w in nbrs:
-                entries[(i, j)] = Fraction(1, n) * (w / wsum)
-        return cls(entries)
+        order = np.lexsort(topology.pairs.T[::-1])
+        src, dst = topology.pairs[order].T
+        lonely = np.setdiff1d(np.arange(n), src)
+        if len(lonely):
+            raise ValidationError(f"agent {lonely[0] + 1} has no out-neighbors")
+        # entry (i, j) is w_ij / (n * sum_k w_ik); with the weights over their
+        # lcm, it is an integer over n times the lcm of the per-agent sums
+        weights = to_numerators(topology.edges.values())[0][order]
+        sums = np.add.reduceat(weights, np.flatnonzero(np.diff(src, prepend=-1))).tolist()
+        top = lcm(*set(sums))
+        dtype = np.int64 if top <= INT64_MAX else object
+        nums = weights.astype(dtype) * np.array([top // s for s in sums], dtype=dtype)[src]
+        return cls(dict(zip(zip(src.tolist(), dst.tolist()), to_fractions(nums, n * top))))
+
+
+class DrawTable(NamedTuple):
+    """One row per (agent tuple, option) draw, with its probability nums[k] /
+    denom over the lcm of the reduced probabilities' denominators; `nums`
+    is int64 when `denom` fits in it, else an object array of Python ints."""
+
+    agents: np.ndarray   # int64, draws x arity
+    options: np.ndarray  # int64
+    nums: np.ndarray
+    denom: int
 
 
 @dataclass(frozen=True)
@@ -237,21 +304,41 @@ class ModelSpec:
     def __post_init__(self):
         if self.rule.delta != self.alphabet.delta:
             raise ValidationError("rule table and alphabet disagree on the code count")
-        n = self.topology.n_agents
-        for tup in self.choice.entries:
-            if len(tup) != self.rule.arity:
-                raise ValidationError(
-                    f"choice {_show_tuple(tup)} has {len(tup)} agents, rule arity is {self.rule.arity}"
-                )
-            if not all(0 <= a < n for a in tup):
-                raise ValidationError(f"choice {_show_tuple(tup)} names an unknown agent")
-            focal = tup[0]
-            for other in tup[1:]:
-                if (focal, other) not in self.topology.edges:
-                    raise ValidationError(
-                        f"choice {_show_tuple(tup)}: agent {other + 1} is not an "
-                        f"out-neighbor of agent {focal + 1}"
-                    )
+        n, arity, entries = self.topology.n_agents, self.rule.arity, self.choice.entries
+        agents, bad = _index_array(entries, arity), None
+        if agents is not None:
+            member = np.isin(agents[:, :1] * n + agents[:, 1:], self.topology.pairs @ [n, 1])
+            bad = ((agents < 0) | (agents >= n)).any(axis=1) | ~member.all(axis=1)
+        _first_error(entries, bad, self._tuple_error)
+
+    def _tuple_error(self, tup: Tuple[int, ...]) -> Optional[str]:
+        """What is wrong with one agent tuple, checks in the order they apply."""
+        if len(tup) != self.rule.arity:
+            return (f"choice {_show_tuple(tup)} has {len(tup)} agents, "
+                    f"rule arity is {self.rule.arity}")
+        if not all(0 <= a < self.n_agents for a in tup):
+            return f"choice {_show_tuple(tup)} names an unknown agent"
+        for other in tup[1:]:
+            if (tup[0], other) not in self.topology.edges:
+                return (f"choice {_show_tuple(tup)}: agent {other + 1} is not an "
+                        f"out-neighbor of agent {tup[0] + 1}")
+        return None
+
+    @cached_property
+    def draws(self) -> DrawTable:
+        """Agent tuples in sorted order, each with every option in turn. The
+        two lcms' product is the joint lcm: the choice's numerators sum to
+        their lcm, so have gcd 1, as do the options', and so the products."""
+        agents = _index_array(self.choice.entries, self.rule.arity)
+        order = np.lexsort(agents.T[::-1])
+        (nums, denom), (opts, opt_denom) = (to_numerators(self.choice.entries.values()),
+                                            to_numerators(p for _, p in self.rule.options))
+        nums, denom = nums[order], denom * opt_denom
+        if denom > INT64_MAX:
+            nums, opts = nums.astype(object), opts.astype(object)
+        return DrawTable(np.repeat(agents[order], len(opts), axis=0),
+                         np.tile(np.arange(len(opts)), len(order)),
+                         np.multiply.outer(nums, opts).reshape(-1), denom)
 
     @property
     def n_agents(self) -> int:
@@ -263,13 +350,11 @@ class ModelSpec:
 
     def joint_choices(self) -> List[Tuple[Tuple[int, ...], int, Fraction]]:
         """All (agent tuple, option index, joint probability) triples with
-        positive probability, in deterministic (tuple, option) order."""
-        out = []
-        for tup in sorted(self.choice.entries):
-            ptup = self.choice.entries[tup]
-            for opt, (_, popt) in enumerate(self.rule.options):
-                out.append((tup, opt, ptup * popt))
-        return out
+        positive probability, in draw table order; the tuples are the
+        choice's own keys."""
+        table, n_opts = self.draws, len(self.rule.options)
+        tuples = [tup for tup in sorted(self.choice.entries) for _ in range(n_opts)]
+        return list(zip(tuples, table.options.tolist(), to_fractions(table.nums, table.denom)))
 
 
 def builtin_voter(topology: Topology, labels: Sequence[str] = ("black", "white"),

@@ -34,8 +34,8 @@ def _seed_sequence(seed: int) -> np.random.SeedSequence:
 
 
 def _draw_weights(spec: ModelSpec) -> np.ndarray:
-    """Draw probabilities as floats, in `joint_choices` order."""
-    return np.array([float(p) for _, _, p in spec.joint_choices()])
+    """Draw probabilities as floats, in draw table order."""
+    return to_floats(spec.draws.nums, spec.draws.denom)
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,9 @@ def simulate(spec: ModelSpec, start: Sequence[int], steps: int, seed: int,
     flat, delta, n_opts = rule_table(spec).tolist(), spec.delta, len(spec.rule.options)
     radix = space.radix.tolist()
     # per draw: its agents last first (the order codes are packed in), option, focal agent
-    draws = [(tup[::-1], opt, tup[0]) for tup, opt, _ in spec.joint_choices()]
+    table = spec.draws
+    draws = list(zip(table.agents[:, ::-1].tolist(), table.options.tolist(),
+                     table.agents[:, 0].tolist()))
     visited = [x]
     for lo in range(0, steps, _DRAW_BLOCK):
         u = rng.random(min(_DRAW_BLOCK, steps - lo))

@@ -6,9 +6,11 @@ These are the plain-loop versions the integer CSR core replaced, kept as
 the oracle `test_oracle.py` compares it against. They return the package's
 own verdict, witness and report types, so results compare with `==`.
 
-The last section applies draws to configuration tuples through the rule
-dict: the map actions, simulator and matrix estimate that the compiled
-rule table replaced.
+The first section validates models and derives draw probabilities with
+`Fraction` arithmetic, the path the integer draw table replaced. The last
+section applies draws to configuration tuples through the rule dict: the
+map actions, simulator and matrix estimate that the compiled rule table
+replaced.
 """
 
 import bisect
@@ -17,8 +19,8 @@ from math import lcm
 
 import numpy as np
 
-from microlump import (AnalysisError, ConfigSpace, DocumentParseError, ValidationError,
-                       enumerate_maps, model_fingerprint)
+from microlump import (AnalysisError, ConfigSpace, DocumentParseError, RandomMap,
+                       ValidationError, model_fingerprint)
 from microlump.analysis import (RESIDUAL_BOUND, AbsorptionReport, Classification,
                                 validate_distribution)
 from microlump.lumping import LumpVerdict, LumpWitness
@@ -28,12 +30,95 @@ from microlump.symmetry import SymmetryVerdict, SymmetryWitness
 ONE = Fraction(1)
 
 
+def _show(tup):
+    return "(" + ",".join(str(a + 1) for a in tup) + ")"
+
+
+def check_topology(n_agents, edges):
+    """Topology's checks, edge by edge."""
+    for (i, j), w in edges.items():
+        if i == j:
+            raise ValidationError(f"self-edge on agent {i + 1}")
+        if not (0 <= i < n_agents and 0 <= j < n_agents):
+            raise ValidationError(f"edge ({i + 1},{j + 1}) outside agents 1..{n_agents}")
+        if w <= 0:
+            raise ValidationError(f"edge ({i + 1},{j + 1}) has non-positive weight {w}")
+
+
+def check_choice(entries):
+    """ChoiceDistribution's checks over the Fraction values."""
+    if not entries:
+        raise ValidationError("choice distribution is empty")
+    total = sum(entries.values())
+    for tup, p in entries.items():
+        if p <= 0:
+            raise ValidationError(f"choice {_show(tup)} has non-positive probability {p}")
+    if total != ONE:
+        raise ValidationError(f"choice distribution sums to {total} ≠ 1")
+
+
+def check_model(topology, arity, entries):
+    """ModelSpec's checks of the choice's agent tuples, tuple by tuple."""
+    n = topology.n_agents
+    for tup in entries:
+        if len(tup) != arity:
+            raise ValidationError(
+                f"choice {_show(tup)} has {len(tup)} agents, rule arity is {arity}")
+        if not all(0 <= a < n for a in tup):
+            raise ValidationError(f"choice {_show(tup)} names an unknown agent")
+        focal = tup[0]
+        for other in tup[1:]:
+            if (focal, other) not in topology.edges:
+                raise ValidationError(
+                    f"choice {_show(tup)}: agent {other + 1} is not an "
+                    f"out-neighbor of agent {focal + 1}")
+
+
+def uniform_from_topology(topology, arity):
+    """The entries of the uniform choice, two Fraction operations per
+    edge."""
+    n = topology.n_agents
+    if arity == 1:
+        return {(i,): Fraction(1, n) for i in range(n)}
+    if arity != 2:
+        raise ValidationError(
+            f"from-topology uniform supports arity 1 or 2; rule has arity {arity}")
+    out_edges = {}
+    for (i, j), w in topology.edges.items():
+        out_edges.setdefault(i, []).append((j, w))
+    entries = {}
+    for i in range(n):
+        nbrs = sorted(out_edges.get(i, ()))
+        if not nbrs:
+            raise ValidationError(f"agent {i + 1} has no out-neighbors")
+        wsum = sum(w for _, w in nbrs)
+        for j, w in nbrs:
+            entries[(i, j)] = Fraction(1, n) * (w / wsum)
+    check_choice(entries)
+    return entries
+
+
+def joint_choices(spec):
+    """(agent tuple, option, probability) in (tuple, option) order, one
+    Fraction product per draw."""
+    out = []
+    for tup in sorted(spec.choice.entries):
+        ptup = spec.choice.entries[tup]
+        for opt, (_, popt) in enumerate(spec.rule.options):
+            out.append((tup, opt, ptup * popt))
+    return out
+
+
+def draw_weights(spec):
+    return np.array([float(p) for _, _, p in joint_choices(spec)])
+
+
 def build_rows(spec, cap=None):
     """Row-by-row assembly over the common denominator of the draws."""
     space = ConfigSpace(spec.n_agents, spec.delta,
                         labels=spec.alphabet.symbols, cap=cap)
     delta = spec.delta
-    choices = spec.joint_choices()
+    choices = joint_choices(spec)
     denom = lcm(*(p.denominator for _, _, p in choices)) if choices else 1
     n_opts = len(spec.rule.options)
 
@@ -336,8 +421,9 @@ class Sampler:
 
     def __init__(self, spec):
         self.spec = spec
-        self.maps = enumerate_maps(spec)
-        self.weights = np.array([float(m.probability) for m in self.maps])
+        self.maps = [RandomMap(tup, opt, spec.rule.option_label(opt), p)
+                     for tup, opt, p in joint_choices(spec)]
+        self.weights = draw_weights(spec)
         self.cum = list(np.cumsum(self.weights))
         self.cum[-1] = 1.0
 

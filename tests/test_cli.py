@@ -265,3 +265,21 @@ def test_propagate_rejects_a_repeated_state(tmp_path, capsys):
     code, out, err = run(capsys, "propagate", str(chain), "--mu0", str(mu), "-t", "1")
     assert code == 4 and out == ""
     assert "line 3: state 0 listed twice" in err
+
+
+@pytest.mark.parametrize("verb", ["check-lump", "lump", "analyze", "propagate"])
+def test_a_row_sum_beyond_the_largest_double_is_reported(tmp_path, capsys, verb):
+    """A decimal entry of 1e400 makes the row sum overflow a double: the
+    message gives it in decimal, with exit 5. A sum a double holds keeps
+    the float text."""
+    chain, part = tmp_path / "chain.sparse", tmp_path / "orbits.part"
+    run(capsys, "compile", VOTER3, "-o", str(chain))
+    run(capsys, "orbits", VOTER3, "--gens", "SN", "-o", str(part))
+    good = chain.read_text()
+    extra = {"check-lump": [str(part)], "lump": [str(part)], "analyze": [],
+             "propagate": ["--start", "0", "-t", "2"]}[verb]
+    for value, shown in (("1e400", "1.0000000000000000e+400"), ("1.5", "1.5")):
+        chain.write_text(good.replace("\n0 0 1/1\n", f"\n0 0 {value}\n"))
+        code, out, err = run(capsys, verb, str(chain), *extra)
+        assert code == 5 and out == ""
+        assert err == f"error: row 0 sums to {shown} outside 1±1e-09\n"

@@ -1,0 +1,106 @@
+"""Seeded fuzzing of the command line: mutated sample models, and a
+mutated chain and partition of voter3, run through every verb in process.
+
+Whatever a mutation breaks, each verb must end with a documented exit code
+(0, 2, 3, 4, 5 or 6) and never raise. No mutation is filtered out.
+"""
+
+import io
+import random
+import traceback
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from microlump import build_micro_chain, load_model, orbits, parse_presets
+from microlump import write_partition, write_sparse
+from microlump.cli import main
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+EXIT_CODES = {0, 2, 3, 4, 5, 6}
+MUTATIONS_PER_FILE = 60
+# characters substitutions draw from: separators, digits, signs and the
+# letters of keywords, so that many mutants still half parse
+ALPHABET = "0123456789/-+.,=#[]() \t\nexabcoplt"
+
+
+def _mutate(text, rng):
+    """One character substitution, line deletion or duplication, or swap of
+    two tokens."""
+    lines = text.splitlines(keepends=True)
+    kind = rng.randrange(4)
+    if kind == 0:
+        at = rng.randrange(len(text))
+        return text[:at] + rng.choice(ALPHABET) + text[at + 1:]
+    if kind in (1, 2):
+        at = rng.randrange(len(lines))
+        repeat = [lines[at]] * (2 if kind == 2 else 0)
+        return "".join(lines[:at] + repeat + lines[at + 1:])
+    tokens = [(k, t) for k, line in enumerate(lines) for t in range(len(line.split()))]
+    (a, i), (b, j) = rng.sample(tokens, 2)
+    split = [line.split() for line in lines]
+    split[a][i], split[b][j] = split[b][j], split[a][i]
+    return "".join(" ".join(toks) + "\n" for toks in split)
+
+
+def _model_verbs(path, part):
+    return [["compile", path], ["maps", path], ["maps", path, "--table"],
+            ["orbits", path, "--gens", "SN,flip"], ["check-sym", path, "--gens", "full"],
+            ["simulate", path, "--start", "1", "--steps", "30", "--seed", "2"],
+            ["simulate", path, "--start", "0", "--steps", "5", "--seed", "2",
+             "--partition", part],
+            ["estimate", path, "--samples", "20", "--seed", "3"]]
+
+
+def _chain_verbs(chain, part):
+    return [["check-lump", chain, part], ["check-lump", chain, part, "--exhaustive", "--tol"],
+            ["lump", chain, part], ["analyze", chain], ["analyze", chain, "--format", "kv"],
+            ["propagate", chain, "--start", "1", "-t", "4"]]
+
+
+def _run(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return main(argv), None
+        except BaseException:  # any escape is the failure sought
+            return None, traceback.format_exc()
+
+
+def test_mutated_inputs_end_in_documented_exit_codes(tmp_path):
+    rng = random.Random(20240607)
+    voter3 = load_model(SAMPLES / "voter3.model")
+    sources = {name: (SAMPLES / name).read_text(encoding="utf-8")
+               for name in ("voter3.model", "path3.model", "majority3.model")}
+    chain_text, part_text = io.StringIO(), io.StringIO()
+    write_sparse(build_micro_chain(voter3), chain_text)
+    write_partition(orbits(build_micro_chain(voter3).space, parse_presets("SN", 3, 2)),
+                    part_text)
+    sources["voter3.sparse"] = chain_text.getvalue()
+    sources["voter3.part"] = part_text.getvalue()
+    good = {}
+    for name, text in sources.items():
+        good[name] = tmp_path / f"good-{name}"
+        good[name].write_text(text, encoding="utf-8")
+
+    failures, codes = [], set()
+    for name, text in sources.items():
+        for k in range(MUTATIONS_PER_FILE):
+            mutant = _mutate(text, rng)
+            mutant_path = tmp_path / f"mutant{k}-{name}"
+            mutant_path.write_text(mutant, encoding="utf-8")
+            mutant_file, part = str(mutant_path), str(good["voter3.part"])
+            if name.endswith(".model"):
+                verbs = _model_verbs(mutant_file, part)
+            elif name.endswith(".sparse"):
+                verbs = _chain_verbs(mutant_file, part)
+            else:
+                verbs = (_chain_verbs(str(good["voter3.sparse"]), mutant_file)
+                         + [_model_verbs(str(good["voter3.model"]), mutant_file)[-2]])
+            for argv in verbs:
+                code, trace = _run(argv)
+                codes.add(code)
+                if code not in EXIT_CODES:
+                    failures.append(f"{argv[0]} on {name} mutant {mutant!r}: "
+                                    f"exit {code}\n{trace}")
+    assert not failures, f"{len(failures)} failures, the first:\n" + failures[0]
+    # the mutants reach both success and the error exits
+    assert {0, 4, 5} <= codes

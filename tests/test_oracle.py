@@ -3,15 +3,17 @@ in `oracle.py`: built rows, sparse bytes, parse results and errors,
 symmetry verdicts and witnesses, block-sum verdicts (exact, tolerance and
 exhaustive), reduced chains, propagation, aggregation, commutation
 profiles, state classification and absorption, on seeded random models;
-and the draws applied through the compiled rule table (map actions,
+the draws applied through the compiled rule table (map actions,
 `maps --table`, trajectories and matrix estimates) against the rule-dict
-references."""
+references; and the integer draw table and model validation against the
+`Fraction` path they replaced."""
 
 import io
 import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -26,8 +28,8 @@ from microlump import (AnalysisError, Alphabet, ChoiceDistribution, DocumentPars
                        build_micro_chain, builtin_voter, check_lumpable,
                        enumerate_maps, estimate_matrix, frequency_partition,
                        half_hypercube_partition, is_chain_symmetric, lump,
-                       moran_partition, orbits, parse_presets, read_sparse,
-                       serialize_model, simulate, write_sparse)
+                       model_fingerprint, moran_partition, orbits, parse_model,
+                       parse_presets, read_sparse, serialize_model, simulate, write_sparse)
 from conftest import path_topology, random_topology
 
 import oracle
@@ -333,7 +335,7 @@ def test_analysis_matches_the_fraction_references(seed):
 
 def dtypes_along(chain, mu, t):
     """Numerator dtype at each of the first t + 1 steps."""
-    steps = analysis._trajectory(chain, *analysis._numerators(mu))
+    steps = analysis._trajectory(chain, *analysis.to_numerators(mu))
     return [nums.dtype for nums, _ in itertools.islice(steps, t + 1)]
 
 
@@ -470,3 +472,212 @@ def test_the_estimates_above_include_violations():
     flagged = [len(estimate_matrix(random_model(seed), 3, seed)[0].violations)
                for seed in range(24)]
     assert sum(n > 1 for n in flagged) >= 10
+
+
+# ---------------------------------------------------------------------------
+# model validation and the draw table against the Fraction references
+
+
+def _directed_pairs(shape, n, rng):
+    if shape == "star":
+        return [(0, j) for j in range(1, n)] + [(j, 0) for j in range(1, n)]
+    if shape == "path":
+        return [(i, i + 1) for i in range(n - 1)] + [(i + 1, i) for i in range(n - 1)]
+    return list(random_topology(n, rng.randrange(1000)).edges)
+
+
+def document_model(seed):
+    """A star, path or random topology document with weights over mixed
+    denominators, a two-option rule, and a from-topology or an explicit
+    choice section; also the explicit entries written, or None."""
+    rng = random.Random(seed)
+    n, shape = rng.randint(3, 6), ("star", "path", "random")[seed % 3]
+    pairs = _directed_pairs(shape, n, rng)
+    rng.shuffle(pairs)
+    lines = ["[model]", f"name = doc{seed}", "attributes = a, b", "[topology]", f"agents {n}"]
+    for i, j in pairs:
+        lines.append(f"{i + 1} {j + 1} {rng.randint(1, 9)}/{rng.choice((1, 2, 3, 4, 5, 7, 9))}")
+    lines += ["[rule]", "arity 2", "lambda copy 5/6", "lambda flip 1/6"]
+    for a in "ab":
+        for b in "ab":
+            lines += [f"{a} {b} copy -> {b}", f"{a} {b} flip -> {'b' if a == 'a' else 'a'}"]
+    lines.append("[choice]")
+    if seed % 2:
+        lines.append("from-topology uniform")
+        return "\n".join(lines) + "\n", None
+    raw = [Fraction(rng.randint(1, 6), rng.choice((1, 2, 3, 5))) for _ in pairs]
+    entries = {pair: w / sum(raw) for pair, w in zip(pairs, raw)}
+    lines += [f"{i + 1} {j + 1} {p.numerator}/{p.denominator}" for (i, j), p in entries.items()]
+    return "\n".join(lines) + "\n", entries
+
+
+def check_draw_table(spec, entries=None):
+    """`entries` are the explicit choice's; None means from-topology."""
+    if entries is None:
+        entries = oracle.uniform_from_topology(spec.topology, spec.rule.arity)
+        values = list(spec.choice.entries.values())
+        assert len({id(p) for p in values}) == len(set(values))
+    assert list(spec.choice.entries.items()) == list(entries.items())
+    assert all(type(p) is Fraction for p in spec.choice.entries.values())
+    ref_spec = ModelSpec(name=spec.name, alphabet=spec.alphabet, topology=spec.topology,
+                         rule=spec.rule, choice=ChoiceDistribution(entries))
+    assert serialize_model(spec) == serialize_model(ref_spec)
+    assert model_fingerprint(spec) == model_fingerprint(ref_spec)
+
+    joint = oracle.joint_choices(spec)
+    assert spec.joint_choices() == joint
+    keys = {id(tup) for tup in spec.choice.entries}  # shared, not copied
+    assert all(id(tup) in keys for tup, _, _ in spec.joint_choices())
+    table = spec.draws
+    assert table is spec.draws
+    assert table.denom == lcm(*(p.denominator for _, _, p in joint))
+    assert table.nums.dtype == (np.int64 if table.denom <= chainmod.INT64_MAX else object)
+    chain = build_micro_chain(spec)
+    rows = oracle.build_rows(spec)
+    assert chain.denom == table.denom
+    assert sparse_text(write_sparse, chain) == sparse_text(oracle.write_sparse, rows)
+    assert sim._draw_weights(spec).tobytes() == oracle.draw_weights(spec).tobytes()
+    start = [a % spec.delta for a in range(spec.n_agents)]
+    assert simulate(spec, start, 300, 5) == oracle.simulate(spec, start, 300, 5)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_draw_table_matches_the_fraction_references(seed):
+    spec = random_model(seed)
+    explicit = None if spec.name.startswith("voter") else dict(spec.choice.entries)
+    check_draw_table(spec, explicit)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_documents_with_mixed_denominators_match_the_references(seed):
+    text, entries = document_model(seed)
+    spec = parse_model(text)
+    check_draw_table(spec, entries)
+    assert parse_model(serialize_model(spec)).draws.nums.tolist() == spec.draws.nums.tolist()
+
+
+def test_draw_table_beyond_int64_matches_the_references():
+    edges = {(0, 1): 1, (0, 2): P1 - 1, (1, 0): 1, (1, 2): P2 - 1,
+             (2, 0): 1, (2, 1): P3 - 1}
+    spec = builtin_voter(Topology(3, edges))
+    assert spec.draws.nums.dtype == object
+    check_draw_table(spec)
+
+
+def test_weight_sums_beyond_int64_match_the_references():
+    """Every weight fits in int64, their sum for agent 1 does not."""
+    edges = {(0, 1): 2 ** 62, (0, 2): 2 ** 62 + 1, (1, 0): 1, (2, 0): 3}
+    spec = builtin_voter(Topology(3, edges))
+    assert spec.draws.nums.dtype == object
+    check_draw_table(spec)
+
+
+def test_choice_times_options_beyond_int64_match_the_references():
+    """Choice and option denominators each fit in int64, their product
+    does not: the joint numerators are Python ints."""
+    edges = {(0, 1): 1, (0, 2): P1 - 1, (1, 0): 1, (1, 2): 1, (2, 0): 1, (2, 1): 1}
+    rare = Fraction(1, P2)
+    table = {(a, b, opt): (b if opt == 0 else a) for a in range(2) for b in range(2)
+             for opt in range(2)}
+    rule = UpdateRule(arity=2, options=(("copy", 1 - rare), ("stay", rare)), table=table,
+                      delta=2)
+    topology = Topology(3, edges)
+    spec = ModelSpec(name="rare", alphabet=Alphabet(("a", "b")), topology=topology, rule=rule,
+                     choice=ChoiceDistribution.uniform_from_topology(topology, 2))
+    assert 6 * P1 < 2 ** 63 < spec.draws.denom == 6 * P1 * P2 < 2 ** 70
+    assert spec.draws.nums.dtype == object
+    check_draw_table(spec)
+
+
+def _error(make):
+    try:
+        make()
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def _bad_edges(edges, n, rng):
+    """Two edges made invalid, each in its own way."""
+    items = list(edges.items())
+    for k in rng.sample(range(len(items)), 2):
+        (i, j), w = items[k]
+        items[k] = rng.choice([((i, i), w), ((i, n + rng.randrange(3)), w), ((-1, j), w),
+                               ((i, j), Fraction(0)),
+                               ((i, j), Fraction(-rng.randint(1, 5), rng.randint(1, 3)))])
+    return dict(items)
+
+
+def _bad_probabilities(entries, rng):
+    """Two probabilities changed: to zero, negative, or scaled."""
+    items = list(entries.items())
+    for k in rng.sample(range(len(items)), 2):
+        tup, p = items[k]
+        items[k] = (tup, rng.choice([Fraction(0), -p, p * rng.choice((2, Fraction(1, 3)))]))
+    return dict(items)
+
+
+def _bad_tuples(entries, n, rng):
+    """Two agent tuples replaced: wrong arity, an unknown agent, or a
+    non-neighbor (every other agent, or only the last)."""
+    items = list(entries.items())
+    for k in rng.sample(range(len(items)), 2):
+        tup, p = items[k]
+        items[k] = (rng.choice([tup + tup[-1:], tup[:1], (n + k,) + tup[1:],
+                                (tup[0], -1) + tup[2:], (tup[0],) * len(tup),
+                                tup[:-1] + tup[:1]]), p)
+    return dict(items)
+
+
+def _spec_error(spec, entries):
+    return _error(lambda: ModelSpec(name=spec.name, alphabet=spec.alphabet,
+                                    topology=spec.topology, rule=spec.rule,
+                                    choice=ChoiceDistribution(entries)))
+
+
+def _reference_spec_error(spec, entries):
+    return _error(lambda: (oracle.check_choice(entries),
+                           oracle.check_model(spec.topology, spec.rule.arity, entries)))
+
+
+@pytest.mark.parametrize("seed", range(36))
+def test_malformed_models_report_the_reference_error(seed):
+    """Two bad items each, so that the first offender must match."""
+    rng = random.Random(4000 + seed)
+    spec = random_model(seed % 24) if seed < 24 else parse_model(document_model(seed)[0])
+    n, edges = spec.n_agents, spec.topology.edges
+    bad = _bad_edges(edges, n, rng)
+    message = _error(lambda: Topology(n, bad))
+    assert message is not None and message == _error(lambda: oracle.check_topology(n, bad))
+
+    bad = _bad_probabilities(spec.choice.entries, rng)
+    message = _error(lambda: ChoiceDistribution(bad))
+    assert message is not None and message == _error(lambda: oracle.check_choice(bad))
+
+    bad = _bad_tuples(spec.choice.entries, n, rng)
+    message = _spec_error(spec, bad)
+    assert message is not None and message == _reference_spec_error(spec, bad)
+
+
+@pytest.mark.parametrize("edges, arity", [
+    ({(0, 1): 1, (1, 0): 1}, 2),                             # agent 3 and 4 alone
+    ({(0, 1): 1, (1, 0): 1, (3, 2): 1}, 2),                  # agent 3 alone
+    ({(0, 1): 1, (1, 0): 1, (2, 3): 1, (3, 2): 1}, 3),       # arity above 2
+], ids=["two-lonely", "one-lonely", "arity-3"])
+def test_uniform_choice_errors_match_the_reference(edges, arity):
+    topology = Topology(4, edges)
+    message = _error(lambda: ChoiceDistribution.uniform_from_topology(topology, arity))
+    assert message is not None
+    assert message == _error(lambda: oracle.uniform_from_topology(topology, arity))
+
+
+def test_ragged_and_empty_choices_match_the_reference(voter3):
+    """Tuples of mixed lengths, all of one wrong length, and a float agent."""
+    for entries in ({(0, 1): Fraction(1, 2), (1,): Fraction(1, 4), (2, 0, 1): Fraction(1, 4)},
+                    {(0, 1, 2): Fraction(1, 2), (1, 2): Fraction(1, 2)},
+                    {(0, 1, 2): Fraction(1, 2), (1, 2, 0): Fraction(1, 2)},
+                    {(0,): Fraction(1, 2), (1,): Fraction(1, 2)},
+                    {(0, 1): Fraction(1, 2), (1, 2.5): Fraction(1, 2)}):
+        message = _spec_error(voter3, entries)
+        assert message is not None and message == _reference_spec_error(voter3, entries)
+    assert _error(lambda: ChoiceDistribution({})) == _error(lambda: oracle.check_choice({}))

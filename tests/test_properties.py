@@ -1,0 +1,122 @@
+"""Round trips on random small models and chains, as Hypothesis
+properties: a model through its canonical document, and a chain through
+the sparse format."""
+
+import io
+from fractions import Fraction
+
+from hypothesis import Phase, given, settings, strategies as st
+
+from microlump import (Alphabet, ChoiceDistribution, ModelSpec, Topology, UpdateRule,
+                       build_micro_chain, model_fingerprint, parse_model, read_sparse,
+                       serialize_model, write_sparse)
+
+import oracle
+
+# derandomized and without an example database: the same examples on every
+# run, and nothing written to the working tree. No explain phase: it loads
+# modules that warn on import, which fails a run with warnings as errors.
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None,
+                    phases=[Phase.explicit, Phase.generate, Phase.shrink])
+
+ratios = st.builds(Fraction, st.integers(1, 40), st.integers(1, 12))
+
+
+def _normalized(weights):
+    total = sum(weights)
+    return [w / total for w in weights]
+
+
+@st.composite
+def models(draw):
+    """Two to five agents, two or three codes, an arity 1 or 2 rule with up
+    to three options and a random table, and a uniform or an explicit
+    choice. Every agent keeps an out-edge."""
+    n, delta, arity = draw(st.integers(2, 5)), draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    extra = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    chosen = sorted(set(extra) | {(i, (i + 1) % n) for i in range(n)})
+    topology = Topology(n, {pair: draw(ratios) for pair in chosen})
+    labels = tuple("xyz"[:delta])
+    n_opts = draw(st.integers(1, 3))
+    probs = _normalized([draw(ratios) for _ in range(n_opts)])
+    options = tuple((f"o{k}", p) for k, p in enumerate(probs))
+    keys = [(a,) + ((b,) if arity == 2 else ()) + (opt,)
+            for a in range(delta) for b in range(delta if arity == 2 else 1)
+            for opt in range(n_opts)]
+    table = {key: draw(st.integers(0, delta - 1)) for key in keys}
+    rule = UpdateRule(arity=arity, options=options, table=table, delta=delta)
+    if draw(st.booleans()):
+        choice = ChoiceDistribution.uniform_from_topology(topology, arity)
+    else:
+        tuples = chosen if arity == 2 else [(i,) for i in range(n)]
+        choice = ChoiceDistribution(dict(zip(tuples, _normalized(
+            [draw(ratios) for _ in tuples]))))
+    return ModelSpec(name="prop", alphabet=Alphabet(labels), topology=topology,
+                     rule=rule, choice=choice)
+
+
+def draw_table(spec):
+    table = spec.draws
+    return (table.agents.tolist(), table.options.tolist(), table.nums.tolist(),
+            table.denom)
+
+
+@PROPERTY
+@given(models())
+def test_a_model_round_trips_through_its_document(spec):
+    again = parse_model(serialize_model(spec))
+    assert model_fingerprint(again) == model_fingerprint(spec)
+    assert list(again.choice.entries.items()) == list(spec.choice.entries.items())
+    assert draw_table(again) == draw_table(spec)
+    assert again.joint_choices() == oracle.joint_choices(spec)
+
+
+def _text(chain):
+    buf = io.StringIO()
+    write_sparse(chain, buf)
+    return buf.getvalue()
+
+
+def _arrays(chain):
+    return (chain.indptr.tolist(), chain.cols.tolist(), chain.nums.tolist(), chain.denom,
+            chain.exact)
+
+
+@PROPERTY
+@given(models())
+def test_a_compiled_chain_round_trips_through_the_sparse_format(spec):
+    """The file holds every entry in lowest terms, so a chain read back may
+    have a smaller common denominator than the draws' one: its entries,
+    its bytes and a second round trip are the same."""
+    chain = build_micro_chain(spec)
+    text = _text(chain)
+    again = read_sparse(text)
+    assert again.rows == chain.rows
+    assert _text(again) == text
+    assert _arrays(read_sparse(_text(again))) == _arrays(again)
+
+
+@st.composite
+def rows(draw):
+    """Stochastic rows over one to six states, entries over mixed
+    denominators."""
+    n = draw(st.integers(1, 6))
+    out = []
+    for _ in range(n):
+        support = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+        probs = _normalized([draw(ratios) for _ in support])
+        out.append(tuple(sorted(zip(support, probs))))
+    return tuple(out)
+
+
+@PROPERTY
+@given(rows())
+def test_any_stochastic_chain_round_trips_through_the_sparse_format(matrix):
+    buf = io.StringIO()
+    oracle.write_sparse(matrix, buf)
+    chain = read_sparse(buf.getvalue())
+    assert chain.rows == matrix
+    again = read_sparse(_text(chain))
+    assert _arrays(again) == _arrays(chain)
+    assert _text(again) == _text(chain)
