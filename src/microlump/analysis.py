@@ -272,23 +272,6 @@ def aggregate(mu: Sequence[Fraction], part: Partition) -> List[Fraction]:
     return to_fractions(_block_mass(nums, part), denom)
 
 
-def _macro_chain(chain: Chain, part: Partition, force: bool) -> Chain:
-    """The reduced chain; with `force`, each block's first member's block
-    sums, lumpable or not, as integers over `chain.denom`."""
-    if not force:
-        return lump(chain, part)
-    cols: List[int] = []
-    nums: List[int] = []
-    indptr = [0]
-    for block in part.blocks:
-        for b, p in sorted(block_row_sums(chain, part, block[0]).items()):
-            cols.append(b)
-            nums.append(p.numerator * (chain.denom // p.denominator))
-        indptr.append(len(cols))
-    return Chain(np.array(indptr, dtype=np.int64), np.array(cols, dtype=np.int64),
-                 np.array(nums, dtype=chain.nums.dtype), chain.denom, exact=chain.exact)
-
-
 def commutation_profile(chain: Chain, part: Partition, mu0: Sequence[Fraction],
                         t_max: int, force: bool = False) -> List[Fraction]:
     """Max block-mass discrepancy between aggregate-then-step and
@@ -302,7 +285,8 @@ def commutation_profile(chain: Chain, part: Partition, mu0: Sequence[Fraction],
         raise ValidationError("step count must be non-negative")
     mu = validate_distribution(mu0, chain.n_states)
     part.check_covers(chain.n_states)
-    macro = _macro_chain(chain, part, force)
+    macro = (block_row_sums(chain, part, [block[0] for block in part.blocks])
+             if force else lump(chain, part))
     nums, denom = to_numerators(mu)
     steps = zip(_trajectory(chain, nums, denom),
                 _trajectory(macro, _block_mass(nums, part), denom))

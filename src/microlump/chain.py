@@ -19,7 +19,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from math import floor, lcm
-from typing import Iterator, List, Optional, Sequence, TextIO, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ Row = Tuple[Tuple[int, Fraction], ...]
 FLOAT_EXACT = 2 ** 53
 
 
-@dataclass(frozen=True)
-class RandomMap:
+class RandomMap(NamedTuple):
     """One deterministic action of the dynamics: the map the system applies
     when a particular (agent tuple, option) draw comes up."""
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import floor, isfinite
+from math import isfinite
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
@@ -175,22 +175,12 @@ class LumpVerdict:
         return self.lumpable
 
 
-def block_row_sums(chain, part: Partition, state: int) -> Dict[int, Fraction]:
-    """Total probability the state sends into each block, by block id, in
-    the order the row first reaches each block."""
-    agg: Dict[int, Fraction] = {}
-    lo, hi = int(chain.indptr[state]), int(chain.indptr[state + 1])
-    for y, num in zip(chain.cols[lo:hi].tolist(), chain.nums[lo:hi].tolist()):
-        b = part.block_of[y]
-        agg[b] = agg.get(b, Fraction(0)) + Fraction(num, chain.denom)
-    return agg
-
-
 def _block_sums(chain, block_of: np.ndarray, n_blocks: int, own: bool):
-    """Every (state, block) pair a row reaches, with the summed numerator,
-    ordered by state then block: the keys are grouped by a sort and summed
-    by `reduceat`, in the chain's exact integers. `own=False` leaves out
-    each state's own block."""
+    """Every (state, block) pair a row reaches, with the summed numerator
+    and the position of the row's first entry into the block, ordered by
+    state then block: the keys are grouped by a stable sort and summed by
+    `reduceat`, in the chain's exact integers. `own=False` leaves out each
+    state's own block."""
     src = chain.sources
     blk = block_of[chain.cols]
     keys = src * n_blocks + blk
@@ -203,13 +193,29 @@ def _block_sums(chain, block_of: np.ndarray, n_blocks: int, own: bool):
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
     sums = np.add.reduceat(nums[order], starts) if len(keys) else nums[:0]
     keys = keys[starts]
-    return keys // n_blocks, keys % n_blocks, sums
+    return keys // n_blocks, keys % n_blocks, sums, order[starts]
 
 
 def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Concatenated index ranges starts[i] : starts[i] + lengths[i]."""
     offsets = np.cumsum(lengths) - lengths
     return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
+
+
+def block_row_sums(chain, part: Partition, states: Sequence[int]) -> Chain:
+    """The chain over the partition's blocks whose row i holds the nonzero
+    block sums of `states[i]`, as integers over `chain.denom`."""
+    states = np.asarray(states, dtype=np.int64)
+    lengths = np.diff(chain.indptr)[states]
+    at = _spans(chain.indptr[states], lengths)
+    picked = Chain(np.concatenate(([0], np.cumsum(lengths))), chain.cols[at],
+                   chain.nums[at], chain.denom)
+    block_of = np.asarray(part.block_of, dtype=np.int64)
+    rows, blocks, sums, _ = _block_sums(picked, block_of, part.n_blocks, own=True)
+    keep = sums != 0
+    counts = np.bincount(rows[keep], minlength=len(states))
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return Chain(indptr, blocks[keep], sums[keep], chain.denom, exact=chain.exact)
 
 
 def check_lumpable(chain, part: Partition, tol: Optional[float] = None,
@@ -223,19 +229,21 @@ def check_lumpable(chain, part: Partition, tol: Optional[float] = None,
     stopping at the first.
 
     One vector pass over the block sums flags the states that differ from
-    their block's first member; witnesses are then built row by row for
-    the flagged states only.
+    their block's first member; the flagged states' witnesses are read
+    from the same sums, and only reported ones become Fractions.
     """
     if tol is not None and not (isfinite(tol) and tol >= 0):
         raise ValidationError(f"tolerance must be a finite number >= 0, got {tol}")
     part.check_covers(chain.n_states)
-    tol_frac = None if tol is None else Fraction(tol)
+    tol_num, tol_den = (0, 1) if tol is None else Fraction(tol).as_integer_ratio()
     # sums are integers over chain.denom, so |a - b| > tol exactly when
-    # their numerators differ by more than floor(tol * denom)
-    limit = 0 if tol_frac is None else min(floor(tol_frac * chain.denom), chain.denom)
+    # |a - b| * tol_den > tol_num * denom. The vector pass flags against
+    # floor(tol * denom), clamped at denom to keep it small: a lower limit
+    # only flags more states, and the exact rule decides each pair
+    limit = min(tol_num * chain.denom // tol_den, chain.denom)
     block_of = np.asarray(part.block_of, dtype=np.int64)
     n_blocks = part.n_blocks
-    states, blocks, sums = _block_sums(chain, block_of, n_blocks, own=tol_frac is not None)
+    states, blocks, sums, reach = _block_sums(chain, block_of, n_blocks, own=tol is not None)
     if not len(states):
         return LumpVerdict(True)
     keys = states * n_blocks + blocks
@@ -258,26 +266,32 @@ def check_lumpable(chain, part: Partition, tol: Optional[float] = None,
     bad_ref = abs(sum_at(members, blocks[at]) - sums[at]) > limit
     flagged = np.unique(np.concatenate((states[bad_own], members[bad_ref])))
     flagged = flagged[ref[flagged] != flagged]
+    if not len(flagged):
+        return LumpVerdict(True)
+
+    # within each row, the blocks in the order the row first reaches them,
+    # so that the set order of `base.keys() | agg.keys()` below is the one
+    # the row-by-row reference gives
+    by_reach = np.argsort(reach)
+    blocks, sums = blocks[by_reach], sums[by_reach]
+
+    def row_sums(x: int) -> Dict[int, int]:
+        return dict(zip(blocks[ptr[x]:ptr[x + 1]].tolist(),
+                        sums[ptr[x]:ptr[x + 1]].tolist()))
 
     violations: List[LumpWitness] = []
-    bases: Dict[int, Dict[int, Fraction]] = {}
+    bases: Dict[int, Dict[int, int]] = {}
     for x in flagged.tolist():
         r = int(ref[x])
         k = part.block_of[x]
         if r not in bases:
-            bases[r] = block_row_sums(chain, part, r)
-            if tol_frac is None:
-                bases[r].pop(k, None)
-        base = bases[r]
-        agg = block_row_sums(chain, part, x)
-        if tol_frac is None:
-            agg.pop(k, None)
+            bases[r] = row_sums(r)
+        base, agg = bases[r], row_sums(x)
         for l in base.keys() | agg.keys():
-            a = base.get(l, Fraction(0))
-            b = agg.get(l, Fraction(0))
-            bad = abs(a - b) > tol_frac if tol_frac is not None else a != b
-            if bad:
-                witness = LumpWitness(part.labels[k], part.labels[l], x, b, r, a)
+            a, b = base.get(l, 0), agg.get(l, 0)
+            if abs(a - b) * tol_den > tol_num * chain.denom:
+                witness = LumpWitness(part.labels[k], part.labels[l], x,
+                                      Fraction(b, chain.denom), r, Fraction(a, chain.denom))
                 if not exhaustive:
                     return LumpVerdict(False, witness, (witness,))
                 violations.append(witness)
@@ -293,17 +307,7 @@ def lump(chain, part: Partition, tol: Optional[float] = None) -> Chain:
     verdict = check_lumpable(chain, part, tol=tol)
     if not verdict:
         raise NotLumpableError(verdict.witness)
-    block_of = np.asarray(part.block_of, dtype=np.int64)
-    states, blocks, sums = _block_sums(chain, block_of, part.n_blocks, own=True)
-    ptr = np.searchsorted(states, np.arange(chain.n_states + 1))
-    firsts = np.array([block[0] for block in part.blocks], dtype=np.int64)
-    lengths = np.diff(ptr)[firsts]
-    at = _spans(ptr[firsts], lengths)
-    keep = sums[at] != 0
-    counts = np.bincount(np.repeat(np.arange(part.n_blocks), lengths)[keep],
-                         minlength=part.n_blocks)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    return Chain(indptr, blocks[at][keep], sums[at][keep], chain.denom, exact=chain.exact)
+    return block_row_sums(chain, part, [block[0] for block in part.blocks])
 
 
 # ---------------------------------------------------------------------------

@@ -300,6 +300,8 @@ class ModelSpec:
     topology: Topology
     rule: UpdateRule
     choice: ChoiceDistribution
+    # the choice's agent tuples as int64 rows, in its key order
+    agents: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rule.delta != self.alphabet.delta:
@@ -310,6 +312,8 @@ class ModelSpec:
             member = np.isin(agents[:, :1] * n + agents[:, 1:], self.topology.pairs @ [n, 1])
             bad = ((agents < 0) | (agents >= n)).any(axis=1) | ~member.all(axis=1)
         _first_error(entries, bad, self._tuple_error)
+        object.__setattr__(self, "agents", np.array(list(entries), dtype=np.int64)
+                           .reshape(-1, arity) if agents is None else agents)
 
     def _tuple_error(self, tup: Tuple[int, ...]) -> Optional[str]:
         """What is wrong with one agent tuple, checks in the order they apply."""
@@ -329,14 +333,13 @@ class ModelSpec:
         """Agent tuples in sorted order, each with every option in turn. The
         two lcms' product is the joint lcm: the choice's numerators sum to
         their lcm, so have gcd 1, as do the options', and so the products."""
-        agents = _index_array(self.choice.entries, self.rule.arity)
-        order = np.lexsort(agents.T[::-1])
+        order = np.lexsort(self.agents.T[::-1])
         (nums, denom), (opts, opt_denom) = (to_numerators(self.choice.entries.values()),
                                             to_numerators(p for _, p in self.rule.options))
         nums, denom = nums[order], denom * opt_denom
         if denom > INT64_MAX:
             nums, opts = nums.astype(object), opts.astype(object)
-        return DrawTable(np.repeat(agents[order], len(opts), axis=0),
+        return DrawTable(np.repeat(self.agents[order], len(opts), axis=0),
                          np.tile(np.arange(len(opts)), len(order)),
                          np.multiply.outer(nums, opts).reshape(-1), denom)
 

@@ -152,8 +152,8 @@ def test_acceptance_05_symmetry_and_block_sum_tests_agree():
         (Fraction(1, 6), Fraction(2, 3))
     b, c = letter_index("b"), letter_index("c")
     two_white = part.block_of[letter_index("e")]
-    assert block_row_sums(chain, part, b)[two_white] == Fraction(1, 6)
-    assert block_row_sums(chain, part, c)[two_white] == Fraction(2, 3)
+    assert block_row_sums(chain, part, [b]).entry(0, two_white) == Fraction(1, 6)
+    assert block_row_sums(chain, part, [c]).entry(0, two_white) == Fraction(2, 3)
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
     print(f"ACCEPTANCE 05 PASS: generator test and block-sum test agree; "
@@ -168,9 +168,9 @@ def test_acceptance_06_line_chain_entries():
         # brute-force oracle: block sums of every micro row
         for x in range(chain.n_states):
             k = chain.space.counts(chain.space.config_of(x))[0]
-            sums = block_row_sums(chain, part, x)
+            sums = block_row_sums(chain, part, [x])
             for l in range(n + 1):
-                got = sums.get(l, Fraction(0))
+                got = sums.entry(0, l)
                 if abs(l - k) == 1:
                     assert got == Fraction(k * (n - k), denom)
                 elif l != k:

@@ -92,8 +92,8 @@ def test_check_lumpable_complete(voter3_chain):
     assert verdict
     # every mixed state with one white agent sends 1/3 to the all-black block
     for letter in "bcd":
-        sums = block_row_sums(voter3_chain, part, letter_index(letter))
-        assert sums[0] == Fraction(1, 3)
+        sums = block_row_sums(voter3_chain, part, [letter_index(letter)])
+        assert sums.entry(0, 0) == Fraction(1, 3)
 
 
 def test_check_lumpable_path_witness(path3_chain):
@@ -105,8 +105,8 @@ def test_check_lumpable_path_witness(path3_chain):
     # the documented mismatch: b and c disagree on the two-white block
     b, c = letter_index("b"), letter_index("c")
     two_white = part.block_of[letter_index("e")]
-    assert block_row_sums(path3_chain, part, b).get(two_white, 0) == Fraction(1, 6)
-    assert block_row_sums(path3_chain, part, c).get(two_white, 0) == Fraction(2, 3)
+    assert block_row_sums(path3_chain, part, [b]).entry(0, two_white) == Fraction(1, 6)
+    assert block_row_sums(path3_chain, part, [c]).entry(0, two_white) == Fraction(2, 3)
 
 
 def test_singleton_partition_always_lumpable(path3_chain):

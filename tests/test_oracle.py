@@ -30,7 +30,8 @@ from microlump import (AnalysisError, Alphabet, ChoiceDistribution, DocumentPars
                        half_hypercube_partition, is_chain_symmetric, lump,
                        model_fingerprint, moran_partition, orbits, parse_model,
                        parse_presets, read_sparse, serialize_model, simulate, write_sparse)
-from conftest import path_topology, random_topology
+from microlump.lumping import block_row_sums
+from conftest import path_topology, random_topology, star_topology
 
 import oracle
 
@@ -98,10 +99,12 @@ def generator_sets(spec, rng):
     return sets
 
 
-def random_partition(n_states, rng):
-    """Random blocks, members listed in random order, so that a block's
-    first listed member is often not its smallest."""
-    k = rng.randint(1, min(6, n_states))
+def random_partition(n_states, rng, k=None):
+    """Random blocks (k of them, or one to six), members listed in random
+    order, so that a block's first listed member is often not its
+    smallest."""
+    if k is None:
+        k = rng.randint(1, min(6, n_states))
     groups = [[] for _ in range(k)]
     for x in range(n_states):
         groups[x % k if x < k else rng.randrange(k)].append(x)
@@ -173,6 +176,77 @@ def test_the_seeds_cover_both_verdicts():
             sym[bool(is_chain_symmetric(chain, gens))] += 1
         lumpable[bool(check_lumpable(chain, frequency_partition(chain.space)))] += 1
     assert min(sym.values()) >= 10 and min(lumpable.values()) >= 3
+
+
+def reach_orders(chain, part):
+    """Per row, its block ids in the order the row first reaches them."""
+    return [list(dict.fromkeys(part.block_of[y] for y, _ in row)) for row in chain.rows]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("topology", [path_topology(5), star_topology(5), random_topology(5, 3)],
+                         ids=["path", "star", "random"])
+def test_witness_order_matches_the_reference_over_many_blocks(topology, seed):
+    """Nine or more blocks, listed in shuffled order with unsorted members.
+    Block ids past 7 share set slots with smaller ones, so the order in
+    which `base.keys() | agg.keys()` yields a row's blocks depends on the
+    order the row first reaches them, and the witnesses must follow the
+    row-by-row reference in that order too."""
+    rng = random.Random(seed)
+    chain = build_micro_chain(builtin_voter(topology, labels=LABELS))
+    rows = chain.rows
+    k = rng.randint(9, 20)
+    part = random_partition(chain.n_states, rng, k)
+    shuffled = rng.sample(range(k), k)
+    part = Partition(tuple(part.blocks[i] for i in shuffled), part.labels)
+    assert sorted(part.blocks, key=min) != list(part.blocks)
+    assert any(list(b) != sorted(b) for b in part.blocks)
+    reached = reach_orders(chain, part)
+    assert any(order != sorted(order) for order in reached)
+    assert any(len({b % 8 for b in order}) < len(order) for order in reached)
+    # the same chain imported with a stored 0/1 entry in most rows: a block
+    # reached only by a zero still enters the row's block set
+    padded = []
+    for row in rows:
+        y = rng.randrange(len(rows))
+        padded.append(row if y in dict(row) else tuple(sorted(row + ((y, Fraction(0)),))))
+    padded = tuple(padded)
+    assert sum(map(len, padded)) > sum(map(len, rows)) + len(rows) // 2
+    imported = read_sparse(sparse_text(oracle.write_sparse, padded))
+    for matrix, ref in ((chain, rows), (imported, padded)):
+        for tol in (None, 0.01):
+            for exhaustive in (False, True):
+                verdict = check_lumpable(matrix, part, tol=tol, exhaustive=exhaustive)
+                assert verdict == oracle.check_lumpable(ref, part, tol=tol,
+                                                        exhaustive=exhaustive)
+            assert len(verdict.violations) > k
+        check_lumping(matrix, ref, part)
+
+
+def test_forced_profile_over_an_explicit_zero_entry():
+    """An imported chain may store an entry of 0/1. The forced macro rows
+    hold nonzero block sums only, as `lump`'s rows do, and the profile and
+    the witnesses (whose block sets include the block the zero reaches)
+    match the references."""
+    text = ("states=4 nnz=9\n0 0 1/2\n0 3 1/2\n1 0 1/3\n1 1 2/3\n1 2 0/1\n"
+            "2 1 1/4\n2 3 3/4\n3 0 0/1\n3 3 1/1\n")
+    chain = read_sparse(text)
+    rows, _ = oracle.read_sparse(text)
+    assert 0 in chain.nums.tolist()
+    mu = [Fraction(1, 5), Fraction(2, 5), Fraction(0), Fraction(2, 5)]
+    parts = (Partition(((1, 0), (3, 2)), ("A", "B")),
+             Partition(((1,), (0, 2), (3,)), ("A", "B", "C")))
+    for part in parts:
+        forced = block_row_sums(chain, part, [block[0] for block in part.blocks])
+        assert 0 not in forced.nums.tolist()
+        check_lumping(chain, rows, part)
+        check_profiles(chain, rows, part, mu, 6)
+        # state 2 is flagged, but of its sums only the one into block B
+        # (0 against 1/2) lies beyond 0.25; A's and C's are exactly 0.25 off
+        for exhaustive in (False, True):
+            assert (check_lumpable(chain, part, tol=0.25, exhaustive=exhaustive)
+                    == oracle.check_lumpable(rows, part, tol=0.25, exhaustive=exhaustive))
+    assert max(commutation_profile(chain, parts[0], mu, 6, force=True)) > 0
 
 
 def _outcome(parse, text):
@@ -681,3 +755,16 @@ def test_ragged_and_empty_choices_match_the_reference(voter3):
         message = _spec_error(voter3, entries)
         assert message is not None and message == _reference_spec_error(voter3, entries)
     assert _error(lambda: ChoiceDistribution({})) == _error(lambda: oracle.check_choice({}))
+
+
+def test_integral_float_agents_give_the_integer_draw_table(voter3):
+    """Agents written as integral floats pass the scalar checks, as they do
+    in the reference; the model keeps them as int64 rows, so its draw
+    table and chain are those of the integer keys."""
+    entries = {(a, float(b)): p for (a, b), p in voter3.choice.entries.items()}
+    assert _spec_error(voter3, entries) is None is _reference_spec_error(voter3, entries)
+    spec = ModelSpec(name=voter3.name, alphabet=voter3.alphabet, topology=voter3.topology,
+                     rule=voter3.rule, choice=ChoiceDistribution(entries))
+    assert all(np.array_equal(got, want) for got, want in zip(spec.draws, voter3.draws))
+    assert (sparse_text(write_sparse, build_micro_chain(spec))
+            == sparse_text(write_sparse, build_micro_chain(voter3)))
