@@ -12,6 +12,7 @@ the common denominator of the draw probabilities.
 
 from __future__ import annotations
 
+import io
 import itertools
 import re
 from dataclasses import dataclass
@@ -257,8 +258,7 @@ def validate_stochastic(chain: Chain, tol: float = 1e-9) -> None:
     else:
         # |sum - denom| is an integer, so comparing it with floor(tol * denom)
         # is exact; the clamp keeps the bound inside int64
-        limit = max(-1, min(floor(Fraction(tol) * denom), INT64_MAX))
-        off = abs(sums - denom) > limit
+        off = abs(sums - denom) > min(floor(Fraction(tol) * denom), INT64_MAX)
     bad = np.flatnonzero(unsorted | negative | off)
     if not len(bad):
         return
@@ -292,6 +292,10 @@ def write_sparse(chain: Chain, fh: TextIO) -> None:
 
 # every token a plain ratio of decimal digit strings
 _RATIOS = re.compile(r"(?:[0-9]+/[0-9]+\n)*[0-9]+/[0-9]+")
+# every line as the writer writes it, each value of at most 18 digits, so
+# below 2**63
+_LINE = r"[0-9]{1,18} [0-9]{1,18} [0-9]{1,18}/[0-9]{1,18}"
+_WRITTEN = re.compile(f"(?:{_LINE}\n)*{_LINE}")
 
 
 def _line_chunks(text: str) -> Iterator[List[str]]:
@@ -370,17 +374,26 @@ def _parse_entries(lines: List[str], n_states: int, prev: Tuple[int, int]):
     that follow the entry `prev`, whether every value is a ratio, and the
     index of the first line failing a check (None when all pass).
 
-    Tokens are converted in bulk and the checks run as array comparisons;
-    the lines after the first one without three tokens are not converted.
+    Lines in the writer's own shape are converted in one `np.loadtxt` pass,
+    other text by the general converters, which leave the lines after the
+    first one without three tokens unconverted. The same array checks run
+    on either.
     """
-    wrong = np.flatnonzero(np.fromiter(map(len, map(str.split, lines)), np.int64,
-                                       len(lines)) != 3)
-    cut = int(wrong[0]) if len(wrong) else len(lines)
-    toks = " ".join(lines[:cut]).split()
-    xs, x_ok = _parse_ints(toks[0::3])
-    ys, y_ok = _parse_ints(toks[1::3])
-    num, den, v_ok, exact = _parse_values(toks[2::3])
-    ok = x_ok & y_ok & v_ok & (xs >= 0) & (xs < n_states) & (ys >= 0) & (ys < n_states)
+    text = "\n".join(lines)
+    if _WRITTEN.fullmatch(text):
+        xs, ys, num, den = np.loadtxt(io.StringIO(text.replace("/", " ")),
+                                      dtype=np.int64, ndmin=2).T
+        cut, ok, exact = len(lines), den != 0, True
+    else:
+        wrong = np.flatnonzero(np.fromiter(map(len, map(str.split, lines)), np.int64,
+                                           len(lines)) != 3)
+        cut = int(wrong[0]) if len(wrong) else len(lines)
+        toks = " ".join(lines[:cut]).split()
+        xs, x_ok = _parse_ints(toks[0::3])
+        ys, y_ok = _parse_ints(toks[1::3])
+        num, den, v_ok, exact = _parse_values(toks[2::3])
+        ok = x_ok & y_ok & v_ok
+    ok &= (xs >= 0) & (xs < n_states) & (ys >= 0) & (ys < n_states)
     px, py = np.append(prev[0], xs[:-1]), np.append(prev[1], ys[:-1])
     ok &= (xs > px) | ((xs == px) & (ys > py))
     bad = np.flatnonzero(~ok)
@@ -435,7 +448,10 @@ def read_sparse(text: str) -> Chain:
         raise error
     xs, ys, num, den = map(np.concatenate, columns)
     xs, ys = xs.astype(np.int64), ys.astype(np.int64)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(xs, minlength=n_states))))
+    # rows past the last one holding an entry are empty, so the first of
+    # them fails validation: the arrays need not reach `n_states`
+    rows = min(n_states, int(xs.max(initial=-1)) + 2)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(xs, minlength=rows))))
     nums, denom = _over_common_denominator(num, den, indptr)
     chain = Chain(indptr, ys, nums, denom, exact=exact)
     validate_stochastic(chain)

@@ -4,8 +4,8 @@ invariance test that certifies a generator set as chain symmetries.
 A space permutation reorders agents and relabels attribute codes at the
 same time: position i of the image holds the relabeled code the source
 kept at the preimage of i. Groups are never enumerated; orbits come from
-union-find over the generators and the invariance check on generators
-extends to the whole generated group by closure.
+label propagation over the generators and the invariance check on
+generators extends to the whole generated group by closure.
 """
 
 from __future__ import annotations
@@ -229,43 +229,26 @@ def parse_generator_file(text: str, n: int, delta: int) -> GeneratorSet:
 # ---------------------------------------------------------------------------
 # orbits
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            if rx > ry:
-                rx, ry = ry, rx
-            self.parent[ry] = rx
-
-
 def orbits(space: ConfigSpace, gens: GeneratorSet) -> Partition:
-    """Orbit partition of the generated group, via union-find on the edges
-    x ~ g(x) over the generators only.
+    """Orbit partition of the generated group, by min-label propagation on
+    the edges x ~ g(x) over the generators only: each state takes the
+    least label of itself and its images under every generator and its
+    inverse, then the label of its label, until nothing changes. Labels
+    only fall and always name a state of the same orbit, so they settle
+    on each orbit's smallest member.
 
     Blocks are ordered by smallest member; a block whose members all share
     one attribute-count vector is labeled with it, others get `O<i>`.
     """
-    uf = _UnionFind(space.size)
-    for perm in gens.perms:
-        image = perm.index_map(space)
-        moved = np.nonzero(image != np.arange(space.size, dtype=np.int64))[0]
-        union = uf.union
-        for x in moved.tolist():
-            union(x, int(image[x]))
-    find = uf.find
-    blocks = group_blocks([find(x) for x in range(space.size)])
+    images = [perm.index_map(space) for perm in gens.perms]
+    label, old = np.arange(space.size, dtype=np.int64), None
+    while old is None or not np.array_equal(label, old):
+        old, label = label, label[label]
+        for image in images:
+            np.minimum(label, label[image], out=label)
+            # the inverse image's label, by writing through the permutation
+            label[image] = np.minimum(label[image], label)
+    blocks = group_blocks(label)
     counts = space.counts_matrix
     _, cls, class_size = np.unique(counts, axis=0, return_inverse=True,
                                    return_counts=True)

@@ -6,6 +6,9 @@ These are the plain-loop versions the integer CSR core replaced, kept as
 the oracle `test_oracle.py` compares it against. They return the package's
 own verdict, witness and report types, so results compare with `==`.
 
+`orbits` is the union-find over generator edges that min-label
+propagation replaced.
+
 The first section validates models and derives draw probabilities with
 `Fraction` arithmetic, the path the integer draw table replaced. The last
 section applies draws to configuration tuples through the rule dict: the
@@ -23,7 +26,8 @@ from microlump import (AnalysisError, ConfigSpace, DocumentParseError, RandomMap
                        ValidationError, model_fingerprint)
 from microlump.analysis import (RESIDUAL_BOUND, AbsorptionReport, Classification,
                                 validate_distribution)
-from microlump.lumping import LumpVerdict, LumpWitness
+from microlump.lumping import (LumpVerdict, LumpWitness, Partition, count_label,
+                               group_blocks)
 from microlump.sim import Deviation, EstimateReport, SimRun
 from microlump.symmetry import SymmetryVerdict, SymmetryWitness
 
@@ -154,6 +158,9 @@ def build_rows(spec, cap=None):
 
 
 def validate_stochastic(rows, exact=True, tol=1e-9):
+    """Checks rows in order, which may come from any iterable, and returns
+    them as a tuple."""
+    checked = []
     for x, row in enumerate(rows):
         cols = [c for c, _ in row]
         if cols != sorted(set(cols)):
@@ -166,6 +173,8 @@ def validate_stochastic(rows, exact=True, tol=1e-9):
                 raise ValidationError(f"row {x} sums to {total} ≠ 1")
         elif abs(total - ONE) > tol:
             raise ValidationError(f"row {x} sums to {float(total)} outside 1±{tol}")
+        checked.append(row)
+    return tuple(checked)
 
 
 def write_sparse(rows, fh):
@@ -191,7 +200,7 @@ def read_sparse(text):
         raise DocumentParseError("header counts must be integers", 1)
     if len(lines) - 1 != nnz:
         raise DocumentParseError(f"expected {nnz} entry lines, found {len(lines) - 1}")
-    entries = [[] for _ in range(n_states)]
+    entries = {}
     exact = True
     prev = (-1, -1)
     for lineno, line in enumerate(lines[1:], start=2):
@@ -214,9 +223,11 @@ def read_sparse(text):
             p = Fraction(tok)
         except (ValueError, ZeroDivisionError):
             raise DocumentParseError(f"bad value {tok!r}", lineno)
-        entries[x].append((y, p))
-    rows = tuple(tuple(row) for row in entries)
-    validate_stochastic(rows, exact=exact)
+        entries.setdefault(x, []).append((y, p))
+    # row by row: the first failing row ends the read, however many states
+    # the header declares
+    rows = validate_stochastic((tuple(entries.get(x, ())) for x in range(n_states)),
+                               exact=exact)
     return rows, exact
 
 
@@ -236,6 +247,51 @@ def is_chain_symmetric(rows, space, gens):
                         witness = SymmetryWitness(gi, x, y, p, ix, iy, pi)
                         return SymmetryVerdict(False, witness)
     return SymmetryVerdict(True)
+
+
+class UnionFind:
+    __slots__ = ("parent",)
+
+    def __init__(self, size):
+        self.parent = list(range(size))
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            if rx > ry:
+                rx, ry = ry, rx
+            self.parent[ry] = rx
+
+
+def orbits(space, gens):
+    """Union-find on the edges x ~ g(x), state by state; the roots are
+    block minima."""
+    uf = UnionFind(space.size)
+    for perm in gens.perms:
+        image = perm.index_map(space)
+        moved = np.nonzero(image != np.arange(space.size, dtype=np.int64))[0]
+        for x in moved.tolist():
+            uf.union(x, int(image[x]))
+    blocks = group_blocks([uf.find(x) for x in range(space.size)])
+    counts = space.counts_matrix
+    _, cls, class_size = np.unique(counts, axis=0, return_inverse=True,
+                                   return_counts=True)
+    cls = cls.reshape(-1)
+    labels = []
+    for bid, members in enumerate(blocks):
+        first = cls[members[0]]
+        if len(members) == class_size[first] and bool((cls[list(members)] == first).all()):
+            labels.append(count_label(counts[members[0]]))
+        else:
+            labels.append(f"O{bid}")
+    return Partition(blocks, tuple(labels))
 
 
 def block_row_sums(rows, part, state):

@@ -283,3 +283,16 @@ def test_a_row_sum_beyond_the_largest_double_is_reported(tmp_path, capsys, verb)
         code, out, err = run(capsys, verb, str(chain), *extra)
         assert code == 5 and out == ""
         assert err == f"error: row 0 sums to {shown} outside 1±1e-09\n"
+
+
+@pytest.mark.parametrize("verb", ["analyze", "check-lump"])
+def test_a_huge_state_count_fails_at_its_first_empty_row(tmp_path, capsys, verb):
+    """Rows past the last entry are empty: the first of them is reported,
+    without allocating a row per declared state."""
+    chain, part = tmp_path / "chain.sparse", tmp_path / "one.part"
+    chain.write_text("states=10000000000000 nnz=1\n0 0 1/1\n")
+    part.write_text("A: 0\n")
+    extra = {"check-lump": [str(part)], "analyze": []}[verb]
+    code, out, err = run(capsys, verb, str(chain), *extra)
+    assert code == 5 and out == ""
+    assert err == "error: row 1 sums to 0 ≠ 1\n"

@@ -5,8 +5,8 @@ exhaustive), reduced chains, propagation, aggregation, commutation
 profiles, state classification and absorption, on seeded random models;
 the draws applied through the compiled rule table (map actions,
 `maps --table`, trajectories and matrix estimates) against the rule-dict
-references; and the integer draw table and model validation against the
-`Fraction` path they replaced."""
+references; the integer draw table and model validation against the
+`Fraction` path they replaced; and orbit partitions against union-find."""
 
 import io
 import itertools
@@ -22,9 +22,9 @@ from microlump import analysis, cli, sim
 from microlump import chain as chainmod
 from microlump import (absorption_analysis, aggregate, classify_states,
                        commutation_profile, propagate)
-from microlump import (AnalysisError, Alphabet, ChoiceDistribution, DocumentParseError,
-                       GeneratorSet, ModelSpec, NotLumpableError, Partition,
-                       SpacePermutation, Topology, UpdateRule, ValidationError,
+from microlump import (AnalysisError, Alphabet, ChoiceDistribution, ConfigSpace,
+                       DocumentParseError, GeneratorSet, ModelSpec, NotLumpableError,
+                       Partition, SpacePermutation, Topology, UpdateRule, ValidationError,
                        build_micro_chain, builtin_voter, check_lumpable,
                        enumerate_maps, estimate_matrix, frequency_partition,
                        half_hypercube_partition, is_chain_symmetric, lump,
@@ -274,6 +274,23 @@ def _mutations(text, rng):
         doc(body[:i] + [f"{x} {y} {bad}"] + body[i + 1:])
     for row, col in (("-1", y), (x, "99999"), ("99999999999999999999999", y), ("1.0", y)):
         doc(body[:i] + [f"{row} {col} {value}"] + body[i + 1:])
+    n_states = int(header.split()[0].split("=")[1])
+    for row, col in ((str(n_states), y), (x, str(n_states)), (x.zfill(19), y)):
+        doc(body[:i] + [f"{row} {col} {value}"] + body[i + 1:])
+    # the same value with 18 digits (read in bulk) and 19 (read token by token)
+    num, den = value.split("/")
+    for digits in (18, 19):
+        pad = "0" * (digits - len(den))
+        doc(body[:i] + [f"{x} {y} {num}{pad}/{den}{pad}"] + body[i + 1:])
+    k = -(-2 ** 63 // int(den))                                         # past int64
+    doc(body[:i] + [f"{x} {y} {int(num) * k}/{int(den) * k}"] + body[i + 1:])
+    for nnz in (len(body) - 1, len(body) + 1):                          # header count
+        out.append("\n".join([f"states={n_states} nnz={nnz}"] + body) + "\n")
+    out.append("\n".join([f"states={n_states} nnz={len(body) + 1}"] + body[:i]
+                         + [f"{x} {y} 1/0"] + body[i:]) + "\n")       # count first
+    out.append("states=2 nnz=0\n")
+    out.append("states=10000000000000 nnz=1\n0 0 1/1\n")
+    out.append("states=10000000000000 nnz=2\n0 0 1/1\n3 3 1/1\n")
     doc(body[:i] + [f"{x} {y}"] + body[i + 1:])                         # missing token
     doc(body[:i] + [f"{x} {y} {value} 1"] + body[i + 1:])               # extra token
     doc(body[:i] + [f"  {x}\t{y}   {value}  # note", "", "# comment only"] + body[i + 1:])
@@ -299,6 +316,42 @@ def test_parse_errors_match_the_reference(seed, chunk, monkeypatch):
     for variant in [text] + _mutations(text, rng):
         got = _outcome(lambda t: (lambda c: (c.rows, c.exact))(read_sparse(t)), variant)
         assert got == _outcome(oracle.read_sparse, variant), variant
+
+
+def test_the_writers_lines_are_read_in_bulk(monkeypatch):
+    """The general converters are never reached on the writer's output."""
+    chain = build_micro_chain(builtin_voter(Topology.complete(8)))
+    text = sparse_text(write_sparse, chain)
+
+    def general(tokens):
+        raise AssertionError("general converter reached")
+
+    monkeypatch.setattr(chainmod, "_parse_ints", general)
+    monkeypatch.setattr(chainmod, "_parse_values", general)
+    again = read_sparse(text)
+    assert again.rows == chain.rows
+    assert sparse_text(write_sparse, again) == text
+
+
+def check_orbits(space, gens):
+    got, want = orbits(space, gens), oracle.orbits(space, gens)
+    assert got.blocks == want.blocks
+    assert got.labels == want.labels
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_orbits_match_the_union_find_reference(seed):
+    """Preset, reflection and random generator sets, each generator alone,
+    and the identity."""
+    rng = random.Random(seed)
+    spec = random_model(seed)
+    space = ConfigSpace(spec.n_agents, spec.delta)
+    identity = SpacePermutation.identity(spec.n_agents, spec.delta)
+    check_orbits(space, GeneratorSet("identity", (identity,)))
+    for gens in generator_sets(spec, rng):
+        check_orbits(space, gens)
+        for perm in gens.perms:
+            check_orbits(space, GeneratorSet("one", (perm,)))
 
 
 # primes near 2**31: every lcm of two or more of them exceeds 2**63

@@ -1,12 +1,15 @@
 """Round trips on random small models and chains, as Hypothesis
 properties: a model through its canonical document, and a chain through
-the sparse format."""
+the sparse format, read in bulk and by the general parser."""
 
 import io
+import re
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import Phase, given, settings, strategies as st
 
+from microlump import chain as chainmod
 from microlump import (Alphabet, ChoiceDistribution, ModelSpec, Topology, UpdateRule,
                        build_micro_chain, model_fingerprint, parse_model, read_sparse,
                        serialize_model, write_sparse)
@@ -120,3 +123,17 @@ def test_any_stochastic_chain_round_trips_through_the_sparse_format(matrix):
     again = read_sparse(_text(chain))
     assert _arrays(again) == _arrays(chain)
     assert _text(again) == _text(chain)
+
+
+@PROPERTY
+@given(rows())
+def test_the_bulk_and_the_general_reader_give_the_same_arrays(matrix):
+    """The writer's lines read in bulk, and read again with the bulk
+    branch disabled."""
+    buf = io.StringIO()
+    oracle.write_sparse(matrix, buf)
+    bulk = read_sparse(buf.getvalue())
+    with mock.patch.object(chainmod, "_WRITTEN", re.compile("(?!)")):
+        general = read_sparse(buf.getvalue())
+    assert _arrays(bulk) == _arrays(general)
+    assert bulk.nums.dtype == general.nums.dtype
