@@ -23,7 +23,7 @@ from .model import (Alphabet, ChoiceDistribution, ModelSpec, Topology,
 from .sim import SimRun, estimate_matrix, project_trajectory, simulate
 from .space import Config, ConfigSpace, DEFAULT_CAP, default_cap
 from .symmetry import (GeneratorSet, SpacePermutation, agent_symmetric_group,
-                       attr_group_fixing, attr_symmetric_group,
+                       attr_group_fixing, attr_symmetric_group, certify,
                        flip_generator, is_chain_symmetric, orbits,
                        parse_generator_file, parse_presets)
 

@@ -19,7 +19,7 @@ from typing import Iterator, List, Sequence, TextIO, Tuple
 
 import numpy as np
 
-from .chain import INT64_MAX, Chain, to_floats, to_fractions
+from .chain import INT64_MAX, Chain, decimal_text, to_floats, to_fractions
 from .errors import AnalysisError, DocumentParseError, ValidationError
 from .lumping import Partition, block_row_sums, lump
 from .model import to_numerators
@@ -205,7 +205,8 @@ def point_mass(n_states: int, state: int) -> List[Fraction]:
     return mu
 
 
-def validate_distribution(mu: Sequence[Fraction], n_states: int) -> List[Fraction]:
+def validate_distribution(mu: Sequence[Fraction], n_states: int, exact=True) -> List[Fraction]:
+    """`mu` as Fractions, checked; a bad sum is shown in decimal unless `exact`."""
     if len(mu) != n_states:
         raise ValidationError(f"distribution has {len(mu)} entries, chain has {n_states}")
     mu = [Fraction(p) for p in mu]
@@ -213,7 +214,8 @@ def validate_distribution(mu: Sequence[Fraction], n_states: int) -> List[Fractio
         raise ValidationError("distribution has a negative entry")
     total = sum(mu)
     if total != ONE:
-        raise ValidationError(f"distribution sums to {total} ≠ 1")
+        shown = total if exact else decimal_text(total)
+        raise ValidationError(f"distribution sums to {shown} ≠ 1")
     return mu
 
 
@@ -317,7 +319,7 @@ def write_distribution(mu: Sequence[Fraction], fh: TextIO) -> None:
 
 def read_distribution(text: str, n_states: int) -> List[Fraction]:
     mu = [Fraction(0)] * n_states
-    seen = set()
+    seen, exact = set(), True
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#")[0].strip()
         if not line:
@@ -335,8 +337,8 @@ def read_distribution(text: str, n_states: int) -> List[Fraction]:
         if x in seen:
             raise DocumentParseError(f"state {x} listed twice", lineno)
         seen.add(x)
-        mu[x] = p
-    return validate_distribution(mu, n_states)
+        mu[x], exact = p, exact and "/" in toks[1]
+    return validate_distribution(mu, n_states, exact)
 
 
 def absorption_text(report: AbsorptionReport, names=None) -> str:

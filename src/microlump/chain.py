@@ -130,6 +130,15 @@ def to_floats(nums: np.ndarray, denom: int) -> np.ndarray:
     return np.array([num / denom for num in nums.tolist()], dtype=np.float64)
 
 
+def decimal_text(p: Fraction) -> str:
+    """A sum of values read as decimals, shown as a float, or in 17
+    significant digits when it is beyond the largest double."""
+    try:
+        return str(float(p))
+    except OverflowError:
+        return f"{Decimal(p.numerator) / p.denominator:.17g}"
+
+
 @dataclass(frozen=True, eq=False)
 class Chain:
     """Exact sparse transition matrix in CSR form over one common
@@ -270,11 +279,7 @@ def validate_stochastic(chain: Chain, tol: float = 1e-9) -> None:
     total = Fraction(int(sums[x]), denom)
     if chain.exact:
         raise ValidationError(f"row {x} sums to {total} ≠ 1")
-    try:
-        shown = str(float(total))
-    except OverflowError:  # beyond the largest double: 17 digits in decimal
-        shown = f"{Decimal(total.numerator) / total.denominator:.17g}"
-    raise ValidationError(f"row {x} sums to {shown} outside 1±{tol}")
+    raise ValidationError(f"row {x} sums to {decimal_text(total)} outside 1±{tol}")
 
 
 def write_sparse(chain: Chain, fh: TextIO) -> None:
@@ -285,9 +290,9 @@ def write_sparse(chain: Chain, fh: TextIO) -> None:
         at = slice(lo, lo + _CHUNK_LINES)
         nums = chain.nums[at]
         g = np.gcd(nums, chain.denom)
-        fh.write("".join(map("{} {} {}/{}\n".format, chain.sources[at].tolist(),
-                             chain.cols[at].tolist(), (nums // g).tolist(),
-                             (chain.denom // g).tolist())))
+        fields = np.column_stack((chain.sources[at], chain.cols[at], nums // g,
+                                  chain.denom // g)).ravel().tolist()
+        fh.write("%d %d %d/%d\n" * len(nums) % tuple(fields))
 
 
 # every token a plain ratio of decimal digit strings
@@ -298,19 +303,23 @@ _LINE = r"[0-9]{1,18} [0-9]{1,18} [0-9]{1,18}/[0-9]{1,18}"
 _WRITTEN = re.compile(f"(?:{_LINE}\n)*{_LINE}")
 
 
-def _line_chunks(text: str) -> Iterator[List[str]]:
-    """The non-empty lines of `text`, comments and outer blanks stripped,
-    a bounded piece of text at a time. Pieces end just after a newline, so
-    no line, nor a \\r\\n pair, is cut."""
+def _line_chunks(text: str) -> Iterator[Tuple[str, bool]]:
+    """Bounded pieces of `text`, each with its non-empty lines stripped of
+    comments and outer blanks and joined by newlines, unless it was all in
+    the writer's own shape as it stood, and whether it was. Pieces end just
+    after a newline, so no line, nor a \\r\\n pair, is cut."""
     start = 0
     while start < len(text):
         end = text.find("\n", start + _CHUNK_CHARS)
         end = len(text) if end < 0 else end + 1
-        piece = text[start:end]
-        lines = piece.splitlines()
-        if "#" in piece:
-            lines = [ln.split("#")[0] for ln in lines]
-        yield [ln for ln in map(str.strip, lines) if ln]
+        piece = text[start:end].removesuffix("\n")
+        written = _WRITTEN.fullmatch(piece) is not None
+        if not written:
+            lines = piece.splitlines()
+            if "#" in piece:
+                lines = [ln.split("#")[0] for ln in lines]
+            piece = "\n".join(ln for ln in map(str.strip, lines) if ln)
+        yield piece, written
         start = end
 
 
@@ -369,25 +378,25 @@ def _parse_values(tokens: List[str]):
             ok, all("/" in tok for tok in tokens))
 
 
-def _parse_entries(lines: List[str], n_states: int, prev: Tuple[int, int]):
-    """Rows, columns, numerators and denominators of `row col value` lines
+def _parse_entries(text: str, written: bool, n_states: int, prev: Tuple[int, int]):
+    """Rows, columns, numerators and denominators of the lines of `text`
     that follow the entry `prev`, whether every value is a ratio, and the
     index of the first line failing a check (None when all pass).
 
-    Lines in the writer's own shape are converted in one `np.loadtxt` pass,
-    other text by the general converters, which leave the lines after the
-    first one without three tokens unconverted. The same array checks run
-    on either.
+    Lines in the writer's own shape (`written`, or found so) are converted
+    in one `np.loadtxt` pass, other text by the general converters, which
+    leave the lines after the first one without three tokens unconverted.
+    The same array checks run on either.
     """
-    text = "\n".join(lines)
-    if _WRITTEN.fullmatch(text):
+    if written or _WRITTEN.fullmatch(text):
         xs, ys, num, den = np.loadtxt(io.StringIO(text.replace("/", " ")),
                                       dtype=np.int64, ndmin=2).T
-        cut, ok, exact = len(lines), den != 0, True
+        cut, ok, exact = None, den != 0, True
     else:
+        lines = text.split("\n")
         wrong = np.flatnonzero(np.fromiter(map(len, map(str.split, lines)), np.int64,
                                            len(lines)) != 3)
-        cut = int(wrong[0]) if len(wrong) else len(lines)
+        cut = int(wrong[0]) if len(wrong) else None
         toks = " ".join(lines[:cut]).split()
         xs, x_ok = _parse_ints(toks[0::3])
         ys, y_ok = _parse_ints(toks[1::3])
@@ -397,7 +406,7 @@ def _parse_entries(lines: List[str], n_states: int, prev: Tuple[int, int]):
     px, py = np.append(prev[0], xs[:-1]), np.append(prev[1], ys[:-1])
     ok &= (xs > px) | ((xs == px) & (ys > py))
     bad = np.flatnonzero(~ok)
-    first_bad = int(bad[0]) if len(bad) else (cut if cut < len(lines) else None)
+    first_bad = int(bad[0]) if len(bad) else cut
     return (xs, ys, num, den), exact, first_bad
 
 
@@ -409,14 +418,10 @@ def read_sparse(text: str) -> Chain:
     count is checked before any line's message is reported.
     """
     chunks = _line_chunks(text)
-    lines: List[str] = []
-    for lines in chunks:
-        if lines:
-            break
-    if not lines:
+    header, _, rest = next((piece for piece, _ in chunks if piece), "").partition("\n")
+    if not header:
         raise DocumentParseError("empty sparse file")
-    header = lines[0].split()
-    fields = dict(part.split("=", 1) for part in header if "=" in part)
+    fields = dict(part.split("=", 1) for part in header.split() if "=" in part)
     if "states" not in fields or "nnz" not in fields:
         raise DocumentParseError("header must be 'states=<n> nnz=<m>'", 1)
     try:
@@ -428,9 +433,9 @@ def read_sparse(text: str) -> Chain:
             f"header needs states >= 1 and nnz >= 0, got states={n_states} nnz={nnz}", 1)
     columns = [[np.zeros(0, dtype=np.int64)] for _ in range(4)]
     exact, error, found, prev = True, None, 0, (-1, -1)
-    for body in itertools.chain([lines[1:]], chunks):
+    for body, written in itertools.chain([(rest, False)], chunks):
         if error is None and body:
-            arrays, chunk_exact, bad = _parse_entries(body, n_states, prev)
+            arrays, chunk_exact, bad = _parse_entries(body, written, n_states, prev)
             xs, ys = arrays[:2]
             if bad is None:
                 for column, array in zip(columns, arrays):
@@ -439,9 +444,9 @@ def read_sparse(text: str) -> Chain:
                 prev = (int(xs[-1]), int(ys[-1]))
             else:
                 before = (int(xs[bad - 1]), int(ys[bad - 1])) if bad else prev
-                error = DocumentParseError(
-                    _entry_error(body[bad].split(), n_states, before), found + bad + 2)
-        found += len(body)
+                error = DocumentParseError(_entry_error(
+                    body.split("\n")[bad].split(), n_states, before), found + bad + 2)
+        found += body.count("\n") + 1 if body else 0
     if found != nnz:
         raise DocumentParseError(f"expected {nnz} entry lines, found {found}")
     if error is not None:

@@ -92,6 +92,12 @@ def cmd_orbits(args) -> int:
 def cmd_check_sym(args) -> int:
     spec = load_model(args.model)
     gens = _generators(args, spec)
+    # the cap holds even where the certificate, which needs no chain, decides;
+    # a failing certificate proves nothing, so the matrix gives that verdict
+    ConfigSpace(spec.n_agents, spec.delta, labels=spec.alphabet.symbols, cap=_cap(args))
+    if symmetry.certify(spec, gens):
+        print(f"symmetric under {gens.name}")
+        return EXIT_OK
     mc = chainmod.build_micro_chain(spec, cap=_cap(args))
     verdict = symmetry.is_chain_symmetric(mc, gens)
     if verdict:

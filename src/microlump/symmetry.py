@@ -1,5 +1,6 @@
-"""Permutations acting on configurations, orbit partitions, and the
-invariance test that certifies a generator set as chain symmetries.
+"""Permutations acting on configurations, orbit partitions, and the two
+tests of a generator set as chain symmetries: a certificate on the model's
+draw and rule tables, and the invariance test on the matrix itself.
 
 A space permutation reorders agents and relabels attribute codes at the
 same time: position i of the image holds the relabeled code the source
@@ -16,8 +17,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .chain import rule_table
 from .errors import DocumentParseError, ValidationError
 from .lumping import Partition, count_label, group_blocks
+from .model import ModelSpec
 from .space import Config, ConfigSpace
 
 
@@ -40,10 +43,6 @@ class SpacePermutation:
     @classmethod
     def identity(cls, n_agents: int, delta: int) -> "SpacePermutation":
         return cls(tuple(range(n_agents)), tuple(range(delta)))
-
-    def is_identity(self) -> bool:
-        return (self.agents == tuple(range(len(self.agents)))
-                and self.attrs == tuple(range(len(self.attrs))))
 
     def apply(self, config: Sequence[int]) -> Config:
         out = [0] * len(self.agents)
@@ -290,6 +289,31 @@ class SymmetryVerdict:
 
     def __bool__(self):
         return self.symmetric
+
+
+def certify(spec: ModelSpec, gens: GeneratorSet) -> bool:
+    """Do the model's draw and rule tables prove every generator a chain
+    symmetry? A generator with agent part σ and code part π is one when σ
+    maps the draws, probabilities included, onto themselves and π commutes
+    with the rule: then g after draw d is draw σ(d) after g, so P(gx, gy) =
+    P(x, y). The test is sufficient, not necessary: False proves nothing.
+    """
+    table, delta, arity = spec.draws, spec.delta, spec.rule.arity
+    outcome = rule_table(spec).reshape(delta ** arity, -1)  # [pack, option]
+    weights = delta ** np.arange(arity, dtype=np.int64)
+    args = np.arange(delta ** arity, dtype=np.int64)[:, None] // weights % delta
+    for perm in gens.perms:
+        if len(perm.agents) != spec.n_agents or len(perm.attrs) != delta:
+            raise ValidationError("permutation dimensions do not match the space")
+        agents = np.array(perm.agents, dtype=np.int64)[table.agents]
+        order = np.lexsort((table.options, *agents.T[::-1]))
+        attrs = np.array(perm.attrs, dtype=np.int64)
+        if not (np.array_equal(agents[order], table.agents)
+                and np.array_equal(table.options[order], table.options)
+                and np.array_equal(table.nums[order], table.nums)
+                and np.array_equal(outcome[attrs[args] @ weights], attrs[outcome])):
+            return False
+    return True
 
 
 def is_chain_symmetric(chain, gens: GeneratorSet) -> SymmetryVerdict:

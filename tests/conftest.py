@@ -20,6 +20,36 @@ LETTERS = {
 }
 
 
+# Four agents on a path, each flipping its own code whatever its drawn
+# neighbour holds. The draws are not SN-invariant (an end agent's one
+# neighbour is drawn with probability 1/4, an inner agent's two with 1/8
+# each), so the model-level certificate fails, but every agent flips with
+# probability 1/4 and the chain is SN-symmetric.
+PATH4_FLIP = """\
+[model]
+name = path4-flip
+attributes = a, b
+
+[topology]
+agents 4
+undirected
+1 2 1
+2 3 1
+3 4 1
+
+[rule]
+arity 2
+lambda flip 1
+a a flip -> b
+a b flip -> b
+b a flip -> a
+b b flip -> a
+
+[choice]
+from-topology uniform
+"""
+
+
 def letter_index(letter):
     space = ConfigSpace(3, 2)
     return space.index_of(LETTERS[letter])

@@ -157,6 +157,23 @@ def test_sparse_roundtrip(voter3_chain):
     assert buf2.getvalue() == text
 
 
+def test_sparse_roundtrip_beyond_int64():
+    """Edge weights summing to large primes put the common denominator
+    past 2**63: the writer's `%d` takes the Python-int numerators, and the
+    text reads back to the same rows and bytes."""
+    p1, p2, p3 = 2147483647, 2147483629, 2147483587
+    edges = {(0, 1): 1, (0, 2): p1 - 1, (1, 0): 1, (1, 2): p2 - 1, (2, 0): 1, (2, 1): p3 - 1}
+    chain = build_micro_chain(builtin_voter(Topology(3, edges)))
+    assert chain.nums.dtype == object and chain.denom > 2 ** 63
+    buf = io.StringIO()
+    write_sparse(chain, buf)
+    imported = read_sparse(buf.getvalue())
+    assert imported.nums.dtype == object and imported.rows == chain.rows
+    again = io.StringIO()
+    write_sparse(imported, again)
+    assert again.getvalue() == buf.getvalue()
+
+
 def test_sparse_import_float_entries():
     text = "states=2 nnz=4\n0 0 0.25\n0 1 0.75\n1 0 0.5\n1 1 0.5\n"
     imported = read_sparse(text)

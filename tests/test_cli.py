@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from microlump import chain as chainmod
 from microlump import read_sparse
 from microlump.cli import main
+from conftest import PATH4_FLIP
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 VOTER3 = str(SAMPLES / "voter3.model")
@@ -77,6 +79,29 @@ def test_check_sym_verdicts(capsys):
     assert "witness" in out
     # the flip is a symmetry regardless of the wiring
     assert run(capsys, "check-sym", PATH3, "--gens", "flip")[0] == 0
+
+
+def test_a_certified_symmetry_never_builds_the_chain(capsys, monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("chain built")
+
+    monkeypatch.setattr(chainmod, "build_micro_chain", build)
+    assert run(capsys, "check-sym", VOTER3, "--gens", "SN") == (0, "symmetric under SN\n", "")
+
+
+def test_check_sym_falls_back_to_the_matrix(tmp_path, capsys):
+    """The path's draws are not SN-invariant, so the certificate fails;
+    the chain is SN-symmetric all the same, and the matrix says so."""
+    model = tmp_path / "path4-flip.model"
+    model.write_text(PATH4_FLIP)
+    assert run(capsys, "check-sym", str(model), "--gens", "SN") == (0, "symmetric under SN\n", "")
+
+
+def test_check_sym_keeps_the_cap(capsys):
+    """Also where the certificate alone would decide: 8 states over a cap of 4."""
+    code, out, err = run(capsys, "check-sym", VOTER3, "--gens", "SN", "--cap", "4")
+    assert code == 6 and out == ""
+    assert err.startswith("cap exceeded:")
 
 
 def test_lump_writes_reduced_chain(tmp_path, capsys):
@@ -296,3 +321,17 @@ def test_a_huge_state_count_fails_at_its_first_empty_row(tmp_path, capsys, verb)
     code, out, err = run(capsys, verb, str(chain), *extra)
     assert code == 5 and out == ""
     assert err == "error: row 1 sums to 0 ≠ 1\n"
+
+
+def test_a_decimal_distribution_sum_is_shown_in_decimal(tmp_path, capsys):
+    """`0 1e400` used to print its 401-digit sum; decimal entries give the
+    sum as a float, or in 17 digits past the double range, and ratios keep
+    the exact sum."""
+    chain, mu = tmp_path / "chain.sparse", tmp_path / "mu.dist"
+    run(capsys, "compile", VOTER3, "-o", str(chain))
+    for text, shown in (("0 1e400\n", "1.0000000000000000e+400"), ("0 1/2\n1 0.25\n", "0.75"),
+                        ("0 1/2\n1 1/3\n", "5/6")):
+        mu.write_text(text)
+        code, out, err = run(capsys, "propagate", str(chain), "--mu0", str(mu), "-t", "1")
+        assert code == 5 and out == ""
+        assert err == f"error: distribution sums to {shown} ≠ 1\n"

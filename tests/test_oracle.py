@@ -25,7 +25,7 @@ from microlump import (absorption_analysis, aggregate, classify_states,
 from microlump import (AnalysisError, Alphabet, ChoiceDistribution, ConfigSpace,
                        DocumentParseError, GeneratorSet, ModelSpec, NotLumpableError,
                        Partition, SpacePermutation, Topology, UpdateRule, ValidationError,
-                       build_micro_chain, builtin_voter, check_lumpable,
+                       build_micro_chain, builtin_voter, certify, check_lumpable,
                        enumerate_maps, estimate_matrix, frequency_partition,
                        half_hypercube_partition, is_chain_symmetric, lump,
                        model_fingerprint, moran_partition, orbits, parse_model,
@@ -178,6 +178,22 @@ def test_the_seeds_cover_both_verdicts():
     assert min(sym.values()) >= 10 and min(lumpable.values()) >= 3
 
 
+def test_a_certificate_implies_the_reference_symmetry():
+    """The model-level certificate never passes a generator set the
+    Fraction reference finds asymmetric, and it passes often enough on
+    these seeds to mean something."""
+    passed = 0
+    for seed in range(24):
+        spec = random_model(seed)
+        rows = oracle.build_rows(spec)
+        space = ConfigSpace(spec.n_agents, spec.delta)
+        for gens in generator_sets(spec, random.Random(1000 + seed)):
+            if certify(spec, gens):
+                passed += 1
+                assert oracle.is_chain_symmetric(rows, space, gens)
+    assert passed >= 10
+
+
 def reach_orders(chain, part):
     """Per row, its block ids in the order the row first reaches them."""
     return [list(dict.fromkeys(part.block_of[y] for y, _ in row)) for row in chain.rows]
@@ -296,6 +312,7 @@ def _mutations(text, rng):
     doc(body[:i] + [f"  {x}\t{y}   {value}  # note", "", "# comment only"] + body[i + 1:])
     out.append(text.replace("\n", "\r\n"))
     out.append("# leading comment\n\n" + text)
+    out.append("\n\n" + "\n".join(body) + "\n")                        # no header
     decimals = [f"{a} {b} {float(Fraction(p)):.3f}" for a, b, p in map(str.split, body)]
     doc(decimals)
     return out
@@ -331,6 +348,18 @@ def test_the_writers_lines_are_read_in_bulk(monkeypatch):
     again = read_sparse(text)
     assert again.rows == chain.rows
     assert sparse_text(write_sparse, again) == text
+
+
+def test_the_writers_pieces_skip_the_line_pass(monkeypatch):
+    """Past the header, each piece of the writer's output is handed on as
+    the text holds it, flagged as the writer's shape: rejoined, the pieces
+    are the text."""
+    monkeypatch.setattr(chainmod, "_CHUNK_CHARS", 100)
+    text = sparse_text(write_sparse, build_micro_chain(builtin_voter(Topology.complete(5))))
+    pieces = list(chainmod._line_chunks(text))
+    assert len(pieces) > 10
+    assert [written for _, written in pieces] == [False] + [True] * (len(pieces) - 1)
+    assert "\n".join(piece for piece, _ in pieces) + "\n" == text
 
 
 def check_orbits(space, gens):

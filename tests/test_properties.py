@@ -1,6 +1,8 @@
 """Round trips on random small models and chains, as Hypothesis
 properties: a model through its canonical document, and a chain through
-the sparse format, read in bulk and by the general parser."""
+the sparse format, read in bulk and by the general parser. Also the first
+link of the symmetry chain: a model-level certificate implies the matrix
+symmetry."""
 
 import io
 import re
@@ -10,8 +12,9 @@ from unittest import mock
 from hypothesis import Phase, given, settings, strategies as st
 
 from microlump import chain as chainmod
-from microlump import (Alphabet, ChoiceDistribution, ModelSpec, Topology, UpdateRule,
-                       build_micro_chain, model_fingerprint, parse_model, read_sparse,
+from microlump import (Alphabet, ChoiceDistribution, GeneratorSet, ModelSpec, SpacePermutation,
+                       Topology, UpdateRule, build_micro_chain, certify, is_chain_symmetric,
+                       model_fingerprint, parse_model, parse_presets, read_sparse,
                        serialize_model, write_sparse)
 
 import oracle
@@ -137,3 +140,20 @@ def test_the_bulk_and_the_general_reader_give_the_same_arrays(matrix):
         general = read_sparse(buf.getvalue())
     assert _arrays(bulk) == _arrays(general)
     assert bulk.nums.dtype == general.nums.dtype
+
+
+@PROPERTY
+@given(models(), st.data())
+def test_a_certified_generator_set_is_a_chain_symmetry(spec, data):
+    """Preset sets and one random agent and code permutation: whenever the
+    draw and rule tables certify a set, the matrix is invariant under it."""
+    n, delta = spec.n_agents, spec.delta
+    names = ("SN", "Sdelta", "full") + (("flip",) if delta == 2 else ())
+    perm = SpacePermutation(tuple(data.draw(st.permutations(range(n)))),
+                            tuple(data.draw(st.permutations(range(delta)))))
+    sets = [parse_presets(name, n, delta) for name in names]
+    sets.append(GeneratorSet("random", (perm,)))
+    chain = build_micro_chain(spec)
+    for gens in sets:
+        if certify(spec, gens):
+            assert is_chain_symmetric(chain, gens)

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from microlump import (ConfigSpace, Partition, SpacePermutation,
+from microlump import (Alphabet, ChoiceDistribution, ConfigSpace, GeneratorSet, ModelSpec,
+                       Partition, SpacePermutation, Topology, UpdateRule,
                        ValidationError, agent_symmetric_group,
-                       build_micro_chain, builtin_voter,
+                       build_micro_chain, builtin_voter, certify,
                        is_chain_symmetric, lump, orbits, parse_generator_file,
-                       parse_presets)
+                       parse_model, parse_presets)
 from microlump.errors import DocumentParseError
-from conftest import LETTERS, letter_index
+from conftest import LETTERS, PATH4_FLIP, letter_index
 
 
 def test_agent_swap_two_agents():
@@ -211,3 +212,66 @@ def test_permutation_validation():
         SpacePermutation((0, 0), (0, 1))
     with pytest.raises(ValidationError):
         SpacePermutation((0, 1), (1, 1))
+
+
+# ---------------------------------------------------------------------------
+# the model-level certificate
+
+def test_certificate_passes_on_the_complete_voter(voter3, imitation3x3):
+    for spec, names in ((voter3, ("SN", "flip", "full")), (imitation3x3, ("SN", "Sdelta"))):
+        for name in names:
+            gens = parse_presets(name, spec.n_agents, spec.delta)
+            assert certify(spec, gens)
+            assert is_chain_symmetric(build_micro_chain(spec), gens)
+
+
+def test_certificate_fails_where_the_draws_differ(path3, path3_chain):
+    gens = agent_symmetric_group(3, 2)
+    assert not certify(path3, gens)
+    assert not is_chain_symmetric(path3_chain, gens)
+
+
+def test_certificate_fails_on_a_rule_that_does_not_commute():
+    """Copy black, keep white: relabeling the codes changes the rule."""
+    table = {(a, b, 0): 0 if b == 0 else a for a in range(2) for b in range(2)}
+    rule = UpdateRule(arity=2, options=(("lean", 1),), table=table, delta=2)
+    topology = Topology.complete(3)
+    spec = ModelSpec(name="lean", alphabet=Alphabet(("a", "b")), topology=topology, rule=rule,
+                     choice=ChoiceDistribution.uniform_from_topology(topology, 2))
+    assert certify(spec, parse_presets("SN", 3, 2))
+    flip = parse_presets("flip", 3, 2)
+    assert not certify(spec, flip)
+    assert not is_chain_symmetric(build_micro_chain(spec), flip)
+
+
+def test_a_failing_certificate_proves_nothing():
+    spec = parse_model(PATH4_FLIP)
+    gens = agent_symmetric_group(4, 2)
+    assert not certify(spec, gens)
+    assert is_chain_symmetric(build_micro_chain(spec), gens)
+
+
+def test_certificate_with_draw_numerators_beyond_int64():
+    """An option probability over P1*P2*P3 puts every draw numerator past
+    2**63: the certificate compares Python ints."""
+    p1, p2, p3 = 2147483647, 2147483629, 2147483587
+    rare = Fraction(1, p1 * p2 * p3)
+    table = {(a, b, opt): (b if opt == 0 else a) for a in range(2) for b in range(2)
+             for opt in range(2)}
+    rule = UpdateRule(arity=2, options=(("copy", 1 - rare), ("stay", rare)), table=table,
+                      delta=2)
+    for topology, symmetric in ((Topology.complete(3), True),
+                                (Topology(3, {(0, 1): 1, (0, 2): 2, (1, 0): 1, (1, 2): 1,
+                                              (2, 0): 1, (2, 1): 1}), False)):
+        spec = ModelSpec(name="rare", alphabet=Alphabet(("a", "b")), topology=topology,
+                         rule=rule, choice=ChoiceDistribution.uniform_from_topology(topology, 2))
+        assert spec.draws.nums.dtype == object
+        gens = parse_presets("full", 3, 2)
+        assert certify(spec, gens) == symmetric
+        assert bool(is_chain_symmetric(build_micro_chain(spec), gens)) == symmetric
+
+
+def test_certificate_rejects_mismatched_dimensions(voter3):
+    for perm in (SpacePermutation.identity(4, 2), SpacePermutation.identity(3, 3)):
+        with pytest.raises(ValidationError, match="dimensions"):
+            certify(voter3, GeneratorSet("bad", (perm,)))
