@@ -166,14 +166,15 @@ def absorption_analysis(chain: Chain) -> AbsorptionReport:
     src, dst = pos[chain.sources[at]], chain.cols[at]
     values = to_floats(chain.nums[at], chain.denom)
     to_q = is_transient[dst]
-    Q = np.zeros((nt, nt))
+    # A = I - Q written in place, the same bits as np.eye(nt) - Q
+    A = np.zeros((nt, nt))
     R = np.zeros((nt, na))
-    Q[src[to_q], pos[dst[to_q]]] = values[to_q]
+    A[src[to_q], pos[dst[to_q]]] = 0.0 - values[to_q]
+    A.flat[::nt + 1] += 1.0
     R[src[~to_q], pos[dst[~to_q]]] = values[~to_q]
     if nt == 0:
         return AbsorptionReport(absorbing, transient, cls.recurrent_classes,
                                 np.zeros((0, na)), np.zeros(0), 0.0, 0.0)
-    A = np.eye(nt) - Q
     probs = np.linalg.solve(A, R)
     steps = np.linalg.solve(A, np.ones(nt))
     residual_probs = float(np.max(np.abs(A @ probs - R))) if na else 0.0

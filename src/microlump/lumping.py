@@ -96,6 +96,18 @@ def count_label(counts: Sequence[int]) -> str:
     return "⟨" + ",".join(str(int(k)) for k in counts) + "⟩"
 
 
+def count_classes(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What np.unique(counts, axis=0) returns with return_index,
+    return_inverse and return_counts, without its row-wise sort: the rows
+    are ranked into one int64 key a column at a time, each fold compressed
+    by the 1-D np.unique, so a key stays below len(counts) * (N + 1)."""
+    key = np.zeros(len(counts), dtype=np.int64)
+    for col in counts.T:
+        key = np.unique(key * (int(col.max()) + 1) + col, return_inverse=True)[1]
+    _, first, sizes = np.unique(key, return_index=True, return_counts=True)
+    return first, key, sizes
+
+
 def frequency_partition(space: ConfigSpace) -> Partition:
     """States grouped by their attribute-count vector.
 
@@ -103,9 +115,8 @@ def frequency_partition(space: ConfigSpace) -> Partition:
     C(N+delta-1, delta-1); blocks are ordered by smallest member state.
     """
     counts = space.counts_matrix
-    _, first, inverse = np.unique(counts, axis=0, return_index=True,
-                                  return_inverse=True)
-    blocks = group_blocks(first[inverse.reshape(-1)])
+    first, inverse, _ = count_classes(counts)
+    blocks = group_blocks(first[inverse])
     return Partition(blocks, tuple(count_label(counts[b[0]]) for b in blocks))
 
 

@@ -133,16 +133,19 @@ class Topology:
     edges: Mapping[Tuple[int, int], Fraction]
     # (source, target) of every edge as int64 rows, in `edges` order
     pairs: np.ndarray = field(init=False, repr=False, compare=False)
+    # the weights over their lcm, in `edges` order, and that lcm
+    weights: Tuple[np.ndarray, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_agents < 1:
             raise ValidationError("need at least one agent")
         object.__setattr__(self, "edges", _exact_values(
             self.edges, lambda e: f"edge ({e[0] + 1},{e[1] + 1}) weight"))
+        object.__setattr__(self, "weights", to_numerators(self.edges.values()))
         n, pairs = self.n_agents, _index_array(self.edges, 2)
         _first_error(self.edges.items(), None if pairs is None else (
             (pairs[:, 0] == pairs[:, 1]) | ((pairs < 0) | (pairs >= n)).any(axis=1)
-            | np.array([w.numerator <= 0 for w in self.edges.values()])), self._edge_error)
+            | (self.weights[0] <= 0)), self._edge_error)
         object.__setattr__(self, "pairs", np.array(list(self.edges), dtype=np.int64)
                            .reshape(-1, 2) if pairs is None else pairs)
 
@@ -236,13 +239,16 @@ class ChoiceDistribution:
     """Joint distribution over agent tuples; first entry is the focal agent."""
 
     entries: Mapping[Tuple[int, ...], Fraction]
+    # the probabilities over their lcm, in `entries` order, and that lcm
+    numerators: Tuple[np.ndarray, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.entries:
             raise ValidationError("choice distribution is empty")
         object.__setattr__(self, "entries", _exact_values(
             self.entries, lambda tup: f"choice {_show_tuple(tup)} probability"))
-        nums, denom = to_numerators(self.entries.values())
+        object.__setattr__(self, "numerators", to_numerators(self.entries.values()))
+        nums, denom = self.numerators
         _first_error(self.entries.items(), nums <= 0, lambda item: (
             f"choice {_show_tuple(item[0])} has non-positive probability {item[1]}"))
         total = sum(nums.tolist())
@@ -272,7 +278,7 @@ class ChoiceDistribution:
             raise ValidationError(f"agent {lonely[0] + 1} has no out-neighbors")
         # entry (i, j) is w_ij / (n * sum_k w_ik); with the weights over their
         # lcm, it is an integer over n times the lcm of the per-agent sums
-        weights = to_numerators(topology.edges.values())[0][order]
+        weights = topology.weights[0][order]
         sums = np.add.reduceat(weights, np.flatnonzero(np.diff(src, prepend=-1))).tolist()
         top = lcm(*set(sums))
         dtype = np.int64 if top <= INT64_MAX else object
@@ -334,7 +340,7 @@ class ModelSpec:
         two lcms' product is the joint lcm: the choice's numerators sum to
         their lcm, so have gcd 1, as do the options', and so the products."""
         order = np.lexsort(self.agents.T[::-1])
-        (nums, denom), (opts, opt_denom) = (to_numerators(self.choice.entries.values()),
+        (nums, denom), (opts, opt_denom) = (self.choice.numerators,
                                             to_numerators(p for _, p in self.rule.options))
         nums, denom = nums[order], denom * opt_denom
         if denom > INT64_MAX:

@@ -13,6 +13,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice, product
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
@@ -20,11 +23,17 @@ import numpy as np
 from .chain import build_micro_chain, draw_targets, rule_table, to_floats
 from .errors import ValidationError
 from .lumping import Partition
-from .model import ModelSpec, model_fingerprint
+from .model import INT64_MAX, ModelSpec, model_fingerprint
 from .space import ConfigSpace
 
 # uniforms drawn per call to the generator while simulating
 _DRAW_BLOCK = 1 << 12
+# trajectory lines formatted per write
+_LINE_CHUNK = 1 << 14
+# most code combinations per group of agents the writer labels in one lookup
+_GROUP_STRINGS = 4096
+# states per block of array passes in `estimate_matrix`
+_ESTIMATE_BLOCK = 1 << 8
 
 
 def _seed_sequence(seed: int) -> np.random.SeedSequence:
@@ -44,16 +53,38 @@ class SimRun:
     steps: int
     start: int
     states: Tuple[int, ...]               # visited indices, start included
-    counts: Dict[Tuple[int, int], int]    # (from, to) -> times taken
     fingerprint: str
+
+    @cached_property
+    def counts(self) -> Counter[Tuple[int, int]]:
+        """(from, to) -> times taken, tallied on first read."""
+        states = self.states
+        return Counter(zip(states, islice(states, 1, None)))
+
+
+def _step_kernel(spec: ModelSpec) -> List[tuple]:
+    """Per draw: a getter of its agents' codes, its option's lookup from
+    those codes to the focal agent's new code, the focal agent and that
+    agent's place value. The lookups come from the compiled rule table,
+    one per option, keyed as the getter returns the codes (a bare code
+    for arity 1)."""
+    flat, delta, arity = rule_table(spec).tolist(), spec.delta, spec.rule.arity
+    n_opts = len(spec.rule.options)
+    # argument codes in pack order: the first argument least significant
+    args = [t[::-1] if arity > 1 else t[0] for t in product(range(delta), repeat=arity)]
+    luts = [dict(zip(args, flat[opt::n_opts])) for opt in range(n_opts)]
+    table = spec.draws
+    return [(itemgetter(*agents), luts[opt], agents[0], delta ** agents[0])
+            for agents, opt in zip(table.agents.tolist(), table.options.tolist())]
 
 
 def simulate(spec: ModelSpec, start: Sequence[int], steps: int, seed: int,
              cap: Optional[int] = None) -> SimRun:
     """Run one trajectory; identical (model, seed, steps) reproduce it.
 
-    A state index walks through the compiled rule table. Uniforms come in
-    blocks, the same doubles as drawn one at a time."""
+    A state index walks through the compiled rule table, one code lookup
+    per step. Uniforms come in blocks, the same doubles as drawn one at a
+    time."""
     if steps < 0:
         raise ValidationError(f"step count must be non-negative, got {steps}")
     rng = np.random.Generator(np.random.Philox(_seed_sequence(seed)))
@@ -63,46 +94,69 @@ def simulate(spec: ModelSpec, start: Sequence[int], steps: int, seed: int,
     x = space.index_of(config)
     cum = np.cumsum(_draw_weights(spec))
     cum[-1] = 1.0  # guard against float round-off at the top end
-    flat, delta, n_opts = rule_table(spec).tolist(), spec.delta, len(spec.rule.options)
-    radix = space.radix.tolist()
-    # per draw: its agents last first (the order codes are packed in), option, focal agent
-    table = spec.draws
-    draws = list(zip(table.agents[:, ::-1].tolist(), table.options.tolist(),
-                     table.agents[:, 0].tolist()))
+    draws = _step_kernel(spec)
     visited = [x]
     for lo in range(0, steps, _DRAW_BLOCK):
         u = rng.random(min(_DRAW_BLOCK, steps - lo))
         for k in np.searchsorted(cum, u, side="right").tolist():
-            agents, opt, focal = draws[k]
-            pack = 0
-            for a in agents:
-                pack = pack * delta + config[a]
-            new = flat[pack * n_opts + opt]
+            codes, lut, focal, place = draws[k]
+            new = lut[codes(config)]
             if new != config[focal]:
-                x += (new - config[focal]) * radix[focal]
+                x += (new - config[focal]) * place
                 config[focal] = new
             visited.append(x)
-    counts = dict(Counter(zip(visited, visited[1:])))
-    return SimRun(seed=seed, steps=steps, start=visited[0],
-                  states=tuple(visited), counts=counts,
+    return SimRun(seed=seed, steps=steps, start=visited[0], states=tuple(visited),
                   fingerprint=model_fingerprint(spec))
 
 
 def project_trajectory(run: SimRun, part: Partition) -> List[str]:
     """Visited block labels, in trajectory order."""
-    return [part.label_of(x) for x in run.states]
+    names = list(map(part.labels.__getitem__, part.block_of))
+    return list(map(names.__getitem__, run.states))
+
+
+def _group_strings(space: ConfigSpace) -> Tuple[int, List[str]]:
+    """The agents per group, g, with at most `_GROUP_STRINGS` code
+    combinations, and every group value's labels joined by commas in agent
+    order: a full group's value v at v, the last group's (it may hold fewer
+    agents) at delta**g + v."""
+    delta, n, labels = space.delta, space.n_agents, space.labels
+    g = 1
+    while g < n and delta ** (g + 1) <= _GROUP_STRINGS:
+        g += 1
+    strings = []
+    for width in (g, n - g * ((n - 1) // g)):
+        strings += [",".join(t[::-1]) for t in product(labels, repeat=width)]
+    return g, strings
 
 
 def write_trajectory(run: SimRun, space: ConfigSpace, fh: TextIO,
                      part: Optional[Partition] = None) -> None:
+    """One line per visited state, written a chunk of states at a time:
+    the configuration as `space.format_index` shows it, or the state's
+    block label under `part`."""
     fh.write(f"# seed={run.seed} steps={run.steps} start={run.start} "
              f"model={run.fingerprint}\n")
-    if part is None:
-        for x in run.states:
-            fh.write(space.format_index(x) + "\n")
-    else:
-        for label in project_trajectory(run, part):
-            fh.write(label + "\n")
+    if part is not None:
+        labels = project_trajectory(run, part)
+        for lo in range(0, len(labels), _LINE_CHUNK):
+            chunk = labels[lo:lo + _LINE_CHUNK]
+            fh.write("%s\n" * len(chunk) % tuple(chunk))
+        return
+    g, strings = _group_strings(space)
+    base, n_groups = space.delta ** g, -(-space.n_agents // g)
+    strings = np.array(strings, dtype=object)
+    line = "(" + ",".join(["%s"] * n_groups) + ")\n"
+    dtype = np.int64 if space.size <= INT64_MAX else object
+    states = run.states
+    for lo in range(0, len(states), _LINE_CHUNK):
+        rest = np.array(states[lo:lo + _LINE_CHUNK], dtype=dtype)
+        digits = np.empty((len(rest), n_groups), dtype=np.int64)
+        for j in range(n_groups):
+            digits[:, j] = rest % base
+            rest //= base
+        digits[:, -1] += base
+        fh.write(line * len(digits) % tuple(strings[digits].ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +183,26 @@ class EstimateReport:
         return self.counts[x].get(y, 0) / self.samples_per_state
 
 
+def _row_deviations(x: int, targets: List[int], drawn: List[int], cols: List[int],
+                    probs: List[float], samples: int) -> List[Deviation]:
+    """Row x's entries beyond their 3-sigma bound, in the order in which the
+    set of its sampled and exact targets iterates; the tally is built in
+    draw order, as that order depends on it."""
+    tally: Dict[int, int] = {}
+    for tgt, cnt in zip(targets, drawn):
+        if cnt:
+            tally[tgt] = tally.get(tgt, 0) + cnt
+    exact_row = dict(zip(cols, probs))
+    out = []
+    for y in tally.keys() | exact_row.keys():
+        p = exact_row.get(y, 0.0)
+        emp = tally.get(y, 0) / samples
+        bound = 3.0 * (p * (1.0 - p) / samples) ** 0.5
+        if abs(emp - p) > bound:
+            out.append(Deviation(x, y, emp, p, bound))
+    return out
+
+
 def estimate_matrix(spec: ModelSpec, steps_per_state: int, seed: int,
                     cap: Optional[int] = None):
     """Empirical one-step frequencies from every state versus the exact
@@ -136,8 +210,10 @@ def estimate_matrix(spec: ModelSpec, steps_per_state: int, seed: int,
 
     From each state the target of every draw is fixed, so sampling
     steps_per_state independent draws is done as one multinomial over the
-    draw distribution, on that state's own child stream. Returns the
-    report and the exact chain it was checked against.
+    draw distribution, on that state's own child stream. A block of states
+    at a time, the tallies are summed over sorted (state, target) keys and
+    compared with the exact entries as arrays. Returns the report and the
+    exact chain it was checked against.
     """
     if steps_per_state < 1:
         raise ValidationError("need at least one sample per state")
@@ -147,30 +223,41 @@ def estimate_matrix(spec: ModelSpec, steps_per_state: int, seed: int,
     pvals = weights / weights.sum()
     # targets[x, k]: where draw k sends state x
     targets = np.stack(list(draw_targets(spec, chain.space)), axis=1)
-    bounds = chain.indptr.tolist()
-    cols, probs = chain.cols.tolist(), to_floats(chain.nums, chain.denom).tolist()
-    streams = seeds.spawn(chain.n_states)
+    n, indptr = chain.n_states, chain.indptr
+    probs = to_floats(chain.nums, chain.denom)
+    streams = seeds.spawn(n)
     counts: List[Dict[int, int]] = []
     max_dev = 0.0
     violations: List[Deviation] = []
-    for x in range(chain.n_states):
-        rng = np.random.Generator(np.random.Philox(streams[x]))
-        drawn = rng.multinomial(steps_per_state, pvals)
-        tally: Dict[int, int] = {}
-        for tgt, cnt in zip(targets[x].tolist(), drawn.tolist()):
-            if cnt:
-                tally[tgt] = tally.get(tgt, 0) + cnt
-        counts.append(tally)
-        lo, hi = bounds[x], bounds[x + 1]
-        exact_row = dict(zip(cols[lo:hi], probs[lo:hi]))
-        for y in tally.keys() | exact_row.keys():
-            p = exact_row.get(y, 0.0)
-            emp = tally.get(y, 0) / steps_per_state
-            dev = abs(emp - p)
-            max_dev = max(max_dev, dev)
-            bound = 3.0 * (p * (1.0 - p) / steps_per_state) ** 0.5
-            if dev > bound:
-                violations.append(Deviation(x, y, emp, p, bound))
+    for lo in range(0, n, _ESTIMATE_BLOCK):
+        hi = min(lo + _ESTIMATE_BLOCK, n)
+        drawn = np.stack([np.random.Generator(np.random.Philox(streams[x]))
+                          .multinomial(steps_per_state, pvals) for x in range(lo, hi)])
+        # the block's tallies and exact entries, keyed (state - lo) * n + target
+        row, draw = np.nonzero(drawn)
+        tally_keys, inverse = np.unique(row * n + targets[lo + row, draw], return_inverse=True)
+        tally = np.zeros(len(tally_keys), dtype=np.int64)
+        np.add.at(tally, inverse, drawn[row, draw])
+        a, b = indptr[lo], indptr[hi]
+        exact_keys = (chain.sources[a:b] - lo) * n + chain.cols[a:b]
+        union = np.union1d(tally_keys, exact_keys)
+        cnt = np.zeros(len(union), dtype=np.int64)
+        cnt[np.searchsorted(union, tally_keys)] = tally
+        p = np.zeros(len(union))
+        p[np.searchsorted(union, exact_keys)] = probs[a:b]
+        dev = np.abs(to_floats(cnt, steps_per_state) - p)
+        max_dev = max(max_dev, float(dev.max()))
+        # the report's bound takes pow(v, 0.5), which may differ from sqrt in
+        # the last place: a near miss is settled by the row pass below
+        near = dev > 3.0 * np.sqrt(p * (1.0 - p) / steps_per_state) * (1.0 - 1e-9)
+        ends = np.searchsorted(tally_keys, np.arange(hi - lo + 1) * n).tolist()
+        tgt, tot = (tally_keys % n).tolist(), tally.tolist()
+        counts += [dict(zip(tgt[s:e], tot[s:e])) for s, e in zip(ends, ends[1:])]
+        for r in np.unique(union[near] // n).tolist():
+            x, span = lo + r, slice(indptr[lo + r], indptr[lo + r + 1])
+            violations += _row_deviations(x, targets[x].tolist(), drawn[r].tolist(),
+                                          chain.cols[span].tolist(), probs[span].tolist(),
+                                          steps_per_state)
     report = EstimateReport(samples_per_state=steps_per_state, seed=seed,
                             counts=tuple(counts), max_abs_dev=max_dev,
                             violations=tuple(violations))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .chain import rule_table
 from .errors import DocumentParseError, ValidationError
-from .lumping import Partition, count_label, group_blocks
+from .lumping import Partition, count_classes, count_label, group_blocks
 from .model import ModelSpec
 from .space import Config, ConfigSpace
 
@@ -249,9 +249,7 @@ def orbits(space: ConfigSpace, gens: GeneratorSet) -> Partition:
             label[image] = np.minimum(label[image], label)
     blocks = group_blocks(label)
     counts = space.counts_matrix
-    _, cls, class_size = np.unique(counts, axis=0, return_inverse=True,
-                                   return_counts=True)
-    cls = cls.reshape(-1)
+    _, cls, class_size = count_classes(counts)
     labels = []
     for bid, members in enumerate(blocks):
         first = cls[members[0]]

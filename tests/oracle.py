@@ -26,9 +26,10 @@ from microlump import (AnalysisError, ConfigSpace, DocumentParseError, RandomMap
                        ValidationError, model_fingerprint)
 from microlump.analysis import (RESIDUAL_BOUND, AbsorptionReport, Classification,
                                 validate_distribution)
+from microlump.chain import rule_table
 from microlump.lumping import (LumpVerdict, LumpWitness, Partition, count_label,
                                group_blocks)
-from microlump.sim import Deviation, EstimateReport, SimRun
+from microlump.sim import _DRAW_BLOCK, Deviation, EstimateReport, SimRun
 from microlump.symmetry import SymmetryVerdict, SymmetryWitness
 
 ONE = Fraction(1)
@@ -489,6 +490,7 @@ class Sampler:
 
 
 def simulate(spec, start, steps, seed, cap=None):
+    """The run, built without a tally, and its (from, to) tally."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     sampler = Sampler(spec)
     space = ConfigSpace(spec.n_agents, spec.delta, labels=spec.alphabet.symbols, cap=cap)
@@ -501,8 +503,46 @@ def simulate(spec, start, steps, seed, cap=None):
         counts[pair] = counts.get(pair, 0) + 1
         visited.append(pair[1])
         config = nxt
+    return (SimRun(seed=seed, steps=steps, start=visited[0], states=tuple(visited),
+                   fingerprint=model_fingerprint(spec)), counts)
+
+
+def simulate_packed(spec, start, steps, seed, cap=None):
+    """The walk that packs the draw's argument codes into a rule table
+    index at every step, with uniforms drawn in blocks."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    space = ConfigSpace(spec.n_agents, spec.delta, labels=spec.alphabet.symbols, cap=cap)
+    config = list(space.check_config(start))
+    x = space.index_of(config)
+    cum = np.cumsum(draw_weights(spec))
+    cum[-1] = 1.0
+    flat, delta, n_opts = rule_table(spec).tolist(), spec.delta, len(spec.rule.options)
+    table = spec.draws
+    draws = list(zip(table.agents[:, ::-1].tolist(), table.options.tolist(),
+                     table.agents[:, 0].tolist()))
+    visited = [x]
+    for lo in range(0, steps, _DRAW_BLOCK):
+        u = rng.random(min(_DRAW_BLOCK, steps - lo))
+        for k in np.searchsorted(cum, u, side="right").tolist():
+            agents, opt, focal = draws[k]
+            pack = 0
+            for a in agents:
+                pack = pack * delta + config[a]
+            new = flat[pack * n_opts + opt]
+            if new != config[focal]:
+                x += (new - config[focal]) * delta ** focal
+                config[focal] = new
+            visited.append(x)
     return SimRun(seed=seed, steps=steps, start=visited[0], states=tuple(visited),
-                  counts=counts, fingerprint=model_fingerprint(spec))
+                  fingerprint=model_fingerprint(spec))
+
+
+def write_trajectory(run, space, fh, part=None):
+    """One `format_index` or block label call per line."""
+    fh.write(f"# seed={run.seed} steps={run.steps} start={run.start} "
+             f"model={run.fingerprint}\n")
+    for x in run.states:
+        fh.write((space.format_index(x) if part is None else part.label_of(x)) + "\n")
 
 
 def estimate_matrix(spec, steps_per_state, seed, cap=None):

@@ -599,8 +599,11 @@ def check_draws(spec, seed, tmp_path, capsys):
 
     start = space.config_of(rng.randrange(space.size))
     for steps in (0, 1, sim._DRAW_BLOCK + 37):
-        assert (simulate(spec, start, steps, seed)
-                == oracle.simulate(spec, start, steps, seed))
+        run = simulate(spec, start, steps, seed)
+        ref, tally = oracle.simulate(spec, start, steps, seed)
+        assert "counts" not in vars(run)
+        assert run == ref == oracle.simulate_packed(spec, start, steps, seed)
+        assert run.counts == tally
     for samples in (3, 200):
         report, _ = estimate_matrix(spec, samples, seed)
         assert report == oracle.estimate_matrix(spec, samples, seed)
@@ -628,6 +631,44 @@ def test_the_estimates_above_include_violations():
     flagged = [len(estimate_matrix(random_model(seed), 3, seed)[0].violations)
                for seed in range(24)]
     assert sum(n > 1 for n in flagged) >= 10
+
+
+def trajectory_text(writer, run, space, part=None):
+    out = io.StringIO()
+    writer(run, space, out, part)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("delta", [2, 3])
+@pytest.mark.parametrize("n_agents", [1, 5, 20])
+def test_the_trajectory_writer_matches_the_line_reference(delta, n_agents):
+    """Random indices, the first and the last state included; with a
+    partition where the space is small enough to hold one."""
+    space = ConfigSpace(n_agents, delta, labels=LABELS[:delta], cap=delta ** n_agents)
+    rng = random.Random(delta * 100 + n_agents)
+    states = (0, space.size - 1) + tuple(rng.randrange(space.size) for _ in range(300))
+    run = sim.SimRun(seed=4, steps=len(states) - 1, start=0, states=states,
+                     fingerprint="f" * 16)
+    assert (trajectory_text(sim.write_trajectory, run, space)
+            == trajectory_text(oracle.write_trajectory, run, space))
+    if space.size <= 243:
+        for part in (frequency_partition(space), orbits(space, parse_presets("SN", n_agents, delta))):
+            assert (trajectory_text(sim.write_trajectory, run, space, part)
+                    == trajectory_text(oracle.write_trajectory, run, space, part))
+
+
+@pytest.mark.parametrize("delta, n_agents", [(2, 64), (2, 70), (3, 41)])
+def test_the_trajectory_writer_past_int64(delta, n_agents):
+    """Spaces of more than 2**63 states, never enumerated: indices go
+    through an object array."""
+    space = ConfigSpace(n_agents, delta, cap=delta ** n_agents)
+    assert space.size > 2 ** 63
+    rng = random.Random(n_agents)
+    states = (0, space.size - 1, 2 ** 63, 2 ** 63 - 1) + tuple(
+        rng.randrange(space.size) for _ in range(300))
+    run = sim.SimRun(seed=1, steps=len(states) - 1, start=0, states=states, fingerprint="f")
+    assert (trajectory_text(sim.write_trajectory, run, space)
+            == trajectory_text(oracle.write_trajectory, run, space))
 
 
 # ---------------------------------------------------------------------------
@@ -675,6 +716,10 @@ def check_draw_table(spec, entries=None):
         assert len({id(p) for p in values}) == len(set(values))
     assert list(spec.choice.entries.items()) == list(entries.items())
     assert all(type(p) is Fraction for p in spec.choice.entries.values())
+    for values, (nums, denom) in ((spec.topology.edges.values(), spec.topology.weights),
+                                  (spec.choice.entries.values(), spec.choice.numerators)):
+        assert denom == lcm(*(p.denominator for p in values))
+        assert [Fraction(v, denom) for v in nums.tolist()] == list(values)
     ref_spec = ModelSpec(name=spec.name, alphabet=spec.alphabet, topology=spec.topology,
                          rule=spec.rule, choice=ChoiceDistribution(entries))
     assert serialize_model(spec) == serialize_model(ref_spec)
@@ -694,7 +739,9 @@ def check_draw_table(spec, entries=None):
     assert sparse_text(write_sparse, chain) == sparse_text(oracle.write_sparse, rows)
     assert sim._draw_weights(spec).tobytes() == oracle.draw_weights(spec).tobytes()
     start = [a % spec.delta for a in range(spec.n_agents)]
-    assert simulate(spec, start, 300, 5) == oracle.simulate(spec, start, 300, 5)
+    ref, tally = oracle.simulate(spec, start, 300, 5)
+    run = simulate(spec, start, 300, 5)
+    assert run == ref and run.counts == tally
 
 
 @pytest.mark.parametrize("seed", range(24))

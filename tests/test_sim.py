@@ -36,6 +36,14 @@ def test_trajectory_support(voter3, voter3_chain):
         assert voter3_chain.entry(x, y) > 0
 
 
+def test_the_tally_is_built_on_first_read(voter3):
+    run = simulate(voter3, LETTERS["d"], 200, seed=5)
+    assert "counts" not in vars(run)
+    pairs = list(zip(run.states, run.states[1:]))
+    assert run.counts == {pair: pairs.count(pair) for pair in pairs}
+    assert run.counts is run.counts
+
+
 def test_simulation_deterministic(voter3):
     r1 = simulate(voter3, LETTERS["d"], 100, seed=77)
     r2 = simulate(voter3, LETTERS["d"], 100, seed=77)
