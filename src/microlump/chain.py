@@ -49,9 +49,11 @@ def enumerate_maps(spec: ModelSpec) -> List[RandomMap]:
 
     Probabilities sum to one; each map changes at most the focal agent.
     """
+    agents, options, probs = spec.joint_columns()
     labels = [label for label, _ in spec.rule.options]
-    return [RandomMap(agents=tup, option=opt, option_label=labels[opt], probability=p)
-            for tup, opt, p in spec.joint_choices()]
+    # tuple.__new__ fills the named tuple positionally, without a Python call per map
+    return list(map(tuple.__new__, itertools.repeat(RandomMap),
+                    zip(agents, options, map(labels.__getitem__, options), probs)))
 
 
 def rule_table(spec: ModelSpec) -> np.ndarray:

@@ -38,7 +38,7 @@ import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from numbers import Rational
 from typing import (Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence,
                     Tuple)
@@ -68,14 +68,14 @@ def to_fractions(nums: np.ndarray, denom: int) -> List[Fraction]:
     return list(map(fracs.__getitem__, inverse.tolist()))
 
 
-def _index_array(keys: Iterable, width: int) -> Optional[np.ndarray]:
-    """Tuples of `width` integers as int64 rows; None when one has another
-    length or holds anything else."""
+def _index_array(keys: Iterable, width: Optional[int] = None) -> Optional[np.ndarray]:
+    """Tuples of `width` (or any one number of) integers as int64 rows; None
+    when their lengths differ or one holds anything else."""
     try:
         keys = np.array(list(keys))
     except ValueError:
         return None
-    good = keys.shape[1:] == (width,) and keys.dtype.kind in "bi"
+    good = keys.ndim == 2 and width in (None, keys.shape[1]) and keys.dtype.kind in "bi"
     return keys.astype(np.int64) if good else None
 
 
@@ -90,16 +90,48 @@ def _first_error(items, bad: Optional[np.ndarray], error: Callable) -> None:
                 raise ValidationError(message)
 
 
-def _exact_values(values: Mapping, what: Callable[[object], str]) -> Mapping:
-    """`values` with integer values as Fractions; floats and anything else
-    are rejected, since every probability downstream is an exact rational.
-    `what(key)` names a rejected value."""
+def _exact_values(values: Mapping, what: Callable[[object], str]) -> Dict:
+    """A copy of `values` with integer values as Fractions; floats and
+    anything else are rejected, since every probability downstream is an
+    exact rational. `what(key)` names a rejected value."""
     if all(type(p) is Fraction for p in values.values()):
-        return values
+        return dict(values)
     for key, p in values.items():
         if not isinstance(p, Rational):
             raise ValidationError(f"{what(key)} must be an integer or a Fraction, got {p!r}")
     return {key: Fraction(p) for key, p in values.items()}
+
+
+class FractionMap(Mapping):
+    """Read-only mapping from the int64 rows `rows`, as tuples, to the
+    ratios of `numerators` = (nums, denom), in row order; the tuples and the
+    dict behind it are made on first use unless `built` gives them."""
+
+    def __init__(self, rows: Optional[np.ndarray], numerators: Tuple[np.ndarray, int],
+                 built: Optional[Dict] = None):
+        self.rows, self.numerators = rows, numerators
+        if built is not None:
+            self.__dict__.update(dict=built, tuples=list(built))
+
+    @cached_property
+    def tuples(self) -> List[tuple]:
+        return list(zip(*self.rows.T.tolist()))
+
+    @cached_property
+    def dict(self) -> Dict:
+        return dict(zip(self.tuples, to_fractions(*self.numerators)))
+
+    def __len__(self) -> int:
+        return len(self.numerators[0])
+
+    def __iter__(self):
+        return iter(self.tuples)
+
+    def __getitem__(self, key):
+        return self.dict[key]
+
+    def __repr__(self) -> str:
+        return repr(self.dict)
 
 
 @dataclass(frozen=True)
@@ -127,7 +159,8 @@ class Alphabet:
 
 @dataclass(frozen=True)
 class Topology:
-    """Directed weighted interaction graph on agents 0..n_agents-1."""
+    """Directed weighted interaction graph on agents 0..n_agents-1; a dict
+    of edges becomes the arrays once, `complete` builds them directly."""
 
     n_agents: int
     edges: Mapping[Tuple[int, int], Fraction]
@@ -139,29 +172,29 @@ class Topology:
     def __post_init__(self):
         if self.n_agents < 1:
             raise ValidationError("need at least one agent")
-        object.__setattr__(self, "edges", _exact_values(
-            self.edges, lambda e: f"edge ({e[0] + 1},{e[1] + 1}) weight"))
-        object.__setattr__(self, "weights", to_numerators(self.edges.values()))
-        n, pairs = self.n_agents, _index_array(self.edges, 2)
-        _first_error(self.edges.items(), None if pairs is None else (
+        if not isinstance(self.edges, FractionMap):
+            edges = _exact_values(self.edges, lambda e: f"edge ({e[0] + 1},{e[1] + 1}) weight")
+            object.__setattr__(self, "edges", FractionMap(
+                _index_array(edges, 2), to_numerators(edges.values()), edges))
+        n, pairs, weights = self.n_agents, self.edges.rows, self.edges.numerators
+        _first_error(self.edges, None if pairs is None else (
             (pairs[:, 0] == pairs[:, 1]) | ((pairs < 0) | (pairs >= n)).any(axis=1)
-            | (self.weights[0] <= 0)), self._edge_error)
+            | (weights[0] <= 0)), self._edge_error)
         object.__setattr__(self, "pairs", np.array(list(self.edges), dtype=np.int64)
                            .reshape(-1, 2) if pairs is None else pairs)
+        object.__setattr__(self, "weights", weights)
 
     @classmethod
-    def complete(cls, n_agents: int, weight: Fraction = ONE) -> "Topology":
-        edges = {
-            (i, j): weight
-            for i in range(n_agents)
-            for j in range(n_agents)
-            if i != j
-        }
-        return cls(n_agents, edges)
+    def complete(cls, n_agents: int) -> "Topology":
+        """Every ordered pair of distinct agents, source-major, weight 1."""
+        src = np.repeat(np.arange(n_agents), n_agents - 1)
+        dst = np.tile(np.arange(n_agents - 1), n_agents)
+        return cls(n_agents, FractionMap(np.stack([src, dst + (dst >= src)], axis=1),
+                                         (np.ones(len(src), dtype=np.int64), 1)))
 
-    def _edge_error(self, item: Tuple[Tuple[int, int], Fraction]) -> Optional[str]:
+    def _edge_error(self, pair: Tuple[int, int]) -> Optional[str]:
         """What is wrong with one edge, checks in the order they apply."""
-        (i, j), w, n = *item, self.n_agents
+        (i, j), w, n = pair, self.edges[pair], self.n_agents
         if i == j:
             return f"self-edge on agent {i + 1}"
         if not (0 <= i < n and 0 <= j < n):
@@ -226,31 +259,34 @@ class UpdateRule:
 
 def voter_rule(delta: int) -> UpdateRule:
     """Imitation: the focal agent adopts the second argument's code."""
-    table = {
-        (a, b, 0): b
-        for a in range(delta)
-        for b in range(delta)
-    }
+    table = {(a, b, 0): b for a in range(delta) for b in range(delta)}
     return UpdateRule(arity=2, options=(("copy", ONE),), table=table, delta=delta)
 
 
 @dataclass(frozen=True)
 class ChoiceDistribution:
-    """Joint distribution over agent tuples; first entry is the focal agent."""
+    """Joint distribution over agent tuples; first entry is the focal agent.
+    A dict becomes the arrays once, `uniform_from_topology` builds them."""
 
     entries: Mapping[Tuple[int, ...], Fraction]
+    # the agent tuples as int64 rows, in `entries` order; None for tuples of
+    # mixed lengths or non-integers, which the model checks one by one
+    agents: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
     # the probabilities over their lcm, in `entries` order, and that lcm
     numerators: Tuple[np.ndarray, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.entries:
             raise ValidationError("choice distribution is empty")
-        object.__setattr__(self, "entries", _exact_values(
-            self.entries, lambda tup: f"choice {_show_tuple(tup)} probability"))
-        object.__setattr__(self, "numerators", to_numerators(self.entries.values()))
+        if not isinstance(self.entries, FractionMap):
+            entries = _exact_values(self.entries, lambda t: f"choice {_show_tuple(t)} probability")
+            object.__setattr__(self, "entries", FractionMap(
+                _index_array(entries), to_numerators(entries.values()), entries))
+        object.__setattr__(self, "agents", self.entries.rows)
+        object.__setattr__(self, "numerators", self.entries.numerators)
         nums, denom = self.numerators
-        _first_error(self.entries.items(), nums <= 0, lambda item: (
-            f"choice {_show_tuple(item[0])} has non-positive probability {item[1]}"))
+        _first_error(self.entries, nums <= 0, lambda tup: (
+            f"choice {_show_tuple(tup)} has non-positive probability {self.entries[tup]}"))
         total = sum(nums.tolist())
         if total != denom:
             raise ValidationError(f"choice distribution sums to {Fraction(total, denom)} ≠ 1")
@@ -265,25 +301,28 @@ class ChoiceDistribution:
         """
         n = topology.n_agents
         if arity == 1:
-            return cls(dict.fromkeys(((i,) for i in range(n)), Fraction(1, n)))
+            return cls(FractionMap(np.arange(n).reshape(-1, 1), (np.ones(n, dtype=np.int64), n)))
         if arity != 2:
             raise ValidationError(
-                "from-topology uniform supports arity 1 or 2; "
-                f"rule has arity {arity}"
-            )
+                f"from-topology uniform supports arity 1 or 2; rule has arity {arity}")
         order = np.lexsort(topology.pairs.T[::-1])
-        src, dst = topology.pairs[order].T
+        pairs = topology.pairs[order]
+        src = pairs[:, 0]
         lonely = np.setdiff1d(np.arange(n), src)
         if len(lonely):
             raise ValidationError(f"agent {lonely[0] + 1} has no out-neighbors")
         # entry (i, j) is w_ij / (n * sum_k w_ik); with the weights over their
-        # lcm, it is an integer over n times the lcm of the per-agent sums
+        # lcm, an integer over n times the lcm of the per-agent sums (their
+        # total), then over the entries' lcm once divided by the common gcd
         weights = topology.weights[0][order]
         sums = np.add.reduceat(weights, np.flatnonzero(np.diff(src, prepend=-1))).tolist()
         top = lcm(*set(sums))
         dtype = np.int64 if top <= INT64_MAX else object
         nums = weights.astype(dtype) * np.array([top // s for s in sums], dtype=dtype)[src]
-        return cls(dict(zip(zip(src.tolist(), dst.tolist()), to_fractions(nums, n * top))))
+        common = gcd(n * top, *np.unique(nums).tolist())
+        denom = n * top // common
+        return cls(FractionMap(pairs, (
+            (nums // common).astype(np.int64 if denom <= INT64_MAX else object), denom)))
 
 
 class DrawTable(NamedTuple):
@@ -312,14 +351,14 @@ class ModelSpec:
     def __post_init__(self):
         if self.rule.delta != self.alphabet.delta:
             raise ValidationError("rule table and alphabet disagree on the code count")
-        n, arity, entries = self.topology.n_agents, self.rule.arity, self.choice.entries
-        agents, bad = _index_array(entries, arity), None
-        if agents is not None:
+        n, arity, agents, bad = self.topology.n_agents, self.rule.arity, self.choice.agents, None
+        if agents is not None and agents.shape[1] == arity:
             member = np.isin(agents[:, :1] * n + agents[:, 1:], self.topology.pairs @ [n, 1])
             bad = ((agents < 0) | (agents >= n)).any(axis=1) | ~member.all(axis=1)
-        _first_error(entries, bad, self._tuple_error)
-        object.__setattr__(self, "agents", np.array(list(entries), dtype=np.int64)
-                           .reshape(-1, arity) if agents is None else agents)
+        _first_error(self.choice.entries, bad, self._tuple_error)
+        if bad is None:
+            agents = np.array(list(self.choice.entries), dtype=np.int64).reshape(-1, arity)
+        object.__setattr__(self, "agents", agents)
 
     def _tuple_error(self, tup: Tuple[int, ...]) -> Optional[str]:
         """What is wrong with one agent tuple, checks in the order they apply."""
@@ -335,11 +374,16 @@ class ModelSpec:
         return None
 
     @cached_property
+    def tuple_order(self) -> np.ndarray:
+        """The positions of the choice's tuples in sorted order."""
+        return np.lexsort(self.agents.T[::-1])
+
+    @cached_property
     def draws(self) -> DrawTable:
         """Agent tuples in sorted order, each with every option in turn. The
         two lcms' product is the joint lcm: the choice's numerators sum to
         their lcm, so have gcd 1, as do the options', and so the products."""
-        order = np.lexsort(self.agents.T[::-1])
+        order = self.tuple_order
         (nums, denom), (opts, opt_denom) = (self.choice.numerators,
                                             to_numerators(p for _, p in self.rule.options))
         nums, denom = nums[order], denom * opt_denom
@@ -357,13 +401,18 @@ class ModelSpec:
     def delta(self) -> int:
         return self.alphabet.delta
 
+    def joint_columns(self) -> Tuple[List[Tuple[int, ...]], List[int], List[Fraction]]:
+        """The draw table as three lists: the choice's own key tuples, the
+        options and the joint probabilities, one Fraction per distinct value."""
+        table, tuples = self.draws, self.choice.entries.tuples
+        at = np.repeat(self.tuple_order, len(self.rule.options)).tolist()
+        return (list(map(tuples.__getitem__, at)), table.options.tolist(),
+                to_fractions(table.nums, table.denom))
+
     def joint_choices(self) -> List[Tuple[Tuple[int, ...], int, Fraction]]:
         """All (agent tuple, option index, joint probability) triples with
-        positive probability, in draw table order; the tuples are the
-        choice's own keys."""
-        table, n_opts = self.draws, len(self.rule.options)
-        tuples = [tup for tup in sorted(self.choice.entries) for _ in range(n_opts)]
-        return list(zip(tuples, table.options.tolist(), to_fractions(table.nums, table.denom)))
+        positive probability, in draw table order."""
+        return list(zip(*self.joint_columns()))
 
 
 def builtin_voter(topology: Topology, labels: Sequence[str] = ("black", "white"),
@@ -386,13 +435,6 @@ def builtin_voter(topology: Topology, labels: Sequence[str] = ("black", "white")
 _SECTIONS = ("model", "topology", "rule", "choice")
 
 
-def _strip(line: str) -> str:
-    cut = line.find("#")
-    if cut >= 0:
-        line = line[:cut]
-    return line.strip()
-
-
 def parse_fraction(token: str, line: Optional[int] = None) -> Fraction:
     """Exact rational from 'num/den' or a plain integer literal."""
     try:
@@ -408,7 +450,7 @@ def _split_sections(text: str) -> Dict[str, List[Tuple[int, str]]]:
     sections: Dict[str, List[Tuple[int, str]]] = {}
     current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
+        line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -456,14 +498,14 @@ def _parse_topology_section(lines) -> Topology:
     lineno, first = lines[0]
     toks = first.split()
     if toks[0] == "complete":
-        if len(toks) != 2 or not toks[1].isdigit():
+        if len(toks) != 2 or not toks[1].isdecimal():
             raise DocumentParseError("expected: complete N", lineno)
         if len(lines) > 1:
             raise DocumentParseError("no further lines allowed after 'complete N'", lines[1][0])
         return Topology.complete(int(toks[1]))
     if toks[0] != "agents":
         raise DocumentParseError("topology must start with 'complete N' or 'agents N'", lineno)
-    if len(toks) != 2 or not toks[1].isdigit():
+    if len(toks) != 2 or not toks[1].isdecimal():
         raise DocumentParseError("expected: agents N", lineno)
     n = int(toks[1])
     undirected = False
@@ -499,7 +541,7 @@ def _parse_rule_section(lines, alphabet: Alphabet) -> UpdateRule:
             raise DocumentParseError("no further lines allowed after 'builtin voter'", lines[1][0])
         return voter_rule(alphabet.delta)
     toks = first.split()
-    if toks[0] != "arity" or len(toks) != 2 or not toks[1].isdigit():
+    if toks[0] != "arity" or len(toks) != 2 or not toks[1].isdecimal():
         raise DocumentParseError("rule must start with 'builtin voter' or 'arity r'", lineno)
     arity = int(toks[1])
     options: List[Tuple[str, Fraction]] = []
@@ -590,28 +632,22 @@ def _show_tuple(tup: Tuple[int, ...]) -> str:
 
 def serialize_model(spec: ModelSpec) -> str:
     """Canonical document for a model; parse_model inverts it exactly."""
-    out = ["[model]", f"name = {spec.name}",
-           "attributes = " + ", ".join(spec.alphabet.symbols), ""]
-    out.append("[topology]")
-    out.append(f"agents {spec.topology.n_agents}")
-    for (i, j) in sorted(spec.topology.edges):
-        out.append(f"{i + 1} {j + 1} {_frac(spec.topology.edges[(i, j)])}")
-    out.append("")
-    out.append("[rule]")
-    out.append(f"arity {spec.rule.arity}")
-    for label, p in spec.rule.options:
-        out.append(f"lambda {label} {_frac(p)}")
-    for key in sorted(spec.rule.table):
-        args, opt = key[:-1], key[-1]
-        left = " ".join(spec.alphabet.symbols[c] for c in args)
-        out.append(f"{left} {spec.rule.option_label(opt)} -> "
-                   f"{spec.alphabet.symbols[spec.rule.table[key]]}")
-    out.append("")
-    out.append("[choice]")
-    for tup in sorted(spec.choice.entries):
-        agents = " ".join(str(a + 1) for a in tup)
-        out.append(f"{agents} {_frac(spec.choice.entries[tup])}")
-    out.append("")
+    def lines(keys: np.ndarray, values: Tuple[np.ndarray, int]) -> List[str]:
+        """`agents... ratio` lines in sorted order, agents 1-based."""
+        order = np.lexsort(keys.T[::-1])
+        return [" ".join(str(a + 1) for a in tup) + f" {_frac(p)}"
+                for tup, p in zip(keys[order].tolist(), to_fractions(values[0][order], values[1]))]
+
+    symbols, rule = spec.alphabet.symbols, spec.rule
+    out = ["[model]", f"name = {spec.name}", "attributes = " + ", ".join(symbols), "",
+           "[topology]", f"agents {spec.n_agents}",
+           *lines(spec.topology.pairs, spec.topology.weights), "",
+           "[rule]", f"arity {rule.arity}",
+           *(f"lambda {label} {_frac(p)}" for label, p in rule.options)]
+    for key in sorted(rule.table):
+        left = " ".join(symbols[c] for c in key[:-1])
+        out.append(f"{left} {rule.option_label(key[-1])} -> {symbols[rule.table[key]]}")
+    out += ["", "[choice]", *lines(spec.agents, spec.choice.numerators), ""]
     return "\n".join(out)
 
 

@@ -83,12 +83,9 @@ class ConfigSpace:
 
     def index_of(self, config: Sequence[int]) -> int:
         """Mixed-radix index, agent 0 least significant."""
-        config = self.check_config(config)
         idx = 0
-        base = 1
-        for code in config:
-            idx += code * base
-            base *= self.delta
+        for code in reversed(self.check_config(config)):
+            idx = idx * self.delta + code
         return idx
 
     def config_of(self, idx: int) -> Config:
@@ -106,21 +103,14 @@ class ConfigSpace:
         Exactly (delta-1)*n_agents pairs, ordered by agent then by new code.
         """
         config = self.check_config(config)
-        out = []
-        for i, current in enumerate(config):
-            for code in range(self.delta):
-                if code == current:
-                    continue
-                out.append((i, config[:i] + (code,) + config[i + 1:]))
-        return out
+        return [(i, config[:i] + (code,) + config[i + 1:])
+                for i, current in enumerate(config) for code in range(self.delta)
+                if code != current]
 
     def counts(self, config: Sequence[int]) -> Tuple[int, ...]:
         """Number of agents holding each attribute code, indexed by code."""
         config = self.check_config(config)
-        tally = [0] * self.delta
-        for code in config:
-            tally[code] += 1
-        return tuple(tally)
+        return tuple(config.count(code) for code in range(self.delta))
 
     @cached_property
     def radix(self) -> np.ndarray:

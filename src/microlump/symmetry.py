@@ -57,13 +57,8 @@ class SpacePermutation:
         return SpacePermutation(agents, attrs)
 
     def inverse(self) -> "SpacePermutation":
-        inv_a = [0] * len(self.agents)
-        for i, j in enumerate(self.agents):
-            inv_a[j] = i
-        inv_s = [0] * len(self.attrs)
-        for s, t in enumerate(self.attrs):
-            inv_s[t] = s
-        return SpacePermutation(tuple(inv_a), tuple(inv_s))
+        return SpacePermutation(*(tuple(sorted(range(len(p)), key=p.__getitem__))
+                                  for p in (self.agents, self.attrs)))
 
     def index_map(self, space: ConfigSpace) -> np.ndarray:
         """Vector m with m[index_of(x)] = index_of(apply(x)) for all x."""

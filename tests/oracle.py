@@ -10,7 +10,9 @@ own verdict, witness and report types, so results compare with `==`.
 propagation replaced.
 
 The first section validates models and derives draw probabilities with
-`Fraction` arithmetic, the path the integer draw table replaced. The last
+`Fraction` arithmetic, the path the integer draw table replaced, and
+builds the edge dict, choice entries and maps that the array-built
+topologies, choices and maps replaced. The last
 section applies draws to configuration tuples through the rule dict: the
 map actions, simulator and matrix estimate that the compiled rule table
 replaced.
@@ -112,6 +114,19 @@ def joint_choices(spec):
         for opt, (_, popt) in enumerate(spec.rule.options):
             out.append((tup, opt, ptup * popt))
     return out
+
+
+def complete_edges(n_agents):
+    """The edge dict of the complete graph: every ordered pair of distinct
+    agents, source-major, weight 1."""
+    return {(i, j): ONE for i in range(n_agents) for j in range(n_agents) if i != j}
+
+
+def enumerate_maps(spec):
+    """One keyword-built RandomMap per reference joint choice."""
+    labels = [label for label, _ in spec.rule.options]
+    return [RandomMap(agents=tup, option=opt, option_label=labels[opt], probability=p)
+            for tup, opt, p in joint_choices(spec)]
 
 
 def draw_weights(spec):

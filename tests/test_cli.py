@@ -335,3 +335,46 @@ def test_a_decimal_distribution_sum_is_shown_in_decimal(tmp_path, capsys):
         code, out, err = run(capsys, "propagate", str(chain), "--mu0", str(mu), "-t", "1")
         assert code == 5 and out == ""
         assert err == f"error: distribution sums to {shown} ≠ 1\n"
+
+
+def _model_with(tmp_path, source, old, new):
+    path = tmp_path / "digits.model"
+    text = Path(source).read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    return str(path)
+
+
+# '²' passes str.isdigit but not int(); '٣' and '０' are decimal digits
+# that int() reads as 3 and 0
+def test_complete_with_a_superscript_count_is_a_parse_error(tmp_path, capsys):
+    code, _, err = run(capsys, "compile", _model_with(tmp_path, VOTER3, "complete 3",
+                                                      "complete ²"))
+    assert code == 4 and "expected: complete N" in err
+
+
+def test_agents_with_a_superscript_count_is_a_parse_error(tmp_path, capsys):
+    code, _, err = run(capsys, "compile", _model_with(tmp_path, PATH3, "agents 3",
+                                                      "agents ²"))
+    assert code == 4 and "expected: agents N" in err
+
+
+def test_arity_with_a_superscript_is_a_parse_error(tmp_path, capsys):
+    code, _, err = run(capsys, "compile", _model_with(tmp_path, SAMPLES / "majority3.model",
+                                                      "arity 3", "arity ²"))
+    assert code == 4 and "rule must start with 'builtin voter' or 'arity r'" in err
+
+
+def test_simulate_start_with_a_superscript_is_rejected(tmp_path, capsys):
+    err = rejected(capsys, tmp_path, "simulate", VOTER3, "--start", "²",
+                   "--steps", "3", "--seed", "1")
+    assert "bad start configuration '²'" in err
+
+
+def test_decimal_digits_int_reads_are_counts(tmp_path, capsys):
+    code, out, _ = run(capsys, "maps", _model_with(tmp_path, VOTER3, "complete 3",
+                                                   "complete ٣"))
+    assert code == 0 and len(out.splitlines()) == 6
+    code, out, _ = run(capsys, "simulate", VOTER3, "--start", "٣", "--steps", "0",
+                       "--seed", "1")
+    assert code == 0 and out.splitlines()[1] == "(white,white,black)"

@@ -1,5 +1,7 @@
 """Seeded fuzzing of the command line: mutated sample models, and a
-mutated chain and partition of voter3, run through every verb in process.
+mutated chain and partition of voter3, run through every verb in process;
+then, with its own seed, sample models and `--start` values with ASCII
+digits swapped for non-ASCII ones.
 
 Whatever a mutation breaks, each verb must end with a documented exit code
 (0, 2, 3, 4, 5 or 6) and never raise. No mutation is filtered out.
@@ -103,4 +105,45 @@ def test_mutated_inputs_end_in_documented_exit_codes(tmp_path):
                                     f"exit {code}\n{trace}")
     assert not failures, f"{len(failures)} failures, the first:\n" + failures[0]
     # the mutants reach both success and the error exits
+    assert {0, 4, 5} <= codes
+
+
+# '²' passes str.isdigit but int() rejects it; '٣' and '０' are decimal
+# digits that int() reads as 3 and 0
+NON_ASCII_DIGITS = "²٣０"
+DIGIT_MUTATIONS_PER_FILE = 15
+
+
+def _swap_digits(text, rng):
+    """One to three of the ASCII digits of `text` swapped for non-ASCII ones."""
+    chars = list(text)
+    at = [k for k, ch in enumerate(chars) if ch in "0123456789"]
+    for k in rng.sample(at, min(len(at), rng.randint(1, 3))):
+        chars[k] = rng.choice(NON_ASCII_DIGITS)
+    return "".join(chars)
+
+
+def test_non_ascii_digit_mutants_end_in_documented_exit_codes(tmp_path):
+    rng = random.Random(20261018)
+    voter3 = load_model(SAMPLES / "voter3.model")
+    part = tmp_path / "voter3.part"
+    with open(part, "w", encoding="utf-8") as fh:
+        write_partition(orbits(build_micro_chain(voter3).space, parse_presets("SN", 3, 2)), fh)
+    failures, codes = [], set()
+    for name in ("voter3.model", "path3.model", "majority3.model"):
+        text = (SAMPLES / name).read_text(encoding="utf-8")
+        for k in range(DIGIT_MUTATIONS_PER_FILE):
+            mutant = _swap_digits(text, rng)
+            mutant_path = tmp_path / f"digits{k}-{name}"
+            mutant_path.write_text(mutant, encoding="utf-8")
+            start = _swap_digits(rng.choice(("0", "1", "7", "10")), rng)
+            verbs = _model_verbs(str(mutant_path), str(part)) + [
+                ["simulate", str(SAMPLES / name), "--start", start, "--steps", "5",
+                 "--seed", "2"]]
+            for argv in verbs:
+                code, trace = _run(argv)
+                codes.add(code)
+                if code not in EXIT_CODES:
+                    failures.append(f"{argv} on {name} mutant {mutant!r}: exit {code}\n{trace}")
+    assert not failures, f"{len(failures)} failures, the first:\n" + failures[0]
     assert {0, 4, 5} <= codes

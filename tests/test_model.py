@@ -247,3 +247,22 @@ def test_integer_weights_become_fractions_and_floats_are_rejected():
         ChoiceDistribution({(0,): 0.5, (1,): Fraction(1, 2)})
     with pytest.raises(ValidationError, match="option 'copy' probability"):
         UpdateRule(arity=2, options=(("copy", 1.0),), table=voter_rule(2).table, delta=2)
+
+
+def test_the_parse_to_simulate_path_never_builds_the_fraction_mappings():
+    """The model's integer tables carry parse, draws, maps, build,
+    simulation and fingerprint; `edges` and `entries` are built on first
+    read only."""
+    from microlump import build_micro_chain, enumerate_maps, simulate
+    spec = parse_model(VOTER3_DOC.replace("complete 3", "complete 200"))
+    enumerate_maps(spec)
+    small = parse_model(VOTER3_DOC.replace("complete 3", "complete 6"))
+    build_micro_chain(small)
+    simulate(small, [0, 1] * 3, 50, 1)
+    model_fingerprint(small)
+    for model in (spec, small):
+        assert "dict" not in vars(model.topology.edges)
+        assert "dict" not in vars(model.choice.entries)
+    assert len(spec.choice.entries) == 200 * 199 and "dict" not in vars(spec.choice.entries)
+    assert spec.choice.entries[(0, 1)] == Fraction(1, 200 * 199)
+    assert "dict" in vars(spec.choice.entries)

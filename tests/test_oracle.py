@@ -6,7 +6,8 @@ profiles, state classification and absorption, on seeded random models;
 the draws applied through the compiled rule table (map actions,
 `maps --table`, trajectories and matrix estimates) against the rule-dict
 references; the integer draw table and model validation against the
-`Fraction` path they replaced; and orbit partitions against union-find."""
+`Fraction` path they replaced; array-built topologies, choices and maps
+against the dict-built ones; and orbit partitions against union-find."""
 
 import io
 import itertools
@@ -897,3 +898,75 @@ def test_integral_float_agents_give_the_integer_draw_table(voter3):
     assert all(np.array_equal(got, want) for got, want in zip(spec.draws, voter3.draws))
     assert (sparse_text(write_sparse, build_micro_chain(spec))
             == sparse_text(write_sparse, build_micro_chain(voter3)))
+
+
+def check_topology_arrays(topology, ref):
+    """An array-built topology against its dict-built reference."""
+    assert topology.pairs.dtype == ref.pairs.dtype == np.int64
+    assert np.array_equal(topology.pairs, ref.pairs)
+    (nums, denom), (ref_nums, ref_denom) = topology.weights, ref.weights
+    assert (nums.dtype, nums.tolist(), denom) == (ref_nums.dtype, ref_nums.tolist(), ref_denom)
+    assert list(topology.edges.items()) == list(ref.edges.items())
+    assert topology == ref
+
+
+def check_array_built(spec, ref):
+    """A model whose topology or choice was built from arrays against the
+    same model through the dict constructors: the arrays, the mappings'
+    contents and order, `==`, the draw table, the maps and the document."""
+    check_topology_arrays(spec.topology, ref.topology)
+    (nums, denom), (ref_nums, ref_denom) = spec.choice.numerators, ref.choice.numerators
+    assert (nums.dtype, nums.tolist(), denom) == (ref_nums.dtype, ref_nums.tolist(), ref_denom)
+    assert np.array_equal(spec.choice.agents, ref.choice.agents)
+    assert list(spec.choice.entries.items()) == list(ref.choice.entries.items())
+    assert spec.choice == ref.choice and spec == ref
+    for got, want in zip(spec.draws, ref.draws):
+        assert np.asarray(got).dtype == np.asarray(want).dtype
+        assert np.array_equal(got, want)
+    assert enumerate_maps(spec) == oracle.enumerate_maps(ref)
+    assert spec.joint_choices() == oracle.joint_choices(ref)
+    assert serialize_model(spec) == serialize_model(ref)
+
+
+def dict_built(spec, edges, from_topology=True):
+    """`spec` with its topology built from `edges` and its choice from the
+    Fraction reference, or from its own entries when it has explicit ones."""
+    topology = Topology(spec.n_agents, edges)
+    entries = (oracle.uniform_from_topology(topology, spec.rule.arity) if from_topology
+               else dict(spec.choice.entries))
+    return ModelSpec(name=spec.name, alphabet=spec.alphabet, topology=topology,
+                     rule=spec.rule, choice=ChoiceDistribution(entries))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_array_built_models_match_the_dict_references(seed):
+    spec = random_model(seed)
+    edges = (oracle.complete_edges(spec.n_agents) if spec.name.endswith("complete")
+             else dict(spec.topology.edges))
+    check_array_built(spec, dict_built(spec, edges, spec.name.startswith("voter")))
+
+
+@pytest.mark.parametrize("seed", range(1, 12, 2))
+def test_documents_choosing_from_the_topology_match_the_dict_references(seed):
+    spec = parse_model(document_model(seed)[0])
+    check_array_built(spec, dict_built(spec, dict(spec.topology.edges)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 30, 200])
+def test_complete_topologies_match_the_dict_references(n):
+    topology, ref = Topology.complete(n), Topology(n, oracle.complete_edges(n))
+    check_topology_arrays(topology, ref)
+    one = ChoiceDistribution.uniform_from_topology(topology, 1)
+    assert list(one.entries.items()) == list(oracle.uniform_from_topology(ref, 1).items())
+    if n == 1:
+        message = _error(lambda: builtin_voter(topology))
+        assert message == _error(lambda: oracle.uniform_from_topology(ref, 2))
+        assert message == "agent 1 has no out-neighbors"
+        return
+    spec = builtin_voter(topology)
+    check_array_built(spec, dict_built(spec, oracle.complete_edges(n)))
+
+
+def test_no_agents_is_the_same_error_either_way():
+    assert (_error(lambda: Topology.complete(0)) == _error(lambda: Topology(0, {}))
+            == "need at least one agent")
