@@ -253,10 +253,7 @@ def _trajectory(chain: Chain, nums: np.ndarray, denom: int) -> Iterator[Tuple[np
 
 def _block_mass(nums: np.ndarray, part: Partition) -> np.ndarray:
     """Numerators summed block by block (every block is non-empty)."""
-    block_of = np.asarray(part.block_of, dtype=np.int64)
-    order = np.argsort(block_of, kind="stable")
-    starts = np.searchsorted(block_of[order], np.arange(part.n_blocks))
-    return np.add.reduceat(nums[order], starts)
+    return np.add.reduceat(nums[part.members], part.indptr[:-1])
 
 
 def propagate(chain: Chain, mu: Sequence[Fraction], t: int) -> List[Fraction]:
@@ -288,7 +285,7 @@ def commutation_profile(chain: Chain, part: Partition, mu0: Sequence[Fraction],
         raise ValidationError("step count must be non-negative")
     mu = validate_distribution(mu0, chain.n_states)
     part.check_covers(chain.n_states)
-    macro = (block_row_sums(chain, part, [block[0] for block in part.blocks])
+    macro = (block_row_sums(chain, part, part.members[part.indptr[:-1]])
              if force else lump(chain, part))
     nums, denom = to_numerators(mu)
     steps = zip(_trajectory(chain, nums, denom),

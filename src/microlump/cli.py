@@ -131,7 +131,7 @@ def cmd_lump(args) -> int:
     with _output(args) as fh:
         chainmod.write_sparse(macro, fh)
     for k, label in enumerate(part.labels):
-        print(f"block {k} {label} size={len(part.blocks[k])}", file=sys.stderr)
+        print(f"block {k} {label} size={part.indptr[k + 1] - part.indptr[k]}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -23,54 +23,67 @@ from .errors import DocumentParseError, NotLumpableError, ValidationError
 from .space import ConfigSpace
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Disjoint blocks of state indices covering 0..n_states-1, labeled."""
+    """Disjoint blocks of state indices covering 0..n_states-1, labeled:
+    block k is members[indptr[k]:indptr[k+1]] (int64), in its listed
+    order. `block_of` holds each state's block id (int64), and `blocks`
+    the blocks as tuples, built on first read."""
 
-    blocks: Tuple[Tuple[int, ...], ...]
+    members: np.ndarray
+    indptr: np.ndarray
     labels: Tuple[str, ...]
 
     def __post_init__(self):
-        if len(self.blocks) != len(self.labels):
+        if len(self.indptr) - 1 != len(self.labels):
             raise ValidationError("need exactly one label per block")
         if len(set(self.labels)) != len(self.labels):
             raise ValidationError("block labels must be distinct")
-        seen: Dict[int, int] = {}
-        for bid, block in enumerate(self.blocks):
-            if not block:
-                raise ValidationError(f"block {self.labels[bid]!r} is empty")
-            for x in block:
-                if x in seen:
-                    raise ValidationError(f"state {x} appears in two blocks")
-                seen[x] = bid
-        n = len(seen)
-        if set(seen) != set(range(n)):
+        try:
+            members = np.asarray(self.members, dtype=np.int64)
+        except OverflowError:  # past int64, so out of range: kept for the message
+            members = np.asarray(self.members, dtype=object)
+        indptr, n = np.asarray(self.indptr, dtype=np.int64), len(members)
+        empty = np.flatnonzero(indptr[1:] == indptr[:-1])
+        if len(empty) or not (((members >= 0) & (members < n)).all()
+                              and (np.bincount(members, minlength=n) == 1).all()):
+            # the first fault met reading the blocks in order: an empty
+            # block or a state listed again, else one outside 0..n-1
+            order = np.argsort(members, kind="stable")
+            again = order[1:][members[order[1:]] == members[order[:-1]]]
+            at = again.min(initial=n)
+            if len(empty) and indptr[empty[0]] <= at:
+                raise ValidationError(f"block {self.labels[empty[0]]!r} is empty")
+            if len(again):
+                raise ValidationError(f"state {members[at]} appears in two blocks")
             raise ValidationError("blocks must cover exactly the states 0..n-1")
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "indptr", indptr)
 
     @property
     def n_states(self) -> int:
-        return sum(len(b) for b in self.blocks)
+        return len(self.members)
 
     @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
+        return len(self.labels)
 
     @cached_property
-    def block_of(self) -> Tuple[int, ...]:
-        out = [0] * self.n_states
-        for bid, block in enumerate(self.blocks):
-            for x in block:
-                out[x] = bid
-        return tuple(out)
+    def block_of(self) -> np.ndarray:
+        out = np.empty(self.n_states, dtype=np.int64)
+        out[self.members] = np.repeat(np.arange(self.n_blocks), np.diff(self.indptr))
+        return out
+
+    @cached_property
+    def blocks(self) -> Tuple[Tuple[int, ...], ...]:
+        members, bounds = self.members.tolist(), self.indptr.tolist()
+        return tuple(tuple(members[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     def check_covers(self, n_states: int) -> None:
         """Raise unless the blocks cover exactly `n_states` chain states."""
         if self.n_states != n_states:
             raise ValidationError(
                 f"partition covers {self.n_states} states, chain has {n_states}")
-
-    def label_of(self, state: int) -> str:
-        return self.labels[self.block_of[state]]
 
     def same_blocks(self, other: "Partition") -> bool:
         """Equality as set partitions, ignoring labels and block order."""
@@ -79,17 +92,17 @@ class Partition:
 
 
 def singleton_partition(n_states: int) -> Partition:
-    return Partition(tuple((x,) for x in range(n_states)),
-                     tuple(str(x) for x in range(n_states)))
+    return Partition(np.arange(n_states), np.arange(n_states + 1),
+                     tuple(map(str, range(n_states))))
 
 
-def group_blocks(keys) -> Tuple[Tuple[int, ...], ...]:
-    """States grouped by an integer key per state: blocks in ascending key
-    order, members ascending."""
+def group_blocks(keys) -> Tuple[np.ndarray, np.ndarray]:
+    """States grouped by an integer key per state, as (members, indptr):
+    blocks in ascending key order, members ascending."""
     keys = np.asarray(keys)
-    order = np.argsort(keys, kind="stable")
-    cuts = np.flatnonzero(np.diff(keys[order])) + 1
-    return tuple(tuple(b.tolist()) for b in np.split(order, cuts))
+    members = np.argsort(keys, kind="stable")
+    cuts = np.flatnonzero(np.diff(keys[members])) + 1
+    return members, np.concatenate(([0], cuts, [len(keys)]))
 
 
 def count_label(counts: Sequence[int]) -> str:
@@ -116,8 +129,8 @@ def frequency_partition(space: ConfigSpace) -> Partition:
     """
     counts = space.counts_matrix
     first, inverse, _ = count_classes(counts)
-    blocks = group_blocks(first[inverse])
-    return Partition(blocks, tuple(count_label(counts[b[0]]) for b in blocks))
+    members, indptr = group_blocks(first[inverse])
+    return Partition(members, indptr, tuple(map(count_label, counts[members[indptr[:-1]]])))
 
 
 def moran_partition(space: ConfigSpace, distinguished: int = 0) -> Partition:
@@ -125,8 +138,8 @@ def moran_partition(space: ConfigSpace, distinguished: int = 0) -> Partition:
     code; coincides with the count partition when there are two codes."""
     if not 0 <= distinguished < space.delta:
         raise ValidationError(f"attribute code {distinguished} out of range")
-    blocks = group_blocks(space.counts_matrix[:, distinguished])
-    return Partition(blocks, tuple(f"X_{k}" for k in range(space.n_agents + 1)))
+    return Partition(*group_blocks(space.counts_matrix[:, distinguished]),
+                     tuple(f"X_{k}" for k in range(space.n_agents + 1)))
 
 
 def half_hypercube_partition(space: ConfigSpace) -> Partition:
@@ -136,8 +149,8 @@ def half_hypercube_partition(space: ConfigSpace) -> Partition:
         raise ValidationError("half-hypercube reduction needs exactly two codes")
     n = space.n_agents
     tallies = space.counts_matrix[:, 0]
-    blocks = group_blocks(np.minimum(tallies, n - tallies))
-    return Partition(blocks, tuple(f"Y_{k}" for k in range(n // 2 + 1)))
+    return Partition(*group_blocks(np.minimum(tallies, n - tallies)),
+                     tuple(f"Y_{k}" for k in range(n // 2 + 1)))
 
 
 def induced_partition(fine: Partition, coarse: Partition) -> Partition:
@@ -148,14 +161,12 @@ def induced_partition(fine: Partition, coarse: Partition) -> Partition:
     """
     if fine.n_states != coarse.n_states:
         raise ValidationError("partitions cover different state counts")
-    groups: List[List[int]] = [[] for _ in coarse.blocks]
-    for fid, block in enumerate(fine.blocks):
-        targets = {coarse.block_of[x] for x in block}
-        if len(targets) != 1:
-            raise ValidationError(
-                f"fine block {fine.labels[fid]!r} straddles coarse blocks; not a refinement")
-        groups[targets.pop()].append(fid)
-    return Partition(tuple(tuple(g) for g in groups), coarse.labels)
+    first = coarse.block_of[fine.members[fine.indptr[:-1]]]
+    straddling = fine.block_of[coarse.block_of != first[fine.block_of]]
+    if len(straddling):
+        raise ValidationError(f"fine block {fine.labels[straddling.min()]!r} "
+                              "straddles coarse blocks; not a refinement")
+    return Partition(*group_blocks(first), coarse.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +232,7 @@ def block_row_sums(chain, part: Partition, states: Sequence[int]) -> Chain:
     at = _spans(chain.indptr[states], lengths)
     picked = Chain(np.concatenate(([0], np.cumsum(lengths))), chain.cols[at],
                    chain.nums[at], chain.denom)
-    block_of = np.asarray(part.block_of, dtype=np.int64)
-    rows, blocks, sums, _ = _block_sums(picked, block_of, part.n_blocks, own=True)
+    rows, blocks, sums, _ = _block_sums(picked, part.block_of, part.n_blocks, own=True)
     keep = sums != 0
     counts = np.bincount(rows[keep], minlength=len(states))
     indptr = np.concatenate(([0], np.cumsum(counts)))
@@ -231,7 +241,7 @@ def block_row_sums(chain, part: Partition, states: Sequence[int]) -> Chain:
 
 def check_lumpable(chain, part: Partition, tol: Optional[float] = None,
                    exhaustive: bool = False) -> LumpVerdict:
-    """Block-sum test against the first member of each block.
+    """Block-sum test against the smallest member of each block.
 
     Exact mode compares rationals and skips each state's own block (its sum
     is one minus the rest). `tol` switches to absolute-difference
@@ -240,7 +250,7 @@ def check_lumpable(chain, part: Partition, tol: Optional[float] = None,
     stopping at the first.
 
     One vector pass over the block sums flags the states that differ from
-    their block's first member; the flagged states' witnesses are read
+    their block's smallest member; the flagged states' witnesses are read
     from the same sums, and only reported ones become Fractions.
     """
     if tol is not None and not (isfinite(tol) and tol >= 0):
@@ -252,8 +262,7 @@ def check_lumpable(chain, part: Partition, tol: Optional[float] = None,
     # floor(tol * denom), clamped at denom to keep it small: a lower limit
     # only flags more states, and the exact rule decides each pair
     limit = min(tol_num * chain.denom // tol_den, chain.denom)
-    block_of = np.asarray(part.block_of, dtype=np.int64)
-    n_blocks = part.n_blocks
+    block_of, n_blocks = part.block_of, part.n_blocks
     states, blocks, sums, reach = _block_sums(chain, block_of, n_blocks, own=tol is not None)
     if not len(states):
         return LumpVerdict(True)
@@ -265,8 +274,7 @@ def check_lumpable(chain, part: Partition, tol: Optional[float] = None,
         pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
         return np.where(keys[pos] == want, sums[pos], 0)
 
-    _, first = np.unique(block_of, return_index=True)
-    ref = first[block_of]
+    ref = np.minimum.reduceat(part.members, part.indptr[:-1])[block_of]
     # each state's sums against its reference's, then the reference's
     # sums against every member of its block
     bad_own = abs(sums - sum_at(ref[states], blocks)) > limit
@@ -318,7 +326,7 @@ def lump(chain, part: Partition, tol: Optional[float] = None) -> Chain:
     verdict = check_lumpable(chain, part, tol=tol)
     if not verdict:
         raise NotLumpableError(verdict.witness)
-    return block_row_sums(chain, part, [block[0] for block in part.blocks])
+    return block_row_sums(chain, part, part.members[part.indptr[:-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +334,11 @@ def lump(chain, part: Partition, tol: Optional[float] = None) -> Chain:
 
 def write_partition(part: Partition, fh: TextIO) -> None:
     for label, block in zip(part.labels, part.blocks):
-        fh.write(f"{label}: {' '.join(str(x) for x in block)}\n")
+        fh.write(f"{label}: {' '.join(map(str, block))}\n")
 
 
 def read_partition(text: str) -> Partition:
-    blocks: List[Tuple[int, ...]] = []
-    labels: List[str] = []
+    members, indptr, labels = [], [0], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#")[0].strip()
         if not line:
@@ -340,14 +347,14 @@ def read_partition(text: str) -> Partition:
         if not sep:
             raise DocumentParseError("expected 'label: idx idx ...'", lineno)
         try:
-            members = tuple(int(tok) for tok in body.split())
+            members.extend(map(int, body.split()))
         except ValueError:
             raise DocumentParseError("state indices must be integers", lineno)
         labels.append(label.strip())
-        blocks.append(members)
-    if not blocks:
+        indptr.append(len(members))
+    if not labels:
         raise DocumentParseError("partition file defines no blocks")
-    return Partition(tuple(blocks), tuple(labels))
+    return Partition(members, indptr, tuple(labels))
 
 
 def load_partition(path) -> Partition:

@@ -111,8 +111,7 @@ def simulate(spec: ModelSpec, start: Sequence[int], steps: int, seed: int,
 
 def project_trajectory(run: SimRun, part: Partition) -> List[str]:
     """Visited block labels, in trajectory order."""
-    names = list(map(part.labels.__getitem__, part.block_of))
-    return list(map(names.__getitem__, run.states))
+    return np.array(part.labels, dtype=object)[part.block_of[np.asarray(run.states)]].tolist()
 
 
 def _group_strings(space: ConfigSpace) -> Tuple[int, List[str]]:

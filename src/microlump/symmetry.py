@@ -242,19 +242,16 @@ def orbits(space: ConfigSpace, gens: GeneratorSet) -> Partition:
             np.minimum(label, label[image], out=label)
             # the inverse image's label, by writing through the permutation
             label[image] = np.minimum(label[image], label)
-    blocks = group_blocks(label)
+    members, indptr = group_blocks(label)
     counts = space.counts_matrix
     _, cls, class_size = count_classes(counts)
-    labels = []
-    for bid, members in enumerate(blocks):
-        first = cls[members[0]]
-        # count labels only for blocks that are a whole count class, so
-        # labels stay unique and mean what they say
-        if len(members) == class_size[first] and bool((cls[list(members)] == first).all()):
-            labels.append(count_label(counts[members[0]]))
-        else:
-            labels.append(f"O{bid}")
-    return Partition(blocks, tuple(labels))
+    # count labels only for whole count classes, so labels stay unique and
+    # mean what they say; label[x] is the first member of x's block
+    firsts, mixed = members[indptr[:-1]], label[cls != cls[label]]
+    whole = (np.diff(indptr) == class_size[cls[firsts]]) & ~np.isin(firsts, mixed)
+    return Partition(members, indptr, tuple(
+        count_label(counts[x]) if ok else f"O{bid}"
+        for bid, (x, ok) in enumerate(zip(firsts.tolist(), whole.tolist()))))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ These are the plain-loop versions the integer CSR core replaced, kept as
 the oracle `test_oracle.py` compares it against. They return the package's
 own verdict, witness and report types, so results compare with `==`.
 
+`TuplePartition` is the partition as tuples of state indices, with the
+dict-loop validation, `block_of` fill, tuple `group_blocks` and
+`induced_partition` loop that the member/indptr arrays replaced;
+`partition` builds the package's `Partition` from that tuple form.
 `orbits` is the union-find over generator edges that min-label
 propagation replaced.
 
@@ -19,8 +23,11 @@ replaced.
 """
 
 import bisect
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
+from typing import Tuple
 
 import numpy as np
 
@@ -29,8 +36,8 @@ from microlump import (AnalysisError, ConfigSpace, DocumentParseError, RandomMap
 from microlump.analysis import (RESIDUAL_BOUND, AbsorptionReport, Classification,
                                 validate_distribution)
 from microlump.chain import rule_table
-from microlump.lumping import (LumpVerdict, LumpWitness, Partition, count_label,
-                               group_blocks)
+from microlump import lumping
+from microlump.lumping import LumpVerdict, LumpWitness, count_label
 from microlump.sim import _DRAW_BLOCK, Deviation, EstimateReport, SimRun
 from microlump.symmetry import SymmetryVerdict, SymmetryWitness
 
@@ -265,6 +272,74 @@ def is_chain_symmetric(rows, space, gens):
     return SymmetryVerdict(True)
 
 
+@dataclass(frozen=True)
+class TuplePartition:
+    blocks: Tuple[Tuple[int, ...], ...]
+    labels: Tuple[str, ...]
+
+    def __post_init__(self):
+        if len(self.blocks) != len(self.labels):
+            raise ValidationError("need exactly one label per block")
+        if len(set(self.labels)) != len(self.labels):
+            raise ValidationError("block labels must be distinct")
+        seen = {}
+        for bid, block in enumerate(self.blocks):
+            if not block:
+                raise ValidationError(f"block {self.labels[bid]!r} is empty")
+            for x in block:
+                if x in seen:
+                    raise ValidationError(f"state {x} appears in two blocks")
+                seen[x] = bid
+        n = len(seen)
+        if set(seen) != set(range(n)):
+            raise ValidationError("blocks must cover exactly the states 0..n-1")
+
+    @property
+    def n_states(self):
+        return sum(len(b) for b in self.blocks)
+
+    @property
+    def n_blocks(self):
+        return len(self.blocks)
+
+    @cached_property
+    def block_of(self):
+        out = [0] * self.n_states
+        for bid, block in enumerate(self.blocks):
+            for x in block:
+                out[x] = bid
+        return tuple(out)
+
+
+def partition(blocks, labels):
+    """The package's `Partition` from blocks given as sequences of state
+    indices, each in its listed order."""
+    blocks = [list(b) for b in blocks]
+    return lumping.Partition([x for b in blocks for x in b],
+                             np.cumsum([0] + [len(b) for b in blocks]), tuple(labels))
+
+
+def group_blocks(keys):
+    """Blocks in ascending key order, members ascending, as tuples."""
+    keys = np.asarray(keys)
+    order = np.argsort(keys, kind="stable")
+    cuts = np.flatnonzero(np.diff(keys[order])) + 1
+    return tuple(tuple(b.tolist()) for b in np.split(order, cuts))
+
+
+def induced_partition(fine, coarse):
+    if fine.n_states != coarse.n_states:
+        raise ValidationError("partitions cover different state counts")
+    groups = [[] for _ in coarse.blocks]
+    for fid, block in enumerate(fine.blocks):
+        targets = {coarse.block_of[x] for x in block}
+        if len(targets) != 1:
+            raise ValidationError(
+                f"fine block {fine.labels[fid]!r} straddles coarse blocks; not a refinement")
+        groups[targets.pop()].append(fid)
+    return TuplePartition(tuple(tuple(g) for g in groups), coarse.labels)
+
+
 class UnionFind:
     __slots__ = ("parent",)
 
@@ -307,7 +382,7 @@ def orbits(space, gens):
             labels.append(count_label(counts[members[0]]))
         else:
             labels.append(f"O{bid}")
-    return Partition(blocks, tuple(labels))
+    return TuplePartition(blocks, tuple(labels))
 
 
 def block_row_sums(rows, part, state):
@@ -557,7 +632,7 @@ def write_trajectory(run, space, fh, part=None):
     fh.write(f"# seed={run.seed} steps={run.steps} start={run.start} "
              f"model={run.fingerprint}\n")
     for x in run.states:
-        fh.write((space.format_index(x) if part is None else part.label_of(x)) + "\n")
+        fh.write((space.format_index(x) if part is None else part.labels[part.block_of[x]]) + "\n")
 
 
 def estimate_matrix(spec, steps_per_state, seed, cap=None):

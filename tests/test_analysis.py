@@ -7,9 +7,10 @@ from microlump import (AnalysisError, Topology, ValidationError,
                        absorption_analysis, aggregate, build_micro_chain,
                        builtin_voter, classify_states, commutation_check,
                        commutation_profile, frequency_partition, lump,
-                       moran_partition, Partition, point_mass, propagate, read_sparse)
+                       moran_partition, point_mass, propagate, read_sparse)
 from microlump.analysis import (absorption_kv, absorption_text,
                                 read_distribution, write_distribution)
+from oracle import partition
 from conftest import letter_index
 
 
@@ -186,7 +187,7 @@ def test_commutation_rejects_negative_steps(voter3_chain):
 
 @pytest.mark.parametrize("n_states", [4, 11])
 def test_partition_of_another_size_is_rejected(voter3_chain, n_states):
-    part = Partition(((0,), tuple(range(1, n_states))), ("A", "B"))
+    part = partition(((0,), tuple(range(1, n_states))), ("A", "B"))
     mu = point_mass(8, 1)
     message = f"partition covers {n_states} states, chain has 8"
     for force in (False, True):

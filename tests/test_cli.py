@@ -310,6 +310,22 @@ def test_a_row_sum_beyond_the_largest_double_is_reported(tmp_path, capsys, verb)
         assert err == f"error: row 0 sums to {shown} outside 1±1e-09\n"
 
 
+def test_a_partition_file_repeating_a_state_past_int64_exits_5(tmp_path, capsys):
+    """Indices past int64 keep their value in the message, and one never
+    sizes an array."""
+    chain, part = tmp_path / "chain.sparse", tmp_path / "big.part"
+    run(capsys, "compile", VOTER3, "-o", str(chain))
+    big = 10**30
+    part.write_text(f"A: 0 1 2 3 {big}\nB: 4 5\nC: 6 7 {big}\n")
+    code, out, err = run(capsys, "check-lump", str(chain), str(part))
+    assert code == 5 and out == ""
+    assert err == f"error: state {big} appears in two blocks\n"
+    part.write_text("A: 0 1 2 3\nB: 4 5 6 1000000000000\n")
+    code, out, err = run(capsys, "check-lump", str(chain), str(part))
+    assert code == 5 and out == ""
+    assert err == "error: blocks must cover exactly the states 0..n-1\n"
+
+
 @pytest.mark.parametrize("verb", ["analyze", "check-lump"])
 def test_a_huge_state_count_fails_at_its_first_empty_row(tmp_path, capsys, verb):
     """Rows past the last entry are empty: the first of them is reported,

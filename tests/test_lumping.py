@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from microlump import (ConfigSpace, NotLumpableError, Partition, Topology,
+from microlump import (ConfigSpace, NotLumpableError, Topology,
                        ValidationError, agent_symmetric_group,
                        build_micro_chain, builtin_voter, check_lumpable,
                        frequency_partition, half_hypercube_partition,
@@ -12,6 +12,8 @@ from microlump import (ConfigSpace, NotLumpableError, Partition, Topology,
                        parse_presets, read_partition, singleton_partition,
                        write_partition)
 from microlump.lumping import block_row_sums, count_classes
+import oracle
+from oracle import partition
 from conftest import letter_index
 
 
@@ -172,19 +174,39 @@ def test_half_hypercube_lumpable_with_stay_two_thirds(voter3_chain):
 
 
 def test_induced_partition_requires_refinement():
-    fine = Partition(((0, 1), (2, 3)), ("u", "v"))
-    coarse = Partition(((0, 2), (1, 3)), ("p", "q"))
+    fine = partition(((0, 1), (2, 3)), ("u", "v"))
+    coarse = partition(((0, 2), (1, 3)), ("p", "q"))
     with pytest.raises(ValidationError, match="refinement"):
         induced_partition(fine, coarse)
 
 
 def test_partition_validation():
     with pytest.raises(ValidationError):
-        Partition(((0, 1), (1, 2)), ("x", "y"))  # overlap
+        partition(((0, 1), (1, 2)), ("x", "y"))  # overlap
     with pytest.raises(ValidationError):
-        Partition(((0, 1), (3,)), ("x", "y"))  # gap
+        partition(((0, 1), (3,)), ("x", "y"))  # gap
     with pytest.raises(ValidationError):
-        Partition(((0,), (1,)), ("x", "x"))  # duplicate label
+        partition(((0,), (1,)), ("x", "x"))  # duplicate label
+    cover = "blocks must cover exactly the states 0..n-1"
+    cases = [
+        (((0, -1), (1,)), cover),
+        (((0, 1), (10**12,)), cover),  # an index is not an array size
+        (((2**63, 0), (1, 2**63)), f"state {2**63} appears in two blocks"),
+        (((0, 10**30), (10**30, 1)), f"state {10**30} appears in two blocks"),
+        (((0, 10**30), (-10**30, 1)), cover),
+        # read block by block: the empty block comes before the repeat
+        (((0, 1), (), (1, 2)), "block 'y' is empty"),
+        (((0, 1), (1, 2), ()), "state 1 appears in two blocks"),
+        # the state repeated first, not the smallest repeated one
+        (((3, 2, 0), (3, 2, 1)), "state 3 appears in two blocks"),
+        (((0, 1), (1,), (1, 0)), "state 1 appears in two blocks"),
+    ]
+    for blocks, message in cases:
+        labels = ("x", "y", "z")[:len(blocks)]
+        for build in (partition, oracle.TuplePartition):
+            with pytest.raises(ValidationError) as err:
+                build(blocks, labels)
+            assert str(err.value) == message
 
 
 def test_partition_file_roundtrip(voter3_chain):
@@ -211,7 +233,7 @@ def test_tolerance_mode_for_float_chains():
             "3 1 0.5\n3 2 0.5\n")
     chain = read_sparse(text)
     assert not chain.exact
-    part = Partition(((0,), (3,), (1, 2)), ("lo", "hi", "mids"))
+    part = partition(((0,), (3,), (1, 2)), ("lo", "hi", "mids"))
     assert not check_lumpable(chain, part)          # exact mode sees the jitter
     assert check_lumpable(chain, part, tol=1e-9)    # tolerance mode accepts it
 

@@ -7,7 +7,8 @@ the draws applied through the compiled rule table (map actions,
 `maps --table`, trajectories and matrix estimates) against the rule-dict
 references; the integer draw table and model validation against the
 `Fraction` path they replaced; array-built topologies, choices and maps
-against the dict-built ones; and orbit partitions against union-find."""
+against the dict-built ones; orbit partitions against union-find; and the
+member/indptr partitions against the tuple reference."""
 
 import io
 import itertools
@@ -25,13 +26,13 @@ from microlump import (absorption_analysis, aggregate, classify_states,
                        commutation_profile, propagate)
 from microlump import (AnalysisError, Alphabet, ChoiceDistribution, ConfigSpace,
                        DocumentParseError, GeneratorSet, ModelSpec, NotLumpableError,
-                       Partition, SpacePermutation, Topology, UpdateRule, ValidationError,
+                       SpacePermutation, Topology, UpdateRule, ValidationError,
                        build_micro_chain, builtin_voter, certify, check_lumpable,
                        enumerate_maps, estimate_matrix, frequency_partition,
-                       half_hypercube_partition, is_chain_symmetric, lump,
+                       half_hypercube_partition, induced_partition, is_chain_symmetric, lump,
                        model_fingerprint, moran_partition, orbits, parse_model,
                        parse_presets, read_sparse, serialize_model, simulate, write_sparse)
-from microlump.lumping import block_row_sums
+from microlump.lumping import block_row_sums, count_label
 from conftest import path_topology, random_topology, star_topology
 
 import oracle
@@ -111,7 +112,7 @@ def random_partition(n_states, rng, k=None):
         groups[x % k if x < k else rng.randrange(k)].append(x)
     for g in groups:
         rng.shuffle(g)
-    return Partition(tuple(tuple(g) for g in groups), tuple(f"R{i}" for i in range(k)))
+    return oracle.partition(tuple(tuple(g) for g in groups), tuple(f"R{i}" for i in range(k)))
 
 
 def sparse_text(write, matrix):
@@ -215,7 +216,7 @@ def test_witness_order_matches_the_reference_over_many_blocks(topology, seed):
     k = rng.randint(9, 20)
     part = random_partition(chain.n_states, rng, k)
     shuffled = rng.sample(range(k), k)
-    part = Partition(tuple(part.blocks[i] for i in shuffled), part.labels)
+    part = oracle.partition(tuple(part.blocks[i] for i in shuffled), part.labels)
     assert sorted(part.blocks, key=min) != list(part.blocks)
     assert any(list(b) != sorted(b) for b in part.blocks)
     reached = reach_orders(chain, part)
@@ -251,8 +252,8 @@ def test_forced_profile_over_an_explicit_zero_entry():
     rows, _ = oracle.read_sparse(text)
     assert 0 in chain.nums.tolist()
     mu = [Fraction(1, 5), Fraction(2, 5), Fraction(0), Fraction(2, 5)]
-    parts = (Partition(((1, 0), (3, 2)), ("A", "B")),
-             Partition(((1,), (0, 2), (3,)), ("A", "B", "C")))
+    parts = (oracle.partition(((1, 0), (3, 2)), ("A", "B")),
+             oracle.partition(((1,), (0, 2), (3,)), ("A", "B", "C")))
     for part in parts:
         forced = block_row_sums(chain, part, [block[0] for block in part.blocks])
         assert 0 not in forced.nums.tolist()
@@ -384,6 +385,94 @@ def test_orbits_match_the_union_find_reference(seed):
             check_orbits(space, GeneratorSet("one", (perm,)))
 
 
+def listed(blocks, labels, rng=None):
+    """The package's partition and the tuple reference over the same
+    blocks, listed in random order with shuffled members when `rng` is
+    given."""
+    blocks, labels = [list(b) for b in blocks], list(labels)
+    if rng is not None:
+        order = rng.sample(range(len(blocks)), len(blocks))
+        blocks = [rng.sample(blocks[i], len(blocks[i])) for i in order]
+        labels = [labels[i] for i in order]
+    return (oracle.partition(blocks, labels),
+            oracle.TuplePartition(tuple(map(tuple, blocks)), tuple(labels)))
+
+
+def jittered(rows, rng):
+    """Each row with up to 0.004 of its largest entry moved to another
+    entry: a partition lumpable before still passes at tolerance 0.01, and
+    the reduced rows depend on the member `lump` reads."""
+    out = []
+    for row in rows:
+        row = list(row)
+        if len(row) > 1:
+            a = max(range(len(row)), key=lambda i: row[i][1])
+            b = rng.choice([i for i in range(len(row)) if i != a])
+            move = row[a][1] * Fraction(rng.randint(1, 4), 1000)
+            row[a], row[b] = (row[a][0], row[a][1] - move), (row[b][0], row[b][1] + move)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _induced(induce, fine, coarse):
+    try:
+        got = induce(fine, coarse)
+    except ValidationError as exc:
+        return str(exc)
+    return got.blocks, got.labels, list(got.block_of)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_partition_arrays_match_the_tuple_reference(seed):
+    """Orbit, count, Moran and half-hypercube partitions against the tuple
+    reference over the tuple grouping, then the same blocks shuffled and a
+    random partition: blocks, labels, `block_of`, induced partitions both
+    ways round, and `lump` at tolerance 0.01 on a jittered chain, where
+    each block's first listed member decides the reduced row."""
+    rng = random.Random(2000 + seed)
+    spec = random_model(seed)
+    space = ConfigSpace(spec.n_agents, spec.delta)
+    n, counts = space.n_agents, space.counts_matrix
+    _, first, inverse = np.unique(counts, axis=0, return_index=True, return_inverse=True)
+    freq = oracle.group_blocks(first[inverse.reshape(-1)])
+    pairs = [(orbits(space, gens), oracle.orbits(space, gens))
+             for gens in generator_sets(spec, rng)]
+    pairs.append((frequency_partition(space), oracle.TuplePartition(
+        freq, tuple(count_label(counts[b[0]]) for b in freq))))
+    for code in range(space.delta):
+        pairs.append((moran_partition(space, code), oracle.TuplePartition(
+            oracle.group_blocks(counts[:, code]), tuple(f"X_{k}" for k in range(n + 1)))))
+    if space.delta == 2:
+        pairs.append((half_hypercube_partition(space), oracle.TuplePartition(
+            oracle.group_blocks(np.minimum(counts[:, 0], n - counts[:, 0])),
+            tuple(f"Y_{k}" for k in range(n // 2 + 1)))))
+    pairs += [listed(want.blocks, want.labels, rng) for _, want in pairs]
+    drawn = random_partition(space.size, rng)
+    pairs.append(listed(drawn.blocks, drawn.labels, rng))
+    for got, want in pairs:
+        assert got.blocks == want.blocks and got.labels == want.labels
+        assert got.block_of.dtype == np.int64 and list(got.block_of) == list(want.block_of)
+        assert (got.n_states, got.n_blocks) == (want.n_states, want.n_blocks)
+    refinements = 0
+    for (fine, fine_ref), (coarse, coarse_ref) in itertools.product(pairs, repeat=2):
+        got = _induced(induced_partition, fine, coarse)
+        assert got == _induced(oracle.induced_partition, fine_ref, coarse_ref)
+        refinements += not isinstance(got, str)
+    assert refinements >= 2 * len(pairs)
+    rows = jittered(oracle.build_rows(spec), rng)
+    chain = read_sparse(sparse_text(oracle.write_sparse, rows))
+    for got, want in pairs:
+        try:
+            ref = oracle.lump(rows, want, tol=0.01)
+        except ValueError as exc:
+            with pytest.raises(NotLumpableError) as err:
+                lump(chain, got, tol=0.01)
+            assert err.value.witness == exc.args[0].witness
+        else:
+            assert sparse_text(write_sparse, lump(chain, got, tol=0.01)) \
+                == sparse_text(oracle.write_sparse, ref)
+
+
 # primes near 2**31: every lcm of two or more of them exceeds 2**63
 P1, P2, P3 = 2147483647, 2147483629, 2147483587
 
@@ -403,8 +492,8 @@ def test_denominators_beyond_int64_use_python_ints():
     assert chain.nums.dtype == object and chain.denom == P1 * P2 * P3 * 6
     assert chain.rows == rows
     assert sparse_text(write_sparse, chain) == text
-    good = Partition(((1, 0), (2, 3)), ("A", "B"))
-    bad = Partition(((0, 2), (1, 3)), ("C", "D"))
+    good = oracle.partition(((1, 0), (2, 3)), ("A", "B"))
+    bad = oracle.partition(((0, 2), (1, 3)), ("C", "D"))
     assert check_lumpable(chain, good)
     for part in (good, bad):
         check_lumping(chain, rows, part)
@@ -505,7 +594,7 @@ def test_long_horizon_crosses_into_python_ints(voter3, voter3_chain):
     kinds = dtypes_along(chain, mu, 40)
     assert kinds[0] == np.int64 and kinds[-1] == object
     parts = [frequency_partition(chain.space), moran_partition(chain.space, 0),
-             Partition(((0, 1, 2), (3, 4, 5, 6, 7)), ("L", "H"))]
+             oracle.partition(((0, 1, 2), (3, 4, 5, 6, 7)), ("L", "H"))]
     check_analysis(chain, rows, mu, parts, 40)
 
 
@@ -531,8 +620,8 @@ D55 = P1 * 3 ** 15
 def test_large_denominators_match_the_references(dtype, rows):
     chain = read_sparse(sparse_text(oracle.write_sparse, rows))
     assert chain.nums.dtype == dtype and chain.denom > 2 ** 53
-    parts = [Partition(((0,), (1, 2), (3,)), ("A", "T", "B")),
-             Partition(((0, 3), (1, 2)), ("E", "T"))]
+    parts = [oracle.partition(((0,), (1, 2), (3,)), ("A", "T", "B")),
+             oracle.partition(((0, 3), (1, 2)), ("E", "T"))]
     check_analysis(chain, rows, [Fraction(0), Fraction(2, 5), Fraction(3, 5), Fraction(0)],
                    parts, 9)
 
@@ -550,8 +639,8 @@ def test_decimal_chain_matches_the_references(last):
     assert not chain.exact
     rows, exact = oracle.read_sparse(text)
     assert chain.rows == rows and not exact
-    parts = [Partition(((0,), (1, 2, 3), (4,)), ("A", "T", "B")),
-             Partition(((0, 4), (1, 3), (2,)), ("E", "O", "M"))]
+    parts = [oracle.partition(((0,), (1, 2, 3), (4,)), ("A", "T", "B")),
+             oracle.partition(((0, 4), (1, 3), (2,)), ("E", "O", "M"))]
     mu = [Fraction(0), Fraction(1, 6), Fraction(1, 2), Fraction(1, 3), Fraction(0)]
     check_analysis(chain, rows, mu, parts, 12)
     assert sum(propagate(chain, mu, 12)) != 1

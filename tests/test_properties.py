@@ -1,8 +1,9 @@
 """Round trips on random small models and chains, as Hypothesis
 properties: a model through its canonical document, and a chain through
-the sparse format, read in bulk and by the general parser. Also the first
-link of the symmetry chain: a model-level certificate implies the matrix
-symmetry."""
+the sparse format, read in bulk and by the general parser. Also the
+symmetry chain: a model-level certificate implies the matrix symmetry,
+which implies a lumpable orbit partition and a commutation profile that is
+identically 0."""
 
 import io
 import re
@@ -13,9 +14,10 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from microlump import chain as chainmod
 from microlump import (Alphabet, ChoiceDistribution, GeneratorSet, ModelSpec, SpacePermutation,
-                       Topology, UpdateRule, build_micro_chain, certify, is_chain_symmetric,
-                       model_fingerprint, parse_model, parse_presets, read_sparse,
-                       serialize_model, write_sparse)
+                       Topology, UpdateRule, build_micro_chain, certify, check_lumpable,
+                       commutation_profile, is_chain_symmetric, model_fingerprint, orbits,
+                       parse_model, parse_presets, point_mass, read_sparse, serialize_model,
+                       write_sparse)
 
 import oracle
 
@@ -146,7 +148,9 @@ def test_the_bulk_and_the_general_reader_give_the_same_arrays(matrix):
 @given(models(), st.data())
 def test_a_certified_generator_set_is_a_chain_symmetry(spec, data):
     """Preset sets and one random agent and code permutation: whenever the
-    draw and rule tables certify a set, the matrix is invariant under it."""
+    draw and rule tables certify a set, the matrix is invariant under it,
+    its orbit partition is lumpable, and aggregating commutes with
+    stepping from a random point mass."""
     n, delta = spec.n_agents, spec.delta
     names = ("SN", "Sdelta", "full") + (("flip",) if delta == 2 else ())
     perm = SpacePermutation(tuple(data.draw(st.permutations(range(n)))),
@@ -154,6 +158,10 @@ def test_a_certified_generator_set_is_a_chain_symmetry(spec, data):
     sets = [parse_presets(name, n, delta) for name in names]
     sets.append(GeneratorSet("random", (perm,)))
     chain = build_micro_chain(spec)
+    mu0 = point_mass(chain.n_states, data.draw(st.integers(0, chain.n_states - 1)))
     for gens in sets:
         if certify(spec, gens):
             assert is_chain_symmetric(chain, gens)
+            part = orbits(chain.space, gens)
+            assert check_lumpable(chain, part)
+            assert commutation_profile(chain, part, mu0, 4) == [0] * 5

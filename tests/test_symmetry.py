@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 
 from microlump import (Alphabet, ChoiceDistribution, ConfigSpace, GeneratorSet, ModelSpec,
-                       Partition, SpacePermutation, Topology, UpdateRule,
+                       SpacePermutation, Topology, UpdateRule,
                        ValidationError, agent_symmetric_group,
                        build_micro_chain, builtin_voter, certify,
                        is_chain_symmetric, lump, orbits, parse_generator_file,
                        parse_model, parse_presets)
 from microlump.errors import DocumentParseError
+from oracle import partition
 from conftest import LETTERS, PATH4_FLIP, letter_index
 
 
@@ -170,7 +171,7 @@ def test_attr_merge_reduces_three_attrs_to_binary(imitation3x3):
         cfg = space.config_of(idx)
         image = tuple(1 if c == 1 else 0 for c in cfg)  # code 1 = 'b'
         blocks[binary_space.index_of(image)].append(idx)
-    part = Partition(tuple(tuple(b) for b in blocks),
+    part = partition(tuple(tuple(b) for b in blocks),
                      tuple(str(i) for i in range(8)))
     macro = lump(chain, part)
     binary = build_micro_chain(builtin_voter(imitation3x3.topology))
