@@ -19,10 +19,10 @@ from typing import Iterator, List, Sequence, TextIO, Tuple
 
 import numpy as np
 
-from .chain import INT64_MAX, Chain, decimal_text, to_floats, to_fractions
+from .chain import Chain, decimal_text, to_floats, to_fractions
 from .errors import AnalysisError, DocumentParseError, ValidationError
 from .lumping import Partition, block_row_sums, lump
-from .model import to_numerators
+from .model import content_lines, int_dtype, to_numerators
 
 ONE = Fraction(1)
 RESIDUAL_BOUND = 1e-9
@@ -220,11 +220,6 @@ def validate_distribution(mu: Sequence[Fraction], n_states: int, exact=True) -> 
     return mu
 
 
-def _ints(values, bound: int) -> np.ndarray:
-    """Integers as int64 when `bound` fits in int64, else as Python ints."""
-    return np.asarray(values, dtype=np.int64 if bound <= INT64_MAX else object)
-
-
 def _trajectory(chain: Chain, nums: np.ndarray, denom: int) -> Iterator[Tuple[np.ndarray, int]]:
     """The distribution nums / denom at t = 0, 1, 2, ...
 
@@ -242,7 +237,7 @@ def _trajectory(chain: Chain, nums: np.ndarray, denom: int) -> Iterator[Tuple[np
     row_max = int(np.add.reduceat(chain.nums, filled).max()) if len(filled) else 0
     while True:
         yield nums, denom
-        nums = _ints(nums, int(nums.sum()) * row_max)
+        nums = np.asarray(nums, dtype=int_dtype(int(nums.sum()) * row_max))
         sums = np.add.reduceat(nums[src] * weights, starts)
         pushed = np.zeros(chain.n_states, dtype=sums.dtype)
         pushed[targets] = sums
@@ -294,8 +289,8 @@ def commutation_profile(chain: Chain, part: Partition, mu0: Sequence[Fraction],
     for (nums, d), (nu, e) in islice(steps, t_max + 1):
         # |proj/d - nu/e| over the common denominator d*e
         proj = _block_mass(nums, part)
-        bound = max(int(proj.sum()), d) * max(int(nu.sum()), e)
-        gap = np.abs(_ints(proj, bound) * e - _ints(nu, bound) * d).max()
+        dtype = int_dtype(max(int(proj.sum()), d) * max(int(nu.sum()), e))
+        gap = np.abs(np.asarray(proj, dtype=dtype) * e - np.asarray(nu, dtype=dtype) * d).max()
         out.append(Fraction(int(gap), d * e))
     return out
 
@@ -318,10 +313,7 @@ def write_distribution(mu: Sequence[Fraction], fh: TextIO) -> None:
 def read_distribution(text: str, n_states: int) -> List[Fraction]:
     mu = [Fraction(0)] * n_states
     seen, exact = set(), True
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#")[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         toks = line.split()
         if len(toks) != 2:
             raise DocumentParseError("expected: index probability", lineno)
@@ -339,21 +331,18 @@ def read_distribution(text: str, n_states: int) -> List[Fraction]:
     return validate_distribution(mu, n_states, exact)
 
 
-def absorption_text(report: AbsorptionReport, names=None) -> str:
+def absorption_text(report: AbsorptionReport) -> str:
     """Human-readable absorption table; values are floats from the solver."""
-    def show(x):
-        return names(x) if names else str(x)
-
-    lines = ["absorbing states: " + " ".join(show(a) for a in report.absorbing),
+    lines = ["absorbing states: " + " ".join(map(str, report.absorbing)),
              f"transient states: {len(report.transient)}",
              f"solve residuals: probs {report.residual_probs:.2e}, "
              f"steps {report.residual_steps:.2e}",
-             "state | " + " | ".join(f"absorb@{show(a)}" for a in report.absorbing)
+             "state | " + " | ".join(f"absorb@{a}" for a in report.absorbing)
              + " | expected steps"]
     for i, x in enumerate(report.transient):
         probs = " | ".join(f"{report.probs[i, j]:.12g}"
                            for j in range(len(report.absorbing)))
-        lines.append(f"{show(x)} | {probs} | {report.expected_steps[i]:.12g}")
+        lines.append(f"{x} | {probs} | {report.expected_steps[i]:.12g}")
     return "\n".join(lines)
 
 

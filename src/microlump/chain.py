@@ -25,7 +25,7 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, TextIO, Tuple
 import numpy as np
 
 from .errors import DocumentParseError, ValidationError
-from .model import INT64_MAX, ModelSpec, to_fractions
+from .model import INT64_MAX, ModelSpec, int_array, int_dtype, to_fractions
 from .space import ConfigSpace
 
 Row = Tuple[Tuple[int, Fraction], ...]
@@ -91,34 +91,18 @@ def draw_targets(spec: ModelSpec, space: ConfigSpace) -> Iterator[np.ndarray]:
         yield states + (new - cur) * space.radix[tup[0]]
 
 
-def _fits_int64(denom: int, width: int) -> bool:
-    """Whether numerators over `denom` in rows of up to `width` entries stay
-    in int64, row sums and their distance from one included, given every
-    entry lies in [-1, 1]."""
-    return denom * (width + 1) <= INT64_MAX
-
-
-def _int_array(values: Sequence[int]) -> np.ndarray:
-    """Python ints as int64, or as an object array when one does not fit."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
 def _over_common_denominator(num: np.ndarray, den: np.ndarray,
                              indptr: np.ndarray) -> Tuple[np.ndarray, int]:
     """Numerators of the ratios num/den over the lcm of their reduced
-    denominators, and that lcm. int64 when `_fits_int64` allows it and no
-    ratio lies outside [-1, 1] (such a chain fails validation, which then
-    reports exact sums), else Python ints; the check runs before any
-    multiply."""
+    denominators, and that lcm. With every ratio in [-1, 1], numerators,
+    row sums and their distance from one stay below denom * (width + 1)
+    for rows of up to `width` entries; a ratio outside fails validation,
+    which reports exact sums, so takes Python ints before any multiply."""
     g = np.gcd(num, den)
     num, den = num // g, den // g
     denom = lcm(*np.unique(den).tolist())
     width = int(np.diff(indptr).max(initial=0))
-    small = _fits_int64(denom, width) and bool(np.all(abs(num) <= den))
-    dtype = np.int64 if small else object
+    dtype = int_dtype(denom * (width + 1)) if np.all(abs(num) <= den) else object
     return num.astype(dtype) * (denom // den.astype(dtype)), denom
 
 
@@ -199,12 +183,12 @@ def build_micro_chain(spec: ModelSpec, cap: Optional[int] = None) -> Chain:
     draw probabilities into that slot of every state it changes; the stay
     column takes the rest of each row, which comes out exactly stochastic.
     """
-    space = ConfigSpace(spec.n_agents, spec.delta,
-                        labels=spec.alphabet.symbols, cap=cap)
+    space = spec.space(cap)
     n, delta, size = spec.n_agents, spec.delta, space.size
     denom = spec.draws.denom
     other = delta - 1
-    dtype = np.int64 if _fits_int64(denom, n * other + 1) else object
+    # rows of n * other + 1 entries in [0, 1]: as in `_over_common_denominator`
+    dtype = int_dtype(denom * (n * other + 2))
     # slot (state, focal, k): the focal agent takes the k-th code other than its own
     slots = np.zeros((size, n, other), dtype=dtype)
     for tup, num, cur, new in apply_draws(spec, space):
@@ -248,12 +232,14 @@ def grammar_arcs(chain: Chain) -> List[Tuple[int, int]]:
 # strings and token lists held at once
 _CHUNK_LINES = 1 << 12
 _CHUNK_CHARS = 1 << 16
+# how far a row of an imported decimal chain may sum from one
+SUM_TOL = 1e-9
 
 
-def validate_stochastic(chain: Chain, tol: float = 1e-9) -> None:
+def validate_stochastic(chain: Chain) -> None:
     """Columns strictly ascending, no negative entry, and every row summing
-    to one: exactly, or within `tol` when `chain.exact` is False. Reports
-    the first failing row."""
+    to one: exactly, or within `SUM_TOL` when `chain.exact` is False.
+    Reports the first failing row."""
     n, nums, denom = chain.n_states, chain.nums, chain.denom
     src = chain.sources
     unsorted = np.zeros(n, dtype=bool)
@@ -267,9 +253,9 @@ def validate_stochastic(chain: Chain, tol: float = 1e-9) -> None:
     if chain.exact:
         off = sums != denom
     else:
-        # |sum - denom| is an integer, so comparing it with floor(tol * denom)
-        # is exact; the clamp keeps the bound inside int64
-        off = abs(sums - denom) > min(floor(Fraction(tol) * denom), INT64_MAX)
+        # |sum - denom| is an integer, so comparing it with
+        # floor(SUM_TOL * denom) is exact; the clamp keeps the bound inside int64
+        off = abs(sums - denom) > min(floor(Fraction(SUM_TOL) * denom), INT64_MAX)
     bad = np.flatnonzero(unsorted | negative | off)
     if not len(bad):
         return
@@ -281,7 +267,7 @@ def validate_stochastic(chain: Chain, tol: float = 1e-9) -> None:
     total = Fraction(int(sums[x]), denom)
     if chain.exact:
         raise ValidationError(f"row {x} sums to {total} ≠ 1")
-    raise ValidationError(f"row {x} sums to {decimal_text(total)} outside 1±{tol}")
+    raise ValidationError(f"row {x} sums to {decimal_text(total)} outside 1±{SUM_TOL}")
 
 
 def write_sparse(chain: Chain, fh: TextIO) -> None:
@@ -305,23 +291,28 @@ _LINE = r"[0-9]{1,18} [0-9]{1,18} [0-9]{1,18}/[0-9]{1,18}"
 _WRITTEN = re.compile(f"(?:{_LINE}\n)*{_LINE}")
 
 
-def _line_chunks(text: str) -> Iterator[Tuple[str, bool]]:
-    """Bounded pieces of `text`, each with its non-empty lines stripped of
-    comments and outer blanks and joined by newlines, unless it was all in
-    the writer's own shape as it stood, and whether it was. Pieces end just
-    after a newline, so no line, nor a \\r\\n pair, is cut."""
+def _split_header(text: str) -> Tuple[str, int]:
+    """The first line of `text` holding more than blanks and a comment,
+    stripped of both, and the offset just past it; "" when there is none."""
     start = 0
+    while start < len(text):
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end + 1
+        for line in text[start:end].splitlines(keepends=True):
+            start += len(line)
+            if header := line.split("#")[0].strip():
+                return header, start
+    return "", start
+
+
+def _line_chunks(text: str, start: int) -> Iterator[str]:
+    """Bounded pieces of `text` from `start` on, without their last
+    newline. Pieces end just after a newline, so no line, nor a \\r\\n
+    pair, is cut."""
     while start < len(text):
         end = text.find("\n", start + _CHUNK_CHARS)
         end = len(text) if end < 0 else end + 1
-        piece = text[start:end].removesuffix("\n")
-        written = _WRITTEN.fullmatch(piece) is not None
-        if not written:
-            lines = piece.splitlines()
-            if "#" in piece:
-                lines = [ln.split("#")[0] for ln in lines]
-            piece = "\n".join(ln for ln in map(str.strip, lines) if ln)
-        yield piece, written
+        yield text[start:end].removesuffix("\n")
         start = end
 
 
@@ -361,22 +352,22 @@ def _each(convert, tokens: List[str], errors, blank):
 def _parse_ints(tokens: List[str]) -> Tuple[np.ndarray, np.ndarray]:
     """Values of integer tokens and which tokens parsed (0 where not)."""
     try:
-        return _int_array(list(map(int, tokens))), np.ones(len(tokens), dtype=bool)
+        return int_array(list(map(int, tokens))), np.ones(len(tokens), dtype=bool)
     except ValueError:
         values, ok = _each(int, tokens, ValueError, 0)
-        return _int_array(values), ok
+        return int_array(values), ok
 
 
 def _parse_values(tokens: List[str]):
     """Numerators, nonzero denominators, parse flags and exactness of
     value tokens, which are ratios or decimals."""
     if _RATIOS.fullmatch("\n".join(tokens)):
-        terms = _int_array(list(map(int, "/".join(tokens).split("/"))))
+        terms = int_array(list(map(int, "/".join(tokens).split("/"))))
         num, den = terms[0::2], terms[1::2]
         return num, np.where(den == 0, 1, den), den != 0, True
     fracs, ok = _each(Fraction, tokens, (ValueError, ZeroDivisionError), Fraction(0))
-    return (_int_array([p.numerator for p in fracs]),
-            _int_array([p.denominator for p in fracs]),
+    return (int_array([p.numerator for p in fracs]),
+            int_array([p.denominator for p in fracs]),
             ok, all("/" in tok for tok in tokens))
 
 
@@ -419,8 +410,7 @@ def read_sparse(text: str) -> Chain:
     check is examined one rule at a time, for its message, and the entry
     count is checked before any line's message is reported.
     """
-    chunks = _line_chunks(text)
-    header, _, rest = next((piece for piece, _ in chunks if piece), "").partition("\n")
+    header, start = _split_header(text)
     if not header:
         raise DocumentParseError("empty sparse file")
     fields = dict(part.split("=", 1) for part in header.split() if "=" in part)
@@ -435,7 +425,15 @@ def read_sparse(text: str) -> Chain:
             f"header needs states >= 1 and nnz >= 0, got states={n_states} nnz={nnz}", 1)
     columns = [[np.zeros(0, dtype=np.int64)] for _ in range(4)]
     exact, error, found, prev = True, None, 0, (-1, -1)
-    for body, written in itertools.chain([(rest, False)], chunks):
+    for body in _line_chunks(text, start):
+        # other lines are stripped of comments and outer blanks, and the
+        # empty ones dropped; the writer's own lines need no such pass
+        written = _WRITTEN.fullmatch(body) is not None
+        if not written:
+            lines = body.splitlines()
+            if "#" in body:
+                lines = [ln.split("#")[0] for ln in lines]
+            body = "\n".join(ln for ln in map(str.strip, lines) if ln)
         if error is None and body:
             arrays, chunk_exact, bad = _parse_entries(body, written, n_states, prev)
             xs, ys = arrays[:2]

@@ -26,10 +26,6 @@ EXIT_VALIDATION = 5
 EXIT_CAP = 6
 
 
-def _cap(args) -> Optional[int]:
-    return args.cap if getattr(args, "cap", None) is not None else default_cap()
-
-
 @contextmanager
 def _output(args):
     """The `-o` file when given, else stdout. Verbs open it only once their
@@ -48,7 +44,7 @@ def _write(args, text: str) -> None:
 
 def cmd_compile(args) -> int:
     spec = load_model(args.model)
-    mc = chainmod.build_micro_chain(spec, cap=_cap(args))
+    mc = chainmod.build_micro_chain(spec, cap=args.cap)
     with _output(args) as fh:
         chainmod.write_sparse(mc, fh)
     print(f"states={mc.n_states} nnz={mc.nnz()}", file=sys.stderr)
@@ -61,8 +57,7 @@ def cmd_maps(args) -> int:
              f"option={m.option_label} p={m.probability.numerator}/{m.probability.denominator}"
              for z, m in enumerate(chainmod.enumerate_maps(spec), start=1)]
     if args.table:
-        space = ConfigSpace(spec.n_agents, spec.delta,
-                            labels=spec.alphabet.symbols, cap=_cap(args))
+        space = spec.space(args.cap)
         lines = [f"{head} action: {' '.join(map(str, action.tolist()))}"
                  for head, action in zip(lines, chainmod.draw_targets(spec, space))]
     _write(args, "\n".join(lines))
@@ -80,8 +75,7 @@ def _generators(args, spec):
 def cmd_orbits(args) -> int:
     spec = load_model(args.model)
     gens = _generators(args, spec)
-    space = ConfigSpace(spec.n_agents, spec.delta,
-                        labels=spec.alphabet.symbols, cap=_cap(args))
+    space = spec.space(args.cap)
     part = symmetry.orbits(space, gens)
     with _output(args) as fh:
         lumping.write_partition(part, fh)
@@ -94,11 +88,11 @@ def cmd_check_sym(args) -> int:
     gens = _generators(args, spec)
     # the cap holds even where the certificate, which needs no chain, decides;
     # a failing certificate proves nothing, so the matrix gives that verdict
-    ConfigSpace(spec.n_agents, spec.delta, labels=spec.alphabet.symbols, cap=_cap(args))
+    spec.space(args.cap)
     if symmetry.certify(spec, gens):
         print(f"symmetric under {gens.name}")
         return EXIT_OK
-    mc = chainmod.build_micro_chain(spec, cap=_cap(args))
+    mc = chainmod.build_micro_chain(spec, cap=args.cap)
     verdict = symmetry.is_chain_symmetric(mc, gens)
     if verdict:
         print(f"symmetric under {gens.name}")
@@ -171,14 +165,13 @@ def _parse_start(raw: str, space: ConfigSpace):
 
 def cmd_simulate(args) -> int:
     spec = load_model(args.model)
-    space = ConfigSpace(spec.n_agents, spec.delta,
-                        labels=spec.alphabet.symbols, cap=_cap(args))
+    space = spec.space(args.cap)
     start = _parse_start(args.start, space)
     part = lumping.load_partition(args.partition) if args.partition else None
     if part is not None and part.n_states != space.size:
         raise ValidationError(
             f"partition covers {part.n_states} states, model has {space.size}")
-    run = sim.simulate(spec, start, args.steps, args.seed, cap=_cap(args))
+    run = sim.simulate(spec, start, args.steps, args.seed, cap=args.cap)
     with _output(args) as fh:
         sim.write_trajectory(run, space, fh, part)
     return EXIT_OK
@@ -186,7 +179,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     spec = load_model(args.model)
-    report, _ = sim.estimate_matrix(spec, args.samples, args.seed, cap=_cap(args))
+    # a bad MICROLUMP_CAP is reported before a bad --samples or --seed
+    cap = args.cap or default_cap()
+    report, _ = sim.estimate_matrix(spec, args.samples, args.seed, cap=cap)
     _write(args, sim.estimate_text(report))
     return EXIT_OK
 

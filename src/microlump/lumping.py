@@ -20,6 +20,7 @@ import numpy as np
 
 from .chain import Chain
 from .errors import DocumentParseError, NotLumpableError, ValidationError
+from .model import content_lines, int_array
 from .space import ConfigSpace
 
 
@@ -39,10 +40,8 @@ class Partition:
             raise ValidationError("need exactly one label per block")
         if len(set(self.labels)) != len(self.labels):
             raise ValidationError("block labels must be distinct")
-        try:
-            members = np.asarray(self.members, dtype=np.int64)
-        except OverflowError:  # past int64, so out of range: kept for the message
-            members = np.asarray(self.members, dtype=object)
+        # an index past int64 is out of range, kept exact for the message
+        members = int_array(self.members)
         indptr, n = np.asarray(self.indptr, dtype=np.int64), len(members)
         empty = np.flatnonzero(indptr[1:] == indptr[:-1])
         if len(empty) or not (((members >= 0) & (members < n)).all()
@@ -333,16 +332,14 @@ def lump(chain, part: Partition, tol: Optional[float] = None) -> Chain:
 # partition file format: one line per block, `label: idx idx ...`
 
 def write_partition(part: Partition, fh: TextIO) -> None:
-    for label, block in zip(part.labels, part.blocks):
-        fh.write(f"{label}: {' '.join(map(str, block))}\n")
+    bounds = part.indptr.tolist()
+    for label, a, b in zip(part.labels, bounds, bounds[1:]):
+        fh.write(f"{label}: {' '.join(map(str, part.members[a:b].tolist()))}\n")
 
 
 def read_partition(text: str) -> Partition:
     members, indptr, labels = [], [0], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#")[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         label, sep, body = line.partition(":")
         if not sep:
             raise DocumentParseError("expected 'label: idx idx ...'", lineno)

@@ -40,15 +40,41 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from numbers import Rational
-from typing import (Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
 from .errors import DocumentParseError, ValidationError
+from .space import ConfigSpace
 
 ONE = Fraction(1)
 INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def int_dtype(bound: int):
+    """The dtype of exact integers whose magnitude, and that of every sum
+    the caller forms from them, stays within `bound`: int64 while `bound`
+    fits, else `object` (Python ints), through the same numpy code."""
+    return np.int64 if bound <= INT64_MAX else object
+
+
+def int_array(values) -> np.ndarray:
+    """Integers as int64, or as an object array of Python ints when one
+    does not fit."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.asarray(values, dtype=object)
+
+
+def content_lines(text: str) -> Iterator[Tuple[int, str]]:
+    """The numbered lines of a document that hold more than a comment: `#`
+    starts a comment, outer blanks are stripped, numbering starts at 1."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 def to_numerators(values: Iterable[Fraction]) -> Tuple[np.ndarray, int]:
@@ -58,7 +84,7 @@ def to_numerators(values: Iterable[Fraction]) -> Tuple[np.ndarray, int]:
     values = list(values)
     denom = lcm(*{p.denominator for p in values})
     nums = [p.numerator * (denom // p.denominator) for p in values]
-    return np.array(nums, dtype=np.int64 if sum(map(abs, nums)) <= INT64_MAX else object), denom
+    return np.array(nums, dtype=int_dtype(sum(map(abs, nums)))), denom
 
 
 def to_fractions(nums: np.ndarray, denom: int) -> List[Fraction]:
@@ -317,12 +343,11 @@ class ChoiceDistribution:
         weights = topology.weights[0][order]
         sums = np.add.reduceat(weights, np.flatnonzero(np.diff(src, prepend=-1))).tolist()
         top = lcm(*set(sums))
-        dtype = np.int64 if top <= INT64_MAX else object
+        dtype = int_dtype(top)
         nums = weights.astype(dtype) * np.array([top // s for s in sums], dtype=dtype)[src]
         common = gcd(n * top, *np.unique(nums).tolist())
         denom = n * top // common
-        return cls(FractionMap(pairs, (
-            (nums // common).astype(np.int64 if denom <= INT64_MAX else object), denom)))
+        return cls(FractionMap(pairs, ((nums // common).astype(int_dtype(denom)), denom)))
 
 
 class DrawTable(NamedTuple):
@@ -360,6 +385,11 @@ class ModelSpec:
             agents = np.array(list(self.choice.entries), dtype=np.int64).reshape(-1, arity)
         object.__setattr__(self, "agents", agents)
 
+    def space(self, cap: Optional[int] = None) -> ConfigSpace:
+        """The model's delta**N configurations, labeled by its attributes;
+        CapExceededError above `cap` (None: `space.default_cap()`)."""
+        return ConfigSpace(self.n_agents, self.delta, labels=self.alphabet.symbols, cap=cap)
+
     def _tuple_error(self, tup: Tuple[int, ...]) -> Optional[str]:
         """What is wrong with one agent tuple, checks in the order they apply."""
         if len(tup) != self.rule.arity:
@@ -386,9 +416,8 @@ class ModelSpec:
         order = self.tuple_order
         (nums, denom), (opts, opt_denom) = (self.choice.numerators,
                                             to_numerators(p for _, p in self.rule.options))
-        nums, denom = nums[order], denom * opt_denom
-        if denom > INT64_MAX:
-            nums, opts = nums.astype(object), opts.astype(object)
+        denom *= opt_denom
+        nums, opts = (a.astype(int_dtype(denom)) for a in (nums[order], opts))
         return DrawTable(np.repeat(self.agents[order], len(opts), axis=0),
                          np.tile(np.arange(len(opts)), len(order)),
                          np.multiply.outer(nums, opts).reshape(-1), denom)
@@ -449,10 +478,7 @@ def parse_fraction(token: str, line: Optional[int] = None) -> Fraction:
 def _split_sections(text: str) -> Dict[str, List[Tuple[int, str]]]:
     sections: Dict[str, List[Tuple[int, str]]] = {}
     current: Optional[str] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip().lower()
             if name not in _SECTIONS:

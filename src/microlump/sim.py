@@ -23,7 +23,7 @@ import numpy as np
 from .chain import build_micro_chain, draw_targets, rule_table, to_floats
 from .errors import ValidationError
 from .lumping import Partition
-from .model import INT64_MAX, ModelSpec, model_fingerprint
+from .model import ModelSpec, int_dtype, model_fingerprint
 from .space import ConfigSpace
 
 # uniforms drawn per call to the generator while simulating
@@ -88,8 +88,7 @@ def simulate(spec: ModelSpec, start: Sequence[int], steps: int, seed: int,
     if steps < 0:
         raise ValidationError(f"step count must be non-negative, got {steps}")
     rng = np.random.Generator(np.random.Philox(_seed_sequence(seed)))
-    space = ConfigSpace(spec.n_agents, spec.delta,
-                        labels=spec.alphabet.symbols, cap=cap)
+    space = spec.space(cap)
     config = list(space.check_config(start))
     x = space.index_of(config)
     cum = np.cumsum(_draw_weights(spec))
@@ -146,7 +145,7 @@ def write_trajectory(run: SimRun, space: ConfigSpace, fh: TextIO,
     base, n_groups = space.delta ** g, -(-space.n_agents // g)
     strings = np.array(strings, dtype=object)
     line = "(" + ",".join(["%s"] * n_groups) + ")\n"
-    dtype = np.int64 if space.size <= INT64_MAX else object
+    dtype = int_dtype(space.size)
     states = run.states
     for lo in range(0, len(states), _LINE_CHUNK):
         rest = np.array(states[lo:lo + _LINE_CHUNK], dtype=dtype)

@@ -20,7 +20,7 @@ import numpy as np
 from .chain import rule_table
 from .errors import DocumentParseError, ValidationError
 from .lumping import Partition, count_classes, count_label, group_blocks
-from .model import ModelSpec
+from .model import ModelSpec, content_lines
 from .space import Config, ConfigSpace
 
 
@@ -134,6 +134,7 @@ def parse_presets(text: str, n: int, delta: int) -> GeneratorSet:
     for token in (t.strip() for t in text.split(",")):
         if not token:
             continue
+        head, colon, tail = token.partition(":")
         if token == "SN":
             part = agent_symmetric_group(n, delta)
         elif token == "Sdelta":
@@ -143,14 +144,11 @@ def parse_presets(text: str, n: int, delta: int) -> GeneratorSet:
         elif token == "full":
             part = GeneratorSet("full", agent_symmetric_group(n, delta).perms
                                 + attr_symmetric_group(n, delta).perms)
-        elif token.startswith("Sdelta-1"):
-            fixed = 0
-            if ":" in token:
-                _, _, tail = token.partition(":")
-                try:
-                    fixed = int(tail)
-                except ValueError:
-                    raise DocumentParseError(f"bad preset {token!r}")
+        elif head == "Sdelta-1":
+            try:
+                fixed = int(tail) if colon else 0
+            except ValueError:
+                raise DocumentParseError(f"bad preset {token!r}")
             part = attr_group_fixing(n, delta, fixed)
         else:
             raise DocumentParseError(f"unknown generator preset {token!r}")
@@ -192,10 +190,7 @@ def parse_generator_file(text: str, n: int, delta: int) -> GeneratorSet:
     numbers, `attrs: (0 1)` uses 0-based codes; a line may carry both parts
     and the omitted part is the identity."""
     perms: List[SpacePermutation] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#")[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         agents = tuple(range(n))
         attrs = tuple(range(delta))
         seen = False

@@ -104,6 +104,54 @@ def test_check_sym_keeps_the_cap(capsys):
     assert err.startswith("cap exceeded:")
 
 
+ENUMERATING = {
+    "compile": ["compile", VOTER3],
+    "maps-table": ["maps", VOTER3, "--table"],
+    "orbits": ["orbits", VOTER3],
+    "check-sym": ["check-sym", VOTER3, "--gens", "SN"],
+    "simulate": ["simulate", VOTER3, "--start", "1", "--steps", "3", "--seed", "1"],
+    "estimate": ["estimate", VOTER3, "--samples", "10", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", ENUMERATING.values(), ids=ENUMERATING)
+def test_every_verb_that_enumerates_states_keeps_the_cap(capsys, monkeypatch, argv):
+    """8 states over a cap of 4, from `--cap` or from the environment; an
+    environment cap that is no integer is a validation error."""
+    code, out, err = run(capsys, *argv, "--cap", "4")
+    assert (code, out) == (6, "") and err.startswith("cap exceeded:")
+    monkeypatch.setenv("MICROLUMP_CAP", "4")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (6, "") and err.startswith("cap exceeded:")
+    monkeypatch.setenv("MICROLUMP_CAP", "abc")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (5, "")
+    assert err == "error: MICROLUMP_CAP must be an integer, got 'abc'\n"
+
+
+def test_estimate_reports_a_bad_environment_cap_before_its_arguments(capsys, monkeypatch):
+    monkeypatch.setenv("MICROLUMP_CAP", "abc")
+    for argv in (["--samples", "0", "--seed", "1"], ["--samples", "10", "--seed", "-1"]):
+        code, _, err = run(capsys, "estimate", VOTER3, *argv)
+        assert (code, err) == (5, "error: MICROLUMP_CAP must be an integer, got 'abc'\n")
+
+
+def test_maps_without_a_table_enumerates_no_states(capsys, monkeypatch):
+    assert run(capsys, "maps", VOTER3, "--cap", "4")[0] == 0
+    for cap in ("4", "abc"):
+        monkeypatch.setenv("MICROLUMP_CAP", cap)
+        assert run(capsys, "maps", VOTER3)[0] == 0
+
+
+@pytest.mark.parametrize("token", ["Sdelta-10", "Sdelta-1foo"])
+def test_sdelta_1_takes_nothing_but_a_code(capsys, token):
+    """`Sdelta-1` alone or `Sdelta-1:<code>`; any other suffix is no preset."""
+    for verb in ("check-sym", "orbits"):
+        code, out, err = run(capsys, verb, VOTER3, "--gens", token)
+        assert (code, out) == (4, "")
+        assert err == f"parse error: unknown generator preset {token!r}\n"
+
+
 def test_lump_writes_reduced_chain(tmp_path, capsys):
     chain = tmp_path / "chain.sparse"
     part = tmp_path / "freq.part"

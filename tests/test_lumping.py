@@ -213,6 +213,8 @@ def test_partition_file_roundtrip(voter3_chain):
     part = frequency_partition(voter3_chain.space)
     buf = io.StringIO()
     write_partition(part, buf)
+    # written from slices of `members`: nothing is cached on the partition
+    assert set(vars(part)) == {"members", "indptr", "labels"}
     again = read_partition(buf.getvalue())
     assert again.blocks == part.blocks
     assert again.labels == part.labels

@@ -313,6 +313,7 @@ def _mutations(text, rng):
     doc(body[:i] + [f"{x} {y} {value} 1"] + body[i + 1:])               # extra token
     doc(body[:i] + [f"  {x}\t{y}   {value}  # note", "", "# comment only"] + body[i + 1:])
     out.append(text.replace("\n", "\r\n"))
+    out.append(text.replace("\n", "\r"))
     out.append("# leading comment\n\n" + text)
     out.append("\n\n" + "\n".join(body) + "\n")                        # no header
     decimals = [f"{a} {b} {float(Fraction(p)):.3f}" for a, b, p in map(str.split, body)]
@@ -353,15 +354,24 @@ def test_the_writers_lines_are_read_in_bulk(monkeypatch):
 
 
 def test_the_writers_pieces_skip_the_line_pass(monkeypatch):
-    """Past the header, each piece of the writer's output is handed on as
-    the text holds it, flagged as the writer's shape: rejoined, the pieces
-    are the text."""
+    """The header is split off first; then every piece of the writer's
+    output reaches the bulk converter as the text holds it, flagged as the
+    writer's shape: rejoined, the pieces are the text past the header."""
     monkeypatch.setattr(chainmod, "_CHUNK_CHARS", 100)
     text = sparse_text(write_sparse, build_micro_chain(builtin_voter(Topology.complete(5))))
-    pieces = list(chainmod._line_chunks(text))
+    pieces, parse = [], chainmod._parse_entries
+
+    def spy(body, written, *rest):
+        pieces.append((body, written))
+        return parse(body, written, *rest)
+
+    monkeypatch.setattr(chainmod, "_parse_entries", spy)
+    read_sparse(text)
     assert len(pieces) > 10
-    assert [written for _, written in pieces] == [False] + [True] * (len(pieces) - 1)
-    assert "\n".join(piece for piece, _ in pieces) + "\n" == text
+    assert all(written for _, written in pieces)
+    header, _, body = text.partition("\n")
+    assert chainmod._split_header(text) == (header, len(header) + 1)
+    assert "\n".join(piece for piece, _ in pieces) + "\n" == body
 
 
 def check_orbits(space, gens):
