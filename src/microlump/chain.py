@@ -12,7 +12,6 @@ the common denominator of the draw probabilities.
 
 from __future__ import annotations
 
-import io
 import itertools
 import re
 from dataclasses import dataclass
@@ -133,11 +132,11 @@ class Chain:
     Row x keeps its entries at positions indptr[x]:indptr[x+1] of `cols`
     (ascending) and `nums`; entry k is the probability nums[k] / denom.
     `nums` is int64 when every numerator and row sum fits in it, an object
-    array of Python ints otherwise, and every kernel runs the same numpy
-    code on both. Compiled chains carry their configuration space; chains
-    read from a file or reduced over a partition have none. `exact` is
-    False when an imported entry was written as a decimal rather than a
-    ratio.
+    array of Python ints otherwise, and every kernel but the sparse
+    writer's byte formatter runs the same numpy code on both. Compiled
+    chains carry their configuration space; chains read from a file or
+    reduced over a partition have none. `exact` is False when an imported
+    entry was written as a decimal rather than a ratio.
     """
 
     indptr: np.ndarray
@@ -270,25 +269,80 @@ def validate_stochastic(chain: Chain) -> None:
     raise ValidationError(f"row {x} sums to {decimal_text(total)} outside 1±{SUM_TOL}")
 
 
+# the writer's line shape `row col num/den`: the byte that follows each of
+# a line's four integers, and the powers of ten below 2**63
+_SEPARATORS = np.frombuffer(b"  /\n", dtype=np.uint8)
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_ZERO = ord("0")
+
+
+def _written_text(values: np.ndarray) -> str:
+    """Non-negative int64 values in decimal, four to a line, each followed
+    by its byte of `_SEPARATORS`: token lengths from the powers of ten,
+    then the digits placed one position at a time."""
+    lengths = 1 + np.searchsorted(_POW10[1:], values, side="right")
+    ends = np.cumsum(lengths + 1)
+    out = np.empty(int(ends[-1]), dtype=np.uint8)
+    out[ends.reshape(-1, 4) - 1] = _SEPARATORS
+    last = ends - 2
+    out[last] = values % 10 + _ZERO
+    for j in range(1, int(lengths.max())):
+        live = np.flatnonzero(lengths > j)
+        out[last[live] - j] = values[live] // _POW10[j] % 10 + _ZERO
+    return out.tobytes().decode("ascii")
+
+
 def write_sparse(chain: Chain, fh: TextIO) -> None:
     """`states=<n> nnz=<m>` header, then `row col num/den` lines in lowest
-    terms, rows and columns ascending."""
+    terms, rows and columns ascending. int64 chunks are formatted as
+    bytes; Python-int chunks, and chunks with a negative entry (only
+    library-built chains that fail validation have one), take a `%`
+    template."""
     fh.write(f"states={chain.n_states} nnz={chain.nnz()}\n")
     for lo in range(0, chain.nnz(), _CHUNK_LINES):
         at = slice(lo, lo + _CHUNK_LINES)
         nums = chain.nums[at]
         g = np.gcd(nums, chain.denom)
         fields = np.column_stack((chain.sources[at], chain.cols[at], nums // g,
-                                  chain.denom // g)).ravel().tolist()
-        fh.write("%d %d %d/%d\n" * len(nums) % tuple(fields))
+                                  chain.denom // g))
+        if fields.dtype == np.int64 and nums.min() >= 0:
+            fh.write(_written_text(fields.ravel()))
+        else:
+            fh.write("%d %d %d/%d\n" * len(nums) % tuple(fields.ravel().tolist()))
 
 
 # every token a plain ratio of decimal digit strings
 _RATIOS = re.compile(r"(?:[0-9]+/[0-9]+\n)*[0-9]+/[0-9]+")
-# every line as the writer writes it, each value of at most 18 digits, so
-# below 2**63
-_LINE = r"[0-9]{1,18} [0-9]{1,18} [0-9]{1,18}/[0-9]{1,18}"
-_WRITTEN = re.compile(f"(?:{_LINE}\n)*{_LINE}")
+
+
+def _written_fields(piece: str) -> Optional[Tuple[np.ndarray, ...]]:
+    """Rows, columns, numerators and denominators (int64) of `piece` when
+    every line of it is in the writer's shape: `row col num/den` with single
+    ASCII spaces, lines joined by `\\n`, each integer 1 to 18 ASCII digits,
+    so below 2**63. None for any other text, the empty piece included.
+
+    The bytes that are not digits must cycle through `_SEPARATORS`; each
+    value is then summed one digit position at a time."""
+    # one byte per character, never raising: "?" for anything not ASCII
+    buf = np.frombuffer(piece.encode("ascii", "replace"), dtype=np.uint8)
+    seps = np.flatnonzero(buf - _ZERO > 9)  # uint8 wraps below "0"
+    # the last line's newline is not in the piece
+    if len(seps) % 4 != 3 or not np.all(
+            np.append(buf[seps], _SEPARATORS[-1]).reshape(-1, 4) == _SEPARATORS):
+        return None
+    ends = np.append(seps, len(buf))
+    lengths = np.diff(ends, prepend=-1) - 1
+    if lengths.min() < 1 or lengths.max() > 18:
+        return None
+    # int64 before any multiply: numpy 1.24 keeps uint8 * int64 scalar in
+    # uint8. A token no longer than j reads an earlier byte (the first token
+    # may wrap to the end), which the mask drops.
+    at = ends - 1
+    values = buf[at].astype(np.int64) - _ZERO
+    for j in range(1, int(lengths.max())):
+        at -= 1
+        values += np.where(lengths > j, buf[at].astype(np.int64) - _ZERO, 0) * _POW10[j]
+    return tuple(values.reshape(-1, 4).T)
 
 
 def _split_header(text: str) -> Tuple[str, int]:
@@ -371,19 +425,21 @@ def _parse_values(tokens: List[str]):
             ok, all("/" in tok for tok in tokens))
 
 
-def _parse_entries(text: str, written: bool, n_states: int, prev: Tuple[int, int]):
+def _parse_entries(text: str, fields: Optional[Tuple[np.ndarray, ...]], n_states: int,
+                   prev: Tuple[int, int]):
     """Rows, columns, numerators and denominators of the lines of `text`
     that follow the entry `prev`, whether every value is a ratio, and the
     index of the first line failing a check (None when all pass).
 
-    Lines in the writer's own shape (`written`, or found so) are converted
-    in one `np.loadtxt` pass, other text by the general converters, which
-    leave the lines after the first one without three tokens unconverted.
-    The same array checks run on either.
+    Lines in the writer's own shape are converted by `_written_fields`
+    (`fields`, when the caller has them already), other text by the
+    general converters, which leave the lines after the first one without
+    three tokens unconverted. The same array checks run on either.
     """
-    if written or _WRITTEN.fullmatch(text):
-        xs, ys, num, den = np.loadtxt(io.StringIO(text.replace("/", " ")),
-                                      dtype=np.int64, ndmin=2).T
+    if fields is None:
+        fields = _written_fields(text)
+    if fields is not None:
+        xs, ys, num, den = fields
         cut, ok, exact = None, den != 0, True
     else:
         lines = text.split("\n")
@@ -428,14 +484,14 @@ def read_sparse(text: str) -> Chain:
     for body in _line_chunks(text, start):
         # other lines are stripped of comments and outer blanks, and the
         # empty ones dropped; the writer's own lines need no such pass
-        written = _WRITTEN.fullmatch(body) is not None
-        if not written:
+        fields = _written_fields(body)
+        if fields is None:
             lines = body.splitlines()
             if "#" in body:
                 lines = [ln.split("#")[0] for ln in lines]
             body = "\n".join(ln for ln in map(str.strip, lines) if ln)
         if error is None and body:
-            arrays, chunk_exact, bad = _parse_entries(body, written, n_states, prev)
+            arrays, chunk_exact, bad = _parse_entries(body, fields, n_states, prev)
             xs, ys = arrays[:2]
             if bad is None:
                 for column, array in zip(columns, arrays):

@@ -331,10 +331,18 @@ def lump(chain, part: Partition, tol: Optional[float] = None) -> Chain:
 # ---------------------------------------------------------------------------
 # partition file format: one line per block, `label: idx idx ...`
 
+# state indices written at a time: bounds the Python ints and text that a
+# large block holds at once
+_WRITE_SLICE = 1 << 12
+
+
 def write_partition(part: Partition, fh: TextIO) -> None:
     bounds = part.indptr.tolist()
     for label, a, b in zip(part.labels, bounds, bounds[1:]):
-        fh.write(f"{label}: {' '.join(map(str, part.members[a:b].tolist()))}\n")
+        fh.write(f"{label}:")
+        for lo in range(a, b, _WRITE_SLICE):
+            fh.write(" " + " ".join(map(str, part.members[lo:min(lo + _WRITE_SLICE, b)].tolist())))
+        fh.write("\n")
 
 
 def read_partition(text: str) -> Partition:

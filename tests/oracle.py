@@ -11,7 +11,12 @@ dict-loop validation, `block_of` fill, tuple `group_blocks` and
 `induced_partition` loop that the member/indptr arrays replaced;
 `partition` builds the package's `Partition` from that tuple form.
 `orbits` is the union-find over generator edges that min-label
-propagation replaced.
+propagation replaced, and `write_partition` the writer that formats a
+block's whole line at once.
+
+`written_fields` is the sparse reader's former bulk gate: a regex over the
+writer's line shape, then one `np.loadtxt` pass, which the byte tokenizer
+`chain._written_fields` replaced.
 
 The first section validates models and derives draw probabilities with
 `Fraction` arithmetic, the path the integer draw table replaced, and
@@ -23,6 +28,8 @@ replaced.
 """
 
 import bisect
+import io
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -208,6 +215,20 @@ def write_sparse(rows, fh):
             fh.write(f"{x} {y} {p.numerator}/{p.denominator}\n")
 
 
+# every line as the writer writes it, each value of at most 18 digits, so
+# below 2**63
+_LINE = r"[0-9]{1,18} [0-9]{1,18} [0-9]{1,18}/[0-9]{1,18}"
+_WRITTEN = re.compile(f"(?:{_LINE}\n)*{_LINE}")
+
+
+def written_fields(piece):
+    """Rows, columns, numerators and denominators of a piece of text in the
+    writer's line shape, None for any other text."""
+    if _WRITTEN.fullmatch(piece) is None:
+        return None
+    return tuple(np.loadtxt(io.StringIO(piece.replace("/", " ")), dtype=np.int64, ndmin=2).T)
+
+
 def read_sparse(text):
     """(rows, exact) of a sparse document, line by line."""
     lines = [ln for ln in (l.split("#")[0].strip() for l in text.splitlines()) if ln]
@@ -317,6 +338,12 @@ def partition(blocks, labels):
     blocks = [list(b) for b in blocks]
     return lumping.Partition([x for b in blocks for x in b],
                              np.cumsum([0] + [len(b) for b in blocks]), tuple(labels))
+
+
+def write_partition(part, fh):
+    bounds = part.indptr.tolist()
+    for label, a, b in zip(part.labels, bounds, bounds[1:]):
+        fh.write(f"{label}: {' '.join(map(str, part.members[a:b].tolist()))}\n")
 
 
 def group_blocks(keys):

@@ -1,7 +1,9 @@
 """Seeded fuzzing of the command line: mutated sample models, and a
 mutated chain and partition of voter3, run through every verb in process;
 then, with its own seed, sample models and `--start` values with ASCII
-digits swapped for non-ASCII ones.
+digits swapped for non-ASCII ones; and, with another seed, voter3's chain
+with near misses of the writer's line shape: non-ASCII digits, `\\r` and
+second spaces.
 
 Whatever a mutation breaks, each verb must end with a documented exit code
 (0, 2, 3, 4, 5 or 6) and never raise. No mutation is filtered out.
@@ -147,3 +149,43 @@ def test_non_ascii_digit_mutants_end_in_documented_exit_codes(tmp_path):
                     failures.append(f"{argv} on {name} mutant {mutant!r}: exit {code}\n{trace}")
     assert not failures, f"{len(failures)} failures, the first:\n" + failures[0]
     assert {0, 4, 5} <= codes
+
+
+SPARSE_MUTANTS = 40
+
+
+def _near_writer(text, rng):
+    """One to three edits of a sparse document: an ASCII digit swapped for
+    a non-ASCII one, or a `\\r` or a second space put before a space or a
+    line end."""
+    for _ in range(rng.randint(1, 3)):
+        if rng.randrange(3) == 0:
+            text = _swap_digits(text, rng)
+            continue
+        at = rng.choice([k for k, ch in enumerate(text) if ch in " \n"])
+        text = text[:at] + rng.choice("\r ") + text[at:]
+    return text
+
+
+def test_near_writer_chain_mutants_end_in_documented_exit_codes(tmp_path):
+    rng = random.Random(20261019)
+    voter3 = load_model(SAMPLES / "voter3.model")
+    chain = build_micro_chain(voter3)
+    text, part = io.StringIO(), tmp_path / "voter3.part"
+    write_sparse(chain, text)
+    with open(part, "w", encoding="utf-8") as fh:
+        write_partition(orbits(chain.space, parse_presets("SN", 3, 2)), fh)
+    failures, codes = [], set()
+    for k in range(SPARSE_MUTANTS):
+        mutant = _near_writer(text.getvalue(), rng)
+        mutant_path = tmp_path / f"near{k}-voter3.sparse"
+        # newline="" keeps every \r as written
+        with open(mutant_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(mutant)
+        for argv in _chain_verbs(str(mutant_path), str(part)):
+            code, trace = _run(argv)
+            codes.add(code)
+            if code not in EXIT_CODES:
+                failures.append(f"{argv} on mutant {mutant!r}: exit {code}\n{trace}")
+    assert not failures, f"{len(failures)} failures, the first:\n" + failures[0]
+    assert {0, 4} <= codes

@@ -20,7 +20,7 @@ from math import lcm
 import numpy as np
 import pytest
 
-from microlump import analysis, cli, sim
+from microlump import analysis, cli, lumping, sim
 from microlump import chain as chainmod
 from microlump import (absorption_analysis, aggregate, classify_states,
                        commutation_profile, propagate)
@@ -31,7 +31,8 @@ from microlump import (AnalysisError, Alphabet, ChoiceDistribution, ConfigSpace,
                        enumerate_maps, estimate_matrix, frequency_partition,
                        half_hypercube_partition, induced_partition, is_chain_symmetric, lump,
                        model_fingerprint, moran_partition, orbits, parse_model,
-                       parse_presets, read_sparse, serialize_model, simulate, write_sparse)
+                       parse_presets, read_sparse, serialize_model, simulate, write_partition,
+                       write_sparse)
 from microlump.lumping import block_row_sums, count_label
 from conftest import path_topology, random_topology, star_topology
 
@@ -355,23 +356,107 @@ def test_the_writers_lines_are_read_in_bulk(monkeypatch):
 
 def test_the_writers_pieces_skip_the_line_pass(monkeypatch):
     """The header is split off first; then every piece of the writer's
-    output reaches the bulk converter as the text holds it, flagged as the
-    writer's shape: rejoined, the pieces are the text past the header."""
+    output reaches the byte gate once, as the text holds it, and is found
+    in the writer's shape: rejoined, the pieces are the text past the
+    header."""
     monkeypatch.setattr(chainmod, "_CHUNK_CHARS", 100)
     text = sparse_text(write_sparse, build_micro_chain(builtin_voter(Topology.complete(5))))
-    pieces, parse = [], chainmod._parse_entries
+    pieces, gate = [], chainmod._written_fields
 
-    def spy(body, written, *rest):
-        pieces.append((body, written))
-        return parse(body, written, *rest)
+    def spy(piece):
+        fields = gate(piece)
+        pieces.append((piece, fields is not None))
+        return fields
 
-    monkeypatch.setattr(chainmod, "_parse_entries", spy)
+    monkeypatch.setattr(chainmod, "_written_fields", spy)
     read_sparse(text)
     assert len(pieces) > 10
     assert all(written for _, written in pieces)
     header, _, body = text.partition("\n")
     assert chainmod._split_header(text) == (header, len(header) + 1)
     assert "\n".join(piece for piece, _ in pieces) + "\n" == body
+
+
+# near misses of the writer's shape, each a token or separator
+NEAR_WRITER = ("1" * 18, "1" * 19, "0" * 18, "0" * 19, "007", "\r\n", "\n", "\n\n", " ",
+               "  ", "\t", "+1", "-1", "٣", "０", "²", "\ud800", "", "/", "//", "1/", "?")
+
+
+def _near_writer_pieces(body, rng, count):
+    """(lo, hi, piece): the named near misses, each in place of the first
+    line, then `count` windows body[lo:hi] of the writer's lines with up to
+    three tokens or separators swapped for, or joined by, one of them."""
+    named = ["", "/", "\ud800", "0 0 1/1", "0 0 1/1\n", "0 0 1/1 ", "0  0 1/1",
+             "0\t0 1/1", "0 0 1/1\r\n1 1 1/1", "+1 0 1/1", "-1 0 1/1", "٣ 0 1/1",
+             "0 ０ 1/1", "0 0 ²/1", f"{'9' * 18} 0 1/1", f"{'9' * 19} 0 1/1",
+             f"0 0 {'0' * 17}1/{'0' * 17}1", f"0 0 {'0' * 18}1/1", "0 0 1/1\n\n1 1 1/1"]
+    pieces = [(0, 1, piece) for piece in named]
+    for _ in range(count):
+        lo = rng.randrange(len(body))
+        hi = min(len(body), lo + rng.randint(1, 4))
+        parts = "\n".join(body[lo:hi]).split(" ")
+        parts = [tok for part in parts for tok in (part, " ")][:-1]
+        for _ in range(rng.randint(0, 3)):
+            at = rng.randrange(len(parts))
+            miss = rng.choice(NEAR_WRITER)
+            parts[at] = rng.choice((miss, parts[at] + miss, miss + parts[at]))
+        pieces.append((lo, hi, "".join(parts)))
+    return pieces
+
+
+def test_the_byte_gate_accepts_what_the_line_regex_accepted(monkeypatch):
+    """`_written_fields` finds the writer's shape exactly where the former
+    regex did, with the arrays `np.loadtxt` gave; the document with the
+    piece in place of the lines it came from reads the same through either
+    gate, or fails with the same error."""
+    text = sparse_text(write_sparse, build_micro_chain(random_model(3)))
+    header, *body = text.splitlines()
+
+    def read(document):
+        return _outcome(lambda t: (lambda c: (c.rows, c.exact))(read_sparse(t)), document)
+
+    pieces = _near_writer_pieces(body, random.Random(14), 300)
+    found, outcomes = 0, Counter()
+    for lo, hi, piece in pieces:
+        got, ref = chainmod._written_fields(piece), oracle.written_fields(piece)
+        assert (got is None) == (oracle._WRITTEN.fullmatch(piece) is None), repr(piece)
+        if got is not None:
+            found += 1
+            assert [a.dtype for a in got] == [np.dtype(np.int64)] * 4
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref)), repr(piece)
+        document = "\n".join([header] + body[:lo] + [piece] + body[hi:]) + "\n"
+        new = read(document)
+        with monkeypatch.context() as patch:
+            patch.setattr(chainmod, "_written_fields", oracle.written_fields)
+            assert read(document) == new, repr(piece)
+        outcomes[new[0] if isinstance(new[0], str) else "read"] += 1
+    # both branches of the gate, and reads that pass and fail either way
+    assert 0 < found < len(pieces)
+    assert set(outcomes) == {"read", "DocumentParseError", "ValidationError"}
+
+
+def _writer_cases():
+    """Chains of every writer branch: the 24 seeded models; int64 chains
+    whose reduced denominators have 19 digits; a negative entry; Python
+    ints."""
+    chains = [build_micro_chain(random_model(seed)) for seed in range(24)]
+    for denom in (2 * 10 ** 18 + 1, 2 ** 63 - 1):
+        chains.append(chainmod.Chain(np.array([0, 2, 3]), np.array([0, 1, 1]),
+                                     np.array([1, denom - 1, denom]), denom))
+    chains.append(chainmod.Chain(np.array([0, 2, 3]), np.array([0, 1, 1]),
+                                 np.array([3, -1, 2]), 2))
+    chains.append(read_sparse(sparse_text(oracle.write_sparse, beyond_int64_rows())))
+    return chains
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 100])
+def test_the_byte_writer_matches_the_reference(chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(chainmod, "_CHUNK_LINES", chunk)
+    chains = _writer_cases()
+    assert chains[-1].nums.dtype == object and chains[-2].nums.min() < 0
+    for chain in chains:
+        assert sparse_text(write_sparse, chain) == sparse_text(oracle.write_sparse, chain.rows)
 
 
 def check_orbits(space, gens):
@@ -483,20 +568,44 @@ def test_partition_arrays_match_the_tuple_reference(seed):
                 == sparse_text(oracle.write_sparse, ref)
 
 
+@pytest.mark.parametrize("size", [1, 2, 7, None])
+def test_partitions_written_a_slice_at_a_time_match_the_reference(size, monkeypatch):
+    """Blocks longer than the slice are written across several slices,
+    with the bytes of the writer that formats a block's line at once."""
+    if size is not None:
+        monkeypatch.setattr(lumping, "_WRITE_SLICE", size)
+    rng = random.Random(12)
+    space = ConfigSpace(6, 3)
+    parts = [frequency_partition(space), moran_partition(space, 1),
+             orbits(space, parse_presets("SN", 6, 3)), random_partition(space.size, rng),
+             oracle.partition([[2, 0], [1]], ("only", "two"))]
+    for part in parts:
+        got, want = io.StringIO(), io.StringIO()
+        write_partition(part, got)
+        oracle.write_partition(part, want)
+        assert got.getvalue() == want.getvalue()
+
+
 # primes near 2**31: every lcm of two or more of them exceeds 2**63
 P1, P2, P3 = 2147483647, 2147483629, 2147483587
+
+
+def beyond_int64_rows():
+    """Four stochastic rows whose common denominator is P1*P2*P3*6."""
+    a, b = Fraction(1, P1), Fraction(1, P2)
+    return (
+        ((0, 1 - a), (2, a / 2), (3, a / 2)),
+        ((0, Fraction(1, P3)), (1, 1 - a - Fraction(1, P3)), (2, a / 3), (3, 2 * a / 3)),
+        ((0, b), (2, 1 - b)),
+        ((1, b), (2, Fraction(1, P3)), (3, 1 - b - Fraction(1, P3))),
+    )
 
 
 def test_denominators_beyond_int64_use_python_ints():
     """A chain whose common denominator P1*P2*P3 exceeds 2**63 stays exact
     through read, lumping test, reduction, write and analysis."""
     a, b = Fraction(1, P1), Fraction(1, P2)
-    rows = (
-        ((0, 1 - a), (2, a / 2), (3, a / 2)),
-        ((0, Fraction(1, P3)), (1, 1 - a - Fraction(1, P3)), (2, a / 3), (3, 2 * a / 3)),
-        ((0, b), (2, 1 - b)),
-        ((1, b), (2, Fraction(1, P3)), (3, 1 - b - Fraction(1, P3))),
-    )
+    rows = beyond_int64_rows()
     text = sparse_text(oracle.write_sparse, rows)
     chain = read_sparse(text)
     assert chain.nums.dtype == object and chain.denom == P1 * P2 * P3 * 6
