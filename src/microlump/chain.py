@@ -317,18 +317,22 @@ _RATIOS = re.compile(r"(?:[0-9]+/[0-9]+\n)*[0-9]+/[0-9]+")
 
 def _written_fields(piece: str) -> Optional[Tuple[np.ndarray, ...]]:
     """Rows, columns, numerators and denominators (int64) of `piece` when
-    every line of it is in the writer's shape: `row col num/den` with single
-    ASCII spaces, lines joined by `\\n`, each integer 1 to 18 ASCII digits,
-    so below 2**63. None for any other text, the empty piece included.
+    every line of it is in the writer's shape, `row col num/den` with single
+    ASCII spaces and lines joined by `\\n`; None for any other text."""
+    values = written_ints(piece, _SEPARATORS)
+    return None if values is None else tuple(values.reshape(-1, 4).T)
 
-    The bytes that are not digits must cycle through `_SEPARATORS`; each
-    value is then summed one digit position at a time."""
+
+def written_ints(piece: str, cycle: np.ndarray) -> Optional[np.ndarray]:
+    """The int64 values of `piece` when it is tokens of 1 to 18 ASCII digits,
+    so below 2**63, each but the last followed by the next byte of `cycle`
+    in turn, the last where `cycle` ends; None for any other text, the empty
+    piece included. Values are summed one digit position at a time."""
     # one byte per character, never raising: "?" for anything not ASCII
     buf = np.frombuffer(piece.encode("ascii", "replace"), dtype=np.uint8)
     seps = np.flatnonzero(buf - _ZERO > 9)  # uint8 wraps below "0"
-    # the last line's newline is not in the piece
-    if len(seps) % 4 != 3 or not np.all(
-            np.append(buf[seps], _SEPARATORS[-1]).reshape(-1, 4) == _SEPARATORS):
+    if (len(seps) + 1) % len(cycle) or not np.all(
+            np.append(buf[seps], cycle[-1]).reshape(-1, len(cycle)) == cycle):
         return None
     ends = np.append(seps, len(buf))
     lengths = np.diff(ends, prepend=-1) - 1
@@ -342,7 +346,7 @@ def _written_fields(piece: str) -> Optional[Tuple[np.ndarray, ...]]:
     for j in range(1, int(lengths.max())):
         at -= 1
         values += np.where(lengths > j, buf[at].astype(np.int64) - _ZERO, 0) * _POW10[j]
-    return tuple(values.reshape(-1, 4).T)
+    return values
 
 
 def _split_header(text: str) -> Tuple[str, int]:
@@ -359,14 +363,13 @@ def _split_header(text: str) -> Tuple[str, int]:
     return "", start
 
 
-def _line_chunks(text: str, start: int) -> Iterator[str]:
-    """Bounded pieces of `text` from `start` on, without their last
-    newline. Pieces end just after a newline, so no line, nor a \\r\\n
-    pair, is cut."""
+def text_pieces(text: str, start: int, sep: str = "\n") -> Iterator[str]:
+    """Bounded pieces of `text` from `start` on, without their last `sep`.
+    Pieces end just after a `sep`: no line, \\r\\n pair or index is cut."""
     while start < len(text):
-        end = text.find("\n", start + _CHUNK_CHARS)
+        end = text.find(sep, start + _CHUNK_CHARS)
         end = len(text) if end < 0 else end + 1
-        yield text[start:end].removesuffix("\n")
+        yield text[start:end].removesuffix(sep)
         start = end
 
 
@@ -481,7 +484,7 @@ def read_sparse(text: str) -> Chain:
             f"header needs states >= 1 and nnz >= 0, got states={n_states} nnz={nnz}", 1)
     columns = [[np.zeros(0, dtype=np.int64)] for _ in range(4)]
     exact, error, found, prev = True, None, 0, (-1, -1)
-    for body in _line_chunks(text, start):
+    for body in text_pieces(text, start):
         # other lines are stripped of comments and outer blanks, and the
         # empty ones dropped; the writer's own lines need no such pass
         fields = _written_fields(body)

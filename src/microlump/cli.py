@@ -8,6 +8,7 @@ symmetric), 4 document parse error, 5 validation or analysis error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from contextlib import contextmanager
 from typing import List, Optional
@@ -186,7 +187,9 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first call; callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="microlump",
         description="exact chains for sequential agent models: compile, "
@@ -196,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, help_, inputs, output=True, cap=True):
         """A verb with the positional arguments `inputs`, then `-o` and `--cap`."""
         p = sub.add_parser(name, help=help_)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn.__name__)  # `main` looks the name up when it runs
         for arg in inputs.split():
             p.add_argument(arg)
         if output:
@@ -257,7 +260,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if getattr(args, "cap", None) is not None and args.cap < 1:
             raise ValidationError(f"--cap must be positive, got {args.cap}")
-        return args.fn(args)
+        return globals()[args.fn](args)
     except DocumentParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

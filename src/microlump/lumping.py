@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
-from .chain import Chain
+from .chain import Chain, text_pieces, written_ints
 from .errors import DocumentParseError, NotLumpableError, ValidationError
 from .model import content_lines, int_array
 from .space import ConfigSpace
@@ -334,6 +334,7 @@ def lump(chain, part: Partition, tol: Optional[float] = None) -> Chain:
 # state indices written at a time: bounds the Python ints and text that a
 # large block holds at once
 _WRITE_SLICE = 1 << 12
+_SPACE = np.frombuffer(b" ", dtype=np.uint8)
 
 
 def write_partition(part: Partition, fh: TextIO) -> None:
@@ -346,20 +347,27 @@ def write_partition(part: Partition, fh: TextIO) -> None:
 
 
 def read_partition(text: str) -> Partition:
-    members, indptr, labels = [], [0], []
-    for lineno, line in content_lines(text):
-        label, sep, body = line.partition(":")
+    lines = [(lineno, *line.partition(":")) for lineno, line in content_lines(text)]
+    if not lines:
+        raise DocumentParseError("partition file defines no blocks")
+    labels = tuple(label.strip() for _, label, _, _ in lines)
+    bodies = [body for *_, body in lines]
+    # joined, bodies of the writer's ` idx ...` are indices cut by single spaces
+    if all(body.startswith(" ") for body in bodies):
+        pieces = [written_ints(piece, _SPACE) for piece in text_pieces("".join(bodies), 1, " ")]
+        if all(values is not None for values in pieces):
+            return Partition(np.concatenate(pieces),
+                             np.cumsum([0] + [body.count(" ") for body in bodies]), labels)
+    members, indptr = [], [0]
+    for lineno, _, sep, body in lines:
         if not sep:
             raise DocumentParseError("expected 'label: idx idx ...'", lineno)
         try:
             members.extend(map(int, body.split()))
         except ValueError:
             raise DocumentParseError("state indices must be integers", lineno)
-        labels.append(label.strip())
         indptr.append(len(members))
-    if not labels:
-        raise DocumentParseError("partition file defines no blocks")
-    return Partition(members, indptr, tuple(labels))
+    return Partition(members, indptr, labels)
 
 
 def load_partition(path) -> Partition:

@@ -12,7 +12,9 @@ dict-loop validation, `block_of` fill, tuple `group_blocks` and
 `partition` builds the package's `Partition` from that tuple form.
 `orbits` is the union-find over generator edges that min-label
 propagation replaced, and `write_partition` the writer that formats a
-block's whole line at once.
+block's whole line at once. `read_partition` is the reader that converts
+every index with int() into a list, which the byte pass over the writer's
+bodies replaced.
 
 `written_fields` is the sparse reader's former bulk gate: a regex over the
 writer's line shape, then one `np.loadtxt` pass, which the byte tokenizer
@@ -43,6 +45,7 @@ from microlump import (AnalysisError, ConfigSpace, DocumentParseError, RandomMap
 from microlump.analysis import (RESIDUAL_BOUND, AbsorptionReport, Classification,
                                 validate_distribution)
 from microlump.chain import rule_table
+from microlump.model import content_lines
 from microlump import lumping
 from microlump.lumping import LumpVerdict, LumpWitness, count_label
 from microlump.sim import _DRAW_BLOCK, Deviation, EstimateReport, SimRun
@@ -344,6 +347,23 @@ def write_partition(part, fh):
     bounds = part.indptr.tolist()
     for label, a, b in zip(part.labels, bounds, bounds[1:]):
         fh.write(f"{label}: {' '.join(map(str, part.members[a:b].tolist()))}\n")
+
+
+def read_partition(text):
+    members, indptr, labels = [], [0], []
+    for lineno, line in content_lines(text):
+        label, sep, body = line.partition(":")
+        if not sep:
+            raise DocumentParseError("expected 'label: idx idx ...'", lineno)
+        try:
+            members.extend(map(int, body.split()))
+        except ValueError:
+            raise DocumentParseError("state indices must be integers", lineno)
+        labels.append(label.strip())
+        indptr.append(len(members))
+    if not labels:
+        raise DocumentParseError("partition file defines no blocks")
+    return lumping.Partition(members, indptr, tuple(labels))
 
 
 def group_blocks(keys):

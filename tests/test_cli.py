@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from microlump import chain as chainmod
+from microlump import cli
 from microlump import read_sparse
 from microlump.cli import main
 from conftest import PATH4_FLIP
@@ -442,3 +443,92 @@ def test_decimal_digits_int_reads_are_counts(tmp_path, capsys):
     code, out, _ = run(capsys, "simulate", VOTER3, "--start", "٣", "--steps", "0",
                        "--seed", "1")
     assert code == 0 and out.splitlines()[1] == "(white,white,black)"
+
+
+# --- one parser per process -------------------------------------------------
+
+def fresh(capsys, monkeypatch, *argv):
+    """`run` through a parser built for this call alone."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        return run(capsys, *argv)
+
+
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_a_verb_rebound_after_the_parser_is_built_is_the_one_called(tmp_path, capsys,
+                                                                      monkeypatch):
+    """Verbs are looked up by name when `main` runs, so a `cmd_*` rebound
+    after the first call (as the benchmark's tracer does) is honoured."""
+    assert run(capsys, "maps", VOTER3)[0] == 0
+    calls = []
+
+    def spy(args):
+        calls.append((args.chain, args.partition))
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_lump", spy)
+    assert run(capsys, "lump", "a.sparse", "b.part") == (0, "", "")
+    assert calls == [("a.sparse", "b.part")]
+
+
+# three states whose decimal rows lump over A = {0}, B = {1, 2} only within
+# the bare `--tol` flag's 1e-12
+NEAR_LUMPABLE = """\
+states=3 nnz=5
+0 0 1
+1 0 0.5
+1 1 0.5
+2 0 0.5000000000001
+2 2 0.4999999999999
+"""
+
+
+def leak_sequences(tmp_path, capsys):
+    """Calls whose options, leaked into the next call, would change it."""
+    chain, part, mu = (str(tmp_path / name) for name in ("path3.sparse", "sn.part", "mu"))
+    near, halves = str(tmp_path / "near.sparse"), str(tmp_path / "halves.part")
+    run(capsys, "compile", PATH3, "-o", chain)
+    run(capsys, "orbits", PATH3, "--gens", "SN", "-o", part)
+    Path(mu).write_text("0 1/2\n7 1/2\n")
+    Path(near).write_text(NEAR_LUMPABLE)
+    Path(halves).write_text("A: 0\nB: 1 2\n")
+    return {
+        "exhaustive then not": [("check-lump", chain, part, "--exhaustive"),
+                                ("check-lump", chain, part)],
+        "bare tol then none": [("check-lump", near, halves, "--tol"),
+                               ("check-lump", near, halves)],
+        "start then mu0": [("propagate", chain, "--start", "3", "-t", "2"),
+                           ("propagate", chain, "--mu0", mu, "-t", "2")],
+        "usage error then valid": [("propagate", chain, "--start", "3", "--mu0", mu),
+                                   ("check-lump", chain, part)],
+    }
+
+
+def test_no_option_leaks_from_one_call_to_the_next(tmp_path, capsys, monkeypatch):
+    """Each call of a sequence run through the shared parser gives the exit
+    code, stdout and stderr of the same call through a fresh parser."""
+    for name, calls in leak_sequences(tmp_path, capsys).items():
+        shared = [run(capsys, *argv) for argv in calls]
+        alone = [fresh(capsys, monkeypatch, *argv) for argv in calls]
+        assert shared == alone, name
+        # the two calls differ, so a leak would show
+        assert shared[0] != shared[1], name
+    assert [code for code, _, _ in shared] == [2, 3]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check-lump", "--help"],
+                                  ["propagate", "x.sparse", "--steps"], []],
+                         ids=["help", "verb help", "usage error", "no verb"])
+def test_help_and_usage_follow_the_terminal_width(capsys, monkeypatch, argv):
+    """Text is formatted when printed, at the width of that moment."""
+    texts = []
+    for columns in ("60", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        texts.append(run(capsys, *argv))
+        assert texts[-1] == fresh(capsys, monkeypatch, *argv)
+    assert texts[0][0] == texts[1][0] == (0 if "--help" in argv else 2)
+    if argv[:1] == ["--help"]:
+        assert texts[0] != texts[1]

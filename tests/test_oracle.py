@@ -7,8 +7,10 @@ the draws applied through the compiled rule table (map actions,
 `maps --table`, trajectories and matrix estimates) against the rule-dict
 references; the integer draw table and model validation against the
 `Fraction` path they replaced; array-built topologies, choices and maps
-against the dict-built ones; orbit partitions against union-find; and the
-member/indptr partitions against the tuple reference."""
+against the dict-built ones; orbit partitions against union-find; the
+member/indptr partitions against the tuple reference; and the partition
+reader's byte pass against the reader that converts every index with
+int()."""
 
 import io
 import itertools
@@ -584,6 +586,95 @@ def test_partitions_written_a_slice_at_a_time_match_the_reference(size, monkeypa
         write_partition(part, got)
         oracle.write_partition(part, want)
         assert got.getvalue() == want.getvalue()
+
+
+def _read_outcome(read, text):
+    """Members (with their dtype), block bounds and labels read from a
+    partition document, or the error's type, message and line."""
+    try:
+        part = read(text)
+    except (DocumentParseError, ValidationError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+    return part.members.dtype, part.members.tolist(), part.indptr.tolist(), part.labels
+
+
+def _spy_byte_pass(monkeypatch):
+    """A list that gets, for each piece of partition bodies converted in
+    the byte pass, whether it was in the writer's shape."""
+    taken, inner = [], lumping.written_ints
+
+    def spy(piece, cycle):
+        got = inner(piece, cycle)
+        taken.append(got is not None)
+        return got
+
+    monkeypatch.setattr(lumping, "written_ints", spy)
+    return taken
+
+
+# near misses of the writer's ` idx` bodies, each an index or separator
+NEAR_BODY = ("+5", "-1", "٣", "1_0", "\t", "  ", " ", "", "1" * 19, str(2 ** 63),
+             "0" * 18, "007", "x", ":", "\ud800")
+
+
+def _near_partition_documents(text, rng, count):
+    """The written document, short ones, each near miss as a whole body,
+    large indices repeated, and `count` copies with up to two indices or spaces of one line swapped
+    for, or joined by, a near miss."""
+    lines = text.splitlines()
+    docs = [text, "", "# none\n", "A:", "A: 0\nB:", "A 0 1", "A: x\nB 1"]
+    docs += [f"A:{miss}\nB: 1\n" for miss in NEAR_BODY]
+    # one index twice: the message shows it exactly, past int64 too
+    docs += [f"A: 0 {big}\nB: {big}\n" for big in ("9" * 18, "1" * 19, str(2 ** 63))]
+    for _ in range(count):
+        at = rng.randrange(len(lines))
+        label, _, body = lines[at].partition(":")
+        parts = [tok for part in body.split(" ") for tok in (part, " ")][:-1]
+        for _ in range(rng.randint(1, 2)):
+            k = rng.randrange(len(parts))
+            miss = rng.choice(NEAR_BODY)
+            parts[k] = rng.choice((miss, parts[k] + miss, miss + parts[k]))
+        docs.append("\n".join(lines[:at] + [f"{label}:{''.join(parts)}"] + lines[at + 1:]))
+    return docs
+
+
+@pytest.mark.parametrize("chunk", [1, 3, None])
+def test_partition_bodies_near_the_writers_shape_read_as_before(chunk, monkeypatch):
+    """Members, labels and messages (with their line) are those of the
+    reader that converts every index with int(), whether the bodies take
+    the byte pass or not, at any piece size."""
+    if chunk is not None:
+        monkeypatch.setattr(chainmod, "_CHUNK_CHARS", chunk)
+    part = orbits(ConfigSpace(4, 3), parse_presets("SN", 4, 3))
+    buf = io.StringIO()
+    write_partition(part, buf)
+    taken = _spy_byte_pass(monkeypatch)
+    outcomes = Counter()
+    for doc in _near_partition_documents(buf.getvalue(), random.Random(15), 300):
+        got = _read_outcome(lumping.read_partition, doc)
+        assert got == _read_outcome(oracle.read_partition, doc), repr(doc)
+        outcomes[got[0] if isinstance(got[0], str) else "read"] += 1
+    assert set(outcomes) == {"read", "DocumentParseError", "ValidationError"}
+    assert True in taken and False in taken
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_written_partitions_take_the_byte_pass(n, monkeypatch):
+    """Moran and orbit partitions up to N=12, as the writer writes them,
+    read through the byte pass to the reference's arrays and labels."""
+    parts = []
+    for delta in (2, 3) if n <= 6 else (2,):
+        space = ConfigSpace(n, delta)
+        parts += [moran_partition(space, delta - 1)]
+        parts += [orbits(space, parse_presets(gens, n, delta)) for gens in ("SN", "Sdelta")]
+    taken = _spy_byte_pass(monkeypatch)
+    for part in parts:
+        buf = io.StringIO()
+        write_partition(part, buf)
+        got = _read_outcome(lumping.read_partition, buf.getvalue())
+        assert got == _read_outcome(oracle.read_partition, buf.getvalue())
+        assert got[1:] == (part.members.tolist(), part.indptr.tolist(), part.labels)
+    assert len(taken) >= len(parts) and all(taken)
 
 
 # primes near 2**31: every lcm of two or more of them exceeds 2**63
