@@ -6,11 +6,9 @@ analyze absorption, and validate everything against a seeded simulator.
 """
 
 from .analysis import (absorption_analysis, aggregate, classify_states,
-                       commutation_check, commutation_profile, point_mass,
-                       propagate)
+                       commutation_profile, point_mass, propagate)
 from .chain import (Chain, RandomMap, build_micro_chain, enumerate_maps,
-                    grammar_arcs, load_chain, read_sparse, transition_prob,
-                    write_sparse)
+                    load_chain, read_sparse, write_sparse)
 from .errors import (AnalysisError, CapExceededError, DocumentParseError,
                      MicrolumpError, NotLumpableError, ValidationError)
 from .lumping import (Partition, check_lumpable, frequency_partition,

@@ -295,12 +295,6 @@ def commutation_profile(chain: Chain, part: Partition, mu0: Sequence[Fraction],
     return out
 
 
-def commutation_check(chain: Chain, part: Partition, mu0: Sequence[Fraction],
-                      t: int, force: bool = False) -> Fraction:
-    """Discrepancy at time t only; zero exactly for lumpable partitions."""
-    return commutation_profile(chain, part, mu0, t, force=force)[-1]
-
-
 # ---------------------------------------------------------------------------
 # distribution files and report formatting
 

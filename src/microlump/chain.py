@@ -19,7 +19,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from math import floor, lcm
-from typing import Iterator, List, NamedTuple, Optional, Sequence, TextIO, Tuple
+from typing import Iterator, List, NamedTuple, Optional, TextIO, Tuple
 
 import numpy as np
 
@@ -166,13 +166,6 @@ class Chain:
         bounds = self.indptr.tolist()
         return tuple(tuple(entries[a:b]) for a, b in zip(bounds, bounds[1:]))
 
-    def entry(self, x: int, y: int) -> Fraction:
-        a, b = self.indptr[x], self.indptr[x + 1]
-        k = a + int(np.searchsorted(self.cols[a:b], y))
-        if k < b and self.cols[k] == y:
-            return Fraction(int(self.nums[k]), self.denom)
-        return Fraction(0)
-
 
 def build_micro_chain(spec: ModelSpec, cap: Optional[int] = None) -> Chain:
     """Assemble the exact transition matrix, one numpy pass per draw.
@@ -208,20 +201,6 @@ def build_micro_chain(spec: ModelSpec, cap: Optional[int] = None) -> Chain:
     keep = values != 0
     indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
     return Chain(indptr, targets[keep], values[keep], denom, space=space)
-
-
-def transition_prob(chain: Chain, x: Sequence[int], y: Sequence[int]) -> Fraction:
-    """Probability of a one-step transition between two configurations."""
-    return chain.entry(chain.space.index_of(x), chain.space.index_of(y))
-
-
-def grammar_arcs(chain: Chain) -> List[Tuple[int, int]]:
-    """All ordered state pairs the dynamics can realize in one step.
-
-    Because every draw has positive probability this is exactly the nonzero
-    pattern of the matrix, loops included.
-    """
-    return list(zip(chain.sources.tolist(), chain.cols.tolist()))
 
 
 # ---------------------------------------------------------------------------

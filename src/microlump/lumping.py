@@ -84,11 +84,6 @@ class Partition:
             raise ValidationError(
                 f"partition covers {self.n_states} states, chain has {n_states}")
 
-    def same_blocks(self, other: "Partition") -> bool:
-        """Equality as set partitions, ignoring labels and block order."""
-        return ({frozenset(b) for b in self.blocks}
-                == {frozenset(b) for b in other.blocks})
-
 
 def singleton_partition(n_states: int) -> Partition:
     return Partition(np.arange(n_states), np.arange(n_states + 1),

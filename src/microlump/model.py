@@ -438,11 +438,6 @@ class ModelSpec:
         return (list(map(tuples.__getitem__, at)), table.options.tolist(),
                 to_fractions(table.nums, table.denom))
 
-    def joint_choices(self) -> List[Tuple[Tuple[int, ...], int, Fraction]]:
-        """All (agent tuple, option index, joint probability) triples with
-        positive probability, in draw table order."""
-        return list(zip(*self.joint_columns()))
-
 
 def builtin_voter(topology: Topology, labels: Sequence[str] = ("black", "white"),
                   name: str = "voter") -> ModelSpec:

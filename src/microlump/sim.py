@@ -3,10 +3,12 @@ transition matrix.
 
 Each step samples one (agent tuple, option) draw and applies the update
 table, exactly the process the matrix encodes. Sampling runs on numpy's
-counter-based Philox generator: one master seed, with per-state child
-streams spawned for matrix estimation, so runs are reproducible and
-stream order never matters. Draw probabilities are converted to floats
-once, for sampling speed only; the exact path is the matrix itself.
+counter-based Philox generator from one master seed; matrix estimation
+draws state x from the stream of `SeedSequence(seed).spawn(n)[x]`, on one
+generator re-keyed per state with keys derived in one array pass. So runs
+are reproducible and stream order never matters. Draw probabilities are
+converted to floats once, for sampling speed only; the exact path is the
+matrix itself.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from .chain import build_micro_chain, draw_targets, rule_table, to_floats
 from .errors import ValidationError
 from .lumping import Partition
-from .model import ModelSpec, int_dtype, model_fingerprint
+from .model import INT64_MAX, ModelSpec, int_dtype, model_fingerprint
 from .space import ConfigSpace
 
 # uniforms drawn per call to the generator while simulating
@@ -34,12 +36,59 @@ _LINE_CHUNK = 1 << 14
 _GROUP_STRINGS = 4096
 # states per block of array passes in `estimate_matrix`
 _ESTIMATE_BLOCK = 1 << 8
+# numpy's SeedSequence (O'Neill's seed_seq hash): pool words, the entropy
+# and output hash constants, and the mix multipliers
+_POOL, _MASK32 = 4, 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43b0d7e5, 0x931e8875, 0x8b51f9dd, 0x58f38ded
+_MIX_L, _MIX_R = 0xca01f9dd, 0x4973f715
 
 
 def _seed_sequence(seed: int) -> np.random.SeedSequence:
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
     return np.random.SeedSequence(seed)
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix on uint32 words: xor in the running constant,
+    step the constant, multiply by it, fold the high half into the low."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+    return hashmix
+
+
+def _mix(x, y):
+    out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return out ^ out >> np.uint32(16)
+
+
+def _philox_keys(seed: int, n: int) -> np.ndarray:
+    """(n, 2) uint64: row i is the Philox key of `SeedSequence(seed).spawn(n)[i]`,
+    its `generate_state(2, np.uint64)`.
+
+    SeedSequence's mixing, word for word: the seed's 32-bit words padded to
+    the pool, then the spawn index (one word, as n < 2**32). The hash
+    constants run the same for every child, so the words before the index
+    are uint32 scalars and the index a uint32 array over all children."""
+    words = [np.uint32(seed >> s & _MASK32) for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = words + [np.uint32(0)] * (_POOL - len(words)) + [np.arange(n, dtype=np.uint32)]
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    with np.errstate(over="ignore"):  # uint32 arithmetic wraps, as in numpy's C
+        pool = [hashmix(w) for w in entropy[:_POOL]]
+        for src in range(_POOL):
+            for dst in range(_POOL):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        for w in entropy[_POOL:]:
+            for dst in range(_POOL):
+                pool[dst] = _mix(pool[dst], hashmix(w))
+        output = _hasher(_INIT_B, _MULT_B)
+        state = np.stack([output(w) for w in pool], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
 def _draw_weights(spec: ModelSpec) -> np.ndarray:
@@ -208,14 +257,18 @@ def estimate_matrix(spec: ModelSpec, steps_per_state: int, seed: int,
 
     From each state the target of every draw is fixed, so sampling
     steps_per_state independent draws is done as one multinomial over the
-    draw distribution, on that state's own child stream. A block of states
-    at a time, the tallies are summed over sorted (state, target) keys and
-    compared with the exact entries as arrays. Returns the report and the
-    exact chain it was checked against.
+    draw distribution, on state x's own stream, child x of the seed, by one
+    Philox re-keyed to it from counter 0. A block of states at a time, the
+    tallies are summed over sorted (state, target) keys and compared with
+    the exact entries as arrays. Returns the report and the exact chain it
+    was checked against.
     """
     if steps_per_state < 1:
         raise ValidationError("need at least one sample per state")
-    seeds = _seed_sequence(seed)
+    if steps_per_state > INT64_MAX:
+        raise ValidationError(f"samples per state must be at most {INT64_MAX}, "
+                              f"got {steps_per_state}")
+    _seed_sequence(seed)  # a bad seed fails before the chain is built
     chain = build_micro_chain(spec, cap=cap)
     weights = _draw_weights(spec)
     pvals = weights / weights.sum()
@@ -223,14 +276,21 @@ def estimate_matrix(spec: ModelSpec, steps_per_state: int, seed: int,
     targets = np.stack(list(draw_targets(spec, chain.space)), axis=1)
     n, indptr = chain.n_states, chain.indptr
     probs = to_floats(chain.nums, chain.denom)
-    streams = seeds.spawn(n)
+    keys = _philox_keys(seed, n)
+    philox = np.random.Philox(0)
+    rng, fresh = np.random.Generator(philox), philox.state  # counter 0, empty buffer
+
+    def sample(x: int) -> np.ndarray:
+        fresh["state"]["key"] = keys[x]
+        philox.state = fresh
+        return rng.multinomial(steps_per_state, pvals)
+
     counts: List[Dict[int, int]] = []
     max_dev = 0.0
     violations: List[Deviation] = []
     for lo in range(0, n, _ESTIMATE_BLOCK):
         hi = min(lo + _ESTIMATE_BLOCK, n)
-        drawn = np.stack([np.random.Generator(np.random.Philox(streams[x]))
-                          .multinomial(steps_per_state, pvals) for x in range(lo, hi)])
+        drawn = np.stack([sample(x) for x in range(lo, hi)])
         # the block's tallies and exact entries, keyed (state - lo) * n + target
         row, draw = np.nonzero(drawn)
         tally_keys, inverse = np.unique(row * n + targets[lo + row, draw], return_inverse=True)

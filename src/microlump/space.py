@@ -97,21 +97,6 @@ class ConfigSpace:
             codes.append(code)
         return tuple(codes)
 
-    def neighbors(self, config: Sequence[int]):
-        """All (agent, configuration) pairs reachable by changing one agent.
-
-        Exactly (delta-1)*n_agents pairs, ordered by agent then by new code.
-        """
-        config = self.check_config(config)
-        return [(i, config[:i] + (code,) + config[i + 1:])
-                for i, current in enumerate(config) for code in range(self.delta)
-                if code != current]
-
-    def counts(self, config: Sequence[int]) -> Tuple[int, ...]:
-        """Number of agents holding each attribute code, indexed by code."""
-        config = self.check_config(config)
-        return tuple(config.count(code) for code in range(self.delta))
-
     @cached_property
     def radix(self) -> np.ndarray:
         return np.array([self.delta ** i for i in range(self.n_agents)], dtype=np.int64)

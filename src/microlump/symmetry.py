@@ -50,12 +50,6 @@ class SpacePermutation:
             out[self.agents[i]] = self.attrs[code]
         return tuple(out)
 
-    def compose(self, other: "SpacePermutation") -> "SpacePermutation":
-        """self after other: (self * other)(x) = self(other(x))."""
-        agents = tuple(self.agents[a] for a in other.agents)
-        attrs = tuple(self.attrs[s] for s in other.attrs)
-        return SpacePermutation(agents, attrs)
-
     def inverse(self) -> "SpacePermutation":
         return SpacePermutation(*(tuple(sorted(range(len(p)), key=p.__getitem__))
                                   for p in (self.agents, self.attrs)))

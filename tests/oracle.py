@@ -26,7 +26,12 @@ builds the edge dict, choice entries and maps that the array-built
 topologies, choices and maps replaced. The last
 section applies draws to configuration tuples through the rule dict: the
 map actions, simulator and matrix estimate that the compiled rule table
-replaced.
+replaced. The estimate there spawns one `SeedSequence` child and makes one
+Philox generator per state, the streams that `sim._philox_keys` derives
+in one pass.
+
+The helpers at the end were library functions and methods that only tests
+called.
 """
 
 import bisect
@@ -41,12 +46,12 @@ from typing import Tuple
 import numpy as np
 
 from microlump import (AnalysisError, ConfigSpace, DocumentParseError, RandomMap,
-                       ValidationError, model_fingerprint)
+                       SpacePermutation, ValidationError, model_fingerprint)
 from microlump.analysis import (RESIDUAL_BOUND, AbsorptionReport, Classification,
                                 validate_distribution)
 from microlump.chain import rule_table
 from microlump.model import content_lines
-from microlump import lumping
+from microlump import analysis, lumping
 from microlump.lumping import LumpVerdict, LumpWitness, count_label
 from microlump.sim import _DRAW_BLOCK, Deviation, EstimateReport, SimRun
 from microlump.symmetry import SymmetryVerdict, SymmetryWitness
@@ -711,3 +716,69 @@ def estimate_matrix(spec, steps_per_state, seed, cap=None):
                 violations.append(Deviation(x, y, emp, p, bound))
     return EstimateReport(samples_per_state=steps_per_state, seed=seed, counts=tuple(counts),
                           max_abs_dev=max_dev, violations=tuple(violations))
+
+
+# ---------------------------------------------------------------------------
+# helpers the library no longer exports
+
+
+def entry(chain, x, y):
+    """Exact probability of the step from state x to state y."""
+    a, b = chain.indptr[x], chain.indptr[x + 1]
+    k = a + int(np.searchsorted(chain.cols[a:b], y))
+    if k < b and chain.cols[k] == y:
+        return Fraction(int(chain.nums[k]), chain.denom)
+    return Fraction(0)
+
+
+def transition_prob(chain, x, y):
+    """Probability of a one-step transition between two configurations."""
+    return entry(chain, chain.space.index_of(x), chain.space.index_of(y))
+
+
+def grammar_arcs(chain):
+    """All ordered state pairs the dynamics can realize in one step.
+
+    Because every draw has positive probability this is exactly the nonzero
+    pattern of the matrix, loops included.
+    """
+    return list(zip(chain.sources.tolist(), chain.cols.tolist()))
+
+
+def commutation_check(chain, part, mu0, t, force=False):
+    """Discrepancy at time t only; zero exactly for lumpable partitions."""
+    return analysis.commutation_profile(chain, part, mu0, t, force=force)[-1]
+
+
+def draw_choices(spec):
+    """The package's (agent tuple, option index, joint probability) triples,
+    in draw table order: `spec.joint_columns()` zipped."""
+    return list(zip(*spec.joint_columns()))
+
+
+def neighbors(space, config):
+    """All (agent, configuration) pairs reachable by changing one agent.
+
+    Exactly (delta-1)*n_agents pairs, ordered by agent then by new code.
+    """
+    config = space.check_config(config)
+    return [(i, config[:i] + (code,) + config[i + 1:])
+            for i, current in enumerate(config) for code in range(space.delta)
+            if code != current]
+
+
+def counts(space, config):
+    """Number of agents holding each attribute code, indexed by code."""
+    config = space.check_config(config)
+    return tuple(config.count(code) for code in range(space.delta))
+
+
+def compose(g, h):
+    """g after h: (g * h)(x) = g(h(x))."""
+    return SpacePermutation(tuple(g.agents[a] for a in h.agents),
+                            tuple(g.attrs[s] for s in h.attrs))
+
+
+def same_blocks(part, other):
+    """Equality as set partitions, ignoring labels and block order."""
+    return {frozenset(b) for b in part.blocks} == {frozenset(b) for b in other.blocks}

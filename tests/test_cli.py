@@ -7,6 +7,7 @@ from microlump import chain as chainmod
 from microlump import cli
 from microlump import read_sparse
 from microlump.cli import main
+from oracle import entry
 from conftest import PATH4_FLIP
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -163,7 +164,7 @@ def test_lump_writes_reduced_chain(tmp_path, capsys):
     assert code == 0
     macro = read_sparse(out_file.read_text())
     assert macro.n_states == 4
-    assert macro.entry(1, 0) == Fraction(1, 3)
+    assert entry(macro, 1, 0) == Fraction(1, 3)
     assert "block 0 ⟨3,0⟩ size=1" in err
 
 
@@ -314,6 +315,14 @@ def test_estimate_rejects_negative_seed(tmp_path, capsys):
     err = rejected(capsys, tmp_path, "estimate", VOTER3, "--samples", "10",
                    "--seed", "-1")
     assert "seed must be non-negative" in err
+
+
+def test_estimate_rejects_samples_beyond_int64(tmp_path, capsys):
+    err = rejected(capsys, tmp_path, "estimate", VOTER3, "--samples",
+                   "99999999999999999999", "--seed", "1")
+    assert "samples per state must be at most 9223372036854775807" in err
+    code, out, _ = run(capsys, "estimate", VOTER3, "--samples", str(2**62), "--seed", "1")
+    assert code == 0 and f"samples_per_state={2**62}" in out
 
 
 def test_compile_rejects_a_cap_below_one(tmp_path, capsys):

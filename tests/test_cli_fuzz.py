@@ -1,9 +1,10 @@
 """Seeded fuzzing of the command line: mutated sample models, and a
 mutated chain and partition of voter3, run through every verb in process;
 then, with its own seed, sample models and `--start` values with ASCII
-digits swapped for non-ASCII ones; and, with another seed, voter3's chain
+digits swapped for non-ASCII ones; with another seed, voter3's chain
 with near misses of the writer's line shape: non-ASCII digits, `\\r` and
-second spaces.
+second spaces; and, with a fourth seed, `estimate --samples` values out of
+range at either end.
 
 Whatever a mutation breaks, each verb must end with a documented exit code
 (0, 2, 3, 4, 5 or 6) and never raise. No mutation is filtered out.
@@ -189,3 +190,28 @@ def test_near_writer_chain_mutants_end_in_documented_exit_codes(tmp_path):
                 failures.append(f"{argv} on mutant {mutant!r}: exit {code}\n{trace}")
     assert not failures, f"{len(failures)} failures, the first:\n" + failures[0]
     assert {0, 4} <= codes
+
+
+SAMPLES_MUTANTS = 20
+
+
+def _out_of_range_samples(rng):
+    """A `--samples` value below 1 or above int64's largest, up to 2**130
+    past either end."""
+    reach = rng.randrange(2 ** rng.randint(1, 130))
+    return str(-reach if rng.randrange(2) else 2**63 + reach)
+
+
+def test_out_of_range_samples_end_in_validation_errors():
+    rng = random.Random(20261020)
+    failures, codes = [], set()
+    for k in range(SAMPLES_MUTANTS):
+        samples = _out_of_range_samples(rng)
+        for name in ("voter3.model", "path3.model", "majority3.model"):
+            argv = ["estimate", str(SAMPLES / name), "--samples", samples, "--seed", "3"]
+            code, trace = _run(argv)
+            codes.add(code)
+            if code not in EXIT_CODES:
+                failures.append(f"{argv}: exit {code}\n{trace}")
+    assert not failures, f"{len(failures)} failures, the first:\n" + failures[0]
+    assert codes == {5}

@@ -914,16 +914,30 @@ def test_draws_match_the_rule_dict_references(seed, tmp_path, capsys):
     check_draws(random_model(seed), seed, tmp_path, capsys)
 
 
-def test_arity_one_draws_match_the_rule_dict_references(tmp_path, capsys):
+def arity_one_model():
     """Spontaneous moves to the next code or the one after, with unequal
     option weights: no second agent in the packed arguments."""
     table = {(a, opt): (a + 1 + opt) % 3 for a in range(3) for opt in range(2)}
     rule = UpdateRule(arity=1, options=(("next", Fraction(2, 3)), ("skip", Fraction(1, 3))),
                       table=table, delta=3)
     choice = ChoiceDistribution.uniform_from_topology(path_topology(4), 1)
-    spec = ModelSpec(name="cycle", alphabet=Alphabet(LABELS), topology=path_topology(4),
+    return ModelSpec(name="cycle", alphabet=Alphabet(LABELS), topology=path_topology(4),
                      rule=rule, choice=choice)
-    check_draws(spec, 7, tmp_path, capsys)
+
+
+def test_arity_one_draws_match_the_rule_dict_references(tmp_path, capsys):
+    check_draws(arity_one_model(), 7, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("model", [0, 5, 11, 17, 23, "arity one"])
+@pytest.mark.parametrize("seed", [2**32, 2**128 + 1])
+def test_estimates_under_wide_seeds_match_the_spawned_streams(model, seed):
+    """Seeds of two and five words: the derived keys follow SeedSequence
+    past one word and past its four-word pool."""
+    spec = arity_one_model() if model == "arity one" else random_model(model)
+    for samples in (3, 200):
+        report, _ = estimate_matrix(spec, samples, seed)
+        assert report == oracle.estimate_matrix(spec, samples, seed)
 
 
 def test_the_estimates_above_include_violations():
@@ -1026,9 +1040,9 @@ def check_draw_table(spec, entries=None):
     assert model_fingerprint(spec) == model_fingerprint(ref_spec)
 
     joint = oracle.joint_choices(spec)
-    assert spec.joint_choices() == joint
+    assert oracle.draw_choices(spec) == joint
     keys = {id(tup) for tup in spec.choice.entries}  # shared, not copied
-    assert all(id(tup) in keys for tup, _, _ in spec.joint_choices())
+    assert all(id(tup) in keys for tup, _, _ in oracle.draw_choices(spec))
     table = spec.draws
     assert table is spec.draws
     assert table.denom == lcm(*(p.denominator for _, _, p in joint))
@@ -1223,7 +1237,7 @@ def check_array_built(spec, ref):
         assert np.asarray(got).dtype == np.asarray(want).dtype
         assert np.array_equal(got, want)
     assert enumerate_maps(spec) == oracle.enumerate_maps(ref)
-    assert spec.joint_choices() == oracle.joint_choices(ref)
+    assert oracle.draw_choices(spec) == oracle.joint_choices(ref)
     assert serialize_model(spec) == serialize_model(ref)
 
 

@@ -1,10 +1,12 @@
 import io
 
+import numpy as np
 import pytest
 
 from microlump import (ConfigSpace, estimate_matrix, frequency_partition, lump,
                        project_trajectory, simulate)
-from microlump.sim import write_trajectory
+from microlump.sim import _philox_keys, write_trajectory
+from oracle import entry
 from conftest import LETTERS, letter_index
 
 
@@ -33,7 +35,7 @@ def test_trajectory_support(voter3, voter3_chain):
     run = simulate(voter3, LETTERS["d"], 200, seed=5)
     for (x, y), cnt in run.counts.items():
         assert cnt > 0
-        assert voter3_chain.entry(x, y) > 0
+        assert entry(voter3_chain, x, y) > 0
 
 
 def test_the_tally_is_built_on_first_read(voter3):
@@ -121,7 +123,7 @@ def test_macro_frequencies_match_reduced_chain(voter3):
             l = part.block_of[y]
             agg[l] = agg.get(l, 0) + cnt
         for l in range(part.n_blocks):
-            p = float(macro.entry(k, l))
+            p = float(entry(macro, k, l))
             emp = agg.get(l, 0) / n
             bound = 3.0 * (p * (1.0 - p) / n) ** 0.5
             assert abs(emp - p) <= bound
@@ -131,3 +133,16 @@ def test_estimate_rejects_bad_samples(voter3):
     from microlump import ValidationError
     with pytest.raises(ValidationError):
         estimate_matrix(voter3, 0, seed=1)
+    with pytest.raises(ValidationError, match="at most 9223372036854775807"):
+        estimate_matrix(voter3, 2**63, seed=1)
+
+
+# one word up to 2**32 - 1; 2**128 and 2**200 + 12345 are wider than
+# SeedSequence's four-word pool, so their top words are mixed in after it
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128, 2**200 + 12345])
+@pytest.mark.parametrize("n", [1, 2, 256, 2187])
+def test_philox_keys_are_the_spawned_childrens(seed, n):
+    keys = _philox_keys(seed, n)
+    assert keys.dtype == np.uint64 and keys.shape == (n, 2)
+    children = np.random.SeedSequence(seed).spawn(n)
+    assert keys.tolist() == [c.generate_state(2, np.uint64).tolist() for c in children]
