@@ -13,18 +13,17 @@ the common denominator of the draw probabilities.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from math import floor, lcm
-from typing import Iterator, List, NamedTuple, Optional, TextIO, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
 from .errors import DocumentParseError, ValidationError
-from .model import INT64_MAX, ModelSpec, int_array, int_dtype, to_fractions
+from .model import INT64_MAX, ModelSpec, content_lines, int_array, int_dtype, to_fractions
 from .space import ConfigSpace
 
 Row = Tuple[Tuple[int, Fraction], ...]
@@ -290,10 +289,6 @@ def write_sparse(chain: Chain, fh: TextIO) -> None:
             fh.write("%d %d %d/%d\n" * len(nums) % tuple(fields.ravel().tolist()))
 
 
-# every token a plain ratio of decimal digit strings
-_RATIOS = re.compile(r"(?:[0-9]+/[0-9]+\n)*[0-9]+/[0-9]+")
-
-
 def _written_fields(piece: str) -> Optional[Tuple[np.ndarray, ...]]:
     """Rows, columns, numerators and denominators (int64) of `piece` when
     every line of it is in the writer's shape, `row col num/den` with single
@@ -352,139 +347,103 @@ def text_pieces(text: str, start: int, sep: str = "\n") -> Iterator[str]:
         start = end
 
 
-def _entry_error(toks: List[str], n_states: int, prev: Tuple[int, int]) -> Optional[str]:
-    """What is wrong with one entry line, checks in the order they apply."""
+def _entry(line: str, n_states: int, prev: Tuple[int, int]) -> Tuple[int, int, Fraction]:
+    """Row, column and value of one entry line that follows the entry
+    `prev`, or a DocumentParseError naming the first rule the line breaks,
+    in the order they apply: three tokens, integer row and col, both in
+    range, strictly ascending, a ratio or decimal value."""
+    toks = line.split()
     if len(toks) != 3:
-        return "expected: row col value"
+        raise DocumentParseError("expected: row col value")
     try:
         x, y = int(toks[0]), int(toks[1])
     except ValueError:
-        return "row and col must be integers"
+        raise DocumentParseError("row and col must be integers") from None
     if not (0 <= x < n_states and 0 <= y < n_states):
-        return f"state pair ({x},{y}) out of range"
+        raise DocumentParseError(f"state pair ({x},{y}) out of range")
     if (x, y) <= prev:
-        return "entries must be strictly ascending by (row, col)"
+        raise DocumentParseError("entries must be strictly ascending by (row, col)")
     try:
-        Fraction(toks[2])
+        return x, y, Fraction(toks[2])
     except (ValueError, ZeroDivisionError):
-        return f"bad value {toks[2]!r}"
-    return None
+        raise DocumentParseError(f"bad value {toks[2]!r}") from None
 
 
-def _each(convert, tokens: List[str], errors, blank):
-    """`convert` applied token by token, `blank` where it raises one of
-    `errors`, and which tokens converted."""
-    values, ok = [], []
-    for tok in tokens:
-        try:
-            values.append(convert(tok))
-            ok.append(True)
-        except errors:
-            values.append(blank)
-            ok.append(False)
-    return values, np.array(ok, dtype=bool)
+def _parse_entries(body: str, fields: Optional[Tuple[np.ndarray, ...]], numbers: Sequence[int],
+                   n_states: int, prev: Tuple[int, int]):
+    """Rows, columns, numerators and denominators of the entry lines of
+    `body`, joined by `\\n`, that follow the entry `prev`, and whether every
+    value is a ratio; or the error of the first line failing a check, named
+    by its file line in `numbers`.
 
-
-def _parse_ints(tokens: List[str]) -> Tuple[np.ndarray, np.ndarray]:
-    """Values of integer tokens and which tokens parsed (0 where not)."""
-    try:
-        return int_array(list(map(int, tokens))), np.ones(len(tokens), dtype=bool)
-    except ValueError:
-        values, ok = _each(int, tokens, ValueError, 0)
-        return int_array(values), ok
-
-
-def _parse_values(tokens: List[str]):
-    """Numerators, nonzero denominators, parse flags and exactness of
-    value tokens, which are ratios or decimals."""
-    if _RATIOS.fullmatch("\n".join(tokens)):
-        terms = int_array(list(map(int, "/".join(tokens).split("/"))))
-        num, den = terms[0::2], terms[1::2]
-        return num, np.where(den == 0, 1, den), den != 0, True
-    fracs, ok = _each(Fraction, tokens, (ValueError, ZeroDivisionError), Fraction(0))
-    return (int_array([p.numerator for p in fracs]),
-            int_array([p.denominator for p in fracs]),
-            ok, all("/" in tok for tok in tokens))
-
-
-def _parse_entries(text: str, fields: Optional[Tuple[np.ndarray, ...]], n_states: int,
-                   prev: Tuple[int, int]):
-    """Rows, columns, numerators and denominators of the lines of `text`
-    that follow the entry `prev`, whether every value is a ratio, and the
-    index of the first line failing a check (None when all pass).
-
-    Lines in the writer's own shape are converted by `_written_fields`
-    (`fields`, when the caller has them already), other text by the
-    general converters, which leave the lines after the first one without
-    three tokens unconverted. The same array checks run on either.
+    The byte gate's arrays (`fields`) are checked as arrays. Text the gate
+    rejected, or in which a check flags a line, is converted by `_entry`
+    up to its first bad line, so `_entry` words every message.
     """
-    if fields is None:
-        fields = _written_fields(text)
     if fields is not None:
-        xs, ys, num, den = fields
-        cut, ok, exact = None, den != 0, True
-    else:
-        lines = text.split("\n")
-        wrong = np.flatnonzero(np.fromiter(map(len, map(str.split, lines)), np.int64,
-                                           len(lines)) != 3)
-        cut = int(wrong[0]) if len(wrong) else None
-        toks = " ".join(lines[:cut]).split()
-        xs, x_ok = _parse_ints(toks[0::3])
-        ys, y_ok = _parse_ints(toks[1::3])
-        num, den, v_ok, exact = _parse_values(toks[2::3])
-        ok = x_ok & y_ok & v_ok
-    ok &= (xs >= 0) & (xs < n_states) & (ys >= 0) & (ys < n_states)
-    px, py = np.append(prev[0], xs[:-1]), np.append(prev[1], ys[:-1])
-    ok &= (xs > px) | ((xs == px) & (ys > py))
-    bad = np.flatnonzero(~ok)
-    first_bad = int(bad[0]) if len(bad) else cut
-    return (xs, ys, num, den), exact, first_bad
+        xs, ys, _, den = fields
+        px, py = np.append(prev[0], xs[:-1]), np.append(prev[1], ys[:-1])
+        if np.all((den != 0) & (xs >= 0) & (xs < n_states) & (ys >= 0) & (ys < n_states)
+                  & ((xs > px) | ((xs == px) & (ys > py)))):
+            return fields, True, None
+    entries, exact = [], True
+    for line in body.split("\n"):
+        try:
+            entries.append(_entry(line, n_states, prev))
+        except DocumentParseError as exc:
+            return None, None, DocumentParseError(str(exc), numbers[len(entries)])
+        prev = entries[-1][:2]
+        exact = exact and "/" in line
+    xs, ys, values = zip(*entries)
+    return (int_array(xs), int_array(ys), int_array([p.numerator for p in values]),
+            int_array([p.denominator for p in values])), exact, None
 
 
 def read_sparse(text: str) -> Chain:
     """Parse the sparse format; entries may be ratios or decimals.
 
-    Lines are converted a chunk at a time. Only the first line failing a
-    check is examined one rule at a time, for its message, and the entry
-    count is checked before any line's message is reported.
-    """
+    After the header, a piece of text the byte gate rejects loses comments,
+    blank lines (`content_lines`) and runs of blanks, and meets the gate
+    once more; `_entry` converts what it still rejects, line by line.
+    Errors name file lines, once the entry count has been checked."""
     header, start = _split_header(text)
     if not header:
         raise DocumentParseError("empty sparse file")
+    lineno = len(text[:start].splitlines())
     fields = dict(part.split("=", 1) for part in header.split() if "=" in part)
     if "states" not in fields or "nnz" not in fields:
-        raise DocumentParseError("header must be 'states=<n> nnz=<m>'", 1)
+        raise DocumentParseError("header must be 'states=<n> nnz=<m>'", lineno)
     try:
         n_states, nnz = int(fields["states"]), int(fields["nnz"])
     except ValueError:
-        raise DocumentParseError("header counts must be integers", 1)
+        raise DocumentParseError("header counts must be integers", lineno)
     if n_states < 1 or nnz < 0:
         raise DocumentParseError(
-            f"header needs states >= 1 and nnz >= 0, got states={n_states} nnz={nnz}", 1)
+            f"header needs states >= 1 and nnz >= 0, got states={n_states} nnz={nnz}", lineno)
     columns = [[np.zeros(0, dtype=np.int64)] for _ in range(4)]
     exact, error, found, prev = True, None, 0, (-1, -1)
     for body in text_pieces(text, start):
-        # other lines are stripped of comments and outer blanks, and the
-        # empty ones dropped; the writer's own lines need no such pass
+        # numbers: the file line of each entry line of `body`, which lost
+        # the "\n" ending its last line
         fields = _written_fields(body)
         if fields is None:
-            lines = body.splitlines()
-            if "#" in body:
-                lines = [ln.split("#")[0] for ln in lines]
-            body = "\n".join(ln for ln in map(str.strip, lines) if ln)
-        if error is None and body:
-            arrays, chunk_exact, bad = _parse_entries(body, fields, n_states, prev)
-            xs, ys = arrays[:2]
-            if bad is None:
-                for column, array in zip(columns, arrays):
-                    column.append(array)
-                exact = exact and chunk_exact
-                prev = (int(xs[-1]), int(ys[-1]))
-            else:
-                before = (int(xs[bad - 1]), int(ys[bad - 1])) if bad else prev
-                error = DocumentParseError(_entry_error(
-                    body.split("\n")[bad].split(), n_states, before), found + bad + 2)
-        found += body.count("\n") + 1 if body else 0
+            numbered = list(content_lines(body))
+            numbers = [lineno + k for k, _ in numbered]
+            lineno += len((body + "\n").splitlines())
+            body = "\n".join(" ".join(ln.split()) for _, ln in numbered)
+            fields = _written_fields(body)
+        else:
+            numbers = range(lineno + 1, lineno + 1 + len(fields[0]))
+            lineno += len(numbers)
+        found += len(numbers)
+        if error is not None or not numbers:
+            continue
+        arrays, chunk_exact, error = _parse_entries(body, fields, numbers, n_states, prev)
+        if error is None:
+            for column, array in zip(columns, arrays):
+                column.append(array)
+            exact = exact and chunk_exact
+            prev = (int(arrays[0][-1]), int(arrays[1][-1]))
     if found != nnz:
         raise DocumentParseError(f"expected {nnz} entry lines, found {found}")
     if error is not None:

@@ -212,6 +212,13 @@ def _block_sums(chain, block_of: np.ndarray, n_blocks: int, own: bool):
     return keys // n_blocks, keys % n_blocks, sums, order[starts]
 
 
+def lookup(keys: np.ndarray, values: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """The value at each key of `want` in the ascending, non-empty `keys`,
+    0 where `keys` misses it."""
+    pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    return np.where(keys[pos] == want, values[pos], 0)
+
+
 def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Concatenated index ranges starts[i] : starts[i] + lengths[i]."""
     offsets = np.cumsum(lengths) - lengths
@@ -261,22 +268,15 @@ def check_lumpable(chain, part: Partition, tol: Optional[float] = None,
     if not len(states):
         return LumpVerdict(True)
     keys = states * n_blocks + blocks
-
-    def sum_at(x, b):
-        """Summed numerator of each (x, b) pair, 0 where the row misses b."""
-        want = x * n_blocks + b
-        pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-        return np.where(keys[pos] == want, sums[pos], 0)
-
     ref = np.minimum.reduceat(part.members, part.indptr[:-1])[block_of]
     # each state's sums against its reference's, then the reference's
     # sums against every member of its block
-    bad_own = abs(sums - sum_at(ref[states], blocks)) > limit
+    bad_own = abs(sums - lookup(keys, sums, ref[states] * n_blocks + blocks)) > limit
     ptr = np.searchsorted(states, np.arange(chain.n_states + 1))
     lengths = np.diff(ptr)[ref]
     members = np.repeat(np.arange(chain.n_states), lengths)
     at = _spans(ptr[ref], lengths)
-    bad_ref = abs(sum_at(members, blocks[at]) - sums[at]) > limit
+    bad_ref = abs(lookup(keys, sums, members * n_blocks + blocks[at]) - sums[at]) > limit
     flagged = np.unique(np.concatenate((states[bad_own], members[bad_ref])))
     flagged = flagged[ref[flagged] != flagged]
     if not len(flagged):

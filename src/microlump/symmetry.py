@@ -19,7 +19,7 @@ import numpy as np
 
 from .chain import rule_table
 from .errors import DocumentParseError, ValidationError
-from .lumping import Partition, count_classes, count_label, group_blocks
+from .lumping import Partition, count_classes, count_label, group_blocks, lookup
 from .model import ModelSpec, content_lines
 from .space import Config, ConfigSpace
 
@@ -311,9 +311,7 @@ def is_chain_symmetric(chain, gens: GeneratorSet) -> SymmetryVerdict:
     for gi, perm in enumerate(gens.perms):
         image = perm.index_map(chain.space)
         ix, iy = image[src], image[cols]
-        want = ix * n + iy
-        pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-        found = np.where(keys[pos] == want, nums[pos], 0)
+        found = lookup(keys, nums, ix * n + iy)
         bad = np.flatnonzero(found != nums)
         if len(bad):
             j = int(bad[0])

@@ -238,24 +238,25 @@ def written_fields(piece):
 
 
 def read_sparse(text):
-    """(rows, exact) of a sparse document, line by line."""
-    lines = [ln for ln in (l.split("#")[0].strip() for l in text.splitlines()) if ln]
+    """(rows, exact) of a sparse document, line by line; errors name lines
+    of the file, numbered as `content_lines` numbers them."""
+    lines = list(content_lines(text))
     if not lines:
         raise DocumentParseError("empty sparse file")
-    header = lines[0].split()
-    fields = dict(part.split("=", 1) for part in header if "=" in part)
+    header_line, header = lines[0]
+    fields = dict(part.split("=", 1) for part in header.split() if "=" in part)
     if "states" not in fields or "nnz" not in fields:
-        raise DocumentParseError("header must be 'states=<n> nnz=<m>'", 1)
+        raise DocumentParseError("header must be 'states=<n> nnz=<m>'", header_line)
     try:
         n_states, nnz = int(fields["states"]), int(fields["nnz"])
     except ValueError:
-        raise DocumentParseError("header counts must be integers", 1)
+        raise DocumentParseError("header counts must be integers", header_line)
     if len(lines) - 1 != nnz:
         raise DocumentParseError(f"expected {nnz} entry lines, found {len(lines) - 1}")
     entries = {}
     exact = True
     prev = (-1, -1)
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         toks = line.split()
         if len(toks) != 3:
             raise DocumentParseError("expected: row col value", lineno)

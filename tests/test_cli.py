@@ -340,6 +340,15 @@ def test_sparse_header_needs_a_state_and_a_count(tmp_path, capsys):
         assert err.startswith("parse error: line 1: header needs states >= 1 and nnz >= 0")
 
 
+def test_a_sparse_parse_error_names_the_line_in_the_file(tmp_path, capsys):
+    """Comment and blank lines count, as in every other document."""
+    chain = tmp_path / "chain.sparse"
+    chain.write_text("states=2 nnz=2\n# a comment\n\n0 0 1/1\n1 x 1/1\n")
+    code, out, err = run(capsys, "analyze", str(chain))
+    assert code == 4 and out == ""
+    assert err.startswith("parse error: line 5: row and col must be integers")
+
+
 def test_propagate_rejects_a_repeated_state(tmp_path, capsys):
     chain = tmp_path / "chain.sparse"
     run(capsys, "compile", VOTER3, "-o", str(chain))

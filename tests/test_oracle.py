@@ -298,7 +298,7 @@ def _mutations(text, rng):
     n_states = int(header.split()[0].split("=")[1])
     for row, col in ((str(n_states), y), (x, str(n_states)), (x.zfill(19), y)):
         doc(body[:i] + [f"{row} {col} {value}"] + body[i + 1:])
-    # the same value with 18 digits (read in bulk) and 19 (read token by token)
+    # the same value with 18 digits (read in bulk) and 19 (read line by line)
     num, den = value.split("/")
     for digits in (18, 19):
         pad = "0" * (digits - len(den))
@@ -315,6 +315,7 @@ def _mutations(text, rng):
     doc(body[:i] + [f"{x} {y}"] + body[i + 1:])                         # missing token
     doc(body[:i] + [f"{x} {y} {value} 1"] + body[i + 1:])               # extra token
     doc(body[:i] + [f"  {x}\t{y}   {value}  # note", "", "# comment only"] + body[i + 1:])
+    doc(body[:i] + ["# comment only", "", "", f"{x} x {value}"] + body[i + 1:])  # line number
     out.append(text.replace("\n", "\r\n"))
     out.append(text.replace("\n", "\r"))
     out.append("# leading comment\n\n" + text)
@@ -341,19 +342,53 @@ def test_parse_errors_match_the_reference(seed, chunk, monkeypatch):
         assert got == _outcome(oracle.read_sparse, variant), variant
 
 
+def _entry_spy(monkeypatch):
+    """The lines that reach `chain._entry` from now on."""
+    lines, convert = [], chainmod._entry
+
+    def spy(line, n_states, prev):
+        lines.append(line)
+        return convert(line, n_states, prev)
+
+    monkeypatch.setattr(chainmod, "_entry", spy)
+    return lines
+
+
 def test_the_writers_lines_are_read_in_bulk(monkeypatch):
-    """The general converters are never reached on the writer's output."""
+    """The line converter is never reached on the writer's output."""
     chain = build_micro_chain(builtin_voter(Topology.complete(8)))
     text = sparse_text(write_sparse, chain)
-
-    def general(tokens):
-        raise AssertionError("general converter reached")
-
-    monkeypatch.setattr(chainmod, "_parse_ints", general)
-    monkeypatch.setattr(chainmod, "_parse_values", general)
+    reached = _entry_spy(monkeypatch)
     again = read_sparse(text)
+    assert reached == []
     assert again.rows == chain.rows
     assert sparse_text(write_sparse, again) == text
+
+
+@pytest.mark.parametrize("chunk", [None, 100])
+def test_only_text_outside_the_writers_shape_reaches_the_converter(chunk, monkeypatch):
+    """Extra blanks, tabs, CRLF and comment lines are normalised back to
+    the writer's lines and read as bytes, giving the same chain; decimals,
+    signs, non-ASCII digits and 19-digit integers reach `_entry`."""
+    if chunk is not None:
+        monkeypatch.setattr(chainmod, "_CHUNK_CHARS", chunk)
+    chain = build_micro_chain(builtin_voter(Topology.complete(4)))
+    header, *body = sparse_text(write_sparse, chain).splitlines()
+    reached = _entry_spy(monkeypatch)
+    spaced = [f"  {x}\t{y}   {p}  # entry" for x, y, p in map(str.split, body)]
+    for lines in (spaced, [ln + "\r" for ln in body],
+                  [part for ln in body for part in ("# note", "", ln)]):
+        again = read_sparse("\n".join([header] + lines) + "\n")
+        assert reached == []
+        assert again.rows == chain.rows and again.exact
+    x, y, value = body[1].split()
+    num, den = value.split("/")
+    pad = "0" * (19 - len(den))
+    for line in (f"{x} {y} {float(Fraction(value))!r}", f"+{x} {y} {value}",
+                 f"٣ {y} {value}", f"{x} {y} {num}{pad}/{den}{pad}"):
+        reached.clear()
+        _outcome(read_sparse, "\n".join([header, body[0], line] + body[2:]) + "\n")
+        assert line in reached
 
 
 def test_the_writers_pieces_skip_the_line_pass(monkeypatch):

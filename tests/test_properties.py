@@ -1,6 +1,6 @@
 """Round trips on random small models and chains, as Hypothesis
 properties: a model through its canonical document, and a chain through
-the sparse format, read in bulk and by the general parser. Also the
+the sparse format, read in bulk and by the line converter. Also the
 symmetry chain: a model-level certificate implies the matrix symmetry,
 which implies a lumpable orbit partition and a commutation profile that is
 identically 0."""
@@ -132,8 +132,8 @@ def test_any_stochastic_chain_round_trips_through_the_sparse_format(matrix):
 @PROPERTY
 @given(rows())
 def test_the_bulk_and_the_general_reader_give_the_same_arrays(matrix):
-    """The writer's lines read in bulk, and read again with the bulk
-    branch disabled."""
+    """The writer's lines read in bulk, and read again line by line by
+    `_entry`, with the byte gate disabled."""
     buf = io.StringIO()
     oracle.write_sparse(matrix, buf)
     bulk = read_sparse(buf.getvalue())
