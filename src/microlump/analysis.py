@@ -24,7 +24,6 @@ from .errors import AnalysisError, DocumentParseError, ValidationError
 from .lumping import Partition, block_row_sums, lump
 from .model import content_lines, int_dtype, to_numerators
 
-ONE = Fraction(1)
 RESIDUAL_BOUND = 1e-9
 
 
@@ -166,19 +165,26 @@ def absorption_analysis(chain: Chain) -> AbsorptionReport:
     src, dst = pos[chain.sources[at]], chain.cols[at]
     values = to_floats(chain.nums[at], chain.denom)
     to_q = is_transient[dst]
-    # A = I - Q written in place, the same bits as np.eye(nt) - Q
-    A = np.zeros((nt, nt))
     R = np.zeros((nt, na))
-    A[src[to_q], pos[dst[to_q]]] = 0.0 - values[to_q]
-    A.flat[::nt + 1] += 1.0
     R[src[~to_q], pos[dst[~to_q]]] = values[~to_q]
     if nt == 0:
         return AbsorptionReport(absorbing, transient, cls.recurrent_classes,
                                 np.zeros((0, na)), np.zeros(0), 0.0, 0.0)
+    # I - Q written into zeros (the same bits as np.eye(nt) - Q), column-major for
+    # LAPACK's copies; then cleared and written through .T, row-major, for the residuals
+    in_q = src[to_q], pos[dst[to_q]]
+
+    def i_minus_q(A: np.ndarray) -> np.ndarray:
+        A[in_q] = 0.0 - values[to_q]
+        A.flat[::nt + 1] += 1.0
+        return A
+    A = i_minus_q(np.zeros((nt, nt), order="F"))
     probs = np.linalg.solve(A, R)
     steps = np.linalg.solve(A, np.ones(nt))
-    residual_probs = float(np.max(np.abs(A @ probs - R))) if na else 0.0
-    residual_steps = float(np.max(np.abs(A @ steps - 1.0)))
+    A[in_q] = A.flat[::nt + 1] = 0.0
+    A = i_minus_q(A.T)
+    residual_probs = float(np.max(np.abs(np.matmul(A, probs) - R))) if na else 0.0
+    residual_steps = float(np.max(np.abs(np.matmul(A, steps) - 1.0)))
     if residual_probs > RESIDUAL_BOUND or residual_steps > RESIDUAL_BOUND:
         raise AnalysisError(
             f"solve residuals {residual_probs:.2e}/{residual_steps:.2e} "
@@ -202,22 +208,27 @@ def point_mass(n_states: int, state: int) -> List[Fraction]:
     if not 0 <= state < n_states:
         raise ValidationError(f"state {state} out of range")
     mu = [Fraction(0)] * n_states
-    mu[state] = ONE
+    mu[state] = Fraction(1)
     return mu
 
 
-def validate_distribution(mu: Sequence[Fraction], n_states: int, exact=True) -> List[Fraction]:
-    """`mu` as Fractions, checked; a bad sum is shown in decimal unless `exact`."""
+def start_numerators(mu: Sequence, n_states: int, exact=True) -> Tuple[np.ndarray, int]:
+    """`to_numerators(mu)`, checked; a bad sum is shown in decimal unless `exact`."""
     if len(mu) != n_states:
         raise ValidationError(f"distribution has {len(mu)} entries, chain has {n_states}")
-    mu = [Fraction(p) for p in mu]
-    if any(p < 0 for p in mu):
+    nums, denom = to_numerators(p if isinstance(p, (int, Fraction)) else Fraction(p) for p in mu)
+    if (nums < 0).any():
         raise ValidationError("distribution has a negative entry")
-    total = sum(mu)
-    if total != ONE:
-        shown = total if exact else decimal_text(total)
-        raise ValidationError(f"distribution sums to {shown} ≠ 1")
-    return mu
+    total = int(nums.sum())
+    if total != denom:
+        total = Fraction(total, denom)
+        raise ValidationError(f"distribution sums to {total if exact else decimal_text(total)} ≠ 1")
+    return nums, denom
+
+
+def validate_distribution(mu: Sequence, n_states: int, exact=True) -> List[Fraction]:
+    """`mu` as Fractions, checked as `start_numerators` checks it."""
+    return to_fractions(*start_numerators(mu, n_states, exact))
 
 
 def _trajectory(chain: Chain, nums: np.ndarray, denom: int) -> Iterator[Tuple[np.ndarray, int]]:
@@ -255,8 +266,7 @@ def propagate(chain: Chain, mu: Sequence[Fraction], t: int) -> List[Fraction]:
     """mu after t steps of the chain, in exact rationals."""
     if t < 0:
         raise ValidationError("step count must be non-negative")
-    mu = validate_distribution(mu, chain.n_states)
-    nums, denom = next(islice(_trajectory(chain, *to_numerators(mu)), t, None))
+    nums, denom = next(islice(_trajectory(chain, *start_numerators(mu, chain.n_states)), t, None))
     return to_fractions(nums, denom)
 
 
@@ -278,11 +288,10 @@ def commutation_profile(chain: Chain, part: Partition, mu0: Sequence[Fraction],
     """
     if t_max < 0:
         raise ValidationError("step count must be non-negative")
-    mu = validate_distribution(mu0, chain.n_states)
+    nums, denom = start_numerators(mu0, chain.n_states)
     part.check_covers(chain.n_states)
     macro = (block_row_sums(chain, part, part.members[part.indptr[:-1]])
              if force else lump(chain, part))
-    nums, denom = to_numerators(mu)
     steps = zip(_trajectory(chain, nums, denom),
                 _trajectory(macro, _block_mass(nums, part), denom))
     out = []

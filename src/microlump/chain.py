@@ -351,7 +351,7 @@ def _entry(line: str, n_states: int, prev: Tuple[int, int]) -> Tuple[int, int, F
     """Row, column and value of one entry line that follows the entry
     `prev`, or a DocumentParseError naming the first rule the line breaks,
     in the order they apply: three tokens, integer row and col, both in
-    range, strictly ascending, a ratio or decimal value."""
+    range and below 2**63, strictly ascending, a ratio or decimal value."""
     toks = line.split()
     if len(toks) != 3:
         raise DocumentParseError("expected: row col value")
@@ -359,7 +359,7 @@ def _entry(line: str, n_states: int, prev: Tuple[int, int]) -> Tuple[int, int, F
         x, y = int(toks[0]), int(toks[1])
     except ValueError:
         raise DocumentParseError("row and col must be integers") from None
-    if not (0 <= x < n_states and 0 <= y < n_states):
+    if not (0 <= x < n_states and 0 <= y < n_states) or max(x, y) > INT64_MAX:
         raise DocumentParseError(f"state pair ({x},{y}) out of range")
     if (x, y) <= prev:
         raise DocumentParseError("entries must be strictly ascending by (row, col)")
@@ -449,13 +449,14 @@ def read_sparse(text: str) -> Chain:
     if error is not None:
         raise error
     xs, ys, num, den = map(np.concatenate, columns)
-    xs, ys = xs.astype(np.int64), ys.astype(np.int64)
-    # rows past the last one holding an entry are empty, so the first of
-    # them fails validation: the arrays need not reach `n_states`
-    rows = min(n_states, int(xs.max(initial=-1)) + 2)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(xs, minlength=rows))))
+    # the first row holding no entry fails validation before any later row,
+    # so the chain ends there: its arrays need not reach `n_states`
+    held = xs[np.flatnonzero(np.diff(xs, prepend=-1))]
+    rows = min(n_states, int((held == np.arange(len(held))).sum()) + 1)
+    cut = np.searchsorted(xs, rows)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(xs[:cut], minlength=rows))))
     nums, denom = _over_common_denominator(num, den, indptr)
-    chain = Chain(indptr, ys, nums, denom, exact=exact)
+    chain = Chain(indptr, ys[:cut], nums[:cut], denom, exact=exact)
     validate_stochastic(chain)
     return chain
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import isfinite
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
@@ -252,7 +252,7 @@ def check_lumpable(chain, part: Partition, tol: Optional[float] = None,
 
     One vector pass over the block sums flags the states that differ from
     their block's smallest member; the flagged states' witnesses are read
-    from the same sums, and only reported ones become Fractions.
+    from the same sums. Reported sums become Fractions, one per value.
     """
     if tol is not None and not (isfinite(tol) and tol >= 0):
         raise ValidationError(f"tolerance must be a finite number >= 0, got {tol}")
@@ -294,6 +294,7 @@ def check_lumpable(chain, part: Partition, tol: Optional[float] = None,
 
     violations: List[LumpWitness] = []
     bases: Dict[int, Dict[int, int]] = {}
+    frac = cache(lambda num: Fraction(num, chain.denom))
     for x in flagged.tolist():
         r = int(ref[x])
         k = part.block_of[x]
@@ -303,8 +304,7 @@ def check_lumpable(chain, part: Partition, tol: Optional[float] = None,
         for l in base.keys() | agg.keys():
             a, b = base.get(l, 0), agg.get(l, 0)
             if abs(a - b) * tol_den > tol_num * chain.denom:
-                witness = LumpWitness(part.labels[k], part.labels[l], x,
-                                      Fraction(b, chain.denom), r, Fraction(a, chain.denom))
+                witness = LumpWitness(part.labels[k], part.labels[l], x, frac(b), r, frac(a))
                 if not exhaustive:
                     return LumpVerdict(False, witness, (witness,))
                 violations.append(witness)

@@ -16,6 +16,12 @@ block's whole line at once. `read_partition` is the reader that converts
 every index with int() into a list, which the byte pass over the writer's
 bodies replaced.
 
+`validate_distribution` converts, checks and sums a start distribution
+one `Fraction` at a time, the path that the integer checks of
+`analysis.start_numerators` replaced. `absorption_analysis` solves a
+row-major `np.eye(nt) - Q`, whose bits the package's column-major solve
+must reproduce.
+
 `written_fields` is the sparse reader's former bulk gate: a regex over the
 writer's line shape, then one `np.loadtxt` pass, which the byte tokenizer
 `chain._written_fields` replaced.
@@ -47,9 +53,8 @@ import numpy as np
 
 from microlump import (AnalysisError, ConfigSpace, DocumentParseError, RandomMap,
                        SpacePermutation, ValidationError, model_fingerprint)
-from microlump.analysis import (RESIDUAL_BOUND, AbsorptionReport, Classification,
-                                validate_distribution)
-from microlump.chain import rule_table
+from microlump.analysis import RESIDUAL_BOUND, AbsorptionReport, Classification
+from microlump.chain import decimal_text, rule_table
 from microlump.model import content_lines
 from microlump import analysis, lumping
 from microlump.lumping import LumpVerdict, LumpWitness, count_label
@@ -490,6 +495,21 @@ def lump(rows, part, tol=None):
         agg = block_row_sums(rows, part, block[0])
         out.append(tuple((l, p) for l, p in sorted(agg.items()) if p != 0))
     return tuple(out)
+
+
+def validate_distribution(mu, n_states, exact=True):
+    """`mu` as Fractions, each entry converted, checked and summed one at a
+    time; a bad sum is shown in decimal unless `exact`."""
+    if len(mu) != n_states:
+        raise ValidationError(f"distribution has {len(mu)} entries, chain has {n_states}")
+    mu = [Fraction(p) for p in mu]
+    if any(p < 0 for p in mu):
+        raise ValidationError("distribution has a negative entry")
+    total = sum(mu)
+    if total != ONE:
+        shown = total if exact else decimal_text(total)
+        raise ValidationError(f"distribution sums to {shown} ≠ 1")
+    return mu
 
 
 def _step(rows, mu):

@@ -395,15 +395,31 @@ def test_a_partition_file_repeating_a_state_past_int64_exits_5(tmp_path, capsys)
 
 @pytest.mark.parametrize("verb", ["analyze", "check-lump"])
 def test_a_huge_state_count_fails_at_its_first_empty_row(tmp_path, capsys, verb):
-    """Rows past the last entry are empty: the first of them is reported,
-    without allocating a row per declared state."""
+    """Rows past the last entry, or skipped before a far one, are empty: the
+    first of them is reported, without allocating a row per declared state
+    or up to the far row."""
     chain, part = tmp_path / "chain.sparse", tmp_path / "one.part"
-    chain.write_text("states=10000000000000 nnz=1\n0 0 1/1\n")
     part.write_text("A: 0\n")
     extra = {"check-lump": [str(part)], "analyze": []}[verb]
-    code, out, err = run(capsys, verb, str(chain), *extra)
-    assert code == 5 and out == ""
-    assert err == "error: row 1 sums to 0 ≠ 1\n"
+    for text in ("states=10000000000000 nnz=1\n0 0 1/1\n",
+                 f"states={2**62 + 1} nnz=3\n0 0 1/2\n0 1 1/2\n{2**62} 0 1/1\n"):
+        chain.write_text(text)
+        code, out, err = run(capsys, verb, str(chain), *extra)
+        assert code == 5 and out == ""
+        assert err == "error: row 1 sums to 0 ≠ 1\n"
+
+
+@pytest.mark.parametrize("entry", ["99999999999999999999 0 1/1", "0 9223372036854775808 1/1"])
+def test_a_state_index_past_int64_is_a_parse_error(tmp_path, capsys, entry):
+    """A header may declare more states than int64 holds; an index past it
+    exits 4 naming its file line, not with numpy's OverflowError."""
+    chain = tmp_path / "chain.sparse"
+    chain.write_text(f"states=100000000000000000000000 nnz=2\n0 0 1/1\n# far\n{entry}\n")
+    x, y = entry.split()[:2]
+    for argv in (["analyze", str(chain)], ["propagate", str(chain), "--start", "0", "-t", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 4 and out == ""
+        assert err == f"parse error: line 4: state pair ({x},{y}) out of range\n"
 
 
 def test_a_decimal_distribution_sum_is_shown_in_decimal(tmp_path, capsys):

@@ -3,8 +3,9 @@ mutated chain and partition of voter3, run through every verb in process;
 then, with its own seed, sample models and `--start` values with ASCII
 digits swapped for non-ASCII ones; with another seed, voter3's chain
 with near misses of the writer's line shape: non-ASCII digits, `\\r` and
-second spaces; and, with a fourth seed, `estimate --samples` values out of
-range at either end.
+second spaces; with a fourth seed, `estimate --samples` values out of
+range at either end; and, with a fifth, voter3's chain under a header
+declaring more states than int64 holds, with entries moved far off.
 
 Whatever a mutation breaks, each verb must end with a documented exit code
 (0, 2, 3, 4, 5 or 6) and never raise. No mutation is filtered out.
@@ -12,6 +13,7 @@ Whatever a mutation breaks, each verb must end with a documented exit code
 
 import io
 import random
+import re
 import traceback
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -215,3 +217,47 @@ def test_out_of_range_samples_end_in_validation_errors():
                 failures.append(f"{argv}: exit {code}\n{trace}")
     assert not failures, f"{len(failures)} failures, the first:\n" + failures[0]
     assert codes == {5}
+
+
+FAR_MUTANTS = 20
+
+
+def _far_indices(text, rng):
+    """The header's state count raised past 2**131, and the column of one
+    to three entries that end their row, or the row of the last entry,
+    moved past int64 (up to 2**130 beyond it) or anywhere above its value
+    below it, so that the entries stay ascending."""
+    lines = text.splitlines(keepends=True)
+    lines[0] = re.sub(r"states=\d+", f"states={2**131 + rng.randrange(2**64)}", lines[0])
+    rows = [line.split()[0] for line in lines[1:]] + [None]
+    ends = [k + 1 for k in range(len(rows) - 1) if rows[k] != rows[k + 1]]
+    for at in rng.sample(ends, rng.randint(1, 3)):
+        toks = lines[at].split()
+        axis = 0 if at == len(lines) - 1 and rng.randrange(2) else 1
+        far = (2**63 + rng.randrange(2 ** rng.randint(1, 130)) if rng.randrange(2)
+               else rng.randrange(int(toks[axis]) + 1, 2**63))
+        toks[axis] = str(far)
+        lines[at] = " ".join(toks) + "\n"
+    return "".join(lines)
+
+
+def test_far_state_indices_end_in_documented_exit_codes(tmp_path):
+    rng = random.Random(20261021)
+    voter3 = load_model(SAMPLES / "voter3.model")
+    chain = build_micro_chain(voter3)
+    text, part = io.StringIO(), tmp_path / "voter3.part"
+    write_sparse(chain, text)
+    with open(part, "w", encoding="utf-8") as fh:
+        write_partition(orbits(chain.space, parse_presets("SN", 3, 2)), fh)
+    failures, codes = [], set()
+    for k in range(FAR_MUTANTS):
+        mutant = _far_indices(text.getvalue(), rng)
+        mutant_path = tmp_path / f"far{k}-voter3.sparse"
+        mutant_path.write_text(mutant, encoding="utf-8")
+        for argv in _chain_verbs(str(mutant_path), str(part)):
+            code, trace = _run(argv)
+            codes.add(code)
+            if code not in EXIT_CODES:
+                failures.append(f"{argv} on mutant {mutant!r}: exit {code}\n{trace}")
+    assert not failures, f"{len(failures)} failures, the first:\n" + failures[0]
+    assert {4, 5} <= codes

@@ -2,8 +2,10 @@
 in `oracle.py`: built rows, sparse bytes, parse results and errors,
 symmetry verdicts and witnesses, block-sum verdicts (exact, tolerance and
 exhaustive), reduced chains, propagation, aggregation, commutation
-profiles, state classification and absorption, on seeded random models;
-the draws applied through the compiled rule table (map actions,
+profiles, state classification and absorption, on seeded random models,
+and absorption bits and exhaustive witnesses on two chains of about 2000
+states; the start distribution checks against the per-entry `Fraction`
+reference; the draws applied through the compiled rule table (map actions,
 `maps --table`, trajectories and matrix estimates) against the rule-dict
 references; the integer draw table and model validation against the
 `Fraction` path they replaced; array-built topologies, choices and maps
@@ -16,6 +18,7 @@ import io
 import itertools
 import random
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 
@@ -908,6 +911,159 @@ def test_mu0_file_with_mixed_denominators(tmp_path):
     buf = io.StringIO()
     analysis.write_distribution(ref, buf)
     assert out.read_text(encoding="utf-8") == buf.getvalue()
+
+
+Z6 = [Fraction(0)] * 6
+# start distributions over voter3's 8 states: each entry type the checks
+# take, valid and broken
+DISTRIBUTIONS = {
+    "fractions": [Fraction(1, 3), Fraction(2, 3)] + Z6,
+    "short": [Fraction(1)] + Z6,
+    "long": [Fraction(1)] + Z6 * 2,
+    "negative": [Fraction(3, 2), Fraction(-1, 2)] + Z6,
+    "negative, sum zero": [Fraction(1, 2), Fraction(-1, 2)] + Z6,
+    "sum 5/6": [Fraction(1, 2), Fraction(1, 3)] + Z6,
+    "ints": [0, 1] + [0] * 6,
+    "ints summing to 2": [1, 1] + [0] * 6,
+    "bools": [False, True] + [False] * 6,
+    "two trues": [True, True] + [False] * 6,
+    "floats": [0.5, 0.25, 0.125, 0.125] + [0.0] * 4,
+    "float tenths": [0.1, 0.9] + [0.0] * 6,
+    "negative float": [1.5, -0.5] + [0.0] * 6,
+    "decimals": [Decimal("0.1"), Decimal("0.9")] + [Decimal(0)] * 6,
+    "decimals short of one": [Decimal("0.3")] * 3 + [Decimal(0)] * 5,
+    "strings": ["1/2", "1/4", "1/4"] + ["0"] * 5,
+    "strings summing to 5/6": ["1/2", "1/3"] + ["0"] * 6,
+    "mixed": [Fraction(1, 6), "1/3", Decimal("0.25"), 0.25, 0, False, 0, Fraction(0)],
+    "past int64": [Fraction(1, 3**50), 1 - Fraction(1, 3**50)] + Z6,
+    "sum past int64": [Fraction(2**70, 3), Fraction(1, 3**45)] + Z6,
+    "bad string": ["1/2", "half"] + ["0"] * 6,
+    "nan": [float("nan"), 1.0] + [0.0] * 6,
+    "infinity": [float("inf")] + [0.0] * 7,
+    "none": [None, 1] + [0] * 6,
+}
+
+
+def outcome(check, *args):
+    """What `check` returns, or the type and message of what it raises."""
+    try:
+        return check(*args)
+    except (ArithmeticError, TypeError, ValueError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+def reference_numerators(mu, n_states):
+    """The reference's Fractions over the lcm of their denominators."""
+    mu = oracle.validate_distribution(mu, n_states)
+    denom = lcm(*(p.denominator for p in mu))
+    return [p.numerator * (denom // p.denominator) for p in mu], denom
+
+
+def package_numerators(mu, n_states):
+    nums, denom = analysis.start_numerators(mu, n_states)
+    return nums.tolist(), denom
+
+
+@pytest.mark.parametrize("name", DISTRIBUTIONS)
+def test_start_distributions_check_as_the_reference_does(name, voter3, voter3_chain):
+    """The integer checks give the reference's numerators, or its error
+    type and message, from propagate and commutation_profile too."""
+    mu = DISTRIBUTIONS[name]
+    rows, part = oracle.build_rows(voter3), frequency_partition(voter3_chain.space)
+    expected = outcome(reference_numerators, mu, 8)
+    assert outcome(package_numerators, mu, 8) == expected
+    for t in (0, 3):
+        assert (outcome(propagate, voter3_chain, mu, t)
+                == outcome(oracle.propagate, rows, mu, t))
+        assert (outcome(commutation_profile, voter3_chain, part, mu, t, True)
+                == outcome(oracle.commutation_profile, rows, part, mu, t, True))
+    assert (outcome(analysis.validate_distribution, mu, 8)
+            == outcome(oracle.validate_distribution, mu, 8))
+
+
+@pytest.mark.parametrize("text", ["0 1/2\n1 1/3\n", "0 1/2\n1 0.25\n", "0 1e400\n",
+                                  "0 0.1\n1 0.9\n", "3 1/2\n5 2/4\n", "0 -1/2\n1 3/2\n",
+                                  "0 -0.5\n1 1.5\n", "7 0.3\n"])
+def test_distribution_files_check_as_the_reference_does(text):
+    """Ratios show a bad sum exactly and decimals as a float, as the
+    reference shows them."""
+    mu, exact = [Fraction(0)] * 8, True
+    for line in text.splitlines():
+        x, p = line.split()
+        mu[int(x)], exact = Fraction(p), exact and "/" in p
+    assert (outcome(analysis.read_distribution, text, 8)
+            == outcome(oracle.validate_distribution, mu, 8, exact))
+
+
+# ---------------------------------------------------------------------------
+# absorption and witnesses at the benchmark's scale
+
+LAPACK_MODELS = {
+    # the benchmark's path-analyze chain: 2187 states, 2184 transient
+    "path7-three-codes": lambda: builtin_voter(path_topology(7),
+                                               labels=("red", "green", "blue")),
+    "complete11": lambda: builtin_voter(Topology.complete(11)),
+}
+
+
+@pytest.fixture(scope="module", params=list(LAPACK_MODELS))
+def lapack_chain(request):
+    spec = LAPACK_MODELS[request.param]()
+    return request.param, build_micro_chain(spec), oracle.build_rows(spec)
+
+
+def test_absorption_at_lapack_scale_matches_the_reference_bits(lapack_chain):
+    """LAPACK's blocked factorization at thousands of states gives the
+    reference's bits: the report's arrays and the `--format kv` text."""
+    _, chain, rows = lapack_chain
+    report, ref = absorption_analysis(chain), oracle.absorption_analysis(rows)
+    assert len(report.transient) >= 2000
+    assert (absorption_outcome(lambda _: report, chain)
+            == absorption_outcome(lambda _: ref, rows))
+    assert analysis.absorption_kv(report) == analysis.absorption_kv(ref)
+
+
+def test_absorption_solves_column_major_and_takes_residuals_row_major(lapack_chain,
+                                                                       monkeypatch):
+    """Both solves get I - Q column-major; the residual products get it
+    row-major, written again into the same buffer, so only one n x n array
+    is made."""
+    _, chain, _ = lapack_chain
+    calls, solved, shapes = [], [], []
+    solve, matmul, zeros = np.linalg.solve, np.matmul, np.zeros
+
+    def spy_solve(a, b):
+        calls.append(("solve", a.flags.f_contiguous, a.flags.c_contiguous))
+        solved.append(a)
+        return solve(a, b)
+
+    def spy_matmul(a, b):
+        calls.append(("matmul", a.flags.f_contiguous, a.flags.c_contiguous,
+                      a.base is solved[0]))
+        return matmul(a, b)
+
+    def spy_zeros(shape, *args, **kwargs):
+        shapes.append(shape)
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", spy_solve)
+    monkeypatch.setattr(np, "matmul", spy_matmul)
+    monkeypatch.setattr(np, "zeros", spy_zeros)
+    nt = len(absorption_analysis(chain).transient)
+    assert calls == [("solve", True, False)] * 2 + [("matmul", False, True, True)] * 2
+    assert shapes.count((nt, nt)) == 1
+
+
+def test_exhaustive_witnesses_at_scale_match_the_reference(lapack_chain):
+    """The count partition's every violation, in the reference's order;
+    equal sums are one shared Fraction."""
+    name, chain, rows = lapack_chain
+    part = frequency_partition(chain.space)
+    verdict = check_lumpable(chain, part, exhaustive=True)
+    assert verdict == oracle.check_lumpable(rows, part, exhaustive=True)
+    assert len(verdict.violations) == {"path7-three-codes": 8484, "complete11": 0}[name]
+    sums = [p for w in verdict.violations for p in (w.state_sum, w.ref_sum)]
+    assert len({id(p) for p in sums}) == len(set(sums))
 
 
 # ---------------------------------------------------------------------------
