@@ -12,6 +12,7 @@ the common denominator of the draw probabilities.
 
 from __future__ import annotations
 
+import gc
 import itertools
 from dataclasses import dataclass
 from decimal import Decimal
@@ -43,15 +44,25 @@ class RandomMap(NamedTuple):
 
 
 def enumerate_maps(spec: ModelSpec) -> List[RandomMap]:
-    """All positive-probability (agent tuple, option) draws as maps.
-
-    Probabilities sum to one; each map changes at most the focal agent.
-    """
-    agents, options, probs = spec.joint_columns()
-    labels = [label for label, _ in spec.rule.options]
-    # tuple.__new__ fills the named tuple positionally, without a Python call per map
-    return list(map(tuple.__new__, itertools.repeat(RandomMap),
-                    zip(agents, options, map(labels.__getitem__, options), probs)))
+    """All positive-probability (agent tuple, option) draws as maps, in
+    draw table order, with the choice's own key tuples and one Fraction
+    per distinct probability. Probabilities sum to one; each map changes
+    at most the focal agent. The maps hold no cycles, so the collector,
+    which would pass over them to free nothing, is paused meanwhile."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        table, tuples = spec.draws, spec.choice.entries.tuples
+        labels = [label for label, _ in spec.rule.options]
+        at, options = np.repeat(spec.tuple_order, len(labels)).tolist(), table.options.tolist()
+        # tuple.__new__ fills the named tuple positionally, without a Python call per map
+        return list(map(tuple.__new__, itertools.repeat(RandomMap),
+                        zip(map(tuples.__getitem__, at), options,
+                            map(labels.__getitem__, options),
+                            to_fractions(table.nums, table.denom))))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def rule_table(spec: ModelSpec) -> np.ndarray:

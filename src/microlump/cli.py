@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 usage, 3 failed verdict (not lumpable / not
 symmetric), 4 document parse error, 5 validation or analysis error,
-6 state-space cap exceeded.
+6 state-space cap exceeded or out of memory.
 """
 
 from __future__ import annotations
@@ -266,6 +266,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_PARSE
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError:
+        print(f"out of memory: {args.verb} needs more memory than it can get", file=sys.stderr)
         return EXIT_CAP
     except (ValidationError, AnalysisError) as exc:
         print(f"error: {exc}", file=sys.stderr)

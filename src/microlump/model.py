@@ -430,14 +430,6 @@ class ModelSpec:
     def delta(self) -> int:
         return self.alphabet.delta
 
-    def joint_columns(self) -> Tuple[List[Tuple[int, ...]], List[int], List[Fraction]]:
-        """The draw table as three lists: the choice's own key tuples, the
-        options and the joint probabilities, one Fraction per distinct value."""
-        table, tuples = self.draws, self.choice.entries.tuples
-        at = np.repeat(self.tuple_order, len(self.rule.options)).tolist()
-        return (list(map(tuples.__getitem__, at)), table.options.tolist(),
-                to_fractions(table.nums, table.denom))
-
 
 def builtin_voter(topology: Topology, labels: Sequence[str] = ("black", "white"),
                   name: str = "voter") -> ModelSpec:

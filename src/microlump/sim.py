@@ -2,13 +2,15 @@
 transition matrix.
 
 Each step samples one (agent tuple, option) draw and applies the update
-table, exactly the process the matrix encodes. Sampling runs on numpy's
-counter-based Philox generator from one master seed; matrix estimation
-draws state x from the stream of `SeedSequence(seed).spawn(n)[x]`, on one
-generator re-keyed per state with keys derived in one array pass. So runs
-are reproducible and stream order never matters. Draw probabilities are
-converted to floats once, for sampling speed only; the exact path is the
-matrix itself.
+table, exactly the process the matrix encodes. A block of uniforms finds
+its draws through a guide table, the same indices a binary search gives,
+and a step is one move-table lookup on a state index. Sampling runs on
+numpy's counter-based Philox generator from one master seed; matrix
+estimation draws state x from the stream of `SeedSequence(seed).spawn(n)[x]`,
+on one generator re-keyed per state with keys derived in one array pass.
+So runs are reproducible and stream order never matters. Draw
+probabilities are converted to floats once, for sampling speed only; the
+exact path is the matrix itself.
 """
 
 from __future__ import annotations
@@ -112,28 +114,48 @@ class SimRun:
 
 
 def _step_kernel(spec: ModelSpec) -> List[tuple]:
-    """Per draw: a getter of its agents' codes, its option's lookup from
-    those codes to the focal agent's new code, the focal agent and that
-    agent's place value. The lookups come from the compiled rule table,
-    one per option, keyed as the getter returns the codes (a bare code
-    for arity 1)."""
+    """Per draw: a getter of its agents' codes, its move table and its
+    focal agent. A move table, one per (option, focal agent), maps the
+    codes as the getter returns them (a bare code for arity 1) to the
+    focal agent's new code and the state index change, for the codes that
+    move it only. The tables come from the compiled rule table."""
     flat, delta, arity = rule_table(spec).tolist(), spec.delta, spec.rule.arity
     n_opts = len(spec.rule.options)
     # argument codes in pack order: the first argument least significant
-    args = [t[::-1] if arity > 1 else t[0] for t in product(range(delta), repeat=arity)]
-    luts = [dict(zip(args, flat[opt::n_opts])) for opt in range(n_opts)]
-    table = spec.draws
-    return [(itemgetter(*agents), luts[opt], agents[0], delta ** agents[0])
-            for agents, opt in zip(table.agents.tolist(), table.options.tolist())]
+    args = [t[::-1] for t in product(range(delta), repeat=arity)]
+    keys = [a if arity > 1 else a[0] for a in args]
+    agents, opts = spec.draws.agents.tolist(), spec.draws.options.tolist()
+    moves = {(opt, f): {key: (new, (new - a[0]) * delta ** f)
+                        for key, a, new in zip(keys, args, flat[opt::n_opts]) if new != a[0]}
+             for opt, f in set(zip(opts, (tup[0] for tup in agents)))}
+    return [(itemgetter(*tup), moves[opt, tup[0]], tup[0]) for tup, opt in zip(agents, opts)]
+
+
+def _draw_lookup(cum: np.ndarray):
+    """`np.searchsorted(cum, u, side="right")` for uniforms u in [0, 1), by
+    Chen and Asau's guide table. For m the power of two at or above
+    4 * len(cum), guide[b] is the draw at b / m, never past that of a u in
+    [b/m, (b+1)/m), as u * m is exact. An index is kept where
+    `cum[k-1] <= u < cum[k]` (`u < cum[0]` at k = 0), else searched for."""
+    m = 1 << (4 * len(cum) - 1).bit_length()
+    guide = np.searchsorted(cum, np.arange(m) / m, side="right")
+    below = np.concatenate(([-np.inf], cum[:-1]))
+
+    def lookup(u: np.ndarray) -> np.ndarray:
+        k = guide[(u * m).astype(np.intp)]
+        miss = (below[k] > u) | (u >= cum[k])
+        k[miss] = np.searchsorted(cum, u[miss], side="right")
+        return k
+    return lookup
 
 
 def simulate(spec: ModelSpec, start: Sequence[int], steps: int, seed: int,
              cap: Optional[int] = None) -> SimRun:
     """Run one trajectory; identical (model, seed, steps) reproduce it.
 
-    A state index walks through the compiled rule table, one code lookup
-    per step. Uniforms come in blocks, the same doubles as drawn one at a
-    time."""
+    A state index walks through the draws' move tables, one lookup per
+    step. Uniforms come in blocks, the same doubles as drawn one at a
+    time, and a block finds its draws by `_draw_lookup`."""
     if steps < 0:
         raise ValidationError(f"step count must be non-negative, got {steps}")
     rng = np.random.Generator(np.random.Philox(_seed_sequence(seed)))
@@ -142,16 +164,17 @@ def simulate(spec: ModelSpec, start: Sequence[int], steps: int, seed: int,
     x = space.index_of(config)
     cum = np.cumsum(_draw_weights(spec))
     cum[-1] = 1.0  # guard against float round-off at the top end
+    lookup = _draw_lookup(cum)
     draws = _step_kernel(spec)
     visited = [x]
     for lo in range(0, steps, _DRAW_BLOCK):
         u = rng.random(min(_DRAW_BLOCK, steps - lo))
-        for k in np.searchsorted(cum, u, side="right").tolist():
-            codes, lut, focal, place = draws[k]
-            new = lut[codes(config)]
-            if new != config[focal]:
-                x += (new - config[focal]) * place
-                config[focal] = new
+        for k in lookup(u).tolist():
+            codes, moves, focal = draws[k]
+            move = moves.get(codes(config))
+            if move:
+                config[focal], change = move
+                x += change
             visited.append(x)
     return SimRun(seed=seed, steps=steps, start=visited[0], states=tuple(visited),
                   fingerprint=model_fingerprint(spec))

@@ -773,8 +773,13 @@ def commutation_check(chain, part, mu0, t, force=False):
 
 def draw_choices(spec):
     """The package's (agent tuple, option index, joint probability) triples,
-    in draw table order: `spec.joint_columns()` zipped."""
-    return list(zip(*spec.joint_columns()))
+    in draw table order, read from `spec.draws` one draw at a time: the
+    choice's own key tuples in sorted order, each with every option, and
+    one `Fraction` per draw."""
+    tuples, table = list(spec.choice.entries), spec.draws
+    at = [i for i in spec.tuple_order.tolist() for _ in spec.rule.options]
+    return [(tuples[i], opt, Fraction(num, table.denom))
+            for i, opt, num in zip(at, table.options.tolist(), table.nums.tolist())]
 
 
 def neighbors(space, config):

@@ -1,3 +1,4 @@
+import gc
 import io
 from fractions import Fraction
 
@@ -22,6 +23,17 @@ def test_six_maps_with_equal_weight(voter3):
     maps = by_pair(voter3)
     assert set(maps) == {(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)}
     assert all(m.probability == Fraction(1, 6) for m in maps.values())
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_enumerate_maps_leaves_the_collector_as_it_found_it(voter3, enabled):
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert len(enumerate_maps(voter3)) == 6
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def actions(spec):

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -566,3 +569,28 @@ def test_help_and_usage_follow_the_terminal_width(capsys, monkeypatch, argv):
     assert texts[0][0] == texts[1][0] == (0 if "--help" in argv else 2)
     if argv[:1] == ["--help"]:
         assert texts[0] != texts[1]
+
+
+def test_out_of_memory_in_any_verb_exits_6_naming_it(capsys, monkeypatch):
+    def cmd_compile(args):  # the name the parser may store for the verb
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_compile", cmd_compile)
+    assert main(["compile", VOTER3]) == cli.EXIT_CAP
+    assert capsys.readouterr() == ("", "out of memory: compile needs more memory than it can get\n")
+
+
+def test_unbounded_steps_under_an_address_space_limit_exit_6():
+    """The trajectory outgrows a 300 MB address space, set in the child
+    only: one line and exit 6, not a MemoryError traceback."""
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))\n"
+              "from microlump.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script, "simulate", VOTER3, "--start", "1",
+                           "--steps", "100000000000", "--seed", "1"],
+                          capture_output=True, text=True, env=env, timeout=600)
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_CAP, "")
+    assert proc.stderr == "out of memory: simulate needs more memory than it can get\n"

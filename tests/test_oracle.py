@@ -1079,7 +1079,7 @@ def table_actions(tmp_path, capsys, spec):
     return [[int(t) for t in line.split("action: ")[1].split()] for line in lines]
 
 
-def check_draws(spec, seed, tmp_path, capsys):
+def check_draws(spec, seed, tmp_path, capsys, steps=(0, 1, sim._DRAW_BLOCK + 37)):
     rng = random.Random(3000 + seed)
     chain = build_micro_chain(spec)
     space = chain.space
@@ -1089,11 +1089,11 @@ def check_draws(spec, seed, tmp_path, capsys):
     assert table_actions(tmp_path, capsys, spec) == actions
 
     start = space.config_of(rng.randrange(space.size))
-    for steps in (0, 1, sim._DRAW_BLOCK + 37):
-        run = simulate(spec, start, steps, seed)
-        ref, tally = oracle.simulate(spec, start, steps, seed)
+    for n_steps in steps:
+        run = simulate(spec, start, n_steps, seed)
+        ref, tally = oracle.simulate(spec, start, n_steps, seed)
         assert "counts" not in vars(run)
-        assert run == ref == oracle.simulate_packed(spec, start, steps, seed)
+        assert run == ref == oracle.simulate_packed(spec, start, n_steps, seed)
         assert run.counts == tally
     for samples in (3, 200):
         report, _ = estimate_matrix(spec, samples, seed)
@@ -1118,6 +1118,29 @@ def arity_one_model():
 
 def test_arity_one_draws_match_the_rule_dict_references(tmp_path, capsys):
     check_draws(arity_one_model(), 7, tmp_path, capsys)
+
+
+def skewed_model():
+    """Many draws with skewed weights: a noisy voter on the complete graph
+    of 8 agents (112 draws), one pair weighted 10**6 times the least and a
+    noise option of 1/1000, so most uniforms land in one draw and many
+    draws share a bucket of the guide table."""
+    table = {(a, b, opt): (b if opt == 0 else 1 - a) for a in range(2) for b in range(2)
+             for opt in range(2)}
+    rule = UpdateRule(arity=2, options=(("copy", Fraction(999, 1000)),
+                                        ("noise", Fraction(1, 1000))), table=table, delta=2)
+    topology = Topology.complete(8)
+    weights = {pair: 10**6 if k == 17 else k % 5 + 1 for k, pair in enumerate(topology.edges)}
+    total = sum(weights.values())
+    choice = ChoiceDistribution({pair: Fraction(w, total) for pair, w in weights.items()})
+    return ModelSpec(name="skewed", alphabet=Alphabet(LABELS[:2]), topology=topology,
+                     rule=rule, choice=choice)
+
+
+def test_skewed_many_draws_match_the_rule_dict_references(tmp_path, capsys):
+    """Either side of a block of uniforms, too."""
+    steps = (0, 1, sim._DRAW_BLOCK - 1, sim._DRAW_BLOCK + 1)
+    check_draws(skewed_model(), 11, tmp_path, capsys, steps=steps)
 
 
 @pytest.mark.parametrize("model", [0, 5, 11, 17, 23, "arity one"])
@@ -1234,6 +1257,7 @@ def check_draw_table(spec, entries=None):
     assert oracle.draw_choices(spec) == joint
     keys = {id(tup) for tup in spec.choice.entries}  # shared, not copied
     assert all(id(tup) in keys for tup, _, _ in oracle.draw_choices(spec))
+    assert all(id(m.agents) in keys for m in enumerate_maps(spec))
     table = spec.draws
     assert table is spec.draws
     assert table.denom == lcm(*(p.denominator for _, _, p in joint))

@@ -1,11 +1,14 @@
 import io
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from microlump import (ConfigSpace, estimate_matrix, frequency_partition, lump,
+from microlump import (Alphabet, ChoiceDistribution, ConfigSpace, ModelSpec, Topology,
+                       UpdateRule, estimate_matrix, frequency_partition, lump,
                        project_trajectory, simulate)
-from microlump.sim import _philox_keys, write_trajectory
+from microlump.sim import _draw_lookup, _draw_weights, _philox_keys, write_trajectory
 from oracle import entry
 from conftest import LETTERS, letter_index
 
@@ -146,3 +149,68 @@ def test_philox_keys_are_the_spawned_childrens(seed, n):
     assert keys.dtype == np.uint64 and keys.shape == (n, 2)
     children = np.random.SeedSequence(seed).spawn(n)
     assert keys.tolist() == [c.generate_state(2, np.uint64).tolist() for c in children]
+
+
+def noisy_voter(n, seed):
+    """The benchmark's noisy voter: `copy` a neighbor with probability 9/10,
+    else move to the next code, on a seeded random connected graph (a
+    random spanning tree plus each other pair with probability 0.2)."""
+    rng = random.Random(seed)
+    pairs = {(rng.randrange(i), i) for i in range(1, n)}
+    pairs |= {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.2}
+    edges = {e: Fraction(1) for i, j in sorted(pairs) for e in ((i, j), (j, i))}
+    table = {(a, b, opt): (b if opt == 0 else 1 - a) for a in (0, 1) for b in (0, 1)
+             for opt in (0, 1)}
+    rule = UpdateRule(arity=2, options=(("copy", Fraction(9, 10)), ("noise", Fraction(1, 10))),
+                      table=table, delta=2)
+    topology = Topology(n, edges)
+    return ModelSpec(name="noisy", alphabet=Alphabet(("a", "b")), topology=topology, rule=rule,
+                     choice=ChoiceDistribution.uniform_from_topology(topology, 2))
+
+
+def below_one_ulp():
+    """Weights below one ulp of the running sum: cum repeats values."""
+    return np.array([0.25] + [1e-20] * 3 + [0.25] + [1e-20] * 2 + [0.5])
+
+
+def past_one():
+    """Six parts over their sum, each less 1e-30/6, then a 1e-30 draw: the
+    float cumsum passes 1.0 before the last draw."""
+    parts, tiny = [1, 13, 19, 11, 14, 2], Fraction(1, 10**30)
+    return np.array([float(Fraction(p, 60) - tiny / 6) for p in parts] + [float(tiny)])
+
+
+GUIDE_WEIGHTS = {
+    "simulate-noisy": lambda: _draw_weights(noisy_voter(20, 9)),
+    "one heavy draw": lambda: np.array([1 - 1e-6] + [1e-6 / 999] * 999),
+    "equal": lambda: np.full(39800, 1 / 39800),
+    "below one ulp": below_one_ulp,
+    "past one": past_one,
+}
+
+
+def simulated_cum(weights):
+    """The cumulative weights as `simulate` makes them."""
+    cum = np.cumsum(weights)
+    cum[-1] = 1.0
+    return cum
+
+
+def test_the_guide_weight_cases_reach_their_edges():
+    cum = simulated_cum(below_one_ulp())
+    assert len(np.unique(cum)) < len(cum)
+    assert np.cumsum(past_one())[-2] > 1.0
+
+
+@pytest.mark.parametrize("name", list(GUIDE_WEIGHTS))
+def test_guide_lookup_is_the_binary_search(name):
+    """Every boundary of cum and every bucket edge b/m, m the power of two
+    at or above 4 * len(cum), with their neighbouring doubles, 0, the
+    largest uniform below one and random uniforms."""
+    cum = simulated_cum(GUIDE_WEIGHTS[name]())
+    m = 1 << (4 * len(cum) - 1).bit_length()
+    points = np.concatenate([cum, np.arange(m) / m, [0.0, 1 - 2**-53]])
+    u = np.concatenate([points, np.nextafter(points, -1), np.nextafter(points, 2),
+                        np.random.default_rng(0).random(10_000)])
+    u = u[(u >= 0) & (u < 1)]
+    assert np.array_equal(_draw_lookup(cum)(u), np.searchsorted(cum, u, side="right"))
