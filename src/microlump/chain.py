@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from math import floor, lcm
+from math import floor, gcd, lcm
 from typing import Iterator, List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
@@ -103,16 +103,19 @@ def draw_targets(spec: ModelSpec, space: ConfigSpace) -> Iterator[np.ndarray]:
 def _over_common_denominator(num: np.ndarray, den: np.ndarray,
                              indptr: np.ndarray) -> Tuple[np.ndarray, int]:
     """Numerators of the ratios num/den over the lcm of their reduced
-    denominators, and that lcm. With every ratio in [-1, 1], numerators,
-    row sums and their distance from one stay below denom * (width + 1)
-    for rows of up to `width` entries; a ratio outside fails validation,
-    which reports exact sums, so takes Python ints before any multiply."""
-    g = np.gcd(num, den)
-    num, den = num // g, den // g
-    denom = lcm(*np.unique(den).tolist())
-    width = int(np.diff(indptr).max(initial=0))
-    dtype = int_dtype(denom * (width + 1)) if np.all(abs(num) <= den) else object
-    return num.astype(dtype) * (denom // den.astype(dtype)), denom
+    denominators, and that lcm: num * (L / den) over the lcm L of the
+    written ones, found by a sort, then both over their gcd g (L / g is
+    that lcm). With every ratio in [-1, 1], numerators, row sums and their
+    distance from one stay below denom * (width + 1) for rows of up to
+    `width` entries; a ratio outside fails validation, which reports exact
+    sums, so takes Python ints."""
+    dens, width = np.sort(den), int(np.diff(indptr).max(initial=0))
+    big = lcm(*dens[np.diff(dens, prepend=0) != 0].tolist())
+    small = bool(np.all(abs(num) <= den))
+    work = int_dtype(big * (width + 1)) if small else object
+    num = num.astype(work) * (big // den.astype(work))
+    g = gcd(big, int(np.gcd.reduce(num, initial=0)))
+    return (num // g).astype(int_dtype(big // g * (width + 1)) if small else object), big // g
 
 
 def to_floats(nums: np.ndarray, denom: int) -> np.ndarray:

@@ -196,10 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "reduce, analyze, simulate")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name, fn, help_, inputs, output=True, cap=True):
+    def add(name, help_, inputs, output=True, cap=True):
         """A verb with the positional arguments `inputs`, then `-o` and `--cap`."""
         p = sub.add_parser(name, help=help_)
-        p.set_defaults(fn=fn.__name__)  # `main` looks the name up when it runs
+        p.set_defaults(fn="cmd_" + name.replace("-", "_"))  # `main` looks it up when it runs
         for arg in inputs.split():
             p.add_argument(arg)
         if output:
@@ -208,44 +208,39 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--cap", type=int)
         return p
 
-    add("compile", cmd_compile, "build the exact transition matrix of a model", "model")
-    p = add("maps", cmd_maps, "list the deterministic maps the model draws from", "model")
+    add("compile", "build the exact transition matrix of a model", "model")
+    p = add("maps", "list the deterministic maps the model draws from", "model")
     p.add_argument("--table", action="store_true",
                    help="materialize each map's full action (cap-guarded)")
-    for p in (add("orbits", cmd_orbits, "orbit partition of a generator set", "model"),
-              add("check-sym", cmd_check_sym, "test generators as chain symmetries", "model",
-                  output=False)):
+    for p in (add("orbits", "orbit partition of a generator set", "model"),
+              add("check-sym", "test generators as chain symmetries", "model", output=False)):
         p.add_argument("--gens", default="SN")
         p.add_argument("--gens-file")
 
-    p = add("check-lump", cmd_check_lump, "block-sum lumpability test", "chain partition",
-            output=False, cap=False)
+    p = add("check-lump", "block-sum lumpability test", "chain partition", output=False, cap=False)
     p.add_argument("--tol", type=float, nargs="?", const=1e-12, default=None,
                    help="absolute tolerance for imported float chains "
                         "(bare flag means 1e-12)")
     p.add_argument("--exhaustive", action="store_true",
                    help="report every violation, not just the first")
-    p = add("lump", cmd_lump, "build the reduced chain over a partition", "chain partition",
-            cap=False)
+    p = add("lump", "build the reduced chain over a partition", "chain partition", cap=False)
     p.add_argument("--tol", type=float, nargs="?", const=1e-12, default=None)
 
-    p = add("analyze", cmd_analyze, "state classification and absorption solve", "chain",
-            cap=False)
+    p = add("analyze", "state classification and absorption solve", "chain", cap=False)
     p.add_argument("--format", choices=("text", "kv"), default="text")
-    p = add("propagate", cmd_propagate, "push a distribution t steps, exactly", "chain",
-            cap=False)
+    p = add("propagate", "push a distribution t steps, exactly", "chain", cap=False)
     p.add_argument("-t", "--steps", type=int, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--start", type=int, help="point mass on this state")
     group.add_argument("--mu0", help="distribution file, `index prob` lines")
 
-    p = add("simulate", cmd_simulate, "sample one trajectory", "model")
+    p = add("simulate", "sample one trajectory", "model")
     p.add_argument("--start", required=True,
                    help="state index or label tuple like (black,white,white)")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--partition", help="project the trajectory onto blocks")
-    p = add("estimate", cmd_estimate, "empirical one-step frequencies vs the matrix", "model")
+    p = add("estimate", "empirical one-step frequencies vs the matrix", "model")
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, required=True)
     return parser

@@ -106,12 +106,17 @@ def count_label(counts: Sequence[int]) -> str:
 def count_classes(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What np.unique(counts, axis=0) returns with return_index,
     return_inverse and return_counts, without its row-wise sort: the rows
-    are ranked into one int64 key a column at a time, each fold compressed
-    by the 1-D np.unique, so a key stays below len(counts) * (N + 1)."""
-    key = np.zeros(len(counts), dtype=np.int64)
+    fold into one mixed-radix int64 key, ranked by one 1-D np.unique (a
+    radix sort within 16 bits); a fold that would pass 2**62 ranks first."""
+    key, bound = np.zeros(len(counts), dtype=np.int64), 1
     for col in counts.T:
-        key = np.unique(key * (int(col.max()) + 1) + col, return_inverse=True)[1]
-    _, first, sizes = np.unique(key, return_index=True, return_counts=True)
+        top = int(col.max()) + 1
+        if bound * top > 1 << 62:
+            key = np.unique(key, return_inverse=True)[1]
+            bound = int(key.max()) + 1
+        key, bound = key * top + col, bound * top
+    _, first, key, sizes = np.unique(key.astype(np.min_scalar_type(bound - 1)), return_index=True,
+                                     return_inverse=True, return_counts=True)
     return first, key, sizes
 
 

@@ -2,11 +2,11 @@
 tests of a generator set as chain symmetries: a certificate on the model's
 draw and rule tables, and the invariance test on the matrix itself.
 
-A space permutation reorders agents and relabels attribute codes at the
-same time: position i of the image holds the relabeled code the source
-kept at the preimage of i. Groups are never enumerated; orbits come from
-label propagation over the generators and the invariance check on
-generators extends to the whole generated group by closure.
+A space permutation reorders agents and relabels codes at once: position
+i of the image holds the relabeled code the source kept at its preimage.
+Groups are never enumerated. Orbits come from label propagation over the
+generators, over per-class count classes where agent transpositions allow
+it; the invariance check on generators extends to the group by closure.
 """
 
 from __future__ import annotations
@@ -54,16 +54,19 @@ class SpacePermutation:
         return SpacePermutation(*(tuple(sorted(range(len(p)), key=p.__getitem__))
                                   for p in (self.agents, self.attrs)))
 
+    def check_dims(self, n_agents: int, delta: int) -> None:
+        if len(self.agents) != n_agents or len(self.attrs) != delta:
+            raise ValidationError("permutation dimensions do not match the space")
+
+    def image_index(self, space: ConfigSpace, codes: np.ndarray) -> np.ndarray:
+        """Indices of the images of the configurations `codes` holds as
+        code rows: all of `space.codes_matrix` or a subset of its rows."""
+        self.check_dims(space.n_agents, space.delta)
+        return np.array(self.attrs)[codes[:, list(self.inverse().agents)]] @ space.radix
+
     def index_map(self, space: ConfigSpace) -> np.ndarray:
         """Vector m with m[index_of(x)] = index_of(apply(x)) for all x."""
-        if len(self.agents) != space.n_agents or len(self.attrs) != space.delta:
-            raise ValidationError("permutation dimensions do not match the space")
-        codes = space.codes_matrix
-        attr_lut = np.array(self.attrs, dtype=codes.dtype)
-        relabeled = attr_lut[codes]
-        inv = self.inverse().agents
-        image = relabeled[:, list(inv)]
-        return image.astype(np.int64) @ space.radix
+        return self.image_index(space, space.codes_matrix)
 
 
 @dataclass(frozen=True)
@@ -212,28 +215,53 @@ def parse_generator_file(text: str, n: int, delta: int) -> GeneratorSet:
 # ---------------------------------------------------------------------------
 # orbits
 
-def orbits(space: ConfigSpace, gens: GeneratorSet) -> Partition:
-    """Orbit partition of the generated group, by min-label propagation on
-    the edges x ~ g(x) over the generators only: each state takes the
-    least label of itself and its images under every generator and its
-    inverse, then the label of its label, until nothing changes. Labels
-    only fall and always name a state of the same orbit, so they settle
-    on each orbit's smallest member.
-
-    Blocks are ordered by smallest member; a block whose members all share
-    one attribute-count vector is labeled with it, others get `O<i>`.
-    """
-    images = [perm.index_map(space) for perm in gens.perms]
-    label, old = np.arange(space.size, dtype=np.int64), None
+def _min_labels(size: int, images: Sequence[np.ndarray]) -> np.ndarray:
+    """Each index's least orbit member under the permutations `images` of
+    range(size): labels take the least over each one and its inverse, then
+    the label of the label, until nothing changes."""
+    label, old = np.arange(size, dtype=np.int64), None
     while old is None or not np.array_equal(label, old):
         old, label = label, label[label]
         for image in images:
             np.minimum(label, label[image], out=label)
             # the inverse image's label, by writing through the permutation
             label[image] = np.minimum(label[image], label)
-    members, indptr = group_blocks(label)
-    counts = space.counts_matrix
-    _, cls, class_size = count_classes(counts)
+    return label
+
+
+def orbits(space: ConfigSpace, gens: GeneratorSet) -> Partition:
+    """Orbit partition of the generated group, by min-label propagation.
+    Pure agent transpositions generate the symmetric groups on the classes
+    of agents they join, whose orbits are the states with equal per-class
+    code counts. When there is one and every other generator maps each
+    class onto a class, propagation runs over these count classes alone,
+    the others applied to each one's smallest state; else over all states.
+    Blocks are ordered by smallest member and labeled with their count
+    vector when they are one whole count class, else `O<i>`."""
+    for perm in gens.perms:
+        perm.check_dims(space.n_agents, space.delta)
+    pure = [p for p in gens.perms if p.attrs == tuple(range(space.delta))
+            and sum(i != j for i, j in enumerate(p.agents)) == 2]
+    others = [p for p in gens.perms if p not in pure]
+    agent_cls = _min_labels(space.n_agents, [np.array(p.agents) for p in pure]).tolist()
+    counts, codes = space.counts_matrix, space.codes_matrix
+    first, cls, class_size = count_classes(counts)
+    if not pure or any(len(set(zip(agent_cls, map(agent_cls.__getitem__, p.agents))))
+                       > len(set(agent_cls)) for p in others):
+        label = _min_labels(space.size, [perm.index_map(space) for perm in gens.perms])
+        members, indptr = group_blocks(label)
+    else:
+        reps, key = first, cls  # one class holds every agent: the counts
+        if len(set(agent_cls)) > 1:
+            reps, key, _ = count_classes(np.array(  # one contiguous row per column
+                [(codes[:, np.equal(agent_cls, c)] == s).sum(axis=1, dtype=np.int16)
+                 for c in set(agent_cls) for s in range(space.delta - 1)]).T)
+        key, reps = np.argsort(np.argsort(reps))[key], np.sort(reps)  # by smallest state
+        orbit = _min_labels(len(reps), [key[perm.image_index(space, codes[reps])]
+                                        for perm in others])
+        orbit = orbit.astype(np.min_scalar_type(len(reps)))[key]  # narrow keys sort by radix
+        label = reps[orbit]
+        members, indptr = group_blocks(orbit)
     # count labels only for whole count classes, so labels stay unique and
     # mean what they say; label[x] is the first member of x's block
     firsts, mixed = members[indptr[:-1]], label[cls != cls[label]]
@@ -282,8 +310,7 @@ def certify(spec: ModelSpec, gens: GeneratorSet) -> bool:
     weights = delta ** np.arange(arity, dtype=np.int64)
     args = np.arange(delta ** arity, dtype=np.int64)[:, None] // weights % delta
     for perm in gens.perms:
-        if len(perm.agents) != spec.n_agents or len(perm.attrs) != delta:
-            raise ValidationError("permutation dimensions do not match the space")
+        perm.check_dims(spec.n_agents, delta)
         agents = np.array(perm.agents, dtype=np.int64)[table.agents]
         order = np.lexsort((table.options, *agents.T[::-1]))
         attrs = np.array(perm.attrs, dtype=np.int64)

@@ -511,6 +511,26 @@ def test_a_verb_rebound_after_the_parser_is_built_is_the_one_called(tmp_path, ca
     assert calls == [("a.sparse", "b.part")]
 
 
+def test_a_verb_rebound_under_another_name_before_the_parser_is_built(capsys, monkeypatch):
+    """The parser stores the fixed `cmd_<verb>` name, not the name of the
+    function bound there when it was built, so a renamed replacement is
+    found on the first call and every later one."""
+    calls = []
+
+    def renamed(args):
+        calls.append(args.model)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_compile", renamed)
+    cli.build_parser.cache_clear()
+    try:
+        assert run(capsys, "compile", "a.model") == (0, "", "")
+        assert run(capsys, "compile", "b.model") == (0, "", "")
+    finally:
+        cli.build_parser.cache_clear()
+    assert calls == ["a.model", "b.model"]
+
+
 # three states whose decimal rows lump over A = {0}, B = {1, 2} only within
 # the bare `--tol` flag's 1e-12
 NEAR_LUMPABLE = """\

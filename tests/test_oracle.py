@@ -25,7 +25,7 @@ from math import lcm
 import numpy as np
 import pytest
 
-from microlump import analysis, cli, lumping, sim
+from microlump import analysis, cli, lumping, sim, symmetry
 from microlump import chain as chainmod
 from microlump import (absorption_analysis, aggregate, classify_states,
                        commutation_profile, propagate)
@@ -345,6 +345,37 @@ def test_parse_errors_match_the_reference(seed, chunk, monkeypatch):
         assert got == _outcome(oracle.read_sparse, variant), variant
 
 
+P61, P31 = 2 ** 61 - 1, 2 ** 31 - 1  # primes: their product passes int64
+
+
+@pytest.mark.parametrize("text", [
+    "states=2 nnz=4\n0 0 2/4\n0 1 1/2\n1 0 3/9\n1 1 4/6\n",          # unreduced ratios
+    "states=2 nnz=4\n0 0 0/7\n0 1 14/14\n1 0 0/3\n1 1 1/1\n",       # zeros over anything
+    "states=2 nnz=4\n0 0 0.25\n0 1 0.75\n1 0 0.5\n1 1 0.5\n",       # decimals
+    "states=2 nnz=3\n0 0 1/3\n0 1 0.6666666666666666\n1 1 1/1\n",  # both
+    f"states=2 nnz=3\n0 0 {2 ** 64}/{2 ** 65}\n0 1 1/2\n1 1 1/1\n",  # past int64, reduces
+    f"states=2 nnz=3\n0 0 1/{P61 * P31}\n0 1 {P61 * P31 - 1}/{P61 * P31}\n1 1 1/1\n",
+    f"states=2 nnz=3\n0 0 {P61}/{P61 * P31}\n0 1 {P31 - 1}/{P31}\n1 1 2/2\n",
+    "states=2 nnz=4\n0 0 3/2\n0 1 -1/2\n1 0 1/2\n1 1 1/2\n",        # outside [-1, 1]
+    "states=2 nnz=4\n0 0 6/4\n0 1 1/1\n1 0 1/2\n1 1 1/2\n",
+    f"states=2 nnz=3\n0 0 {3 * P61}/{2 * P61}\n0 1 -1/2\n1 1 1/1\n",
+])
+def test_the_common_denominator_matches_the_reference_reader(text):
+    """`denom` is the lcm of the reduced denominators, numerators are int64
+    while denom * (width + 1) fits and every ratio is in [-1, 1], and a
+    rejected chain gives the reference's error."""
+    got, want = _outcome(read_sparse, text), _outcome(oracle.read_sparse, text)
+    if isinstance(want[0], str):
+        assert got == want
+        return
+    rows, exact = want
+    assert (got.rows, got.exact) == (rows, exact)
+    denom = lcm(*(p.denominator for row in rows for _, p in row))
+    width = max(map(len, rows))
+    assert got.denom == denom
+    assert got.nums.dtype == (np.int64 if denom * (width + 1) < 2 ** 63 else object)
+
+
 def _entry_spy(monkeypatch):
     """The lines that reach `chain._entry` from now on."""
     lines, convert = [], chainmod._entry
@@ -518,6 +549,90 @@ def test_orbits_match_the_union_find_reference(seed):
         check_orbits(space, gens)
         for perm in gens.perms:
             check_orbits(space, GeneratorSet("one", (perm,)))
+
+
+def transpositions(n, delta, classes, attrs=None):
+    """Adjacent transpositions inside each class of agents, with the code
+    part `attrs` (the identity when None)."""
+    out = []
+    for members in classes:
+        for i, j in zip(members, members[1:]):
+            agents = list(range(n))
+            agents[i], agents[j] = j, i
+            out.append(SpacePermutation(tuple(agents), attrs or tuple(range(delta))))
+    return out
+
+
+def orbit_sizes_spied(monkeypatch):
+    """The sizes `orbits` hands to min-label propagation, call by call: the
+    agents first, then the count classes or every state."""
+    sizes, propagate_labels = [], symmetry._min_labels
+    monkeypatch.setattr(symmetry, "_min_labels",
+                        lambda size, images: sizes.append(size) or propagate_labels(size, images))
+    return sizes
+
+
+def agent_class_sets(n, delta):
+    """(name, generators, collapses) over the agent classes of a star
+    (hub 0) and of two communities of n // 2 agents (and a last agent
+    alone when n is odd)."""
+    ident, codes = tuple(range(delta)), tuple(range(1, delta)) + (0,)
+    half = n // 2
+    leaves = transpositions(n, delta, [list(range(1, n))])
+    halves = transpositions(n, delta, [list(range(half)), list(range(half, 2 * half))])
+    swap_halves = SpacePermutation(tuple((i + half) % (2 * half) if i < 2 * half else i
+                                         for i in range(n)), ident)
+    three_cycle = list(range(n))
+    three_cycle[0], three_cycle[half], three_cycle[half + 1] = half, half + 1, 0
+    swapped = (1, 0) + ident[2:]
+    code_swap, hub_swap = (transpositions(n, delta, [pair], swapped) for pair in ([1, 2], [0, 1]))
+    return [
+        ("star", leaves, True),
+        ("star+codes", leaves + [SpacePermutation(tuple(range(n)), codes)], True),
+        ("communities", halves, True),
+        ("communities+swap", halves + [swap_halves], True),
+        ("communities+codes", halves + list(parse_presets("Sdelta", n, delta).perms), True),
+        ("communities+3-cycle", halves + [SpacePermutation(tuple(three_cycle), ident)], False),
+        ("coded transposition", code_swap, False),
+        ("star+coded transposition", leaves + code_swap, True),
+        ("star+coded hub transposition", leaves + hub_swap, False),
+        ("identity", [SpacePermutation.identity(n, delta)], False),
+        ("one transposition+identity",
+         transpositions(n, delta, [[1, n - 1]]) + [SpacePermutation.identity(n, delta)], True),
+    ]
+
+
+@pytest.mark.parametrize("n, delta", [(7, 2), (6, 2), (6, 3), (5, 3), (5, 4), (4, 4)])
+def test_orbits_over_agent_classes_match_the_union_find_reference(n, delta, monkeypatch):
+    """Transpositions that join agents into classes, with generators that
+    map each class onto a class (propagation over the count classes) or
+    that split one (propagation over every state)."""
+    space = ConfigSpace(n, delta)
+    sizes = orbit_sizes_spied(monkeypatch)
+    for name, perms, collapses in agent_class_sets(n, delta):
+        check_orbits(space, GeneratorSet(name, tuple(perms)))
+        assert (sizes[-1] < space.size) == collapses, name
+
+
+def test_the_star_lumps_into_hub_code_by_leaf_count_blocks():
+    space = ConfigSpace(7, 2)
+    leaves = GeneratorSet("leaves", tuple(transpositions(7, 2, [list(range(1, 7))])))
+    check_orbits(space, leaves)
+    part = orbits(space, leaves)
+    assert part.n_blocks == 14 and part.labels[:3] == ("⟨7,0⟩", "O1", "O2")
+
+
+PRESETS = {2: ("SN", "Sdelta", "Sdelta-1:0", "flip", "full"),
+           3: ("SN", "Sdelta", "Sdelta-1:0", "Sdelta-1:2", "full"),
+           4: ("SN", "Sdelta", "Sdelta-1:1", "full")}
+
+
+@pytest.mark.parametrize("n, delta", [(6, 2), (1, 2), (5, 3), (4, 4)])
+def test_orbits_of_every_preset_and_pair_match_the_union_find_reference(n, delta):
+    space = ConfigSpace(n, delta)
+    for pair in itertools.combinations_with_replacement(PRESETS[delta], 2):
+        for text in (pair[0], ",".join(pair)):
+            check_orbits(space, parse_presets(text, n, delta))
 
 
 def listed(blocks, labels, rng=None):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -107,6 +108,22 @@ def test_orbits_identity_generators_are_singletons():
     # whole-class singletons keep the count label, the rest are numbered
     assert part.labels[letter_index("a")] == "⟨3,0⟩"
     assert part.labels[letter_index("c")].startswith("O")
+
+
+def test_agent_orbits_build_no_index_map_per_generator():
+    """SN's 15 transpositions at delta=2, N=16 collapse to count classes:
+    the peak stays below half of what their index maps alone would hold."""
+    space = ConfigSpace(16, 2)
+    space.codes_matrix, space.counts_matrix  # cached before the measurement
+    gens = agent_symmetric_group(16, 2)
+    tracemalloc.start()
+    try:
+        part = orbits(space, gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert part.n_blocks == 17
+    assert peak < len(gens.perms) * space.size * 8 // 2
 
 
 def test_orbit_blocks_closed_under_generators():
