@@ -108,14 +108,18 @@ def _over_common_denominator(num: np.ndarray, den: np.ndarray,
     that lcm). With every ratio in [-1, 1], numerators, row sums and their
     distance from one stay below denom * (width + 1) for rows of up to
     `width` entries; a ratio outside fails validation, which reports exact
-    sums, so takes Python ints."""
+    sums, so takes Python ints. Both arrays are overwritten: `num` is
+    rescaled in place unless its dtype changes, and `den` holds L / den."""
     dens, width = np.sort(den), int(np.diff(indptr).max(initial=0))
-    big = lcm(*dens[np.diff(dens, prepend=0) != 0].tolist())
+    big = lcm(*np.append(dens[:1], dens[1:][dens[1:] != dens[:-1]]).tolist())
+    del dens
     small = bool(np.all(abs(num) <= den))
     work = int_dtype(big * (width + 1)) if small else object
-    num = num.astype(work) * (big // den.astype(work))
+    num, den = num.astype(work, copy=False), den.astype(work, copy=False)
+    num *= np.floor_divide(big, den, out=den)
     g = gcd(big, int(np.gcd.reduce(num, initial=0)))
-    return (num // g).astype(int_dtype(big // g * (width + 1)) if small else object), big // g
+    num //= g
+    return num.astype(int_dtype(big // g * (width + 1)) if small else object, copy=False), big // g
 
 
 def to_floats(nums: np.ndarray, denom: int) -> np.ndarray:
@@ -232,7 +236,8 @@ def validate_stochastic(chain: Chain) -> None:
     to one: exactly, or within `SUM_TOL` when `chain.exact` is False.
     Reports the first failing row."""
     n, nums, denom = chain.n_states, chain.nums, chain.denom
-    src = chain.sources
+    # not `chain.sources`, whose cache would stay on every chain read
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(chain.indptr))
     unsorted = np.zeros(n, dtype=bool)
     unsorted[src[1:][(src[1:] == src[:-1]) & (chain.cols[1:] <= chain.cols[:-1])]] = True
     negative = np.zeros(n, dtype=bool)
@@ -315,25 +320,33 @@ def written_ints(piece: str, cycle: np.ndarray) -> Optional[np.ndarray]:
     """The int64 values of `piece` when it is tokens of 1 to 18 ASCII digits,
     so below 2**63, each but the last followed by the next byte of `cycle`
     in turn, the last where `cycle` ends; None for any other text, the empty
-    piece included. Values are summed one digit position at a time."""
-    # one byte per character, never raising: "?" for anything not ASCII
-    buf = np.frombuffer(piece.encode("ascii", "replace"), dtype=np.uint8)
-    seps = np.flatnonzero(buf - _ZERO > 9)  # uint8 wraps below "0"
-    if (len(seps) + 1) % len(cycle) or not np.all(
-            np.append(buf[seps], cycle[-1]).reshape(-1, len(cycle)) == cycle):
+    piece included. Values are summed one digit position at a time, with
+    the positions walked in place and the lengths held as uint8."""
+    # one byte per character, never raising: "?" for anything not ASCII;
+    # the cycle's last byte ends the last token. Digits become 0..9, and
+    # every other byte more (uint8 wraps below "0").
+    digit = np.frombuffer(piece.encode("ascii", "replace") + cycle[-1:].tobytes(),
+                          dtype=np.uint8) - _ZERO
+    ends = np.flatnonzero(digit > 9)  # each token's end
+    if len(ends) % len(cycle) or not (digit[ends].reshape(-1, len(cycle)) == cycle - _ZERO).all():
         return None
-    ends = np.append(seps, len(buf))
-    lengths = np.diff(ends, prepend=-1) - 1
+    lengths = ends.copy()
+    lengths[1:] -= ends[:-1] + 1
     if lengths.min() < 1 or lengths.max() > 18:
         return None
+    top, lengths = int(lengths.max()), lengths.astype(np.uint8)
     # int64 before any multiply: numpy 1.24 keeps uint8 * int64 scalar in
     # uint8. A token no longer than j reads an earlier byte (the first token
     # may wrap to the end), which the mask drops.
-    at = ends - 1
-    values = buf[at].astype(np.int64) - _ZERO
-    for j in range(1, int(lengths.max())):
+    at = ends
+    at -= 1
+    values, digits = digit[at].astype(np.int64), np.empty(len(at), dtype=np.int64)
+    for j in range(1, top):
         at -= 1
-        values += np.where(lengths > j, buf[at].astype(np.int64) - _ZERO, 0) * _POW10[j]
+        digits[:] = digit[at]
+        digits *= _POW10[j]
+        digits *= lengths > j
+        values += digits
     return values
 
 
@@ -351,14 +364,18 @@ def _split_header(text: str) -> Tuple[str, int]:
     return "", start
 
 
-def text_pieces(text: str, start: int, sep: str = "\n") -> Iterator[str]:
-    """Bounded pieces of `text` from `start` on, without their last `sep`.
-    Pieces end just after a `sep`: no line, \\r\\n pair or index is cut."""
+def text_pieces(text: str, start: int, sep: str = "\n",
+                most: Optional[int] = None) -> Iterator[str]:
+    """Bounded pieces of `text` from `start` on, without their last `sep`:
+    each ends just before the first `sep` past `_CHUNK_CHARS` characters,
+    or past `most` if that is fewer. No line, \\r\\n pair or index is cut."""
+    size = max(1, _CHUNK_CHARS if most is None else min(_CHUNK_CHARS, most))
     while start < len(text):
-        end = text.find(sep, start + _CHUNK_CHARS)
-        end = len(text) if end < 0 else end + 1
-        yield text[start:end].removesuffix(sep)
-        start = end
+        end = text.find(sep, start + size)
+        if end < 0:
+            end = len(text) - text.endswith(sep)
+        yield text[start:end]
+        start = end + 1
 
 
 def _entry(line: str, n_states: int, prev: Tuple[int, int]) -> Tuple[int, int, Fraction]:
@@ -434,7 +451,11 @@ def read_sparse(text: str) -> Chain:
     if n_states < 1 or nnz < 0:
         raise DocumentParseError(
             f"header needs states >= 1 and nnz >= 0, got states={n_states} nnz={nnz}", lineno)
-    columns = [[np.zeros(0, dtype=np.int64)] for _ in range(4)]
+    # rows, columns, numerators and denominators, filled piece by piece. An
+    # entry line holds three tokens and two blanks, and a line break parts
+    # it from the next, so a header that lies sizes nothing past the text
+    size = min(nnz, (len(text) - start + 1) // 6)
+    columns = [np.empty(size, dtype=np.int64) for _ in range(4)]
     exact, error, found, prev = True, None, 0, (-1, -1)
     for body in text_pieces(text, start):
         # numbers: the file line of each entry line of `body`, which lost
@@ -449,27 +470,33 @@ def read_sparse(text: str) -> Chain:
         else:
             numbers = range(lineno + 1, lineno + 1 + len(fields[0]))
             lineno += len(numbers)
-        found += len(numbers)
-        if error is not None or not numbers:
+        lo, found = found, found + len(numbers)
+        # past `nnz` the entry count is wrong, which is reported first
+        if error is not None or not numbers or found > nnz:
             continue
         arrays, chunk_exact, error = _parse_entries(body, fields, numbers, n_states, prev)
-        if error is None:
-            for column, array in zip(columns, arrays):
-                column.append(array)
+        if error is None:  # so `found` entry lines fit in `size`
+            for k, array in enumerate(arrays):
+                if array.dtype == object:  # Python ints from this piece on
+                    columns[k] = columns[k].astype(object, copy=False)
+                columns[k][lo:found] = array
             exact = exact and chunk_exact
             prev = (int(arrays[0][-1]), int(arrays[1][-1]))
     if found != nnz:
         raise DocumentParseError(f"expected {nnz} entry lines, found {found}")
     if error is not None:
         raise error
-    xs, ys, num, den = map(np.concatenate, columns)
+    xs, ys, num, den = columns
+    del columns
     # the first row holding no entry fails validation before any later row,
     # so the chain ends there: its arrays need not reach `n_states`
-    held = xs[np.flatnonzero(np.diff(xs, prepend=-1))]
+    held = np.append(xs[:1], xs[1:][xs[1:] != xs[:-1]])
     rows = min(n_states, int((held == np.arange(len(held))).sum()) + 1)
     cut = np.searchsorted(xs, rows)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(xs[:cut], minlength=rows))))
+    del xs, held
     nums, denom = _over_common_denominator(num, den, indptr)
+    del num, den
     chain = Chain(indptr, ys[:cut], nums[:cut], denom, exact=exact)
     validate_stochastic(chain)
     return chain

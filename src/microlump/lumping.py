@@ -44,8 +44,12 @@ class Partition:
         members = int_array(self.members)
         indptr, n = np.asarray(self.indptr, dtype=np.int64), len(members)
         empty = np.flatnonzero(indptr[1:] == indptr[:-1])
-        if len(empty) or not (((members >= 0) & (members < n)).all()
-                              and (np.bincount(members, minlength=n) == 1).all()):
+        # n members inside 0..n-1 list each state once exactly when every
+        # state is seen, which takes one byte per state
+        in_range = members.min(initial=0) >= 0 and members.max(initial=-1) < n
+        seen = np.zeros(n, dtype=bool)
+        seen[members if in_range else []] = True
+        if len(empty) or not (in_range and seen.all()):
             # the first fault met reading the blocks in order: an empty
             # block or a state listed again, else one outside 0..n-1
             order = np.argsort(members, kind="stable")
@@ -201,19 +205,24 @@ def _block_sums(chain, block_of: np.ndarray, n_blocks: int, own: bool):
     and the position of the row's first entry into the block, ordered by
     state then block: the keys are grouped by a stable sort and summed by
     `reduceat`, in the chain's exact integers. `own=False` leaves out each
-    state's own block."""
-    src = chain.sources
-    blk = block_of[chain.cols]
-    keys = src * n_blocks + blk
+    state's own block, which needs one row per state. Keys are built in
+    place, and each full-length temporary is let go once it has been read."""
+    counts, rows = np.diff(chain.indptr), np.arange(chain.n_states, dtype=np.int64) * n_blocks
+    keys = np.repeat(rows, counts)
+    keys += block_of[chain.cols]
     nums = chain.nums
     if not own:
-        other = blk != block_of[src]
+        other = keys != np.repeat(rows + block_of, counts)
         keys, nums = keys[other], nums[other]
+        del other
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    sums = np.add.reduceat(nums[order], starts) if len(keys) else nums[:0]
+    new = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    del new
     keys = keys[starts]
+    sums = np.add.reduceat(nums[order], starts) if len(keys) else nums[:0]
     return keys // n_blocks, keys % n_blocks, sums, order[starts]
 
 
@@ -346,18 +355,49 @@ def write_partition(part: Partition, fh: TextIO) -> None:
         fh.write("\n")
 
 
+def _written_partition(text: str) -> Optional[Partition]:
+    """The partition of a document whose every line holding more than
+    blanks is the writer's `label: idx idx ...`, indices cut by single
+    spaces, after a label holding no `#` and no line break but `\\n`; None
+    for any other document. Text is read in pieces of whole lines, and
+    bodies are converted straight into one array, sized by the spaces of
+    the text. Pieces hold a sixteenth of the text or 2048 characters,
+    whichever is more (or one line), so their temporaries stay below the
+    members' own bytes without a numpy pass per few indices."""
+    members, at, labels, counts = np.empty(text.count(" "), dtype=np.int64), 0, [], []
+    most = max(len(text) // 16, 1 << 11)
+    for piece in text_pieces(text, 0, "\n", most):
+        lines = [line.partition(":") for line in piece.split("\n")]
+        bodies = [body for _, sep, body in lines if sep]
+        joined = "".join(bodies)
+        if (any(not sep and label.strip() for label, sep, _ in lines)
+                or not all(body.startswith(" ") for body in bodies) or joined.endswith(" ")):
+            return None
+        labels += [label for label, sep, _ in lines if sep]
+        counts += [body.count(" ") for body in bodies]
+        del piece, lines, bodies
+        for part in text_pieces(joined, 1, " ", most):
+            values = written_ints(part, _SPACE)
+            if values is None:
+                return None
+            members[at:at + len(values)] = values
+            at += len(values)
+    heads = "\x00".join(labels)
+    if "#" in heads or heads.splitlines() != [heads]:
+        return None
+    return Partition(members[:at], np.cumsum([0] + counts),
+                     tuple(label.strip() for label in labels))
+
+
 def read_partition(text: str) -> Partition:
+    """Blocks from `label: idx idx ...` lines, in the writer's shape read
+    in bulk; any other document line by line, which words every error."""
+    written = _written_partition(text)
+    if written is not None:
+        return written
     lines = [(lineno, *line.partition(":")) for lineno, line in content_lines(text)]
     if not lines:
         raise DocumentParseError("partition file defines no blocks")
-    labels = tuple(label.strip() for _, label, _, _ in lines)
-    bodies = [body for *_, body in lines]
-    # joined, bodies of the writer's ` idx ...` are indices cut by single spaces
-    if all(body.startswith(" ") for body in bodies):
-        pieces = [written_ints(piece, _SPACE) for piece in text_pieces("".join(bodies), 1, " ")]
-        if all(values is not None for values in pieces):
-            return Partition(np.concatenate(pieces),
-                             np.cumsum([0] + [body.count(" ") for body in bodies]), labels)
     members, indptr = [], [0]
     for lineno, _, sep, body in lines:
         if not sep:
@@ -367,7 +407,7 @@ def read_partition(text: str) -> Partition:
         except ValueError:
             raise DocumentParseError("state indices must be integers", lineno)
         indptr.append(len(members))
-    return Partition(members, indptr, labels)
+    return Partition(members, indptr, tuple(label.strip() for _, label, _, _ in lines))
 
 
 def load_partition(path) -> Partition:

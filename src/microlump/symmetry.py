@@ -251,12 +251,34 @@ def orbits(space: ConfigSpace, gens: GeneratorSet) -> Partition:
         label = _min_labels(space.size, [perm.index_map(space) for perm in gens.perms])
         members, indptr = group_blocks(label)
     else:
-        reps, key = first, cls  # one class holds every agent: the counts
-        if len(set(agent_cls)) > 1:
-            reps, key, _ = count_classes(np.array(  # one contiguous row per column
-                [(codes[:, np.equal(agent_cls, c)] == s).sum(axis=1, dtype=np.int16)
-                 for c in set(agent_cls) for s in range(space.delta - 1)]).T)
-        key, reps = np.argsort(np.argsort(reps))[key], np.sort(reps)  # by smallest state
+        # reps: each class's smallest state, ascending; key: each state's class
+        if len(set(agent_cls)) == 1:  # one class holds every agent: the counts
+            order = np.argsort(first)
+            rank = np.empty_like(order)
+            rank[order] = np.arange(len(order))
+            reps, key = first[order], rank[cls]
+        else:
+            # a state's smallest image puts each class's codes in descending
+            # order on its agents in ascending order: code s takes the places
+            # after those of the higher codes
+            index = np.arange(space.size, dtype=np.int64)
+            low = index.copy()
+            for c in set(agent_cls):
+                cols = np.flatnonzero(np.equal(agent_cls, c))
+                if len(cols) > 1:
+                    # the class's digits leave the index one run of agents at a time
+                    for run in np.split(cols, np.flatnonzero(np.diff(cols) > 1) + 1):
+                        unit = int(space.radix[run[0]])
+                        low -= index // unit % space.delta ** len(run) * unit
+                    sub = codes[:, cols]
+                    places, taken = np.concatenate(([0], np.cumsum(space.radix[cols]))), 0
+                    for s in range(space.delta - 1, 0, -1):
+                        count = (sub == s).sum(axis=1)
+                        low += s * (places[taken + count] - places[taken])
+                        taken = taken + count
+            smallest = np.zeros(space.size, dtype=bool)
+            smallest[low] = True
+            reps, key = np.flatnonzero(smallest), np.cumsum(smallest)[low] - 1
         orbit = _min_labels(len(reps), [key[perm.image_index(space, codes[reps])]
                                         for perm in others])
         orbit = orbit.astype(np.min_scalar_type(len(reps)))[key]  # narrow keys sort by radix
@@ -265,10 +287,12 @@ def orbits(space: ConfigSpace, gens: GeneratorSet) -> Partition:
     # count labels only for whole count classes, so labels stay unique and
     # mean what they say; label[x] is the first member of x's block
     firsts, mixed = members[indptr[:-1]], label[cls != cls[label]]
-    whole = (np.diff(indptr) == class_size[cls[firsts]]) & ~np.isin(firsts, mixed)
-    return Partition(members, indptr, tuple(
-        count_label(counts[x]) if ok else f"O{bid}"
-        for bid, (x, ok) in enumerate(zip(firsts.tolist(), whole.tolist()))))
+    whole = np.flatnonzero((np.diff(indptr) == class_size[cls[firsts]])
+                           & ~np.isin(firsts, mixed))
+    labels = [f"O{bid}" for bid in range(len(firsts))]
+    for bid, row in zip(whole.tolist(), counts[firsts[whole]].tolist()):
+        labels[bid] = count_label(row)
+    return Partition(members, indptr, tuple(labels))
 
 
 # ---------------------------------------------------------------------------

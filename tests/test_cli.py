@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -341,6 +342,24 @@ def test_sparse_header_needs_a_state_and_a_count(tmp_path, capsys):
         code, out, err = run(capsys, "analyze", str(chain))
         assert code == 4 and out == ""
         assert err.startswith("parse error: line 1: header needs states >= 1 and nnz >= 0")
+
+
+@pytest.mark.parametrize("nnz", [10 ** 15, 10 ** 7])
+def test_a_sparse_header_that_overstates_its_entries_sizes_nothing(tmp_path, capsys, nnz):
+    """The reader's columns are sized by what the text can hold, so a
+    header claiming more entries than follow allocates nothing from its
+    count: 10**7 entries would be 320 MB of columns."""
+    chain = tmp_path / "chain.sparse"
+    chain.write_text(f"states=2 nnz={nnz}\n0 0 1/1\n1 1 1/1\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "analyze", str(chain))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4 and out == ""
+    assert err == f"parse error: expected {nnz} entry lines, found 2\n"
+    assert peak < 1 << 20
 
 
 def test_a_sparse_parse_error_names_the_line_in_the_file(tmp_path, capsys):
