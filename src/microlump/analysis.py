@@ -22,7 +22,7 @@ import numpy as np
 from .chain import Chain, decimal_text, to_floats, to_fractions
 from .errors import AnalysisError, DocumentParseError, ValidationError
 from .lumping import Partition, block_row_sums, lump
-from .model import content_lines, int_dtype, to_numerators
+from .model import INT64_MAX, content_lines, int_dtype, to_numerators
 
 RESIDUAL_BOUND = 1e-9
 
@@ -262,10 +262,16 @@ def _block_mass(nums: np.ndarray, part: Partition) -> np.ndarray:
     return np.add.reduceat(nums[part.members], part.indptr[:-1])
 
 
+def _check_steps(t: int, most: int) -> None:
+    """A step count from 0 to `most`, the largest `islice` takes here."""
+    if not 0 <= t <= most:
+        raise ValidationError("step count must be non-negative" if t < 0 else
+                              f"step count must be at most {most}, got {t}")
+
+
 def propagate(chain: Chain, mu: Sequence[Fraction], t: int) -> List[Fraction]:
     """mu after t steps of the chain, in exact rationals."""
-    if t < 0:
-        raise ValidationError("step count must be non-negative")
+    _check_steps(t, INT64_MAX)
     nums, denom = next(islice(_trajectory(chain, *start_numerators(mu, chain.n_states)), t, None))
     return to_fractions(nums, denom)
 
@@ -286,8 +292,7 @@ def commutation_profile(chain: Chain, part: Partition, mu0: Sequence[Fraction],
     the lumpability check and aggregates each block's first row so the
     mismatch of a non-lumpable partition can be demonstrated.
     """
-    if t_max < 0:
-        raise ValidationError("step count must be non-negative")
+    _check_steps(t_max, INT64_MAX - 1)  # t_max + 1 profile points
     nums, denom = start_numerators(mu0, chain.n_states)
     part.check_covers(chain.n_states)
     macro = (block_row_sums(chain, part, part.members[part.indptr[:-1]])

@@ -281,10 +281,10 @@ def estimate_matrix(spec: ModelSpec, steps_per_state: int, seed: int,
     From each state the target of every draw is fixed, so sampling
     steps_per_state independent draws is done as one multinomial over the
     draw distribution, on state x's own stream, child x of the seed, by one
-    Philox re-keyed to it from counter 0. A block of states at a time, the
-    tallies are summed over sorted (state, target) keys and compared with
-    the exact entries as arrays. Returns the report and the exact chain it
-    was checked against.
+    Philox re-keyed to it from counter 0. A draw of positive weight lands
+    on an entry its row stores (the chain drops only zero sums): a block of
+    states at a time adds its tallies onto those entries and compares them
+    as arrays. Returns the report and the exact chain it was checked against.
     """
     if steps_per_state < 1:
         raise ValidationError("need at least one sample per state")
@@ -314,31 +314,26 @@ def estimate_matrix(spec: ModelSpec, steps_per_state: int, seed: int,
     for lo in range(0, n, _ESTIMATE_BLOCK):
         hi = min(lo + _ESTIMATE_BLOCK, n)
         drawn = np.stack([sample(x) for x in range(lo, hi)])
-        # the block's tallies and exact entries, keyed (state - lo) * n + target
-        row, draw = np.nonzero(drawn)
-        tally_keys, inverse = np.unique(row * n + targets[lo + row, draw], return_inverse=True)
-        tally = np.zeros(len(tally_keys), dtype=np.int64)
-        np.add.at(tally, inverse, drawn[row, draw])
         a, b = indptr[lo], indptr[hi]
-        exact_keys = (chain.sources[a:b] - lo) * n + chain.cols[a:b]
-        union = np.union1d(tally_keys, exact_keys)
-        cnt = np.zeros(len(union), dtype=np.int64)
-        cnt[np.searchsorted(union, tally_keys)] = tally
-        p = np.zeros(len(union))
-        p[np.searchsorted(union, exact_keys)] = probs[a:b]
+        bounds, cols, p = indptr[lo:hi + 1] - a, chain.cols[a:b], probs[a:b]
+        rows = np.repeat(np.arange(hi - lo), np.diff(bounds))
+        # entry[r, k]: the block position of draw k's target from state lo + r
+        entry = np.searchsorted(rows * n + cols, np.arange(hi - lo)[:, None] * n + targets[lo:hi])
+        cnt = np.zeros(b - a, dtype=np.int64)
+        np.add.at(cnt, entry, drawn)
         dev = np.abs(to_floats(cnt, steps_per_state) - p)
         max_dev = max(max_dev, float(dev.max()))
         # the report's bound takes pow(v, 0.5), which may differ from sqrt in
         # the last place: a near miss is settled by the row pass below
         near = dev > 3.0 * np.sqrt(p * (1.0 - p) / steps_per_state) * (1.0 - 1e-9)
-        ends = np.searchsorted(tally_keys, np.arange(hi - lo + 1) * n).tolist()
-        tgt, tot = (tally_keys % n).tolist(), tally.tolist()
+        hit = np.flatnonzero(cnt)
+        ends = np.searchsorted(hit, bounds).tolist()
+        tgt, tot = cols[hit].tolist(), cnt[hit].tolist()
         counts += [dict(zip(tgt[s:e], tot[s:e])) for s, e in zip(ends, ends[1:])]
-        for r in np.unique(union[near] // n).tolist():
-            x, span = lo + r, slice(indptr[lo + r], indptr[lo + r + 1])
-            violations += _row_deviations(x, targets[x].tolist(), drawn[r].tolist(),
-                                          chain.cols[span].tolist(), probs[span].tolist(),
-                                          steps_per_state)
+        for r in np.unique(rows[near]).tolist():
+            span = slice(bounds[r], bounds[r + 1])
+            violations += _row_deviations(lo + r, targets[lo + r].tolist(), drawn[r].tolist(),
+                                          cols[span].tolist(), p[span].tolist(), steps_per_state)
     report = EstimateReport(samples_per_state=steps_per_state, seed=seed,
                             counts=tuple(counts), max_abs_dev=max_dev,
                             violations=tuple(violations))

@@ -1,4 +1,5 @@
 import io
+import sys
 from fractions import Fraction
 
 import pytest
@@ -183,6 +184,19 @@ def test_commutation_rejects_negative_steps(voter3_chain):
             commutation_check(voter3_chain, part, mu, -1, force=force)
         with pytest.raises(ValidationError, match="step count must be non-negative"):
             commutation_profile(voter3_chain, part, mu, -1, force=force)
+
+
+def test_step_counts_past_islice_are_rejected(voter3_chain):
+    """Propagation takes up to 2**63 - 1 steps, a profile up to 2**63 - 1
+    points (t_max up to 2**63 - 2): beyond, a validation error names the
+    bound rather than `islice` raising."""
+    mu = point_mass(8, 1)
+    with pytest.raises(ValidationError, match=f"at most {2**63 - 1}, got {2**63}$"):
+        propagate(voter3_chain, mu, 2**63)
+    part = frequency_partition(voter3_chain.space)
+    for force in (False, True):
+        with pytest.raises(ValidationError, match=f"at most {2**63 - 2}, got {sys.maxsize}$"):
+            commutation_profile(voter3_chain, part, mu, sys.maxsize, force=force)
 
 
 @pytest.mark.parametrize("n_states", [4, 11])

@@ -315,6 +315,17 @@ def test_simulate_rejects_negative_steps(tmp_path, capsys):
     assert "step count must be non-negative" in err
 
 
+def test_propagate_rejects_step_counts_beyond_int64(tmp_path, capsys):
+    chain = tmp_path / "chain.sparse"
+    run(capsys, "compile", VOTER3, "-o", str(chain))
+    for steps in (2**63, 10**20):
+        err = rejected(capsys, tmp_path, "propagate", str(chain), "--start", "0",
+                       "-t", str(steps))
+        assert f"step count must be at most 9223372036854775807, got {steps}" in err
+    err = rejected(capsys, tmp_path, "propagate", str(chain), "--start", "0", "-t", "-1")
+    assert "step count must be non-negative" in err
+
+
 def test_estimate_rejects_negative_seed(tmp_path, capsys):
     err = rejected(capsys, tmp_path, "estimate", VOTER3, "--samples", "10",
                    "--seed", "-1")

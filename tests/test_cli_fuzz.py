@@ -4,8 +4,9 @@ then, with its own seed, sample models and `--start` values with ASCII
 digits swapped for non-ASCII ones; with another seed, voter3's chain
 with near misses of the writer's line shape: non-ASCII digits, `\\r` and
 second spaces; with a fourth seed, `estimate --samples` values out of
-range at either end; and, with a fifth, voter3's chain under a header
-declaring more states than int64 holds, with entries moved far off.
+range at either end; with a fifth, voter3's chain under a header
+declaring more states than int64 holds, with entries moved far off; and,
+with a sixth, other integer options out of range.
 
 Whatever a mutation breaks, each verb must end with a documented exit code
 (0, 2, 3, 4, 5 or 6) and never raise. No mutation is filtered out.
@@ -261,3 +262,40 @@ def test_far_state_indices_end_in_documented_exit_codes(tmp_path):
                 failures.append(f"{argv} on mutant {mutant!r}: exit {code}\n{trace}")
     assert not failures, f"{len(failures)} failures, the first:\n" + failures[0]
     assert {4, 5} <= codes
+
+
+RANGE_MUTANTS = 10
+
+
+def _past(edge, rng):
+    """`edge` plus up to 2**130."""
+    return edge + rng.randrange(2 ** rng.randint(1, 130))
+
+
+def test_out_of_range_integer_options_end_in_their_documented_exit_codes(tmp_path):
+    """`propagate -t` past int64 or below zero, and `--start` past int64 for
+    `propagate` and `simulate`, fail validation (exit 5); `simulate` takes
+    a seed of any size (exit 0). No step count in range but large is run:
+    one would take hours."""
+    rng = random.Random(20261022)
+    chain = tmp_path / "voter3.sparse"
+    with open(chain, "w", encoding="utf-8") as fh:
+        write_sparse(build_micro_chain(load_model(SAMPLES / "voter3.model")), fh)
+    propagate, model = ["propagate", str(chain)], str(SAMPLES / "voter3.model")
+    cases = [(propagate + ["--start", "0", "-t", str(2**63)], 5),
+             (propagate + ["--start", "0", "-t", str(10**20)], 5),
+             (["simulate", model, "--start", "1", "--steps", "3", "--seed", str(2**200)], 0)]
+    for _ in range(RANGE_MUTANTS):
+        cases += [(propagate + ["--start", "0", "-t", str(_past(2**63, rng))], 5),
+                  (propagate + ["--start", "0", "-t", str(-_past(1, rng))], 5),
+                  (propagate + ["--start", str(_past(2**63, rng)), "-t", "2"], 5),
+                  (["simulate", model, "--start", str(_past(2**63, rng)), "--steps", "3",
+                    "--seed", "1"], 5),
+                  (["simulate", model, "--start", "1", "--steps", "3",
+                    "--seed", str(_past(2**200, rng))], 0)]
+    failures = []
+    for argv, want in cases:
+        code, trace = _run(argv)
+        if code != want:
+            failures.append(f"{argv}: exit {code}, not {want}\n{trace}")
+    assert not failures, f"{len(failures)} failures, the first:\n" + failures[0]

@@ -21,6 +21,7 @@ from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +35,8 @@ from microlump import (AnalysisError, Alphabet, ChoiceDistribution, ConfigSpace,
                        SpacePermutation, Topology, UpdateRule, ValidationError,
                        build_micro_chain, builtin_voter, certify, check_lumpable,
                        enumerate_maps, estimate_matrix, frequency_partition,
-                       half_hypercube_partition, induced_partition, is_chain_symmetric, lump,
+                       half_hypercube_partition, induced_partition, is_chain_symmetric,
+                       load_model, lump,
                        model_fingerprint, moran_partition, orbits, parse_model,
                        parse_presets, read_sparse, serialize_model, simulate, write_partition,
                        write_sparse)
@@ -44,6 +46,7 @@ from conftest import path_topology, random_topology, star_topology
 import oracle
 
 LABELS = ("a", "b", "c")
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def majority_rule(delta, p_majority):
@@ -1274,6 +1277,44 @@ def test_the_estimates_above_include_violations():
     flagged = [len(estimate_matrix(random_model(seed), 3, seed)[0].violations)
                for seed in range(24)]
     assert sum(n > 1 for n in flagged) >= 10
+
+
+def keep_option_model():
+    """Copy a neighbour, or keep the own code: every "keep" draw is a
+    self-loop from every state."""
+    table = {(a, b, opt): (b if opt == 0 else a) for a in range(3) for b in range(3)
+             for opt in range(2)}
+    rule = UpdateRule(arity=2, options=(("copy", Fraction(3, 4)), ("keep", Fraction(1, 4))),
+                      table=table, delta=3)
+    topology = path_topology(4)
+    return ModelSpec(name="keep", alphabet=Alphabet(LABELS), topology=topology, rule=rule,
+                     choice=ChoiceDistribution.uniform_from_topology(topology, 2))
+
+
+@pytest.mark.parametrize("model", list(range(24)) + ["arity one", "skewed", "keep"])
+def test_every_draw_lands_on_an_entry_its_row_stores(model):
+    """What `estimate_matrix` tallies on: the target of every draw of
+    positive weight, from every state, is a stored entry of that state's
+    row (the stay entry included)."""
+    spec = {"arity one": arity_one_model, "skewed": skewed_model,
+            "keep": keep_option_model}.get(model, lambda: random_model(model))()
+    chain = build_micro_chain(spec)
+    stored = set(oracle.grammar_arcs(chain))
+    states = range(chain.n_states)
+    draws = list(zip(spec.draws.nums.tolist(), chainmod.draw_targets(spec, chain.space)))
+    assert all(num > 0 for num, _ in draws)
+    for _, targets in draws:
+        assert set(zip(states, targets.tolist())) <= stored
+
+
+@pytest.mark.parametrize("name", ["voter3", "path3", "majority3"])
+def test_estimates_past_exact_doubles_match_the_reference(name):
+    """Samples per state above 2**53, up to the largest int64: the
+    estimate divides its counts as Python ints."""
+    spec = load_model(SAMPLES / f"{name}.model")
+    for samples in (2**53 + 1, 2**60, 2**63 - 1):
+        report, _ = estimate_matrix(spec, samples, 6)
+        assert report == oracle.estimate_matrix(spec, samples, 6)
 
 
 def trajectory_text(writer, run, space, part=None):
