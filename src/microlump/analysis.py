@@ -21,7 +21,7 @@ import numpy as np
 
 from .chain import Chain, decimal_text, to_floats, to_fractions
 from .errors import AnalysisError, DocumentParseError, ValidationError
-from .lumping import Partition, block_row_sums, lump
+from .lumping import Partition, block_row_sums, group_blocks, lump
 from .model import INT64_MAX, content_lines, int_dtype, to_numerators
 
 RESIDUAL_BOUND = 1e-9
@@ -34,54 +34,40 @@ class Classification:
     recurrent_classes: Tuple[Tuple[int, ...], ...]
 
 
-def _strongly_connected_components(succ: List[List[int]]) -> List[List[int]]:
-    """Tarjan, iterative; components come out in a deterministic order."""
-    n = len(succ)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: List[int] = []
-    components: List[List[int]] = []
-    counter = 0
+def _components(chain: Chain) -> Tuple[np.ndarray, int]:
+    """Kosaraju: each state's strongly connected component id, and the
+    number of ids. The first search lists states as they finish along the
+    entries; the second, in reverse finishing order, gives each unlabelled
+    state and the unlabelled states it reaches against the entries one id."""
+    n, cols, bounds = chain.n_states, chain.cols.tolist(), chain.indptr.tolist()
+    seen, finished = [False] * n, []
     for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, ptr = work[-1]
-            if ptr == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while ptr < len(succ[v]):
-                w = succ[v][ptr]
-                ptr += 1
-                if index[w] == -1:
-                    work[-1] = (v, ptr)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
+        if not seen[root]:
+            seen[root] = True
+            work = [(root, iter(cols[bounds[root]:bounds[root + 1]]))]
+            while work:
+                for w in work[-1][1]:
+                    if not seen[w]:
+                        seen[w] = True
+                        work.append((w, iter(cols[bounds[w]:bounds[w + 1]])))
                         break
-                comp.sort()
-                components.append(comp)
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return components
+                else:  # no unseen successor left: the state finishes
+                    finished.append(work.pop()[0])
+    order = np.argsort(chain.cols, kind="stable")
+    preds = chain.sources[order].tolist()
+    pred_bounds = np.searchsorted(chain.cols[order], np.arange(n + 1)).tolist()
+    comp, count = [-1] * n, 0
+    for root in reversed(finished):
+        if comp[root] < 0:
+            comp[root], todo = count, [root]
+            while todo:
+                v = todo.pop()
+                for w in preds[pred_bounds[v]:pred_bounds[v + 1]]:
+                    if comp[w] < 0:
+                        comp[w] = count
+                        todo.append(w)
+            count += 1
+    return np.array(comp, dtype=np.int64), count
 
 
 def classify_states(chain: Chain) -> Classification:
@@ -91,22 +77,21 @@ def classify_states(chain: Chain) -> Classification:
     to `denom`; a strongly connected component is recurrent when no edge
     leaves it.
     """
-    cols, bounds = chain.cols.tolist(), chain.indptr.tolist()
-    components = _strongly_connected_components(
-        [cols[a:b] for a, b in zip(bounds, bounds[1:])])
-    comp_of = np.zeros(chain.n_states, dtype=np.int64)
-    for cid, comp in enumerate(components):
-        comp_of[comp] = cid
-    src, dst = comp_of[chain.sources], comp_of[chain.cols]
-    leaves = np.zeros(len(components), dtype=bool)
+    comp, count = _components(chain)
+    src, dst = comp[chain.sources], comp[chain.cols]
+    leaves = np.zeros(count, dtype=bool)
     leaves[src[src != dst]] = True
-    recurrent = sorted(tuple(comp) for comp, out in zip(components, leaves) if not out)
-    transient = sorted(x for comp, out in zip(components, leaves) if out for x in comp)
+    closed = np.flatnonzero(~leaves[comp])
+    # closed states grouped by component, each group ascending; a chain of
+    # no states has one empty group, which is no class
+    members, cuts = group_blocks(comp[closed])
+    members, cuts = closed[members].tolist(), cuts.tolist()
+    recurrent = sorted(tuple(members[a:b]) for a, b in zip(cuts, cuts[1:]) if a < b)
     single = np.flatnonzero(np.diff(chain.indptr) == 1)
     first = chain.indptr[single]
     absorbing = single[(chain.cols[first] == single) & (chain.nums[first] == chain.denom)]
     return Classification(absorbing=tuple(absorbing.tolist()),
-                          transient=tuple(transient),
+                          transient=tuple(np.flatnonzero(leaves[comp]).tolist()),
                           recurrent_classes=tuple(recurrent))
 
 

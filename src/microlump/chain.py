@@ -290,12 +290,12 @@ def _written_text(values: np.ndarray) -> str:
 
 
 def write_sparse(chain: Chain, fh: TextIO) -> None:
-    """`states=<n> nnz=<m>` header, then `row col num/den` lines in lowest
-    terms, rows and columns ascending. int64 chunks are formatted as
-    bytes; Python-int chunks, and chunks with a negative entry (only
-    library-built chains that fail validation have one), take a `%`
-    template."""
-    fh.write(f"states={chain.n_states} nnz={chain.nnz()}\n")
+    """`states=<n> nnz=<m>` header, ending in ` exact=0` when the chain is
+    not exact, then `row col num/den` lines in lowest terms, rows and
+    columns ascending. int64 chunks are formatted as bytes; Python-int
+    chunks, and chunks with a negative entry (only library-built chains
+    that fail validation have one), take a `%` template."""
+    fh.write(f"states={chain.n_states} nnz={chain.nnz()}{'' if chain.exact else ' exact=0'}\n")
     for lo in range(0, chain.nnz(), _CHUNK_LINES):
         at = slice(lo, lo + _CHUNK_LINES)
         nums = chain.nums[at]
@@ -431,7 +431,8 @@ def _parse_entries(body: str, fields: Optional[Tuple[np.ndarray, ...]], numbers:
 
 
 def read_sparse(text: str) -> Chain:
-    """Parse the sparse format; entries may be ratios or decimals.
+    """Parse the sparse format; entries may be ratios or decimals. The chain
+    is inexact when one entry is a decimal or the header holds `exact=0`.
 
     After the header, a piece of text the byte gate rejects loses comments,
     blank lines (`content_lines`) and runs of blanks, and meets the gate
@@ -456,7 +457,7 @@ def read_sparse(text: str) -> Chain:
     # it from the next, so a header that lies sizes nothing past the text
     size = min(nnz, (len(text) - start + 1) // 6)
     columns = [np.empty(size, dtype=np.int64) for _ in range(4)]
-    exact, error, found, prev = True, None, 0, (-1, -1)
+    exact, error, found, prev = fields.get("exact") != "0", None, 0, (-1, -1)
     for body in text_pieces(text, start):
         # numbers: the file line of each entry line of `body`, which lost
         # the "\n" ending its last line

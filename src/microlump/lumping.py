@@ -347,6 +347,14 @@ _SPACE = np.frombuffer(b" ", dtype=np.uint8)
 
 
 def write_partition(part: Partition, fh: TextIO) -> None:
+    """One `label: idx idx ...` line per block. A label that would not read
+    back, holding `:`, `#` or a line break or with outer blanks, is refused
+    before anything is written."""
+    bad = next((label for label in part.labels if ":" in label or "#" in label
+                or label.strip() != label or len(label.splitlines()) > 1), None)
+    if bad is not None:
+        raise ValidationError(f"block label {bad!r} cannot be written: it holds ':', '#' "
+                              "or a line break, or has outer blanks")
     bounds = part.indptr.tolist()
     for label, a, b in zip(part.labels, bounds, bounds[1:]):
         fh.write(f"{label}:")

@@ -259,7 +259,7 @@ def read_sparse(text):
     if len(lines) - 1 != nnz:
         raise DocumentParseError(f"expected {nnz} entry lines, found {len(lines) - 1}")
     entries = {}
-    exact = True
+    exact = fields.get("exact") != "0"
     prev = (-1, -1)
     for lineno, line in lines[1:]:
         toks = line.split()

@@ -2,14 +2,15 @@ import io
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from microlump import (AnalysisError, Topology, ValidationError,
+from microlump import (AnalysisError, Chain, Topology, ValidationError,
                        absorption_analysis, aggregate, build_micro_chain,
                        builtin_voter, classify_states,
                        commutation_profile, frequency_partition, lump,
                        moran_partition, point_mass, propagate, read_sparse)
-from microlump.analysis import (absorption_kv, absorption_text,
+from microlump.analysis import (Classification, absorption_kv, absorption_text,
                                 read_distribution, write_distribution)
 from oracle import commutation_check, counts, partition
 from conftest import letter_index
@@ -37,6 +38,26 @@ def test_classify_uniform_chain():
     assert cls.absorbing == ()
     assert cls.transient == ()
     assert cls.recurrent_classes == ((0, 1, 2),)
+
+
+def test_classify_a_chain_of_no_states():
+    chain = Chain(np.array([0]), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 1)
+    assert classify_states(chain) == Classification((), (), ())
+    with pytest.raises(AnalysisError, match="no absorbing state"):
+        absorption_analysis(chain)
+
+
+@pytest.mark.parametrize("step", [1, -1], ids=["up", "down"])
+def test_classify_a_20000_state_line(step):
+    """One-way line of 20,000 states ending in an absorbing state: both
+    searches run as deep as the line, with no recursion."""
+    n = 20000
+    end = n - 1 if step == 1 else 0
+    chain = read_sparse(f"states={n} nnz={n}\n" + "".join(
+        f"{x} {x if x == end else x + step} 1/1\n" for x in range(n)))
+    cls = classify_states(chain)
+    assert cls.absorbing == (end,) and cls.recurrent_classes == ((end,),)
+    assert cls.transient == tuple(x for x in range(n) if x != end)
 
 
 @pytest.mark.parametrize("n", range(2, 7))

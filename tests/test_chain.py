@@ -193,6 +193,23 @@ def test_sparse_import_float_entries():
     assert entry(imported, 0, 1) == Fraction(3, 4)
 
 
+def test_an_inexact_chain_reads_back_inexact():
+    """A decimal import is written as ratios under an `exact=0` header, and
+    reads back, here and in the references, to the same rows, still
+    inexact, and the same bytes."""
+    imported = read_sparse("states=2 nnz=3\n0 0 0.3333333333\n0 1 0.6666666666\n1 1 1\n")
+    assert not imported.exact
+    buf = io.StringIO()
+    write_sparse(imported, buf)
+    assert buf.getvalue().splitlines()[0] == "states=2 nnz=3 exact=0"
+    again = read_sparse(buf.getvalue())
+    assert not again.exact and again.rows == imported.rows
+    assert oracle.read_sparse(buf.getvalue()) == (imported.rows, False)
+    out = io.StringIO()
+    write_sparse(again, out)
+    assert out.getvalue() == buf.getvalue()
+
+
 def test_sparse_import_rejects_bad_rows():
     with pytest.raises(ValidationError, match="sums to"):
         read_sparse("states=1 nnz=1\n0 0 1/2\n")

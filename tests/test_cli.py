@@ -182,6 +182,23 @@ def test_analyze_kv(tmp_path, capsys):
     assert abs(float(kv["absorb[1][0]"]) - 2 / 3) < 1e-9
 
 
+def test_a_lumped_decimal_chain_reads_back_inexact(tmp_path, capsys):
+    """Rows that sum to one only within the tolerance: `lump` marks its
+    output `exact=0`, so `analyze` and `propagate` read it with the same
+    tolerance that let `check-lump` pass."""
+    chain, part, macro = tmp_path / "d.sparse", tmp_path / "d.part", tmp_path / "d.macro"
+    chain.write_text("states=2 nnz=3\n0 0 0.3333333333\n0 1 0.6666666666\n1 1 1\n")
+    part.write_text("x: 0\ny: 1\n")
+    assert run(capsys, "check-lump", str(chain), str(part))[0] == 0
+    assert run(capsys, "lump", str(chain), str(part), "-o", str(macro))[0] == 0
+    assert macro.read_text().splitlines()[0] == "states=2 nnz=3 exact=0"
+    code, out, err = run(capsys, "analyze", str(macro))
+    assert code == 0 and err == "" and "absorbing states: 1" in out
+    code, out, _ = run(capsys, "propagate", str(macro), "--start", "0", "-t", "1")
+    assert code == 0
+    assert out == "0 3333333333/10000000000\n1 3333333333/5000000000\n"
+
+
 def test_propagate_point_mass(tmp_path, capsys):
     chain = tmp_path / "chain.sparse"
     run(capsys, "compile", VOTER3, "-o", str(chain))

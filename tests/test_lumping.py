@@ -1,4 +1,5 @@
 import io
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from microlump import (ConfigSpace, NotLumpableError, Topology,
                        induced_partition, lump, moran_partition, orbits,
                        parse_presets, read_partition, singleton_partition,
                        write_partition)
-from microlump.lumping import block_row_sums, count_classes
+from microlump.lumping import Partition, block_row_sums, count_classes
 import oracle
 from oracle import entry, partition, same_blocks
 from conftest import letter_index
@@ -218,6 +219,24 @@ def test_partition_file_roundtrip(voter3_chain):
     again = read_partition(buf.getvalue())
     assert again.blocks == part.blocks
     assert again.labels == part.labels
+
+
+@pytest.mark.parametrize("labels", [(" a", "b"), ("a:b", "c"), ("x # y", "z"), ("p\nq", "r")])
+def test_a_label_that_would_not_read_back_is_refused_unwritten(labels):
+    """Outer blanks would be stripped, and `:`, `#` or a line break would
+    break the line; the first such label is named and nothing is written."""
+    buf = io.StringIO()
+    with pytest.raises(ValidationError, match=re.escape(repr(labels[0]))):
+        write_partition(Partition(np.arange(4), [0, 2, 4], labels), buf)
+    assert buf.getvalue() == ""
+
+
+def test_the_empty_label_round_trips():
+    buf = io.StringIO()
+    write_partition(Partition(np.arange(4), [0, 2, 4], ("", "b")), buf)
+    assert buf.getvalue() == ": 0 1\nb: 2 3\n"
+    again = read_partition(buf.getvalue())
+    assert again.labels == ("", "b") and again.blocks == ((0, 1), (2, 3))
 
 
 def test_partition_chain_size_mismatch(voter3_chain):

@@ -992,6 +992,59 @@ def test_large_denominators_match_the_references(dtype, rows):
                    parts, 9)
 
 
+def digraph_chain(succ):
+    """The chain that moves uniformly to one of each state's successors,
+    read back from the references' text, and its Fraction rows."""
+    rows = tuple(tuple((y, Fraction(1, len(out))) for y in sorted(out)) for out in succ)
+    return read_sparse(sparse_text(oracle.write_sparse, rows)), rows
+
+
+def random_digraph(rng, n, loops):
+    """Uniform successor picks, one per state eight times in ten, else two
+    or three, so that several closed classes form. Without `loops` a pick
+    of the state itself moves on to the next state; with them a state gains
+    a self-loop one time in four, and keeps only that one time in 50."""
+    succ = [{(y + (y == x and not loops)) % n
+             for y in rng.choices(range(n), k=rng.choice((1,) * 8 + (2, 3)))} for x in range(n)]
+    for x, out in enumerate(succ):
+        if loops and rng.random() < 0.25:
+            out.add(x)
+        if loops and rng.random() < 0.02:
+            succ[x] = {x}
+    return succ
+
+
+@pytest.mark.parametrize("loops", [False, True], ids=["no-loops", "loops"])
+@pytest.mark.parametrize("seed", range(8))
+def test_classes_of_random_sparse_digraphs(seed, loops):
+    rng = random.Random(7100 + seed)
+    chain, rows = digraph_chain(random_digraph(rng, rng.randint(2, 300), loops))
+    assert classify_states(chain) == oracle.classify_states(rows)
+
+
+# successor sets, then the absorbing states, the transient states and the
+# recurrent classes they have
+DIGRAPHS = {
+    "closed-classes": ([{1, 2}, {4}, {5}, {0, 3}, {7}, {2, 8}, {3, 6}, {1, 4}, {5}],
+                       (), (0, 3, 6), ((1, 4, 7), (2, 5, 8))),
+    "transient-cycle-feeds-two": ([{1}, {2, 5}, {0, 3}, {4}, {3}, {6}, {5, 6}],
+                                  (), (0, 1, 2), ((3, 4), (5, 6))),
+    "reached-by-a-long-path": ([{x + 1} for x in range(58)] + [{59}, {58}],
+                               (), tuple(range(58)), ((58, 59),)),
+    "isolated-absorbing": ([{0}, {2}, {1, 3}, {3}, {4}, {1, 5}],
+                           (0, 3, 4), (1, 2, 5), ((0,), (3,), (4,))),
+}
+
+
+@pytest.mark.parametrize("name", DIGRAPHS)
+def test_classes_of_shaped_digraphs(name):
+    succ, absorbing, transient, recurrent = DIGRAPHS[name]
+    chain, rows = digraph_chain(succ)
+    cls = classify_states(chain)
+    assert cls == oracle.classify_states(rows)
+    assert (cls.absorbing, cls.transient, cls.recurrent_classes) == (absorbing, transient, recurrent)
+
+
 @pytest.mark.parametrize("last", ["1", "0.99999999999"])
 def test_decimal_chain_matches_the_references(last):
     """Decimal entries whose rows sum to one only within the tolerance:
