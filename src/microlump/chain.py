@@ -95,7 +95,7 @@ def apply_draws(spec: ModelSpec, space: ConfigSpace
 def draw_targets(spec: ModelSpec, space: ConfigSpace) -> Iterator[np.ndarray]:
     """Per draw, in `enumerate_maps` order: the index of the state each
     state of `space` moves to."""
-    states = np.arange(space.size, dtype=np.int64)
+    states = np.arange(len(space.codes_matrix), dtype=np.int64)  # refuses indices past int64
     for tup, _, cur, new in apply_draws(spec, space):
         yield states + (new - cur) * space.radix[tup[0]]
 
@@ -193,6 +193,7 @@ def build_micro_chain(spec: ModelSpec, cap: Optional[int] = None) -> Chain:
     column takes the rest of each row, which comes out exactly stochastic.
     """
     space = spec.space(cap)
+    codes = space.codes_matrix  # before any array over the states: refuses indices past int64
     n, delta, size = spec.n_agents, spec.delta, space.size
     denom = spec.draws.denom
     other = delta - 1
@@ -207,7 +208,7 @@ def build_micro_chain(spec: ModelSpec, cap: Optional[int] = None) -> Chain:
 
     states = np.arange(size, dtype=np.int64)
     k = np.arange(other)
-    cur = space.codes_matrix[:, :, None]
+    cur = codes[:, :, None]
     targets = states[:, None, None] + (k + (k >= cur) - cur) * space.radix[:, None]
     targets = np.concatenate([targets.reshape(size, -1), states[:, None]], axis=1)
     values = np.concatenate([slots.reshape(size, -1),

@@ -107,21 +107,16 @@ def count_label(counts: Sequence[int]) -> str:
     return "⟨" + ",".join(str(int(k)) for k in counts) + "⟩"
 
 
-def count_classes(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What np.unique(counts, axis=0) returns with return_index,
-    return_inverse and return_counts, without its row-wise sort: the rows
-    fold into one mixed-radix int64 key, ranked by one 1-D np.unique (a
-    radix sort within 16 bits); a fold that would pass 2**62 ranks first."""
-    key, bound = np.zeros(len(counts), dtype=np.int64), 1
-    for col in counts.T:
-        top = int(col.max()) + 1
-        if bound * top > 1 << 62:
-            key = np.unique(key, return_inverse=True)[1]
-            bound = int(key.max()) + 1
-        key, bound = key * top + col, bound * top
-    _, first, key, sizes = np.unique(key.astype(np.min_scalar_type(bound - 1)), return_index=True,
-                                     return_inverse=True, return_counts=True)
-    return first, key, sizes
+def rank_minima(low: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The states that `low`, each state's least orbit member, names,
+    ascending, and each state's rank among them: that of low[x]. Ranks
+    take the narrowest unsigned type, whose keys sort by radix."""
+    named = np.zeros(len(low), dtype=bool)
+    named[low] = True
+    reps = np.flatnonzero(named)
+    rank = np.cumsum(named, dtype=np.min_scalar_type(len(reps)))[low]
+    rank -= 1
+    return reps, rank
 
 
 def frequency_partition(space: ConfigSpace) -> Partition:
@@ -130,10 +125,9 @@ def frequency_partition(space: ConfigSpace) -> Partition:
     Block count is the number of ways to split N agents over delta codes,
     C(N+delta-1, delta-1); blocks are ordered by smallest member state.
     """
-    counts = space.counts_matrix
-    first, inverse, _ = count_classes(counts)
-    members, indptr = group_blocks(first[inverse])
-    return Partition(members, indptr, tuple(map(count_label, counts[members[indptr[:-1]]])))
+    reps, rank = rank_minima(space.smallest_images([0] * space.n_agents))
+    return Partition(*group_blocks(rank), tuple(count_label(map(row.count, range(space.delta)))
+                                                for row in space.codes_matrix[reps].tolist()))
 
 
 def moran_partition(space: ConfigSpace, distinguished: int = 0) -> Partition:
@@ -141,7 +135,8 @@ def moran_partition(space: ConfigSpace, distinguished: int = 0) -> Partition:
     code; coincides with the count partition when there are two codes."""
     if not 0 <= distinguished < space.delta:
         raise ValidationError(f"attribute code {distinguished} out of range")
-    return Partition(*group_blocks(space.counts_matrix[:, distinguished]),
+    # a count fits in a byte: an indexed space has at most 62 agents
+    return Partition(*group_blocks((space.codes_matrix == distinguished).sum(1, dtype=np.uint8)),
                      tuple(f"X_{k}" for k in range(space.n_agents + 1)))
 
 
@@ -151,7 +146,7 @@ def half_hypercube_partition(space: ConfigSpace) -> Partition:
     if space.delta != 2:
         raise ValidationError("half-hypercube reduction needs exactly two codes")
     n = space.n_agents
-    tallies = space.counts_matrix[:, 0]
+    tallies = (space.codes_matrix == 0).sum(1, dtype=np.uint8)
     return Partition(*group_blocks(np.minimum(tallies, n - tallies)),
                      tuple(f"Y_{k}" for k in range(n // 2 + 1)))
 

@@ -103,7 +103,12 @@ class ConfigSpace:
 
     @cached_property
     def codes_matrix(self) -> np.ndarray:
-        """(size, n_agents) array of attribute codes, row i = config_of(i)."""
+        """(size, n_agents) array of attribute codes, row i = config_of(i).
+        Arrays over every state are made after it, and it refuses a space
+        whose state indices would not fit in int64."""
+        if self.size > np.iinfo(np.int64).max:
+            raise CapExceededError(f"state space has {self.size} configurations, past the "
+                                   f"int64 index limit {np.iinfo(np.int64).max}")
         dtype = np.min_scalar_type(self.delta - 1)
         out = np.empty((self.size, self.n_agents), dtype=dtype)
         idx = np.arange(self.size, dtype=np.int64)
@@ -112,14 +117,30 @@ class ConfigSpace:
             out[:, i] = rem
         return out
 
-    @cached_property
-    def counts_matrix(self) -> np.ndarray:
-        """(size, delta) array; row i = counts(config_of(i))."""
-        codes = self.codes_matrix
-        out = np.empty((self.size, self.delta), dtype=np.int64)
-        for s in range(self.delta):
-            out[:, s] = (codes == s).sum(axis=1)
-        return out
+    def smallest_images(self, agent_classes: Sequence[int]) -> np.ndarray:
+        """Each state's smallest image under the symmetric groups on the
+        classes of agents, agents sharing a class where `agent_classes`
+        holds equal values. That image puts a class's codes in descending
+        order on its agents in ascending order: where u_s of them hold code
+        s or more, its first u_s agents gain one for each s from 1 up."""
+        codes, low = self.codes_matrix, np.arange(self.size, dtype=np.int64)
+        classes = np.asarray(agent_classes)
+        for c in np.unique(classes):
+            cols = np.flatnonzero(classes == c)
+            if len(cols) < 2:
+                continue
+            # the class's digits leave the index one run of agents at a time,
+            # read from `low`: the classes done so far changed only their own
+            for run in np.split(cols, np.flatnonzero(np.diff(cols) > 1) + 1):
+                unit = int(self.radix[run[0]])
+                low -= low // unit % self.delta ** len(run) * unit
+            places = np.concatenate(([0], np.cumsum(self.radix[cols])))
+            for s in range(1, self.delta):
+                held = np.zeros(self.size, dtype=np.uint8)  # of at most 62 agents
+                for i in cols:
+                    held += codes[:, i] >= s
+                low += places[held]
+        return low
 
     def format_config(self, config: Sequence[int]) -> str:
         config = self.check_config(config)

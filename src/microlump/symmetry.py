@@ -5,8 +5,8 @@ draw and rule tables, and the invariance test on the matrix itself.
 A space permutation reorders agents and relabels codes at once: position
 i of the image holds the relabeled code the source kept at its preimage.
 Groups are never enumerated. Orbits come from label propagation over the
-generators, over per-class count classes where agent transpositions allow
-it; the invariance check on generators extends to the group by closure.
+generators, over each agent-class orbit's smallest member where agent
+transpositions allow it; the invariance check extends to the group by closure.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .chain import rule_table
 from .errors import DocumentParseError, ValidationError
-from .lumping import Partition, count_classes, count_label, group_blocks, lookup
+from .lumping import Partition, count_label, group_blocks, lookup, rank_minima
 from .model import ModelSpec, content_lines
 from .space import Config, ConfigSpace
 
@@ -232,66 +232,38 @@ def _min_labels(size: int, images: Sequence[np.ndarray]) -> np.ndarray:
 def orbits(space: ConfigSpace, gens: GeneratorSet) -> Partition:
     """Orbit partition of the generated group, by min-label propagation.
     Pure agent transpositions generate the symmetric groups on the classes
-    of agents they join, whose orbits are the states with equal per-class
-    code counts. When there is one and every other generator maps each
-    class onto a class, propagation runs over these count classes alone,
-    the others applied to each one's smallest state; else over all states.
-    Blocks are ordered by smallest member and labeled with their count
-    vector when they are one whole count class, else `O<i>`."""
+    of agents they join, whose orbits are named by their smallest members.
+    When every other generator maps each class onto a class, propagation
+    runs over those members alone; else every agent is a class of its own
+    and every generator propagates. Blocks are ordered by smallest member
+    and labeled with their count vector when they are one whole count
+    class, else `O<i>`."""
+    n = space.n_agents
     for perm in gens.perms:
-        perm.check_dims(space.n_agents, space.delta)
+        perm.check_dims(n, space.delta)
     pure = [p for p in gens.perms if p.attrs == tuple(range(space.delta))
             and sum(i != j for i, j in enumerate(p.agents)) == 2]
     others = [p for p in gens.perms if p not in pure]
-    agent_cls = _min_labels(space.n_agents, [np.array(p.agents) for p in pure]).tolist()
-    counts, codes = space.counts_matrix, space.codes_matrix
-    first, cls, class_size = count_classes(counts)
-    if not pure or any(len(set(zip(agent_cls, map(agent_cls.__getitem__, p.agents))))
-                       > len(set(agent_cls)) for p in others):
-        label = _min_labels(space.size, [perm.index_map(space) for perm in gens.perms])
-        members, indptr = group_blocks(label)
-    else:
-        # reps: each class's smallest state, ascending; key: each state's class
-        if len(set(agent_cls)) == 1:  # one class holds every agent: the counts
-            order = np.argsort(first)
-            rank = np.empty_like(order)
-            rank[order] = np.arange(len(order))
-            reps, key = first[order], rank[cls]
-        else:
-            # a state's smallest image puts each class's codes in descending
-            # order on its agents in ascending order: code s takes the places
-            # after those of the higher codes
-            index = np.arange(space.size, dtype=np.int64)
-            low = index.copy()
-            for c in set(agent_cls):
-                cols = np.flatnonzero(np.equal(agent_cls, c))
-                if len(cols) > 1:
-                    # the class's digits leave the index one run of agents at a time
-                    for run in np.split(cols, np.flatnonzero(np.diff(cols) > 1) + 1):
-                        unit = int(space.radix[run[0]])
-                        low -= index // unit % space.delta ** len(run) * unit
-                    sub = codes[:, cols]
-                    places, taken = np.concatenate(([0], np.cumsum(space.radix[cols]))), 0
-                    for s in range(space.delta - 1, 0, -1):
-                        count = (sub == s).sum(axis=1)
-                        low += s * (places[taken + count] - places[taken])
-                        taken = taken + count
-            smallest = np.zeros(space.size, dtype=bool)
-            smallest[low] = True
-            reps, key = np.flatnonzero(smallest), np.cumsum(smallest)[low] - 1
-        orbit = _min_labels(len(reps), [key[perm.image_index(space, codes[reps])]
-                                        for perm in others])
-        orbit = orbit.astype(np.min_scalar_type(len(reps)))[key]  # narrow keys sort by radix
-        label = reps[orbit]
-        members, indptr = group_blocks(orbit)
+    agent_cls = _min_labels(n, [np.array(p.agents) for p in pure]).tolist()
+    if any(len(set(zip(agent_cls, map(agent_cls.__getitem__, p.agents)))) > len(set(agent_cls))
+           for p in others):
+        agent_cls, others = list(range(n)), gens.perms
+    # reps: each class orbit's smallest state, ascending; key: each state's rep
+    reps, key = rank_minima(space.smallest_images(agent_cls))
+    codes = space.codes_matrix
+    rows = codes if len(reps) == space.size else codes[reps]
+    orbit = _min_labels(len(reps), [key[perm.image_index(space, rows)] for perm in others])
+    orbit = orbit.astype(key.dtype)[key]
+    members, indptr = group_blocks(orbit)
     # count labels only for whole count classes, so labels stay unique and
-    # mean what they say; label[x] is the first member of x's block
-    firsts, mixed = members[indptr[:-1]], label[cls != cls[label]]
-    whole = np.flatnonzero((np.diff(indptr) == class_size[cls[firsts]])
-                           & ~np.isin(firsts, mixed))
+    # mean what they say; reps[orbit] is each state's block's first member
+    cls = key if len(set(agent_cls)) == 1 else rank_minima(space.smallest_images([0] * n))[1]
+    firsts, mixed = members[indptr[:-1]], orbit[cls != cls[reps][orbit]]
+    whole = np.flatnonzero((np.diff(indptr) == np.bincount(cls)[cls[firsts]])
+                           & ~np.isin(orbit[firsts], mixed))
     labels = [f"O{bid}" for bid in range(len(firsts))]
-    for bid, row in zip(whole.tolist(), counts[firsts[whole]].tolist()):
-        labels[bid] = count_label(row)
+    for bid, row in zip(whole.tolist(), codes[firsts[whole]].tolist()):
+        labels[bid] = count_label(map(row.count, range(space.delta)))
     return Partition(members, indptr, tuple(labels))
 
 

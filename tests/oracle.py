@@ -11,7 +11,9 @@ dict-loop validation, `block_of` fill, tuple `group_blocks` and
 `induced_partition` loop that the member/indptr arrays replaced;
 `partition` builds the package's `Partition` from that tuple form.
 `orbits` is the union-find over generator edges that min-label
-propagation replaced, and `write_partition` the writer that formats a
+propagation replaced, and `smallest_images` the brute force over every
+agent permutation that keeps each agent's class, against the closed form
+of `ConfigSpace.smallest_images`. `write_partition` is the writer that formats a
 block's whole line at once. `read_partition` is the reader that converts
 every index with int() into a list, which the byte pass over the writer's
 bodies replaced.
@@ -42,6 +44,7 @@ called.
 
 import bisect
 import io
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -429,18 +432,35 @@ def orbits(space, gens):
         for x in moved.tolist():
             uf.union(x, int(image[x]))
     blocks = group_blocks([uf.find(x) for x in range(space.size)])
-    counts = space.counts_matrix
-    _, cls, class_size = np.unique(counts, axis=0, return_inverse=True,
+    tallies = np.array([counts(space, space.config_of(x)) for x in range(space.size)])
+    _, cls, class_size = np.unique(tallies, axis=0, return_inverse=True,
                                    return_counts=True)
     cls = cls.reshape(-1)
     labels = []
     for bid, members in enumerate(blocks):
         first = cls[members[0]]
         if len(members) == class_size[first] and bool((cls[list(members)] == first).all()):
-            labels.append(count_label(counts[members[0]]))
+            labels.append(count_label(tallies[members[0]]))
         else:
             labels.append(f"O{bid}")
     return TuplePartition(blocks, tuple(labels))
+
+
+def smallest_images(space, agent_classes):
+    """Each state's least index under every agent permutation that keeps
+    each agent in its class, the permutations taken one at a time."""
+    n = space.n_agents
+    codes = np.array(list(itertools.product(range(space.delta), repeat=n)))[:, ::-1]
+    radix = space.delta ** np.arange(n)
+    classes = [[i for i in range(n) if agent_classes[i] == c] for c in set(agent_classes)]
+    low = codes @ radix
+    for images in itertools.product(*map(itertools.permutations, classes)):
+        source = list(range(n))  # position j takes the code of agent source[j]
+        for members, image in zip(classes, images):
+            for i, j in zip(members, image):
+                source[j] = i
+        low = np.minimum(low, codes[:, source] @ radix)
+    return low
 
 
 def block_row_sums(rows, part, state):

@@ -135,6 +135,46 @@ def test_every_verb_that_enumerates_states_keeps_the_cap(capsys, monkeypatch, ar
     assert err == "error: MICROLUMP_CAP must be an integer, got 'abc'\n"
 
 
+VOTER64 = ("[model]\nattributes = black, white\n[topology]\ncomplete 64\n"
+           "[rule]\nbuiltin voter\n[choice]\nfrom-topology uniform\n")
+PAST_INT64 = {
+    "compile": ["compile"],
+    "orbits": ["orbits"],
+    "estimate": ["estimate", "--seed", "1"],
+    "maps-table": ["maps", "--table"],
+}
+
+
+@pytest.mark.parametrize("argv", PAST_INT64.values(), ids=PAST_INT64)
+def test_a_space_past_int64_indices_exceeds_the_cap(tmp_path, capsys, argv):
+    """2**64 states under a cap of 2**101: exit 6 and one line, before any
+    array over the states is asked for; reading the model and its 4032
+    draws takes about 1 MB."""
+    model = tmp_path / "voter64.model"
+    model.write_text(VOTER64)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, argv[0], str(model), *argv[1:], "--cap", str(2 ** 101))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (6, "")
+    assert err == (f"cap exceeded: state space has {2 ** 64} configurations, "
+                   f"past the int64 index limit {2 ** 63 - 1}\n")
+    assert peak < 1 << 22
+
+
+def test_check_sym_and_simulate_past_int64_indices_enumerate_nothing(tmp_path, capsys):
+    """A passing certificate and a walk from the last of 2**64 states."""
+    model = tmp_path / "voter64.model"
+    model.write_text(VOTER64)
+    cap = str(2 ** 101)
+    assert run(capsys, "check-sym", str(model), "--cap", cap) == (0, "symmetric under SN\n", "")
+    code, out, _ = run(capsys, "simulate", str(model), "--start", str(2 ** 64 - 1),
+                       "--steps", "3", "--seed", "1", "--cap", cap)
+    assert code == 0 and out.splitlines()[1] == "(" + ",".join(["white"] * 64) + ")"
+
+
 def test_estimate_reports_a_bad_environment_cap_before_its_arguments(capsys, monkeypatch):
     monkeypatch.setenv("MICROLUMP_CAP", "abc")
     for argv in (["--samples", "0", "--seed", "1"], ["--samples", "10", "--seed", "-1"]):

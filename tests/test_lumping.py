@@ -12,7 +12,7 @@ from microlump import (ConfigSpace, NotLumpableError, Topology,
                        induced_partition, lump, moran_partition, orbits,
                        parse_presets, read_partition, singleton_partition,
                        write_partition)
-from microlump.lumping import Partition, block_row_sums, count_classes
+from microlump.lumping import Partition, block_row_sums
 import oracle
 from oracle import entry, partition, same_blocks
 from conftest import letter_index
@@ -271,16 +271,6 @@ def _reference_blocks(keys, by_first_member):
 
 def _count_label(counts):
     return "⟨" + ",".join(map(str, counts)) + "⟩"
-
-
-@pytest.mark.parametrize("n,delta", [(1, 2), (12, 2), (16, 2), (7, 3), (10, 3), (3, 5)])
-def test_count_classes_match_the_row_wise_unique(n, delta):
-    counts = ConfigSpace(n, delta).counts_matrix
-    ref = np.unique(counts, axis=0, return_index=True, return_inverse=True,
-                    return_counts=True)[1:]
-    got = count_classes(counts)
-    for a, b in zip(ref, got):
-        assert b.dtype == np.int64 and np.array_equal(a.reshape(-1), b)
 
 
 @pytest.mark.parametrize("n,delta", [(3, 2), (6, 2), (3, 3), (4, 3), (2, 4)])

@@ -1,16 +1,17 @@
 """Peak traced bytes of the sparse reader, the block-sum test and the
 partition reader on compiled voters, against the arrays they return or
-read: each bound holds with room to spare and fails if a full-size copy
-of the input or an unneeded full-size temporary comes back."""
+read, and of the partition builders per state: each bound holds with room
+to spare and fails if a full-size copy of the input or an unneeded
+full-size temporary comes back."""
 
 import io
 import tracemalloc
 
 import pytest
 
-from microlump import (Topology, build_micro_chain, builtin_voter, check_lumpable,
-                       frequency_partition, read_partition, read_sparse, write_partition,
-                       write_sparse)
+from microlump import (ConfigSpace, Topology, agent_symmetric_group, build_micro_chain,
+                       builtin_voter, check_lumpable, frequency_partition, moran_partition,
+                       orbits, read_partition, read_sparse, write_partition, write_sparse)
 
 
 @pytest.fixture(scope="module", params=[(2, 12), (3, 8)], ids=["delta2-N12", "delta3-N8"])
@@ -54,3 +55,22 @@ def test_the_partition_reader_peaks_below_two_and_a_half_times_its_members(voter
     read, peak = traced_peak(read_partition, buf.getvalue())
     assert read.labels == part.labels
     assert peak <= 2.5 * read.members.nbytes
+
+
+BUILDERS = {
+    "orbits-SN": lambda space: orbits(space, agent_symmetric_group(space.n_agents, space.delta)),
+    "frequency": frequency_partition,
+    "moran": moran_partition,
+}
+
+
+@pytest.mark.parametrize("delta, n", [(3, 10), (4, 8)], ids=["delta3-N10", "delta4-N8"])
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS)
+def test_the_partition_builders_peak_below_55_bytes_per_state(delta, n, build):
+    """On cached code rows: the 8-byte members the partition returns, and
+    no full-size per-code count table beside them."""
+    space = ConfigSpace(n, delta)
+    space.codes_matrix
+    part, peak = traced_peak(build, space)
+    assert part.n_states == space.size
+    assert peak <= 55 * space.size

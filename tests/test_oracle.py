@@ -625,6 +625,24 @@ def test_the_star_lumps_into_hub_code_by_leaf_count_blocks():
     assert part.n_blocks == 14 and part.labels[:3] == ("⟨7,0⟩", "O1", "O2")
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_smallest_images_match_the_permutation_reference(seed):
+    """Random agent-class maps, whose classes need not be runs of agents
+    and may hold one agent, then one class and every agent alone; the
+    count partition is the orbit partition of SN, labels included."""
+    rng = random.Random(300 + seed)
+    n, delta = rng.randint(1, 7), rng.randint(2, 4)
+    space = ConfigSpace(n, delta)
+    k = rng.randint(1, n)
+    for classes in ([rng.randrange(k) for _ in range(n)], [0] * n, list(range(n))):
+        got = space.smallest_images(classes)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, oracle.smallest_images(space, classes)), classes
+    sn = orbits(space, parse_presets("SN", n, delta))
+    freq = frequency_partition(space)
+    assert (freq.blocks, freq.labels) == (sn.blocks, sn.labels)
+
+
 PRESETS = {2: ("SN", "Sdelta", "Sdelta-1:0", "flip", "full"),
            3: ("SN", "Sdelta", "Sdelta-1:0", "Sdelta-1:2", "full"),
            4: ("SN", "Sdelta", "Sdelta-1:1", "full")}
@@ -685,7 +703,8 @@ def test_partition_arrays_match_the_tuple_reference(seed):
     rng = random.Random(2000 + seed)
     spec = random_model(seed)
     space = ConfigSpace(spec.n_agents, spec.delta)
-    n, counts = space.n_agents, space.counts_matrix
+    n = space.n_agents
+    counts = np.array([oracle.counts(space, space.config_of(x)) for x in range(space.size)])
     _, first, inverse = np.unique(counts, axis=0, return_index=True, return_inverse=True)
     freq = oracle.group_blocks(first[inverse.reshape(-1)])
     pairs = [(orbits(space, gens), oracle.orbits(space, gens))

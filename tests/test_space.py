@@ -110,10 +110,14 @@ def test_codes_matrix_matches_config_of():
 
 
 def test_counts_matrix_matches_counts():
+    """Count vectors read from the code rows, and kept by each state's
+    smallest image over one class of every agent."""
     space = ConfigSpace(3, 3)
+    low = space.smallest_images([0, 0, 0])
     for idx in range(space.size):
-        row = space.counts_matrix[idx]
-        assert tuple(int(k) for k in row) == counts(space, space.config_of(idx))
+        want = counts(space, space.config_of(idx))
+        assert tuple(map(space.codes_matrix[idx].tolist().count, range(3))) == want
+        assert counts(space, space.config_of(int(low[idx]))) == want
 
 
 def test_format_config():

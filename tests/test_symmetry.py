@@ -114,7 +114,7 @@ def test_agent_orbits_build_no_index_map_per_generator():
     """SN's 15 transpositions at delta=2, N=16 collapse to count classes:
     the peak stays below half of what their index maps alone would hold."""
     space = ConfigSpace(16, 2)
-    space.codes_matrix, space.counts_matrix  # cached before the measurement
+    space.codes_matrix  # cached before the measurement
     gens = agent_symmetric_group(16, 2)
     tracemalloc.start()
     try:
