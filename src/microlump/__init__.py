@@ -5,8 +5,8 @@ verify proposed symmetries, reduce the chain over lumpable partitions,
 analyze absorption, and validate everything against a seeded simulator.
 """
 
-from .analysis import (absorption_analysis, aggregate, classify_states,
-                       commutation_profile, point_mass, propagate)
+from .analysis import (absorption_analysis, classify_states, commutation_profile,
+                       point_mass, propagate)
 from .chain import (Chain, RandomMap, build_micro_chain, enumerate_maps,
                     load_chain, read_sparse, write_sparse)
 from .errors import (AnalysisError, CapExceededError, DocumentParseError,

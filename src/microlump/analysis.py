@@ -261,13 +261,6 @@ def propagate(chain: Chain, mu: Sequence[Fraction], t: int) -> List[Fraction]:
     return to_fractions(nums, denom)
 
 
-def aggregate(mu: Sequence[Fraction], part: Partition) -> List[Fraction]:
-    """Block-wise mass of a micro distribution."""
-    part.check_covers(len(mu))
-    nums, denom = to_numerators(mu)
-    return to_fractions(_block_mass(nums, part), denom)
-
-
 def commutation_profile(chain: Chain, part: Partition, mu0: Sequence[Fraction],
                         t_max: int, force: bool = False) -> List[Fraction]:
     """Max block-mass discrepancy between aggregate-then-step and

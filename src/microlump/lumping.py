@@ -221,13 +221,6 @@ def _block_sums(chain, block_of: np.ndarray, n_blocks: int, own: bool):
     return keys // n_blocks, keys % n_blocks, sums, order[starts]
 
 
-def lookup(keys: np.ndarray, values: np.ndarray, want: np.ndarray) -> np.ndarray:
-    """The value at each key of `want` in the ascending, non-empty `keys`,
-    0 where `keys` misses it."""
-    pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-    return np.where(keys[pos] == want, values[pos], 0)
-
-
 def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Concatenated index ranges starts[i] : starts[i] + lengths[i]."""
     offsets = np.cumsum(lengths) - lengths
@@ -276,18 +269,18 @@ def check_lumpable(chain, part: Partition, tol: Optional[float] = None,
     states, blocks, sums, reach = _block_sums(chain, block_of, n_blocks, own=tol is not None)
     if not len(states):
         return LumpVerdict(True)
-    keys = states * n_blocks + blocks
     ref = np.minimum.reduceat(part.members, part.indptr[:-1])[block_of]
-    # each state's sums against its reference's, then the reference's
-    # sums against every member of its block
-    bad_own = abs(sums - lookup(keys, sums, ref[states] * n_blocks + blocks)) > limit
+    # each state's row of (block, sum) pairs against its reference's, pair
+    # by pair: a state is flagged when the rows differ in length, or an
+    # aligned pair in block or by more than `limit` in sum
     ptr = np.searchsorted(states, np.arange(chain.n_states + 1))
-    lengths = np.diff(ptr)[ref]
-    members = np.repeat(np.arange(chain.n_states), lengths)
-    at = _spans(ptr[ref], lengths)
-    bad_ref = abs(lookup(keys, sums, members * n_blocks + blocks[at]) - sums[at]) > limit
-    flagged = np.unique(np.concatenate((states[bad_own], members[bad_ref])))
-    flagged = flagged[ref[flagged] != flagged]
+    lengths = np.diff(ptr)
+    flag = lengths != lengths[ref]
+    at = np.arange(len(states))
+    at += (ptr[ref] - ptr[:-1])[states]
+    np.minimum(at, len(states) - 1, out=at)
+    flag[states[(blocks != blocks[at]) | (abs(sums - sums[at]) > limit)]] = True
+    flagged = np.flatnonzero(flag)
     if not len(flagged):
         return LumpVerdict(True)
 

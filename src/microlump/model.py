@@ -276,9 +276,6 @@ class UpdateRule:
             if not 0 <= out < self.delta:
                 raise ValidationError(f"table output {out} out of range")
 
-    def result(self, args: Sequence[int], option: int) -> int:
-        return self.table[tuple(args) + (option,)]
-
     def option_label(self, option: int) -> str:
         return self.options[option][0]
 

@@ -249,9 +249,6 @@ class EstimateReport:
     max_abs_dev: float
     violations: Tuple[Deviation, ...]    # entries beyond their 3-sigma bound
 
-    def empirical(self, x: int, y: int) -> float:
-        return self.counts[x].get(y, 0) / self.samples_per_state
-
 
 def _row_deviations(x: int, targets: List[int], drawn: List[int], cols: List[int],
                     probs: List[float], samples: int) -> List[Deviation]:

@@ -19,9 +19,9 @@ import numpy as np
 
 from .chain import rule_table
 from .errors import DocumentParseError, ValidationError
-from .lumping import Partition, count_label, group_blocks, lookup, rank_minima
+from .lumping import Partition, count_label, group_blocks, rank_minima
 from .model import ModelSpec, content_lines
-from .space import Config, ConfigSpace
+from .space import ConfigSpace
 
 
 def _check_perm(p: Tuple[int, ...], what: str) -> None:
@@ -44,16 +44,6 @@ class SpacePermutation:
     def identity(cls, n_agents: int, delta: int) -> "SpacePermutation":
         return cls(tuple(range(n_agents)), tuple(range(delta)))
 
-    def apply(self, config: Sequence[int]) -> Config:
-        out = [0] * len(self.agents)
-        for i, code in enumerate(config):
-            out[self.agents[i]] = self.attrs[code]
-        return tuple(out)
-
-    def inverse(self) -> "SpacePermutation":
-        return SpacePermutation(*(tuple(sorted(range(len(p)), key=p.__getitem__))
-                                  for p in (self.agents, self.attrs)))
-
     def check_dims(self, n_agents: int, delta: int) -> None:
         if len(self.agents) != n_agents or len(self.attrs) != delta:
             raise ValidationError("permutation dimensions do not match the space")
@@ -62,10 +52,16 @@ class SpacePermutation:
         """Indices of the images of the configurations `codes` holds as
         code rows: all of `space.codes_matrix` or a subset of its rows."""
         self.check_dims(space.n_agents, space.delta)
-        return np.array(self.attrs)[codes[:, list(self.inverse().agents)]] @ space.radix
+        # Horner's rule, highest image position first: position agents[i]
+        # holds attrs[c] where agent i holds c; one narrow column a step
+        attrs, out = np.array(self.attrs, dtype=codes.dtype), np.zeros(len(codes), dtype=np.int64)
+        for i in np.argsort(self.agents)[::-1]:
+            out *= space.delta
+            out += attrs.take(codes[:, i])
+        return out
 
     def index_map(self, space: ConfigSpace) -> np.ndarray:
-        """Vector m with m[index_of(x)] = index_of(apply(x)) for all x."""
+        """Vector m with m[x] the index of the image of state x, for all x."""
         return self.image_index(space, space.codes_matrix)
 
 
@@ -328,13 +324,18 @@ def is_chain_symmetric(chain, gens: GeneratorSet) -> SymmetryVerdict:
     names the generator, the first mismatching entry in row-major order,
     and both probabilities.
     """
+    if chain.space is None:
+        raise ValidationError("chain has no configuration space for the generators to act on")
     n = chain.space.size
     src, cols, nums = chain.sources, chain.cols, chain.nums
     keys = src * n + cols
     for gi, perm in enumerate(gens.perms):
         image = perm.index_map(chain.space)
         ix, iy = image[src], image[cols]
-        found = lookup(keys, nums, ix * n + iy)
+        # the numerator stored at each image key, 0 where none is
+        want = ix * n + iy
+        pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        found = np.where(keys[pos] == want, nums[pos], 0)
         bad = np.flatnonzero(found != nums)
         if len(bad):
             j = int(bad[0])

@@ -38,8 +38,10 @@ replaced. The estimate there spawns one `SeedSequence` child and makes one
 Philox generator per state, the streams that `sim._philox_keys` derives
 in one pass.
 
-The helpers at the end were library functions and methods that only tests
-called.
+`aggregate` is the `Fraction` block mass of a distribution; the library
+keeps only `analysis._block_mass`, the integer projection
+`commutation_profile` reads. The helpers at the end were library
+functions and methods that only tests called.
 """
 
 import bisect
@@ -550,6 +552,8 @@ def propagate(rows, mu, t):
 
 
 def aggregate(mu, part):
+    """Block-wise mass of a micro distribution."""
+    part.check_covers(len(mu))
     out = [Fraction(0)] * part.n_blocks
     for x, px in enumerate(mu):
         out[part.block_of[x]] += px
@@ -823,6 +827,31 @@ def compose(g, h):
     """g after h: (g * h)(x) = g(h(x))."""
     return SpacePermutation(tuple(g.agents[a] for a in h.agents),
                             tuple(g.attrs[s] for s in h.attrs))
+
+
+def apply(perm, config):
+    """The image of a configuration tuple: agent i's code c lands on
+    position perm.agents[i] as perm.attrs[c]."""
+    out = [0] * len(perm.agents)
+    for i, code in enumerate(config):
+        out[perm.agents[i]] = perm.attrs[code]
+    return tuple(out)
+
+
+def inverse(perm):
+    """The permutation that undoes `perm`."""
+    return SpacePermutation(*(tuple(sorted(range(len(p)), key=p.__getitem__))
+                              for p in (perm.agents, perm.attrs)))
+
+
+def result(rule, args, option):
+    """The code the rule gives the focal agent for these argument codes."""
+    return rule.table[tuple(args) + (option,)]
+
+
+def empirical(report, x, y):
+    """The estimate's frequency of the step x -> y."""
+    return report.counts[x].get(y, 0) / report.samples_per_state
 
 
 def same_blocks(part, other):

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from microlump import (AnalysisError, Chain, Topology, ValidationError,
-                       absorption_analysis, aggregate, build_micro_chain,
+                       absorption_analysis, build_micro_chain,
                        builtin_voter, classify_states,
                        commutation_profile, frequency_partition, lump,
                        moran_partition, point_mass, propagate, read_sparse)
 from microlump.analysis import (Classification, absorption_kv, absorption_text,
                                 read_distribution, write_distribution)
-from oracle import commutation_check, counts, partition
+from oracle import aggregate, commutation_check, counts, partition
 from conftest import letter_index
 
 

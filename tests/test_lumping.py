@@ -14,7 +14,7 @@ from microlump import (ConfigSpace, NotLumpableError, Topology,
                        write_partition)
 from microlump.lumping import Partition, block_row_sums
 import oracle
-from oracle import entry, partition, same_blocks
+from oracle import apply, entry, partition, same_blocks
 from conftest import letter_index
 
 
@@ -297,7 +297,7 @@ def test_partitions_match_the_loop_reference(n, delta):
             while todo:
                 cfg = space.config_of(todo.pop())
                 for g in gens.perms:
-                    y = space.index_of(g.apply(cfg))
+                    y = space.index_of(apply(g, cfg))
                     if y not in orbit:
                         orbit.add(y)
                         todo.append(y)

@@ -9,7 +9,8 @@ import tracemalloc
 
 import pytest
 
-from microlump import (ConfigSpace, Topology, agent_symmetric_group, build_micro_chain,
+from microlump import (ConfigSpace, GeneratorSet, SpacePermutation, Topology,
+                       agent_symmetric_group, attr_symmetric_group, build_micro_chain,
                        builtin_voter, check_lumpable, frequency_partition, moran_partition,
                        orbits, read_partition, read_sparse, write_partition, write_sparse)
 
@@ -74,3 +75,22 @@ def test_the_partition_builders_peak_below_55_bytes_per_state(delta, n, build):
     part, peak = traced_peak(build, space)
     assert part.n_states == space.size
     assert peak <= 55 * space.size
+
+
+@pytest.mark.parametrize("delta, n, sdelta, bound", [(3, 10, True, 75), (2, 16, False, 135)],
+                         ids=["delta3-N10-reflection-Sdelta", "delta2-N16-reflection"])
+def test_orbits_over_every_state_peak_below_their_bound_per_state(delta, n, sdelta, bound):
+    """The path reflection moves no single pair of agents, so its orbits
+    propagate over every state: generator images are one int64 column
+    each, with no (states, agents) gather beside them. On N=16 most of
+    the peak is the `O<i>` labels. The first call is not traced, so that
+    lazy imports do not count."""
+    space = ConfigSpace(n, delta)
+    space.codes_matrix
+    reflection = SpacePermutation(tuple(reversed(range(n))), tuple(range(delta)))
+    gens = GeneratorSet("reflection", (reflection,)
+                        + (attr_symmetric_group(n, delta).perms if sdelta else ()))
+    orbits(space, gens)
+    part, peak = traced_peak(orbits, space, gens)
+    assert part.n_states == space.size
+    assert peak <= bound * space.size

@@ -5,7 +5,7 @@ import pytest
 from microlump import (ChoiceDistribution, DocumentParseError, Topology,
                        ValidationError, builtin_voter, model_fingerprint,
                        parse_model, serialize_model)
-from oracle import draw_choices
+from oracle import draw_choices, result
 from conftest import star_topology
 
 VOTER3_DOC = """
@@ -70,7 +70,7 @@ def test_voter_rule_is_imitation(voter3):
     rule = voter3.rule
     for a in range(2):
         for b in range(2):
-            assert rule.result((a, b), 0) == b
+            assert result(rule, (a, b), 0) == b
 
 
 def test_builtin_voter_star_weights():

@@ -28,8 +28,7 @@ import pytest
 
 from microlump import analysis, cli, lumping, sim, symmetry
 from microlump import chain as chainmod
-from microlump import (absorption_analysis, aggregate, classify_states,
-                       commutation_profile, propagate)
+from microlump import absorption_analysis, classify_states, commutation_profile, propagate
 from microlump import (AnalysisError, Alphabet, ChoiceDistribution, ConfigSpace,
                        DocumentParseError, GeneratorSet, ModelSpec, NotLumpableError,
                        SpacePermutation, Topology, UpdateRule, ValidationError,
@@ -948,7 +947,6 @@ def check_analysis(chain, rows, mu, parts, horizon):
     assert (absorption_outcome(absorption_analysis, chain)
             == absorption_outcome(oracle.absorption_analysis, rows))
     for part in parts:
-        assert aggregate(mu, part) == oracle.aggregate(mu, part)
         check_profiles(chain, rows, part, mu, horizon)
 
 

@@ -1,3 +1,4 @@
+import io
 import random
 import tracemalloc
 from fractions import Fraction
@@ -9,28 +10,28 @@ from microlump import (Alphabet, ChoiceDistribution, ConfigSpace, GeneratorSet, 
                        ValidationError, agent_symmetric_group,
                        build_micro_chain, builtin_voter, certify,
                        is_chain_symmetric, lump, orbits, parse_generator_file,
-                       parse_model, parse_presets)
+                       parse_model, parse_presets, read_sparse, write_sparse)
 from microlump.errors import DocumentParseError
-from oracle import compose, entry, partition
+from oracle import apply, compose, entry, inverse, partition
 from conftest import LETTERS, PATH4_FLIP, letter_index
 
 
 def test_agent_swap_two_agents():
     swap = SpacePermutation((1, 0), (0, 1, 2))
-    assert swap.apply((0, 2)) == (2, 0)
-    assert swap.apply((1, 1)) == (1, 1)
+    assert apply(swap, (0, 2)) == (2, 0)
+    assert apply(swap, (1, 1)) == (1, 1)
 
 
 def test_attr_swap_reverses_labels():
     # swap the first and third attribute codes: abc -> cba pattern-wise
     perm = SpacePermutation((0, 1, 2), (2, 1, 0))
-    assert perm.apply((0, 1, 2)) == (2, 1, 0)
+    assert apply(perm, (0, 1, 2)) == (2, 1, 0)
 
 
 def test_identity_fixes_everything():
     ident = SpacePermutation.identity(3, 2)
     for cfg in LETTERS.values():
-        assert ident.apply(cfg) == cfg
+        assert apply(ident, cfg) == cfg
 
 
 def rand_perm(rng, n):
@@ -45,7 +46,7 @@ def test_compose_matches_sequential_application():
         g = SpacePermutation(rand_perm(rng, 4), rand_perm(rng, 3))
         h = SpacePermutation(rand_perm(rng, 4), rand_perm(rng, 3))
         cfg = tuple(rng.randrange(3) for _ in range(4))
-        assert compose(g, h).apply(cfg) == g.apply(h.apply(cfg))
+        assert apply(compose(g, h), cfg) == apply(g, apply(h, cfg))
 
 
 def test_inverse_roundtrip():
@@ -53,7 +54,7 @@ def test_inverse_roundtrip():
     for _ in range(50):
         g = SpacePermutation(rand_perm(rng, 5), rand_perm(rng, 2))
         cfg = tuple(rng.randrange(2) for _ in range(5))
-        assert g.inverse().apply(g.apply(cfg)) == cfg
+        assert apply(inverse(g), apply(g, cfg)) == cfg
 
 
 def test_index_map_matches_apply():
@@ -63,7 +64,7 @@ def test_index_map_matches_apply():
         g = SpacePermutation(rand_perm(rng, 3), rand_perm(rng, 3))
         image = g.index_map(space)
         for idx in range(space.size):
-            assert int(image[idx]) == space.index_of(g.apply(space.config_of(idx)))
+            assert int(image[idx]) == space.index_of(apply(g, space.config_of(idx)))
 
 
 def test_orbits_agent_group_binary():
@@ -152,6 +153,16 @@ def test_chain_not_symmetric_path(path3_chain):
     b, e, f = (letter_index(l) for l in "bef")
     assert entry(path3_chain, b, e) == Fraction(1, 6)
     assert entry(path3_chain, b, f) == 0
+
+
+def test_chains_without_a_space_are_refused_before_any_work(voter3_chain):
+    """A chain read from a file or lumped carries no configuration space."""
+    buf = io.StringIO()
+    write_sparse(voter3_chain, buf)
+    part = orbits(voter3_chain.space, agent_symmetric_group(3, 2))
+    for chain in (read_sparse(buf.getvalue()), lump(voter3_chain, part)):
+        with pytest.raises(ValidationError, match="no configuration space"):
+            is_chain_symmetric(chain, agent_symmetric_group(3, 2))
 
 
 def test_identity_generators_always_symmetric(path3_chain):
