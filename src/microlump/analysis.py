@@ -5,8 +5,8 @@ Everything reads the chain's integer CSR arrays. Verdict-style
 computations (propagation, commutation) stay exact: a distribution is held
 as integer numerators over one common denominator and pushed one numpy
 pass per step. Absorption probabilities and expected step counts come
-from dense float solves of the standard transient-block linear systems,
-with the residuals reported and bounded.
+from float solves of the transient-block systems, one strongly connected
+component at a time, with the whole system's residuals reported and bounded.
 """
 
 from __future__ import annotations
@@ -70,13 +70,8 @@ def _components(chain: Chain) -> Tuple[np.ndarray, int]:
     return np.array(comp, dtype=np.int64), count
 
 
-def classify_states(chain: Chain) -> Classification:
-    """Absorbing states, transient states, and the recurrent classes.
-
-    A state is absorbing when its row is one entry, on the diagonal, equal
-    to `denom`; a strongly connected component is recurrent when no edge
-    leaves it.
-    """
+def _classify(chain: Chain) -> Tuple[Classification, np.ndarray]:
+    """`classify_states`, and each state's Kosaraju component id."""
     comp, count = _components(chain)
     src, dst = comp[chain.sources], comp[chain.cols]
     leaves = np.zeros(count, dtype=bool)
@@ -92,7 +87,17 @@ def classify_states(chain: Chain) -> Classification:
     absorbing = single[(chain.cols[first] == single) & (chain.nums[first] == chain.denom)]
     return Classification(absorbing=tuple(absorbing.tolist()),
                           transient=tuple(np.flatnonzero(leaves[comp]).tolist()),
-                          recurrent_classes=tuple(recurrent))
+                          recurrent_classes=tuple(recurrent)), comp
+
+
+def classify_states(chain: Chain) -> Classification:
+    """Absorbing states, transient states, and the recurrent classes.
+
+    A state is absorbing when its row is one entry, on the diagonal, equal
+    to `denom`; a strongly connected component is recurrent when no edge
+    leaves it.
+    """
+    return _classify(chain)[0]
 
 
 @dataclass(frozen=True)
@@ -125,20 +130,19 @@ class AbsorptionReport:
 
 def absorption_analysis(chain: Chain) -> AbsorptionReport:
     """Solve the transient-block systems for absorption probabilities and
-    expected absorption times.
+    expected absorption times, one strongly connected component at a time.
 
     Requires every state to reach an absorbing state; a recurrent class
     that is not a unit self-loop is reported with one of its states.
     """
-    cls = classify_states(chain)
-    for comp in cls.recurrent_classes:
-        if len(comp) > 1 or comp[0] not in cls.absorbing:
+    cls, comp = _classify(chain)
+    for states in cls.recurrent_classes:
+        if len(states) > 1 or states[0] not in cls.absorbing:
             raise AnalysisError(
-                f"state {comp[0]} cannot reach any absorbing state")
+                f"state {states[0]} cannot reach any absorbing state")
     if not cls.absorbing:
         raise AnalysisError("chain has no absorbing state")
-    transient = cls.transient
-    absorbing = cls.absorbing
+    transient, absorbing = cls.transient, cls.absorbing
     nt, na = len(transient), len(absorbing)
     # every state is transient or absorbing here: pos is its index in Q or R
     pos = np.zeros(chain.n_states, dtype=np.int64)
@@ -152,30 +156,46 @@ def absorption_analysis(chain: Chain) -> AbsorptionReport:
     to_q = is_transient[dst]
     R = np.zeros((nt, na))
     R[src[~to_q], pos[dst[~to_q]]] = values[~to_q]
-    if nt == 0:
-        return AbsorptionReport(absorbing, transient, cls.recurrent_classes,
-                                np.zeros((0, na)), np.zeros(0), 0.0, 0.0)
-    # I - Q written into zeros (the same bits as np.eye(nt) - Q), column-major for
-    # LAPACK's copies; then cleared and written through .T, row-major, for the residuals
-    in_q = src[to_q], pos[dst[to_q]]
-
-    def i_minus_q(A: np.ndarray) -> np.ndarray:
-        A[in_q] = 0.0 - values[to_q]
-        A.flat[::nt + 1] += 1.0
-        return A
-    A = i_minus_q(np.zeros((nt, nt), order="F"))
-    probs = np.linalg.solve(A, R)
-    steps = np.linalg.solve(A, np.ones(nt))
-    A[in_q] = A.flat[::nt + 1] = 0.0
-    A = i_minus_q(A.T)
-    residual_probs = float(np.max(np.abs(np.matmul(A, probs) - R))) if na else 0.0
-    residual_steps = float(np.max(np.abs(np.matmul(A, steps) - 1.0)))
+    # Kosaraju's ids ascend along every entry: blocks are the components in
+    # descending id, so successors first, members ascending (no transient
+    # states make one empty block). One stable sort puts each block's Q
+    # entries inside it first, then those into solved states, in row order
+    members, cuts = group_blocks(-comp[list(transient)])
+    rank = np.argsort(members)  # each transient state's place in block order
+    block = np.searchsorted(cuts, rank, side="right") - 1
+    local = rank - cuts[block]
+    qs, qd, qv = src[to_q], pos[dst[to_q]], values[to_q]
+    key = 2 * block[qs] + (block[qd] != block[qs])
+    order = np.argsort(key, kind="stable")
+    qs, qd, qv = qs[order], qd[order], qv[order]
+    rows, cols, neg = local[qs], local[qd], 0.0 - qv
+    bounds = np.searchsorted(key[order], np.arange(2 * len(cuts) - 1)).tolist()
+    # one zeroed nt x nt array: each block's I - Q_CC (the same bits as np.eye
+    # - Q_CC), column-major in its head for LAPACK's copy, cleared after the
+    # solves; then all of I - Q, row-major, for the residual products
+    probs, steps, I_Q = np.empty((nt, na)), np.empty(nt), np.zeros((nt, nt))
+    for a, z, i, j, e in zip(cuts[:-1].tolist(), cuts[1:].tolist(), bounds[::2], bounds[1::2],
+                             bounds[2::2]):
+        mem, k, inner, out = members[a:z], z - a, slice(i, j), slice(j, e)
+        A = I_Q.reshape(-1)[:k * k].reshape((k, k), order="F")
+        A[rows[inner], cols[inner]] = neg[inner]
+        A.flat[::k + 1] += 1.0
+        # right-hand sides R_C + Q_CS x_S and 1 + Q_CS s_S, added entry by entry
+        b_probs, b_steps = R[mem], np.ones(k)
+        np.add.at(b_probs, rows[out], qv[out, None] * probs[qd[out]])
+        np.add.at(b_steps, rows[out], qv[out] * steps[qd[out]])
+        probs[mem] = np.linalg.solve(A, b_probs)
+        steps[mem] = np.linalg.solve(A, b_steps)
+        A[rows[inner], cols[inner]] = A.flat[::k + 1] = 0.0
+    I_Q[qs, qd] = neg
+    I_Q.flat[::nt + 1] += 1.0
+    residual_probs = float(np.max(np.abs(np.matmul(I_Q, probs) - R), initial=0.0))
+    residual_steps = float(np.max(np.abs(np.matmul(I_Q, steps) - 1.0), initial=0.0))
     if residual_probs > RESIDUAL_BOUND or residual_steps > RESIDUAL_BOUND:
         raise AnalysisError(
             f"solve residuals {residual_probs:.2e}/{residual_steps:.2e} "
             f"exceed {RESIDUAL_BOUND:.0e}")
-    row_sums = probs.sum(axis=1)
-    if np.max(np.abs(row_sums - 1.0)) > RESIDUAL_BOUND:
+    if np.max(np.abs(probs.sum(axis=1) - 1.0), initial=0.0) > RESIDUAL_BOUND:
         raise AnalysisError("absorption probabilities do not sum to one")
     return AbsorptionReport(absorbing, transient, cls.recurrent_classes, probs,
                             steps, residual_probs, residual_steps)

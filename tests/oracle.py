@@ -20,9 +20,13 @@ bodies replaced.
 
 `validate_distribution` converts, checks and sums a start distribution
 one `Fraction` at a time, the path that the integer checks of
-`analysis.start_numerators` replaced. `absorption_analysis` solves a
-row-major `np.eye(nt) - Q`, whose bits the package's column-major solve
-must reproduce.
+`analysis.start_numerators` replaced. `absorption_analysis` solves the
+transient components one at a time, sinks first, each from a row-major
+`np.eye - Q_CC`, whose bits the package's column-major solves must
+reproduce; `dense_absorption_analysis` is the whole-system solve of
+`np.eye(nt) - Q` that the component solves replaced, and
+`exact_absorption` the same systems in `Fraction` Gauss-Jordan
+elimination.
 
 `written_fields` is the sparse reader's former bulk gate: a regex over the
 writer's line shape, then one `np.loadtxt` pass, which the byte tokenizer
@@ -581,12 +585,10 @@ def commutation_profile(rows, part, mu0, t_max, force=False):
     return out
 
 
-def classify_states(rows):
-    """Components as the classes of mutual reachability, found by a
-    search from every state; recurrent when no edge leaves the class."""
-    n = len(rows)
+def _reach(rows):
+    """The states each state reaches, itself included, by a search from it."""
     reach = []
-    for x in range(n):
+    for x in range(len(rows)):
         seen, todo = {x}, [x]
         while todo:
             for y, _ in rows[todo.pop()]:
@@ -594,40 +596,58 @@ def classify_states(rows):
                     seen.add(y)
                     todo.append(y)
         reach.append(seen)
-    classes = {tuple(sorted(y for y in reach[x] if x in reach[y])) for x in range(n)}
+    return reach
+
+
+def _class_of(reach, x):
+    return tuple(sorted(y for y in reach[x] if x in reach[y]))
+
+
+def classify_states(rows):
+    """Components as the classes of mutual reachability, found by a
+    search from every state; recurrent when no edge leaves the class."""
+    return _classify(rows, _reach(rows))
+
+
+def _classify(rows, reach):
+    classes = {_class_of(reach, x) for x in range(len(rows))}
     recurrent = sorted(c for c in classes if all(reach[x] <= set(c) for x in c))
     transient = sorted(x for c in classes if c not in recurrent for x in c)
-    absorbing = tuple(x for x in range(n) if rows[x] == ((x, Fraction(1)),))
+    absorbing = tuple(x for x in range(len(rows)) if rows[x] == ((x, Fraction(1)),))
     return Classification(absorbing, tuple(transient), tuple(recurrent))
 
 
-def absorption_analysis(rows):
-    """The transient-block matrices filled entry by entry with
-    float(Fraction), then the package's own solves and bounds."""
-    cls = classify_states(rows)
+def _absorbing_system(rows):
+    """The classification, checked as the package checks it, and the
+    transient-block matrices Q and R filled entry by entry with
+    float(Fraction)."""
+    reach = _reach(rows)
+    cls = _classify(rows, reach)
     for comp in cls.recurrent_classes:
         if len(comp) > 1 or comp[0] not in cls.absorbing:
             raise AnalysisError(f"state {comp[0]} cannot reach any absorbing state")
     if not cls.absorbing:
         raise AnalysisError("chain has no absorbing state")
-    transient, absorbing = cls.transient, cls.absorbing
-    t_pos = {x: i for i, x in enumerate(transient)}
-    a_pos = {x: i for i, x in enumerate(absorbing)}
-    nt, na = len(transient), len(absorbing)
-    Q = np.zeros((nt, nt))
-    R = np.zeros((nt, na))
-    for x in transient:
+    t_pos = {x: i for i, x in enumerate(cls.transient)}
+    a_pos = {x: i for i, x in enumerate(cls.absorbing)}
+    Q = np.zeros((len(t_pos), len(t_pos)))
+    R = np.zeros((len(t_pos), len(a_pos)))
+    for x in cls.transient:
         for y, p in rows[x]:
             if y in t_pos:
                 Q[t_pos[x], t_pos[y]] = float(p)
             else:
                 R[t_pos[x], a_pos[y]] = float(p)
+    return cls, reach, Q, R
+
+
+def _absorption_report(cls, Q, R, probs, steps):
+    """The package's residuals over the whole np.eye(nt) - Q, and its bounds."""
+    nt, na = R.shape
     if nt == 0:
-        return AbsorptionReport(absorbing, transient, cls.recurrent_classes,
+        return AbsorptionReport(cls.absorbing, cls.transient, cls.recurrent_classes,
                                 np.zeros((0, na)), np.zeros(0), 0.0, 0.0)
     A = np.eye(nt) - Q
-    probs = np.linalg.solve(A, R)
-    steps = np.linalg.solve(A, np.ones(nt))
     residual_probs = float(np.max(np.abs(A @ probs - R))) if na else 0.0
     residual_steps = float(np.max(np.abs(A @ steps - 1.0)))
     if residual_probs > RESIDUAL_BOUND or residual_steps > RESIDUAL_BOUND:
@@ -636,8 +656,68 @@ def absorption_analysis(rows):
             f"exceed {RESIDUAL_BOUND:.0e}")
     if np.max(np.abs(probs.sum(axis=1) - 1.0)) > RESIDUAL_BOUND:
         raise AnalysisError("absorption probabilities do not sum to one")
-    return AbsorptionReport(absorbing, transient, cls.recurrent_classes, probs,
+    return AbsorptionReport(cls.absorbing, cls.transient, cls.recurrent_classes, probs,
                             steps, residual_probs, residual_steps)
+
+
+def absorption_analysis(rows):
+    """The transient components solved sinks first: a component reaches
+    more states than any it has an entry into, so ascending reach is one
+    such order. Each solves np.eye - Q_CC against R_C and ones, to which
+    every entry into a solved state adds its value times that state's
+    solution, row by row in column order."""
+    cls, reach, Q, R = _absorbing_system(rows)
+    t_pos = {x: i for i, x in enumerate(cls.transient)}
+    comps = sorted({_class_of(reach, x) for x in cls.transient}, key=lambda c: len(reach[c[0]]))
+    probs, steps = np.zeros(R.shape), np.zeros(len(t_pos))
+    for comp in comps:
+        at, inside = [t_pos[x] for x in comp], set(comp)
+        b_probs, b_steps = R[at], np.ones(len(comp))
+        for i, x in enumerate(comp):
+            for y, p in rows[x]:
+                if y in t_pos and y not in inside:
+                    b_probs[i] += float(p) * probs[t_pos[y]]
+                    b_steps[i] += float(p) * steps[t_pos[y]]
+        A = np.eye(len(comp)) - Q[np.ix_(at, at)]
+        probs[at] = np.linalg.solve(A, b_probs)
+        steps[at] = np.linalg.solve(A, b_steps)
+    return _absorption_report(cls, Q, R, probs, steps)
+
+
+def dense_absorption_analysis(rows):
+    """The whole transient block solved at once, two solves of np.eye(nt) - Q."""
+    cls, _, Q, R = _absorbing_system(rows)
+    A = np.eye(len(Q)) - Q
+    return _absorption_report(cls, Q, R, np.linalg.solve(A, R),
+                              np.linalg.solve(A, np.ones(len(Q))))
+
+
+def exact_absorption(rows):
+    """Absorption probabilities and expected steps in exact rationals, by
+    Gauss-Jordan elimination of (I - Q) [P | s] = [R | 1] over Fractions;
+    rows in transient order. For chains of a few dozen transient states."""
+    cls = classify_states(rows)
+    t_pos = {x: i for i, x in enumerate(cls.transient)}
+    a_pos = {x: i for i, x in enumerate(cls.absorbing)}
+    nt, na = len(t_pos), len(a_pos)
+    M = [[Fraction(int(i == j)) for j in range(nt)] + [Fraction(0)] * na + [Fraction(1)]
+         for i in range(nt)]
+    for x in cls.transient:
+        for y, p in rows[x]:
+            if y in t_pos:
+                M[t_pos[x]][t_pos[y]] -= p
+            else:
+                M[t_pos[x]][nt + a_pos[y]] += p
+    for k in range(nt):
+        piv = next(i for i in range(k, nt) if M[i][k])
+        M[k], M[piv] = M[piv], M[k]
+        pivot = M[k][k]
+        M[k] = [v / pivot for v in M[k]]
+        for i in range(nt):
+            f = M[i][k]
+            if i != k and f:
+                M[i] = [v - f * w for v, w in zip(M[i], M[k])]
+    return [row[nt:nt + na] for row in M], [row[-1] for row in M]
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,14 @@ def test_classify_a_chain_of_no_states():
         absorption_analysis(chain)
 
 
+def test_absorbing_states_alone_leave_an_empty_report():
+    """No transient states: empty arrays and residuals of 0."""
+    report = absorption_analysis(read_sparse("states=2 nnz=2\n0 0 1\n1 1 1\n"))
+    assert (report.absorbing, report.transient) == ((0, 1), ())
+    assert report.probs.shape == (0, 2) and report.expected_steps.shape == (0,)
+    assert (report.residual_probs, report.residual_steps) == (0.0, 0.0)
+
+
 @pytest.mark.parametrize("step", [1, -1], ids=["up", "down"])
 def test_classify_a_20000_state_line(step):
     """One-way line of 20,000 states ending in an absorbing state: both

@@ -222,6 +222,31 @@ def test_analyze_kv(tmp_path, capsys):
     assert abs(float(kv["absorb[1][0]"]) - 2 / 3) < 1e-9
 
 
+PATH7 = ("[model]\nattributes = a, b, c\n[topology]\nagents 7\nundirected\n"
+         + "".join(f"{i} {i + 1} 1/1\n" for i in range(1, 7))
+         + "[rule]\nbuiltin voter\n[choice]\nfrom-topology uniform\n")
+
+
+def test_analyze_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, capsys):
+    """No strongly connected component of the 3-code voter on a 7-agent
+    path is large enough for OpenBLAS to thread its solve, so `analyze
+    --format kv` prints the same bytes under one and two threads. Each run
+    is a child process, since the thread count is read as numpy loads."""
+    model, chain = tmp_path / "path7.model", tmp_path / "path7.sparse"
+    model.write_text(PATH7, encoding="utf-8")
+    assert run(capsys, "compile", str(model), "-o", str(chain))[0] == 0
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=src)
+        outs.append(subprocess.run([sys.executable, "-m", "microlump", "analyze", str(chain),
+                                    "--format", "kv"], capture_output=True, env=env,
+                                   timeout=600, check=True).stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count(b"\nsteps[") == 2184
+
+
 def test_a_lumped_decimal_chain_reads_back_inexact(tmp_path, capsys):
     """Rows that sum to one only within the tolerance: `lump` marks its
     output `exact=0`, so `analyze` and `propagate` read it with the same

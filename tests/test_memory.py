@@ -2,13 +2,20 @@
 partition reader on compiled voters, against the arrays they return or
 read, and of the partition builders per state: each bound holds with room
 to spare and fails if a full-size copy of the input or an unneeded
-full-size temporary comes back."""
+full-size temporary comes back. The absorption solve's peak resident
+memory, which includes LAPACK's copies that tracemalloc does not see, is
+measured in a child process."""
 
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import microlump
 from microlump import (ConfigSpace, GeneratorSet, SpacePermutation, Topology,
                        agent_symmetric_group, attr_symmetric_group, build_micro_chain,
                        builtin_voter, check_lumpable, frequency_partition, moran_partition,
@@ -94,3 +101,36 @@ def test_orbits_over_every_state_peak_below_their_bound_per_state(delta, n, sdel
     part, peak = traced_peak(orbits, space, gens)
     assert part.n_states == space.size
     assert peak <= bound * space.size
+
+
+ABSORPTION_RSS = """
+import resource
+from fractions import Fraction
+from microlump import Topology, absorption_analysis, build_micro_chain, builtin_voter
+
+def voter(n, path):
+    edges = {(i, j): Fraction(1) for i in range(n) for j in range(n)
+             if (abs(i - j) == 1 if path else i != j)}
+    return build_micro_chain(builtin_voter(Topology(n, edges), labels=("a", "b", "c")))
+
+chain = voter(7, True)
+absorption_analysis(voter(3, False))  # lazy imports and BLAS set-up
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+nt = len(absorption_analysis(chain).transient)
+print(nt, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_absorption_on_the_path_grows_the_peak_rss_below_one_and_a_half_nt_squared():
+    """The 3-code voter on a 7-agent path, 2184 transient states in 378
+    components of at most 20: the one nt x nt array of the residual
+    products (8 nt^2 bytes) and little else; a whole-system solve adds
+    LAPACK's copy of I - Q. ru_maxrss is in KiB on Linux; a fresh process,
+    one BLAS thread."""
+    src = str(Path(microlump.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", ABSORPTION_RSS], capture_output=True,
+                          text=True, env=env, timeout=600, check=True)
+    nt, grown_kib = map(int, proc.stdout.split())
+    assert nt == 2184
+    assert grown_kib * 1024 <= 1.5 * 8 * nt ** 2

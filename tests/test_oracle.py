@@ -4,7 +4,9 @@ symmetry verdicts and witnesses, block-sum verdicts (exact, tolerance and
 exhaustive), reduced chains, propagation, aggregation, commutation
 profiles, state classification and absorption, on seeded random models,
 and absorption bits and exhaustive witnesses on two chains of about 2000
-states; the start distribution checks against the per-entry `Fraction`
+states; absorption values also against the whole-system dense solve, the
+exact `Fraction` solve on small chains and the voter's closed form on the
+path; the start distribution checks against the per-entry `Fraction`
 reference; the draws applied through the compiled rule table (map actions,
 `maps --table`, trajectories and matrix estimates) against the rule-dict
 references; the integer draw table and model validation against the
@@ -940,12 +942,36 @@ def check_profiles(chain, rows, part, mu, t_max):
         assert commutation_profile(chain, part, mu, t_max) == ref
 
 
+def within(values, ref, bound):
+    """|values - ref| <= bound, relative where |ref| exceeds 1."""
+    ref = np.asarray(ref, dtype=np.float64)
+    return bool(np.all(np.abs(values - ref) <= bound * np.maximum(1.0, np.abs(ref))))
+
+
+def check_absorption(chain, rows):
+    """The report's bits are the component-wise reference's; its values
+    are within 1e-12 of the whole-system solve, and, on at most 40
+    transient states, within 1e-13 of the exact ones."""
+    assert (absorption_outcome(absorption_analysis, chain)
+            == absorption_outcome(oracle.absorption_analysis, rows))
+    try:
+        report = absorption_analysis(chain)
+    except AnalysisError:
+        return
+    dense = oracle.dense_absorption_analysis(rows)
+    assert within(report.probs, dense.probs, 1e-12)
+    assert within(report.expected_steps, dense.expected_steps, 1e-12)
+    if len(report.transient) <= 40:
+        probs, steps = oracle.exact_absorption(rows)
+        assert np.abs(report.probs - np.array(probs, dtype=float)).max(initial=0) <= 1e-13
+        assert np.abs(report.expected_steps - np.array(steps, dtype=float)).max(initial=0) <= 1e-13
+
+
 def check_analysis(chain, rows, mu, parts, horizon):
     for t in (0, 1, horizon):
         assert propagate(chain, mu, t) == oracle.propagate(rows, mu, t)
     assert classify_states(chain) == oracle.classify_states(rows)
-    assert (absorption_outcome(absorption_analysis, chain)
-            == absorption_outcome(oracle.absorption_analysis, rows))
+    check_absorption(chain, rows)
     for part in parts:
         check_profiles(chain, rows, part, mu, horizon)
 
@@ -1201,7 +1227,7 @@ def lapack_chain(request):
 
 
 def test_absorption_at_lapack_scale_matches_the_reference_bits(lapack_chain):
-    """LAPACK's blocked factorization at thousands of states gives the
+    """The component solves at thousands of states give the component-wise
     reference's bits: the report's arrays and the `--format kv` text."""
     _, chain, rows = lapack_chain
     report, ref = absorption_analysis(chain), oracle.absorption_analysis(rows)
@@ -1211,35 +1237,91 @@ def test_absorption_at_lapack_scale_matches_the_reference_bits(lapack_chain):
     assert analysis.absorption_kv(report) == analysis.absorption_kv(ref)
 
 
+# transient components: path7's are many and small, complete11's one
+TRANSIENT_COMPONENTS = {"path7-three-codes": (378, 20, 192), "complete11": (1, 2046, 0)}
+
+
+def test_absorption_at_lapack_scale_agrees_with_the_whole_system_solve(lapack_chain):
+    """Within 1e-12 of the dense solve of all of I - Q, and its very bits,
+    residuals included, where the transient states are one component."""
+    name, chain, rows = lapack_chain
+    report, dense = absorption_analysis(chain), oracle.dense_absorption_analysis(rows)
+    comp, _ = analysis._components(chain)
+    sizes = np.unique(comp[list(report.transient)], return_counts=True)[1]
+    assert (len(sizes), sizes.max(), np.sum(sizes == 1)) == TRANSIENT_COMPONENTS[name]
+    assert within(report.probs, dense.probs, 1e-12)
+    assert within(report.expected_steps, dense.expected_steps, 1e-12)
+    assert (absorption_outcome(lambda _: report, chain)
+            == absorption_outcome(lambda _: dense, rows)) == (len(sizes) == 1)
+
+
+def test_path_fixation_is_the_degree_weighted_share():
+    """Voter fixation of code c on an undirected graph is the martingale
+    share sum_i deg(i) [x_i = c] / 2(N - 1), from every transient state."""
+    spec = LAPACK_MODELS["path7-three-codes"]()
+    chain = build_micro_chain(spec)
+    report = absorption_analysis(chain)
+    n = spec.n_agents
+    deg = np.array([sum(i == a for i, _ in spec.topology.edges) for a in range(n)])
+    codes = chain.space.codes_matrix[list(report.transient)]
+    share = np.stack([(codes == c) @ deg for c in range(3)], axis=1) / (2 * (n - 1))
+    assert report.absorbing == tuple(chain.space.index_of((c,) * n) for c in range(3))
+    assert np.abs(report.probs - share).max() <= 1e-12
+
+
 def test_absorption_solves_column_major_and_takes_residuals_row_major(lapack_chain,
                                                                        monkeypatch):
-    """Both solves get I - Q column-major; the residual products get it
-    row-major, written again into the same buffer, so only one n x n array
-    is made."""
+    """Each solve gets its component's I - Q_CC column-major, two solves per
+    component; the two residual products get one row-major I - Q, the one
+    nt x nt array made. Kosaraju runs once."""
     _, chain, _ = lapack_chain
-    calls, solved, shapes = [], [], []
-    solve, matmul, zeros = np.linalg.solve, np.matmul, np.zeros
+    comp, _ = analysis._components(chain)
+    calls, solves, products, shapes = [], [], [], []
+    components, solve, matmul, zeros = analysis._components, np.linalg.solve, np.matmul, np.zeros
+
+    def spy_components(c):
+        calls.append(c)
+        return components(c)
 
     def spy_solve(a, b):
-        calls.append(("solve", a.flags.f_contiguous, a.flags.c_contiguous))
-        solved.append(a)
+        solves.append((a.shape, a.flags.f_contiguous))
         return solve(a, b)
 
     def spy_matmul(a, b):
-        calls.append(("matmul", a.flags.f_contiguous, a.flags.c_contiguous,
-                      a.base is solved[0]))
+        products.append(a)
         return matmul(a, b)
 
     def spy_zeros(shape, *args, **kwargs):
         shapes.append(shape)
         return zeros(shape, *args, **kwargs)
 
+    monkeypatch.setattr(analysis, "_components", spy_components)
     monkeypatch.setattr(np.linalg, "solve", spy_solve)
     monkeypatch.setattr(np, "matmul", spy_matmul)
     monkeypatch.setattr(np, "zeros", spy_zeros)
-    nt = len(absorption_analysis(chain).transient)
-    assert calls == [("solve", True, False)] * 2 + [("matmul", False, True, True)] * 2
+    transient = absorption_analysis(chain).transient
+    nt = len(transient)
+    sizes = np.unique(comp[list(transient)], return_counts=True)[1]
+    assert calls == [chain]
+    assert all(f_order for _, f_order in solves)
+    assert solves[::2] == solves[1::2]
+    assert sorted(k for (k, _), _ in solves[::2]) == sorted(sizes.tolist())
+    assert all(k == j for (k, j), _ in solves)
+    assert len(products) == 2 and products[0] is products[1]
+    assert products[0].shape == (nt, nt) and products[0].flags.c_contiguous
     assert shapes.count((nt, nt)) == 1
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_component_ids_never_decrease_along_an_entry(seed):
+    """Kosaraju's second search numbers components in a topological order
+    of the entries, which the absorption solves take backwards."""
+    chain = build_micro_chain(random_model(seed))
+    comp, _ = analysis._components(chain)
+    assert (comp[chain.sources] <= comp[chain.cols]).all()
+    chain, _ = digraph_chain(random_digraph(random.Random(7300 + seed), 300, seed % 2))
+    comp, _ = analysis._components(chain)
+    assert (comp[chain.sources] <= comp[chain.cols]).all()
 
 
 def test_exhaustive_witnesses_at_scale_match_the_reference(lapack_chain):
