@@ -65,31 +65,20 @@ def enumerate_maps(spec: ModelSpec) -> List[RandomMap]:
             gc.enable()
 
 
-def rule_table(spec: ModelSpec) -> np.ndarray:
-    """The total update table as one flat array: the focal agent's new code
-    at pack * len(options) + option, pack being the argument codes in mixed
-    radix `delta`, the first argument least significant."""
-    keys = np.array(list(spec.rule.table), dtype=np.int64)
-    pack = keys[:, :-1] @ spec.delta ** np.arange(spec.rule.arity, dtype=np.int64)
-    flat = np.zeros(len(keys), dtype=np.int64)
-    flat[pack * len(spec.rule.options) + keys[:, -1]] = list(spec.rule.table.values())
-    return flat
-
-
 def apply_draws(spec: ModelSpec, space: ConfigSpace
                 ) -> Iterator[Tuple[List[int], int, np.ndarray, np.ndarray]]:
     """Every draw of `spec.draws`, in order, applied to every state of
     `space` at once: its agents and numerator over `spec.draws.denom`,
     then the focal agent's current and new code, one per state."""
-    flat, delta, n_opts = rule_table(spec), spec.delta, len(spec.rule.options)
+    outcome, delta, n_opts = spec.rule.outcome.ravel(), spec.delta, len(spec.rule.options)
     codes = np.ascontiguousarray(space.codes_matrix.T, dtype=np.int64)  # [agent, state]
     table = spec.draws
     for tup, opt, num in zip(table.agents.tolist(), table.options.tolist(),
                              table.nums.tolist()):
-        pack = codes[tup[-1]]
-        for a in reversed(tup[:-1]):
+        pack = codes[tup[0]]
+        for a in tup[1:]:
             pack = pack * delta + codes[a]
-        yield tup, num, codes[tup[0]], flat[pack * n_opts + opt]
+        yield tup, num, codes[tup[0]], outcome[pack * n_opts + opt]
 
 
 def draw_targets(spec: ModelSpec, space: ConfigSpace) -> Iterator[np.ndarray]:

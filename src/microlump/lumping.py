@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import isfinite
-from typing import Dict, List, Optional, Sequence, TextIO, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -170,8 +170,7 @@ def induced_partition(fine: Partition, coarse: Partition) -> Partition:
 # ---------------------------------------------------------------------------
 # lumpability test
 
-@dataclass(frozen=True)
-class LumpWitness:
+class LumpWitness(NamedTuple):
     block_from: str
     block_to: str
     state: int

@@ -279,6 +279,14 @@ class UpdateRule:
     def option_label(self, option: int) -> str:
         return self.options[option][0]
 
+    @cached_property
+    def outcome(self) -> np.ndarray:
+        """The table as an int64 array of shape (delta,)*arity + (options,):
+        the focal agent's new code at [argument codes..., option]."""
+        out = np.empty((self.delta,) * self.arity + (len(self.options),), dtype=np.int64)
+        out[tuple(np.array(list(self.table), dtype=np.int64).T)] = list(self.table.values())
+        return out
+
 
 def voter_rule(delta: int) -> UpdateRule:
     """Imitation: the focal agent adopts the second argument's code."""

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
-from .chain import build_micro_chain, draw_targets, rule_table, to_floats
+from .chain import build_micro_chain, draw_targets, to_floats
 from .errors import ValidationError
 from .lumping import Partition
 from .model import INT64_MAX, ModelSpec, int_dtype, model_fingerprint
@@ -113,20 +113,18 @@ class SimRun:
         return Counter(zip(states, islice(states, 1, None)))
 
 
-def _step_kernel(spec: ModelSpec) -> List[tuple]:
+def _step_kernel(spec: ModelSpec, space: ConfigSpace) -> List[tuple]:
     """Per draw: a getter of its agents' codes, its move table and its
     focal agent. A move table, one per (option, focal agent), maps the
     codes as the getter returns them (a bare code for arity 1) to the
     focal agent's new code and the state index change, for the codes that
-    move it only. The tables come from the compiled rule table."""
-    flat, delta, arity = rule_table(spec).tolist(), spec.delta, spec.rule.arity
-    n_opts = len(spec.rule.options)
-    # argument codes in pack order: the first argument least significant
-    args = [t[::-1] for t in product(range(delta), repeat=arity)]
-    keys = [a if arity > 1 else a[0] for a in args]
+    move it only. The tables come from the rule's outcome array."""
+    outcome, arity, radix = spec.rule.outcome, spec.rule.arity, space.radix.tolist()
+    moved = [(key, new) for key, new in zip(np.ndindex(outcome.shape), outcome.ravel().tolist())
+             if new != key[0]]
     agents, opts = spec.draws.agents.tolist(), spec.draws.options.tolist()
-    moves = {(opt, f): {key: (new, (new - a[0]) * delta ** f)
-                        for key, a, new in zip(keys, args, flat[opt::n_opts]) if new != a[0]}
+    moves = {(opt, f): {key[:-1] if arity > 1 else key[0]: (new, (new - key[0]) * radix[f])
+                        for key, new in moved if key[-1] == opt}
              for opt, f in set(zip(opts, (tup[0] for tup in agents)))}
     return [(itemgetter(*tup), moves[opt, tup[0]], tup[0]) for tup, opt in zip(agents, opts)]
 
@@ -165,7 +163,7 @@ def simulate(spec: ModelSpec, start: Sequence[int], steps: int, seed: int,
     cum = np.cumsum(_draw_weights(spec))
     cum[-1] = 1.0  # guard against float round-off at the top end
     lookup = _draw_lookup(cum)
-    draws = _step_kernel(spec)
+    draws = _step_kernel(spec, space)
     visited = [x]
     for lo in range(0, steps, _DRAW_BLOCK):
         u = rng.random(min(_DRAW_BLOCK, steps - lo))

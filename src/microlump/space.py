@@ -99,7 +99,10 @@ class ConfigSpace:
 
     @cached_property
     def radix(self) -> np.ndarray:
-        return np.array([self.delta ** i for i in range(self.n_agents)], dtype=np.int64)
+        """Each agent's digit weight in a state index: int64, or Python
+        ints past int64, where no array over the states can be made."""
+        weights = [self.delta ** i for i in range(self.n_agents)]
+        return np.array(weights, dtype=np.int64 if weights[-1] < 1 << 63 else object)
 
     @cached_property
     def codes_matrix(self) -> np.ndarray:

@@ -17,7 +17,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .chain import rule_table
 from .errors import DocumentParseError, ValidationError
 from .lumping import Partition, count_label, group_blocks, rank_minima
 from .model import ModelSpec, content_lines
@@ -297,19 +296,18 @@ def certify(spec: ModelSpec, gens: GeneratorSet) -> bool:
     with the rule: then g after draw d is draw σ(d) after g, so P(gx, gy) =
     P(x, y). The test is sufficient, not necessary: False proves nothing.
     """
-    table, delta, arity = spec.draws, spec.delta, spec.rule.arity
-    outcome = rule_table(spec).reshape(delta ** arity, -1)  # [pack, option]
-    weights = delta ** np.arange(arity, dtype=np.int64)
-    args = np.arange(delta ** arity, dtype=np.int64)[:, None] // weights % delta
+    table, outcome = spec.draws, spec.rule.outcome
     for perm in gens.perms:
-        perm.check_dims(spec.n_agents, delta)
+        perm.check_dims(spec.n_agents, spec.delta)
         agents = np.array(perm.agents, dtype=np.int64)[table.agents]
         order = np.lexsort((table.options, *agents.T[::-1]))
-        attrs = np.array(perm.attrs, dtype=np.int64)
+        attrs, relabeled = np.array(perm.attrs, dtype=np.int64), outcome
+        for k in range(spec.rule.arity):
+            relabeled = relabeled.take(attrs, axis=k)
         if not (np.array_equal(agents[order], table.agents)
                 and np.array_equal(table.options[order], table.options)
                 and np.array_equal(table.nums[order], table.nums)
-                and np.array_equal(outcome[attrs[args] @ weights], attrs[outcome])):
+                and np.array_equal(relabeled, attrs[outcome])):
             return False
     return True
 

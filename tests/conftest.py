@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from microlump import (ConfigSpace, Topology, build_micro_chain, builtin_voter)
+from microlump import (ConfigSpace, Topology, UpdateRule, build_micro_chain, builtin_voter)
 
 # Letter shorthand for the eight three-agent binary configurations, used
 # throughout the tests. black is code 0, white is code 1; the tuple lists
@@ -70,6 +71,20 @@ def star_topology(n):
         edges[(0, leaf)] = Fraction(1)
         edges[(leaf, 0)] = Fraction(1)
     return Topology(n, edges)
+
+
+def shift_rule():
+    """Arity 1, three codes: the focal agent moves from c to c + 1 mod 3."""
+    return UpdateRule(arity=1, options=(("shift", 1),),
+                      table={(c, 0): (c + 1) % 3 for c in range(3)}, delta=3)
+
+
+def assert_outcome_holds_the_table(rule):
+    outcome = rule.outcome
+    assert outcome.shape == (rule.delta,) * rule.arity + (len(rule.options),)
+    assert outcome.dtype == np.int64
+    for key, new in rule.table.items():
+        assert outcome[key] == new
 
 
 def random_topology(n, seed):

@@ -63,7 +63,7 @@ import numpy as np
 from microlump import (AnalysisError, ConfigSpace, DocumentParseError, RandomMap,
                        SpacePermutation, ValidationError, model_fingerprint)
 from microlump.analysis import RESIDUAL_BOUND, AbsorptionReport, Classification
-from microlump.chain import decimal_text, rule_table
+from microlump.chain import decimal_text
 from microlump.model import content_lines
 from microlump import analysis, lumping
 from microlump.lumping import LumpVerdict, LumpWitness, count_label
@@ -775,17 +775,18 @@ def simulate(spec, start, steps, seed, cap=None):
 
 
 def simulate_packed(spec, start, steps, seed, cap=None):
-    """The walk that packs the draw's argument codes into a rule table
-    index at every step, with uniforms drawn in blocks."""
+    """The walk that packs the draw's argument codes, in argument order,
+    into an index of the raveled outcome array at every step, with
+    uniforms drawn in blocks."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     space = ConfigSpace(spec.n_agents, spec.delta, labels=spec.alphabet.symbols, cap=cap)
     config = list(space.check_config(start))
     x = space.index_of(config)
     cum = np.cumsum(draw_weights(spec))
     cum[-1] = 1.0
-    flat, delta, n_opts = rule_table(spec).tolist(), spec.delta, len(spec.rule.options)
+    flat, delta, n_opts = spec.rule.outcome.ravel().tolist(), spec.delta, len(spec.rule.options)
     table = spec.draws
-    draws = list(zip(table.agents[:, ::-1].tolist(), table.options.tolist(),
+    draws = list(zip(table.agents.tolist(), table.options.tolist(),
                      table.agents[:, 0].tolist()))
     visited = [x]
     for lo in range(0, steps, _DRAW_BLOCK):

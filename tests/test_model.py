@@ -5,8 +5,9 @@ import pytest
 from microlump import (ChoiceDistribution, DocumentParseError, Topology,
                        ValidationError, builtin_voter, model_fingerprint,
                        parse_model, serialize_model)
+from microlump.model import voter_rule
 from oracle import draw_choices, result
-from conftest import star_topology
+from conftest import assert_outcome_holds_the_table, shift_rule, star_topology
 
 VOTER3_DOC = """
 [model]
@@ -142,7 +143,7 @@ def test_duplicate_section_rejected():
         parse_model(VOTER3_DOC + "\n[model]\nattributes = x, y\n")
 
 
-def test_rule_table_must_be_total():
+def test_update_table_must_be_total():
     doc = """
     [model]
     attributes = black, white
@@ -157,6 +158,11 @@ def test_rule_table_must_be_total():
     """
     with pytest.raises(ValidationError, match="table"):
         parse_model(doc)
+
+
+def test_outcome_holds_the_table_at_every_key(majority3):
+    for rule in (voter_rule(2), voter_rule(3), voter_rule(4), shift_rule(), majority3.rule):
+        assert_outcome_holds_the_table(rule)
 
 
 def test_option_probabilities_must_sum_to_one():

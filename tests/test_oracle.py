@@ -42,7 +42,8 @@ from microlump import (AnalysisError, Alphabet, ChoiceDistribution, ConfigSpace,
                        parse_presets, read_sparse, serialize_model, simulate, write_partition,
                        write_sparse)
 from microlump.lumping import block_row_sums, count_label
-from conftest import path_topology, random_topology, star_topology
+from conftest import (assert_outcome_holds_the_table, path_topology, random_topology,
+                      star_topology)
 
 import oracle
 
@@ -1337,7 +1338,11 @@ def test_exhaustive_witnesses_at_scale_match_the_reference(lapack_chain):
 
 
 # ---------------------------------------------------------------------------
-# draws through the compiled rule table
+# draws through the rule's outcome array
+
+@pytest.mark.parametrize("seed", range(24))
+def test_outcome_of_random_rules(seed):
+    assert_outcome_holds_the_table(random_model(seed).rule)
 
 
 def table_actions(tmp_path, capsys, spec):

@@ -19,6 +19,14 @@ def test_index_mixed_radix_example():
     assert space.config_of(19) == (1, 0, 2)
 
 
+@pytest.mark.parametrize("n, dtype", [(63, "int64"), (64, "object")])
+def test_radix_holds_every_digit_weight_exactly(n, dtype):
+    """Past int64 the weights are Python ints, for walks that make no
+    array over the states."""
+    radix = ConfigSpace(n, 2, cap=2 ** n).radix
+    assert radix.dtype == dtype and radix.tolist() == [2 ** i for i in range(n)]
+
+
 def test_eight_binary_configs_bijective():
     space = ConfigSpace(3, 2)
     seen = {space.index_of(cfg) for cfg in LETTERS.values()}

@@ -1,4 +1,6 @@
+import dataclasses
 import io
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -13,7 +15,7 @@ from microlump import (Alphabet, ChoiceDistribution, ConfigSpace, GeneratorSet, 
                        parse_model, parse_presets, read_sparse, write_sparse)
 from microlump.errors import DocumentParseError
 from oracle import apply, compose, entry, inverse, partition
-from conftest import LETTERS, PATH4_FLIP, letter_index
+from conftest import LETTERS, PATH4_FLIP, letter_index, shift_rule
 
 
 def test_agent_swap_two_agents():
@@ -271,6 +273,36 @@ def test_certificate_fails_on_a_rule_that_does_not_commute():
     flip = parse_presets("flip", 3, 2)
     assert not certify(spec, flip)
     assert not is_chain_symmetric(build_micro_chain(spec), flip)
+
+
+def test_certificate_relabels_every_argument_of_majority3(majority3):
+    flip = parse_presets("flip", 3, 2)
+    assert certify(majority3, flip)
+    assert is_chain_symmetric(build_micro_chain(majority3), flip)
+
+
+@pytest.mark.parametrize("key", list(itertools.product(range(2), repeat=3)))
+def test_certificate_fails_on_majority3_with_one_entry_changed(majority3, key):
+    """Flip pairs each majority key with another, so one changed output
+    breaks the commutation at whichever argument positions differ."""
+    rule = majority3.rule
+    table = {**rule.table, key + (0,): 1 - rule.table[key + (0,)]}
+    spec = dataclasses.replace(majority3, rule=dataclasses.replace(rule, table=table))
+    flip = parse_presets("flip", 3, 2)
+    assert not certify(spec, flip)
+    assert not is_chain_symmetric(build_micro_chain(spec), flip)
+
+
+@pytest.mark.parametrize("cycles, symmetric", [("(0 1 2)", True), ("(0 1)", False)])
+def test_certificate_of_an_arity_one_rule(cycles, symmetric):
+    """c -> c + 1 mod 3 commutes with the code rotation, not with a swap."""
+    topology = Topology.complete(2)
+    spec = ModelSpec(name="shift", alphabet=Alphabet(("a", "b", "c")), topology=topology,
+                     rule=shift_rule(),
+                     choice=ChoiceDistribution.uniform_from_topology(topology, 1))
+    gens = parse_generator_file(f"attrs: {cycles}\n", 2, 3)
+    assert certify(spec, gens) == symmetric
+    assert bool(is_chain_symmetric(build_micro_chain(spec), gens)) == symmetric
 
 
 def test_a_failing_certificate_proves_nothing():
