@@ -5,8 +5,9 @@ Everything reads the chain's integer CSR arrays. Verdict-style
 computations (propagation, commutation) stay exact: a distribution is held
 as integer numerators over one common denominator and pushed one numpy
 pass per step. Absorption probabilities and expected step counts come
-from float solves of the transient-block systems, one strongly connected
-component at a time, with the whole system's residuals reported and bounded.
+from float solves of the transient-block systems, strongly connected
+components batched by height and size, with each component's residual
+against its own right-hand side reported and bounded.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ def _components(chain: Chain) -> Tuple[np.ndarray, int]:
     return np.array(comp, dtype=np.int64), count
 
 
-def _classify(chain: Chain) -> Tuple[Classification, np.ndarray]:
-    """`classify_states`, and each state's Kosaraju component id."""
+def _classify(chain: Chain) -> Tuple[Classification, np.ndarray, int]:
+    """`classify_states`, each state's Kosaraju component id, and the ids' count."""
     comp, count = _components(chain)
     src, dst = comp[chain.sources], comp[chain.cols]
     leaves = np.zeros(count, dtype=bool)
@@ -87,7 +88,7 @@ def _classify(chain: Chain) -> Tuple[Classification, np.ndarray]:
     absorbing = single[(chain.cols[first] == single) & (chain.nums[first] == chain.denom)]
     return Classification(absorbing=tuple(absorbing.tolist()),
                           transient=tuple(np.flatnonzero(leaves[comp]).tolist()),
-                          recurrent_classes=tuple(recurrent)), comp
+                          recurrent_classes=tuple(recurrent)), comp, count
 
 
 def classify_states(chain: Chain) -> Classification:
@@ -130,74 +131,88 @@ class AbsorptionReport:
 
 def absorption_analysis(chain: Chain) -> AbsorptionReport:
     """Solve the transient-block systems for absorption probabilities and
-    expected absorption times, one strongly connected component at a time.
+    expected absorption times, components of one height and size as one
+    stack, lowest height first. The residuals are the largest entries of
+    (I - Q_CC) x_C - b_C over the components C, b_C being the right-hand
+    side C was solved with.
 
     Requires every state to reach an absorbing state; a recurrent class
     that is not a unit self-loop is reported with one of its states.
     """
-    cls, comp = _classify(chain)
+    cls, comp, count = _classify(chain)
     for states in cls.recurrent_classes:
         if len(states) > 1 or states[0] not in cls.absorbing:
             raise AnalysisError(
                 f"state {states[0]} cannot reach any absorbing state")
     if not cls.absorbing:
         raise AnalysisError("chain has no absorbing state")
-    transient, absorbing = cls.transient, cls.absorbing
+    transient, absorbing = np.array(cls.transient, dtype=np.int64), cls.absorbing
     nt, na = len(transient), len(absorbing)
-    # every state is transient or absorbing here: pos is its index in Q or R
-    pos = np.zeros(chain.n_states, dtype=np.int64)
-    pos[list(transient)] = np.arange(nt)
-    pos[list(absorbing)] = np.arange(na)
-    is_transient = np.zeros(chain.n_states, dtype=bool)
-    is_transient[list(transient)] = True
-    at = np.flatnonzero(is_transient[chain.sources])
-    src, dst = pos[chain.sources[at]], chain.cols[at]
+    # a component's height: 0 when no entry leaves it, else one more than the
+    # highest it has an entry into. Kosaraju's ids ascend along every entry,
+    # so sources in descending id meet each target's height final
+    src, dst = comp[chain.sources], comp[chain.cols]
+    edges = np.unique(src[src != dst] * count + dst[src != dst])[::-1]
+    height = [0] * count
+    for s, d in zip((edges // count).tolist(), (edges % count).tolist()):
+        height[s] = max(height[s], height[d] + 1)
+    height = np.array(height, dtype=np.int64)
+    # batches of the components of one height and size, lowest height first,
+    # each component's members ascending: q is a transient state's place in
+    # batch order (an absorbing state's column), off its place in its batch
+    tc = comp[transient]
+    size = np.bincount(tc, minlength=count)[tc]
+    order = np.lexsort((tc, size, height[tc]))
+    q = np.zeros(chain.n_states, dtype=np.int64)
+    q[transient[order]], q[list(absorbing)] = np.arange(nt), np.arange(na)
+    k, place = size[order], np.arange(nt)
+    new = np.diff(height[tc[order]] * (nt + 1) + k, prepend=-1) != 0
+    off = place - np.maximum.accumulate(np.where(new, place, 0))
+    # the entries of transient rows, rows in batch order, each in column order
+    at = np.flatnonzero(height[src] > 0)
+    at = at[np.argsort(q[chain.sources[at]], kind="stable")]
+    rows, qc = q[chain.sources[at]], q[chain.cols[at]]
     values = to_floats(chain.nums[at], chain.denom)
-    to_q = is_transient[dst]
-    R = np.zeros((nt, na))
-    R[src[~to_q], pos[dst[~to_q]]] = values[~to_q]
-    # Kosaraju's ids ascend along every entry: blocks are the components in
-    # descending id, so successors first, members ascending (no transient
-    # states make one empty block). One stable sort puts each block's Q
-    # entries inside it first, then those into solved states, in row order
-    members, cuts = group_blocks(-comp[list(transient)])
-    rank = np.argsort(members)  # each transient state's place in block order
-    block = np.searchsorted(cuts, rank, side="right") - 1
-    local = rank - cuts[block]
-    qs, qd, qv = src[to_q], pos[dst[to_q]], values[to_q]
-    key = 2 * block[qs] + (block[qd] != block[qs])
-    order = np.argsort(key, kind="stable")
-    qs, qd, qv = qs[order], qd[order], qv[order]
-    rows, cols, neg = local[qs], local[qd], 0.0 - qv
-    bounds = np.searchsorted(key[order], np.arange(2 * len(cuts) - 1)).tolist()
-    # one zeroed nt x nt array: each block's I - Q_CC (the same bits as np.eye
-    # - Q_CC), column-major in its head for LAPACK's copy, cleared after the
-    # solves; then all of I - Q, row-major, for the residual products
-    probs, steps, I_Q = np.empty((nt, na)), np.empty(nt), np.zeros((nt, nt))
-    for a, z, i, j, e in zip(cuts[:-1].tolist(), cuts[1:].tolist(), bounds[::2], bounds[1::2],
-                             bounds[2::2]):
-        mem, k, inner, out = members[a:z], z - a, slice(i, j), slice(j, e)
-        A = I_Q.reshape(-1)[:k * k].reshape((k, k), order="F")
-        A[rows[inner], cols[inner]] = neg[inner]
-        A.flat[::k + 1] += 1.0
-        # right-hand sides R_C + Q_CS x_S and 1 + Q_CS s_S, added entry by entry
-        b_probs, b_steps = R[mem], np.ones(k)
-        np.add.at(b_probs, rows[out], qv[out, None] * probs[qd[out]])
-        np.add.at(b_steps, rows[out], qv[out] * steps[qd[out]])
-        probs[mem] = np.linalg.solve(A, b_probs)
-        steps[mem] = np.linalg.solve(A, b_steps)
-        A[rows[inner], cols[inner]] = A.flat[::k + 1] = 0.0
-    I_Q[qs, qd] = neg
-    I_Q.flat[::nt + 1] += 1.0
-    residual_probs = float(np.max(np.abs(np.matmul(I_Q, probs) - R), initial=0.0))
-    residual_steps = float(np.max(np.abs(np.matmul(I_Q, steps) - 1.0), initial=0.0))
+    to_r, inner = height[dst[at]] == 0, src[at] == dst[at]
+    loop, out, inner = inner & (rows == qc), ~to_r & ~inner, inner & (rows != qc)
+    B = np.zeros((nt, na + 1))  # [R | 1], to which entries into solved states add
+    B[rows[to_r], qc[to_r]] = values[to_r]
+    B[:, na] = 1.0
+    # I - Q_CC with the bits of np.eye - Q_CC: the diagonal, and each entry
+    # off it at its column-major and its row-major offset in its batch's stack
+    diag = 1.0 + np.bincount(rows[loop], 0.0 - values[loop], minlength=nt)
+    u, v, neg = rows[inner], qc[inner], 0.0 - values[inner]
+    f_off, c_off = off[v] * k[u] + off[u] % k[u], off[u] * k[u] + off[v] % k[u]
+    o_rows, o_cols, o_vals = rows[out], qc[out], values[out]
+    cuts = np.append(np.flatnonzero(new), nt)
+    bounds = np.stack((cuts, np.searchsorted(u, cuts), np.searchsorted(o_rows, cuts)), 1).tolist()
+    X, AX = np.empty((nt, na + 1)), np.empty((nt, na + 1))
+    for (s, a, i), (e, b, j) in zip(bounds, bounds[1:]):
+        kb = int(k[s])
+        stack = np.zeros((e - s) * kb)
+        stack.reshape(-1, kb * kb)[:, ::kb + 1] = diag[s:e].reshape(-1, kb)
+        stack[f_off[a:b]] = neg[a:b]
+        if i < j:  # row by row in column order, as one entry after another
+            np.add.at(B, o_rows[i:j], o_vals[i:j, None] * X[o_cols[i:j]])
+        rhs, A = B[s:e].reshape(-1, kb, na + 1), stack.reshape(-1, kb, kb).swapaxes(1, 2)
+        xp, xs = np.linalg.solve(A, rhs[..., :na]), np.linalg.solve(A, rhs[..., na:])
+        X[s:e, :na], X[s:e, na] = xp.reshape(-1, na), xs.reshape(-1)
+        # the same stack row-major, for each component's residual products
+        stack[f_off[a:b]] = 0.0
+        stack[c_off[a:b]] = neg[a:b]
+        A = stack.reshape(-1, kb, kb)
+        AX[s:e, :na] = np.matmul(A, xp).reshape(-1, na)
+        AX[s:e, na] = np.matmul(A, xs).reshape(-1)
+    probs, steps = X[q[transient], :na], X[q[transient], na]
+    residual_probs = float(np.max(np.abs(AX[:, :na] - B[:, :na]), initial=0.0))
+    residual_steps = float(np.max(np.abs(AX[:, na] - B[:, na]), initial=0.0))
     if residual_probs > RESIDUAL_BOUND or residual_steps > RESIDUAL_BOUND:
         raise AnalysisError(
             f"solve residuals {residual_probs:.2e}/{residual_steps:.2e} "
             f"exceed {RESIDUAL_BOUND:.0e}")
     if np.max(np.abs(probs.sum(axis=1) - 1.0), initial=0.0) > RESIDUAL_BOUND:
         raise AnalysisError("absorption probabilities do not sum to one")
-    return AbsorptionReport(absorbing, transient, cls.recurrent_classes, probs,
+    return AbsorptionReport(absorbing, cls.transient, cls.recurrent_classes, probs,
                             steps, residual_probs, residual_steps)
 
 

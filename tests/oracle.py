@@ -22,9 +22,11 @@ bodies replaced.
 one `Fraction` at a time, the path that the integer checks of
 `analysis.start_numerators` replaced. `absorption_analysis` solves the
 transient components one at a time, sinks first, each from a row-major
-`np.eye - Q_CC`, whose bits the package's column-major solves must
-reproduce; `dense_absorption_analysis` is the whole-system solve of
-`np.eye(nt) - Q` that the component solves replaced, and
+`np.eye - Q_CC`, whose bits the package's stacked column-major solves
+must reproduce, residuals included: each component's against the
+right-hand side it was solved with; `dense_absorption_analysis` is the
+whole-system solve of `np.eye(nt) - Q` that the component solves
+replaced, with the whole system's residuals, and
 `exact_absorption` the same systems in `Fraction` Gauss-Jordan
 elimination.
 
@@ -641,20 +643,13 @@ def _absorbing_system(rows):
     return cls, reach, Q, R
 
 
-def _absorption_report(cls, Q, R, probs, steps):
-    """The package's residuals over the whole np.eye(nt) - Q, and its bounds."""
-    nt, na = R.shape
-    if nt == 0:
-        return AbsorptionReport(cls.absorbing, cls.transient, cls.recurrent_classes,
-                                np.zeros((0, na)), np.zeros(0), 0.0, 0.0)
-    A = np.eye(nt) - Q
-    residual_probs = float(np.max(np.abs(A @ probs - R))) if na else 0.0
-    residual_steps = float(np.max(np.abs(A @ steps - 1.0)))
+def _absorption_report(cls, probs, steps, residual_probs, residual_steps):
+    """The package's report of these solutions and residuals, and its bounds."""
     if residual_probs > RESIDUAL_BOUND or residual_steps > RESIDUAL_BOUND:
         raise AnalysisError(
             f"solve residuals {residual_probs:.2e}/{residual_steps:.2e} "
             f"exceed {RESIDUAL_BOUND:.0e}")
-    if np.max(np.abs(probs.sum(axis=1) - 1.0)) > RESIDUAL_BOUND:
+    if np.max(np.abs(probs.sum(axis=1) - 1.0), initial=0.0) > RESIDUAL_BOUND:
         raise AnalysisError("absorption probabilities do not sum to one")
     return AbsorptionReport(cls.absorbing, cls.transient, cls.recurrent_classes, probs,
                             steps, residual_probs, residual_steps)
@@ -665,11 +660,14 @@ def absorption_analysis(rows):
     more states than any it has an entry into, so ascending reach is one
     such order. Each solves np.eye - Q_CC against R_C and ones, to which
     every entry into a solved state adds its value times that state's
-    solution, row by row in column order."""
+    solution, row by row in column order. The residuals are each
+    component's (np.eye - Q_CC) @ x_C - b_C against the right-hand side
+    b_C it was solved with, largest over the components."""
     cls, reach, Q, R = _absorbing_system(rows)
     t_pos = {x: i for i, x in enumerate(cls.transient)}
     comps = sorted({_class_of(reach, x) for x in cls.transient}, key=lambda c: len(reach[c[0]]))
     probs, steps = np.zeros(R.shape), np.zeros(len(t_pos))
+    residual_probs = residual_steps = 0.0
     for comp in comps:
         at, inside = [t_pos[x] for x in comp], set(comp)
         b_probs, b_steps = R[at], np.ones(len(comp))
@@ -681,15 +679,20 @@ def absorption_analysis(rows):
         A = np.eye(len(comp)) - Q[np.ix_(at, at)]
         probs[at] = np.linalg.solve(A, b_probs)
         steps[at] = np.linalg.solve(A, b_steps)
-    return _absorption_report(cls, Q, R, probs, steps)
+        residual_probs = max(residual_probs, float(np.max(np.abs(A @ probs[at] - b_probs))))
+        residual_steps = max(residual_steps, float(np.max(np.abs(A @ steps[at] - b_steps))))
+    return _absorption_report(cls, probs, steps, residual_probs, residual_steps)
 
 
 def dense_absorption_analysis(rows):
-    """The whole transient block solved at once, two solves of np.eye(nt) - Q."""
+    """The whole transient block solved at once, two solves of np.eye(nt) - Q,
+    with the whole system's residuals."""
     cls, _, Q, R = _absorbing_system(rows)
     A = np.eye(len(Q)) - Q
-    return _absorption_report(cls, Q, R, np.linalg.solve(A, R),
-                              np.linalg.solve(A, np.ones(len(Q))))
+    probs, steps = np.linalg.solve(A, R), np.linalg.solve(A, np.ones(len(Q)))
+    return _absorption_report(cls, probs, steps,
+                              float(np.max(np.abs(A @ probs - R), initial=0.0)),
+                              float(np.max(np.abs(A @ steps - 1.0), initial=0.0)))
 
 
 def exact_absorption(rows):

@@ -116,10 +116,10 @@ GOLDEN = {
     "path3/lump-Sdelta": "d1e6d09c1d814ac6a7a56663ff0af6c85f091791af58eed7bcb79b94dfeb92f7",
     "path3/check-lump-full": "d41dc81b1ef616afae097eae52032d82997e950c3fd6924efa69ec0174c13472",
     "path3/lump-full": "a8d20e41e89bac0fc0bfc5532be2f5f9ada2581386f78c2924444adcaf47cd80",
-    "path3/analyze-micro": "ae0e81029ba25ad17398776958bbb04ad2047e5903eea8264e07a9efb5dea0a5",
-    "path3/analyze-micro-kv": "c577a89efbc4fb77e528b24326bfca85dd67cba7917d3fa38b2bffb7999f8e98",
-    "path3/analyze-macro-Sdelta": "baa442800079f455985fe949de30871e67db668cfbee0629f37c23cfe953fb83",
-    "path3/analyze-macro-Sdelta-kv": "7774c199414c50f99a9f95d0bb8748e7d6767a730dfd3ac6c0ea2e62f0e0a510",
+    "path3/analyze-micro": "e0d50a888b26ada457d8ee7e6b8ef42959a7512e8c8a035949b5be3a56ed5ee4",
+    "path3/analyze-micro-kv": "918f945a897838b72dba073fe0ea95dd840648913327160e550b9d150a720109",
+    "path3/analyze-macro-Sdelta": "29f5a6d6647f00a9a7487932bea730b0ef026ff9957f65a2a923cf6a6b8bad05",
+    "path3/analyze-macro-Sdelta-kv": "5e2621fac49ac58b99b09bb48f41235c8cee552deb4808b83121359c613d3139",
     "path3/propagate-micro": "fb3ef62e0e8f84ce5c528e1a01144eab5700e9af38c618a7fd706a8a1003f8c2",
     "path3/propagate-macro": "abadf36c392717f729b0e3c46f885b0a06fd78d6383e05beda07790c3fc62492",
     "path3/simulate": "9bb77feee4a2cffd7da84c46c8ce988e4e98403e081a484ea8fbf5544c5e2f66",

@@ -1,21 +1,23 @@
-"""The integer CSR chain core against the plain-loop `Fraction` references
-in `oracle.py`: built rows, sparse bytes, parse results and errors,
-symmetry verdicts and witnesses, block-sum verdicts (exact, tolerance and
+"""The integer CSR chain core against the plain-loop `Fraction` references in
+`oracle.py`: built rows, sparse bytes, parse results and errors, symmetry
+verdicts and witnesses, block-sum verdicts (exact, tolerance and
 exhaustive), reduced chains, propagation, aggregation, commutation
 profiles, state classification and absorption, on seeded random models,
 and absorption bits and exhaustive witnesses on two chains of about 2000
-states; absorption values also against the whole-system dense solve, the
-exact `Fraction` solve on small chains and the voter's closed form on the
-path; the start distribution checks against the per-entry `Fraction`
-reference; the draws applied through the compiled rule table (map actions,
-`maps --table`, trajectories and matrix estimates) against the rule-dict
-references; the integer draw table and model validation against the
-`Fraction` path they replaced; array-built topologies, choices and maps
-against the dict-built ones; orbit partitions against union-find; the
-member/indptr partitions against the tuple reference; and the partition
-reader's byte pass against the reader that converts every index with
-int()."""
+states, absorption bits also on a 2401-state line of single-state
+components; absorption values and residuals also against the whole-system
+dense solve, values against the exact `Fraction` solve on small chains and
+the voter's closed form on the path; the start distribution checks against
+the per-entry `Fraction` reference; the draws applied through the compiled
+rule table (map actions, `maps --table`, trajectories and matrix
+estimates) against the rule-dict references; the integer draw table and
+model validation against the `Fraction` path they replaced; array-built
+topologies, choices and maps against the dict-built ones; orbit partitions
+against union-find; the member/indptr partitions against the tuple
+reference; and the partition reader's byte pass against the reader that
+converts every index with int()."""
 
+import functools
 import io
 import itertools
 import random
@@ -1221,16 +1223,49 @@ LAPACK_MODELS = {
 }
 
 
-@pytest.fixture(scope="module", params=list(LAPACK_MODELS))
+def line_rows(n):
+    """x -> x, x + 1, x + 2 with weights 1/4, 1/2, 1/4, the steps past the
+    last state landing on it, which absorbs: n - 1 single-state transient
+    components, each of its own height."""
+    rows = []
+    for x in range(n - 1):
+        row = {}
+        for y, p in ((x, Fraction(1, 4)), (x + 1, Fraction(1, 2)), (x + 2, Fraction(1, 4))):
+            row[min(y, n - 1)] = row.get(min(y, n - 1), 0) + p
+        rows.append(tuple(sorted(row.items())))
+    return tuple(rows) + (((n - 1, Fraction(1)),),)
+
+
+@functools.lru_cache(maxsize=None)
+def scale_chain(name):
+    """(name, chain, Fraction rows) of a LAPACK_MODELS model or the 2401-state line."""
+    if name == "line2401":
+        rows = line_rows(2401)
+        return name, read_sparse(sparse_text(oracle.write_sparse, rows)), rows
+    spec = LAPACK_MODELS[name]()
+    return name, build_micro_chain(spec), oracle.build_rows(spec)
+
+
+@functools.lru_cache(maxsize=None)
+def dense_report(name):
+    return oracle.dense_absorption_analysis(scale_chain(name)[2])
+
+
+@pytest.fixture(params=list(LAPACK_MODELS))
 def lapack_chain(request):
-    spec = LAPACK_MODELS[request.param]()
-    return request.param, build_micro_chain(spec), oracle.build_rows(spec)
+    return scale_chain(request.param)
 
 
-def test_absorption_at_lapack_scale_matches_the_reference_bits(lapack_chain):
-    """The component solves at thousands of states give the component-wise
-    reference's bits: the report's arrays and the `--format kv` text."""
-    _, chain, rows = lapack_chain
+@pytest.fixture(params=[*LAPACK_MODELS, "line2401"])
+def absorbing_chain(request):
+    return scale_chain(request.param)
+
+
+def test_absorption_at_lapack_scale_matches_the_reference_bits(absorbing_chain):
+    """The batched component solves at thousands of states give the
+    component-wise reference's bits: the report's arrays, its residuals and
+    the `--format kv` text."""
+    _, chain, rows = absorbing_chain
     report, ref = absorption_analysis(chain), oracle.absorption_analysis(rows)
     assert len(report.transient) >= 2000
     assert (absorption_outcome(lambda _: report, chain)
@@ -1238,15 +1273,17 @@ def test_absorption_at_lapack_scale_matches_the_reference_bits(lapack_chain):
     assert analysis.absorption_kv(report) == analysis.absorption_kv(ref)
 
 
-# transient components: path7's are many and small, complete11's one
-TRANSIENT_COMPONENTS = {"path7-three-codes": (378, 20, 192), "complete11": (1, 2046, 0)}
+# transient components: path7's are many and small, complete11's one, the
+# line's all single states
+TRANSIENT_COMPONENTS = {"path7-three-codes": (378, 20, 192), "complete11": (1, 2046, 0),
+                        "line2401": (2400, 1, 2400)}
 
 
-def test_absorption_at_lapack_scale_agrees_with_the_whole_system_solve(lapack_chain):
+def test_absorption_at_lapack_scale_agrees_with_the_whole_system_solve(absorbing_chain):
     """Within 1e-12 of the dense solve of all of I - Q, and its very bits,
     residuals included, where the transient states are one component."""
-    name, chain, rows = lapack_chain
-    report, dense = absorption_analysis(chain), oracle.dense_absorption_analysis(rows)
+    name, chain, rows = absorbing_chain
+    report, dense = absorption_analysis(chain), dense_report(name)
     comp, _ = analysis._components(chain)
     sizes = np.unique(comp[list(report.transient)], return_counts=True)[1]
     assert (len(sizes), sizes.max(), np.sum(sizes == 1)) == TRANSIENT_COMPONENTS[name]
@@ -1254,6 +1291,40 @@ def test_absorption_at_lapack_scale_agrees_with_the_whole_system_solve(lapack_ch
     assert within(report.expected_steps, dense.expected_steps, 1e-12)
     assert (absorption_outcome(lambda _: report, chain)
             == absorption_outcome(lambda _: dense, rows)) == (len(sizes) == 1)
+
+
+def residual_gap_ulps(report, dense):
+    """How far the package's per-component residuals lie from the whole
+    system's, in units of eps times the solution's scale (1 for the
+    probabilities, the largest expected step count, at least 1, for the
+    steps)."""
+    eps = np.finfo(np.float64).eps
+    scale = max(1.0, float(np.max(dense.expected_steps, initial=0.0)))
+    return (abs(report.residual_probs - dense.residual_probs) / eps,
+            abs(report.residual_steps - dense.residual_steps) / (eps * scale))
+
+
+# each residual, per component or whole-system, is rounding noise of a few
+# ulps of the solution's scale (at most 6.4, complete11's), and the two
+# differ by at most this many
+RESIDUAL_GAP_ULPS = 8
+
+
+def test_component_residuals_lie_near_the_whole_system_residuals_at_scale(lapack_chain):
+    name, chain, _ = lapack_chain
+    gaps = residual_gap_ulps(absorption_analysis(chain), dense_report(name))
+    assert max(gaps) <= RESIDUAL_GAP_ULPS
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_component_residuals_lie_near_the_whole_system_residuals(seed):
+    spec = random_model(seed)
+    try:
+        report = absorption_analysis(build_micro_chain(spec))
+    except AnalysisError:
+        return
+    dense = oracle.dense_absorption_analysis(oracle.build_rows(spec))
+    assert max(residual_gap_ulps(report, dense)) <= RESIDUAL_GAP_ULPS
 
 
 def test_path_fixation_is_the_degree_weighted_share():
@@ -1270,14 +1341,21 @@ def test_path_fixation_is_the_degree_weighted_share():
     assert np.abs(report.probs - share).max() <= 1e-12
 
 
-def test_absorption_solves_column_major_and_takes_residuals_row_major(lapack_chain,
+# (height, size) batches: path7's 378 components in six, the line's one a
+# height
+BATCHES = {"path7-three-codes": 6, "complete11": 1, "line2401": 2400}
+
+
+def test_absorption_solves_column_major_and_takes_residuals_row_major(absorbing_chain,
                                                                        monkeypatch):
-    """Each solve gets its component's I - Q_CC column-major, two solves per
-    component; the two residual products get one row-major I - Q, the one
-    nt x nt array made. Kosaraju runs once."""
-    _, chain, _ = lapack_chain
-    comp, _ = analysis._components(chain)
-    calls, solves, products, shapes = [], [], [], []
+    """One pair of solves per batch of components of one height and size:
+    one stack of their I - Q_CC, each matrix column-major,
+    against the probabilities' and the steps' right-hand sides. The two
+    residual products take the same stack, rewritten row-major in place.
+    Kosaraju runs once, and where the transient states are several
+    components no nt x nt array is made."""
+    name, chain, _ = absorbing_chain
+    calls, solves, products, zeroed = [], [], [], []
     components, solve, matmul, zeros = analysis._components, np.linalg.solve, np.matmul, np.zeros
 
     def spy_components(c):
@@ -1285,7 +1363,7 @@ def test_absorption_solves_column_major_and_takes_residuals_row_major(lapack_cha
         return components(c)
 
     def spy_solve(a, b):
-        solves.append((a.shape, a.flags.f_contiguous))
+        solves.append((a, a.shape, b.shape, all(m.flags.f_contiguous for m in a)))
         return solve(a, b)
 
     def spy_matmul(a, b):
@@ -1293,24 +1371,29 @@ def test_absorption_solves_column_major_and_takes_residuals_row_major(lapack_cha
         return matmul(a, b)
 
     def spy_zeros(shape, *args, **kwargs):
-        shapes.append(shape)
+        zeroed.append(int(np.prod(shape)))
         return zeros(shape, *args, **kwargs)
 
     monkeypatch.setattr(analysis, "_components", spy_components)
     monkeypatch.setattr(np.linalg, "solve", spy_solve)
     monkeypatch.setattr(np, "matmul", spy_matmul)
     monkeypatch.setattr(np, "zeros", spy_zeros)
-    transient = absorption_analysis(chain).transient
-    nt = len(transient)
-    sizes = np.unique(comp[list(transient)], return_counts=True)[1]
+    report = absorption_analysis(chain)
+    nt, na = len(report.transient), len(report.absorbing)
     assert calls == [chain]
-    assert all(f_order for _, f_order in solves)
-    assert solves[::2] == solves[1::2]
-    assert sorted(k for (k, _), _ in solves[::2]) == sorted(sizes.tolist())
-    assert all(k == j for (k, j), _ in solves)
-    assert len(products) == 2 and products[0] is products[1]
-    assert products[0].shape == (nt, nt) and products[0].flags.c_contiguous
-    assert shapes.count((nt, nt)) == 1
+    assert len(solves) == len(products) == 2 * BATCHES[name]
+    for (a, shape, b_probs, f_order), (a2, shape2, b_steps, f_order2), p, p2 in zip(
+            solves[::2], solves[1::2], products[::2], products[1::2]):
+        m, k, _ = shape
+        assert a2 is a and shape == shape2 == (m, k, k) and f_order and f_order2
+        assert (b_probs, b_steps) == ((m, k, na), (m, k, 1))
+        assert p2 is p and p.shape == shape and p.flags.c_contiguous
+        assert np.shares_memory(p, a)
+    assert sum(m * k for _, (m, k, _), _, _ in solves[::2]) == nt
+    if name == "complete11":  # the one stack holds the one component
+        assert zeroed.count(nt * nt) == 1
+    else:
+        assert max(zeroed) < nt * nt
 
 
 @pytest.mark.parametrize("seed", range(24))
