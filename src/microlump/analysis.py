@@ -102,14 +102,11 @@ def classify_states(chain: Chain) -> Classification:
 
 
 @dataclass(frozen=True)
-class AbsorptionReport:
+class AbsorptionReport(Classification):
     """Float absorption probabilities and expected steps for the transient
     block. Values are floats by construction; everything exact lives in the
     chain itself."""
 
-    absorbing: Tuple[int, ...]
-    transient: Tuple[int, ...]
-    recurrent_classes: Tuple[Tuple[int, ...], ...]
     probs: np.ndarray          # (len(transient), len(absorbing))
     expected_steps: np.ndarray  # (len(transient),)
     residual_probs: float
@@ -140,8 +137,9 @@ def absorption_analysis(chain: Chain) -> AbsorptionReport:
     that is not a unit self-loop is reported with one of its states.
     """
     cls, comp, count = _classify(chain)
+    absorbing_set = set(cls.absorbing)
     for states in cls.recurrent_classes:
-        if len(states) > 1 or states[0] not in cls.absorbing:
+        if len(states) > 1 or states[0] not in absorbing_set:
             raise AnalysisError(
                 f"state {states[0]} cannot reach any absorbing state")
     if not cls.absorbing:

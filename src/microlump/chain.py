@@ -222,14 +222,12 @@ SUM_TOL = 1e-9
 
 
 def validate_stochastic(chain: Chain) -> None:
-    """Columns strictly ascending, no negative entry, and every row summing
-    to one: exactly, or within `SUM_TOL` when `chain.exact` is False.
-    Reports the first failing row."""
+    """No negative entry, and every row summing to one: exactly, or within
+    `SUM_TOL` when `chain.exact` is False. Reports the first failing row.
+    Column order is the reader's to check, line by line."""
     n, nums, denom = chain.n_states, chain.nums, chain.denom
     # not `chain.sources`, whose cache would stay on every chain read
     src = np.repeat(np.arange(n, dtype=np.int64), np.diff(chain.indptr))
-    unsorted = np.zeros(n, dtype=bool)
-    unsorted[src[1:][(src[1:] == src[:-1]) & (chain.cols[1:] <= chain.cols[:-1])]] = True
     negative = np.zeros(n, dtype=bool)
     negative[src[nums < 0]] = True
     sums = np.zeros(n, dtype=nums.dtype)
@@ -242,12 +240,10 @@ def validate_stochastic(chain: Chain) -> None:
         # |sum - denom| is an integer, so comparing it with
         # floor(SUM_TOL * denom) is exact; the clamp keeps the bound inside int64
         off = abs(sums - denom) > min(floor(Fraction(SUM_TOL) * denom), INT64_MAX)
-    bad = np.flatnonzero(unsorted | negative | off)
+    bad = np.flatnonzero(negative | off)
     if not len(bad):
         return
     x = int(bad[0])
-    if unsorted[x]:
-        raise ValidationError(f"row {x} has unsorted or duplicate columns")
     if negative[x]:
         raise ValidationError(f"row {x} has a negative entry")
     total = Fraction(int(sums[x]), denom)

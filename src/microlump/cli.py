@@ -70,7 +70,7 @@ def _generators(args, spec):
     if args.gens_file:
         with open(args.gens_file, "r", encoding="utf-8") as fh:
             return symmetry.parse_generator_file(fh.read(), n, delta)
-    return symmetry.parse_presets(args.gens, n, delta)
+    return symmetry.parse_presets("SN" if args.gens is None else args.gens, n, delta)
 
 
 def cmd_orbits(args) -> int:
@@ -214,8 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="materialize each map's full action (cap-guarded)")
     for p in (add("orbits", "orbit partition of a generator set", "model"),
               add("check-sym", "test generators as chain symmetries", "model", output=False)):
-        p.add_argument("--gens", default="SN")
-        p.add_argument("--gens-file")
+        # no default in the group, so that `--gens SN` counts as given
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--gens", help="comma-separated presets (default SN)")
+        group.add_argument("--gens-file", help="generator file, one generator per line")
 
     p = add("check-lump", "block-sum lumpability test", "chain partition", output=False, cap=False)
     p.add_argument("--tol", type=float, nargs="?", const=1e-12, default=None,

@@ -266,8 +266,6 @@ def check_lumpable(chain, part: Partition, tol: Optional[float] = None,
     limit = min(tol_num * chain.denom // tol_den, chain.denom)
     block_of, n_blocks = part.block_of, part.n_blocks
     states, blocks, sums, reach = _block_sums(chain, block_of, n_blocks, own=tol is not None)
-    if not len(states):
-        return LumpVerdict(True)
     ref = np.minimum.reduceat(part.members, part.indptr[:-1])[block_of]
     # each state's row of (block, sum) pairs against its reference's, pair
     # by pair: a state is flagged when the rows differ in length, or an

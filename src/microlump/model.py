@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from numbers import Rational
+from numbers import Rational, Real
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -103,6 +103,12 @@ def _index_array(keys: Iterable, width: Optional[int] = None) -> Optional[np.nda
         return None
     good = keys.ndim == 2 and width in (None, keys.shape[1]) and keys.dtype.kind in "bi"
     return keys.astype(np.int64) if good else None
+
+
+def _malformed(key, width: Optional[int] = None) -> bool:
+    """Is `key` anything but a tuple of (`width`) real numbers?"""
+    return not (isinstance(key, tuple) and width in (None, len(key))
+                and all(isinstance(a, Real) for a in key))
 
 
 def _first_error(items, bad: Optional[np.ndarray], error: Callable) -> None:
@@ -199,7 +205,7 @@ class Topology:
         if self.n_agents < 1:
             raise ValidationError("need at least one agent")
         if not isinstance(self.edges, FractionMap):
-            edges = _exact_values(self.edges, lambda e: f"edge ({e[0] + 1},{e[1] + 1}) weight")
+            edges = _exact_values(self.edges, lambda e: f"edge {_show_tuple(e)} weight")
             object.__setattr__(self, "edges", FractionMap(
                 _index_array(edges, 2), to_numerators(edges.values()), edges))
         n, pairs, weights = self.n_agents, self.edges.rows, self.edges.numerators
@@ -220,6 +226,8 @@ class Topology:
 
     def _edge_error(self, pair: Tuple[int, int]) -> Optional[str]:
         """What is wrong with one edge, checks in the order they apply."""
+        if _malformed(pair, 2):
+            return f"malformed edge key {pair!r}"
         (i, j), w, n = pair, self.edges[pair], self.n_agents
         if i == j:
             return f"self-edge on agent {i + 1}"
@@ -397,6 +405,8 @@ class ModelSpec:
 
     def _tuple_error(self, tup: Tuple[int, ...]) -> Optional[str]:
         """What is wrong with one agent tuple, checks in the order they apply."""
+        if _malformed(tup):
+            return f"malformed choice key {tup!r}"
         if len(tup) != self.rule.arity:
             return (f"choice {_show_tuple(tup)} has {len(tup)} agents, "
                     f"rule arity is {self.rule.arity}")
@@ -645,7 +655,8 @@ def _frac(p: Fraction) -> str:
 
 
 def _show_tuple(tup: Tuple[int, ...]) -> str:
-    return "(" + ",".join(str(a + 1) for a in tup) + ")"
+    """1-based agents, or a malformed key as it was given."""
+    return repr(tup) if _malformed(tup) else "(" + ",".join(str(a + 1) for a in tup) + ")"
 
 
 def serialize_model(spec: ModelSpec) -> str:

@@ -66,12 +66,10 @@ class SpacePermutation:
 
 @dataclass(frozen=True)
 class GeneratorSet:
+    """Generators of a group; none is the trivial group."""
+
     name: str
     perms: Tuple[SpacePermutation, ...]
-
-    def __post_init__(self):
-        if not self.perms:
-            raise ValidationError("generator set is empty")
 
 
 def _agent_transposition(n: int, delta: int, i: int, j: int) -> SpacePermutation:
@@ -88,8 +86,6 @@ def _attr_transposition(n: int, delta: int, s: int, t: int) -> SpacePermutation:
 
 def agent_symmetric_group(n: int, delta: int) -> GeneratorSet:
     """Adjacent agent transpositions; they generate every agent reordering."""
-    if n == 1:
-        return GeneratorSet("SN", (SpacePermutation.identity(n, delta),))
     gens = tuple(_agent_transposition(n, delta, i, i + 1) for i in range(n - 1))
     return GeneratorSet("SN", gens)
 
@@ -105,8 +101,6 @@ def attr_group_fixing(n: int, delta: int, fixed: int) -> GeneratorSet:
     if not 0 <= fixed < delta:
         raise ValidationError(f"attribute code {fixed} out of range")
     moving = [s for s in range(delta) if s != fixed]
-    if len(moving) < 2:
-        return GeneratorSet(f"Sdelta-1:{fixed}", (SpacePermutation.identity(n, delta),))
     gens = tuple(_attr_transposition(n, delta, moving[k], moving[k + 1])
                  for k in range(len(moving) - 1))
     return GeneratorSet(f"Sdelta-1:{fixed}", gens)
@@ -146,7 +140,7 @@ def parse_presets(text: str, n: int, delta: int) -> GeneratorSet:
             raise DocumentParseError(f"unknown generator preset {token!r}")
         perms.extend(part.perms)
         names.append(token)
-    if not perms:
+    if not names:
         raise DocumentParseError("no generator presets given")
     return GeneratorSet(",".join(names), tuple(perms))
 

@@ -58,6 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from numbers import Real
 from typing import Tuple
 
 import numpy as np
@@ -76,12 +77,20 @@ ONE = Fraction(1)
 
 
 def _show(tup):
-    return "(" + ",".join(str(a + 1) for a in tup) + ")"
+    return repr(tup) if _malformed(tup) else "(" + ",".join(str(a + 1) for a in tup) + ")"
+
+
+def _malformed(key, width=None):
+    return not (isinstance(key, tuple) and width in (None, len(key))
+                and all(isinstance(a, Real) for a in key))
 
 
 def check_topology(n_agents, edges):
     """Topology's checks, edge by edge."""
-    for (i, j), w in edges.items():
+    for key, w in edges.items():
+        if _malformed(key, 2):
+            raise ValidationError(f"malformed edge key {key!r}")
+        i, j = key
         if i == j:
             raise ValidationError(f"self-edge on agent {i + 1}")
         if not (0 <= i < n_agents and 0 <= j < n_agents):
@@ -106,6 +115,8 @@ def check_model(topology, arity, entries):
     """ModelSpec's checks of the choice's agent tuples, tuple by tuple."""
     n = topology.n_agents
     for tup in entries:
+        if _malformed(tup):
+            raise ValidationError(f"malformed choice key {tup!r}")
         if len(tup) != arity:
             raise ValidationError(
                 f"choice {_show(tup)} has {len(tup)} agents, rule arity is {arity}")

@@ -1,5 +1,7 @@
+import dataclasses
 import io
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +23,15 @@ def test_classify_voter(voter3_chain):
     assert set(cls.absorbing) == {letter_index("a"), letter_index("h")}
     assert len(cls.transient) == 6
     assert all(len(c) == 1 for c in cls.recurrent_classes)
+
+
+def test_an_absorption_report_is_a_classification(voter3_chain):
+    report = absorption_analysis(voter3_chain)
+    assert isinstance(report, Classification)
+    fields = [f.name for f in dataclasses.fields(report)]
+    assert fields[:3] == [f.name for f in dataclasses.fields(Classification)]
+    assert (Classification(*(getattr(report, name) for name in fields[:3]))
+            == classify_states(voter3_chain))
 
 
 def test_classify_moran(voter3_chain):
@@ -53,6 +64,17 @@ def test_absorbing_states_alone_leave_an_empty_report():
     assert (report.absorbing, report.transient) == ((0, 1), ())
     assert report.probs.shape == (0, 2) and report.expected_steps.shape == (0,)
     assert (report.residual_probs, report.residual_steps) == (0.0, 0.0)
+
+
+def test_a_65536_state_identity_chain_is_analysed_in_linear_time():
+    """Every state absorbing: each recurrent class is looked up among the
+    absorbing states in a set, where a scan of their tuple is quadratic."""
+    n = 1 << 16
+    chain = Chain(np.arange(n + 1), np.arange(n), np.ones(n, dtype=np.int64), 1)
+    start = time.perf_counter()
+    report = absorption_analysis(chain)
+    assert time.perf_counter() - start < 5
+    assert report.absorbing == tuple(range(n)) and report.transient == ()
 
 
 @pytest.mark.parametrize("step", [1, -1], ids=["up", "down"])

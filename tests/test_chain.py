@@ -219,6 +219,16 @@ def test_sparse_import_rejects_bad_rows():
         read_sparse("nonsense\n")
 
 
+@pytest.mark.parametrize("value", ["1/2", "0.5"], ids=["byte-gate", "line-by-line"])
+@pytest.mark.parametrize("second", ["0 0", "0 1"], ids=["descending", "repeated"])
+def test_entries_out_of_order_are_refused_with_their_line(second, value):
+    """The reader alone checks column order: a ratio line in the writer's
+    shape is flagged by the byte gate, a decimal one by `_entry`."""
+    text = f"states=2 nnz=3\n0 1 {value}\n{second} {value}\n1 1 1/1\n"
+    with pytest.raises(DocumentParseError, match="^line 3: entries must be strictly ascending"):
+        read_sparse(text)
+
+
 def test_validate_stochastic_rejects_negative():
     # rows ((0, 3/2), (1, -1/2)) and ((1, 1),) over the denominator 2
     chain = Chain(indptr=np.array([0, 2, 3]), cols=np.array([0, 1, 1]),

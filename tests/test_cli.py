@@ -227,24 +227,44 @@ PATH7 = ("[model]\nattributes = a, b, c\n[topology]\nagents 7\nundirected\n"
          + "[rule]\nbuiltin voter\n[choice]\nfrom-topology uniform\n")
 
 
+def _line_chain(n):
+    """The line x -> x, x+1, x+2 (weights 1/4, 1/2, 1/4) on n states, the
+    last absorbing: n - 1 transient single-state components, one batch per
+    height."""
+    rows = []
+    for x in range(n - 1):
+        w = {}
+        for y, p in ((x, 1), (x + 1, 2), (x + 2, 1)):
+            w[min(y, n - 1)] = w.get(min(y, n - 1), 0) + p
+        rows += [f"{x} {y} {p}/4" for y, p in sorted(w.items())]
+    return "\n".join([f"states={n} nnz={len(rows) + 1}", *rows, f"{n - 1} {n - 1} 1/1", ""])
+
+
 def test_analyze_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, capsys):
     """No strongly connected component of the 3-code voter on a 7-agent
-    path is large enough for OpenBLAS to thread its solve, so `analyze
-    --format kv` prints the same bytes under one and two threads. Each run
-    is a child process, since the thread count is read as numpy loads."""
-    model, chain = tmp_path / "path7.model", tmp_path / "path7.sparse"
+    path, nor of the 2401-state line, is large enough for OpenBLAS to
+    thread its solve, so `analyze` prints the same bytes, text and `--format
+    kv`, under one and two threads. Each run is a child process, since the
+    thread count is read as numpy loads."""
+    model, path7, line = (tmp_path / name for name in ("path7.model", "path7.sparse",
+                                                        "line.sparse"))
     model.write_text(PATH7, encoding="utf-8")
-    assert run(capsys, "compile", str(model), "-o", str(chain))[0] == 0
+    assert run(capsys, "compile", str(model), "-o", str(path7))[0] == 0
+    line.write_text(_line_chain(2401), encoding="utf-8")
     src = str(Path(cli.__file__).resolve().parents[1])
-    outs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=src)
-        outs.append(subprocess.run([sys.executable, "-m", "microlump", "analyze", str(chain),
-                                    "--format", "kv"], capture_output=True, env=env,
-                                   timeout=600, check=True).stdout)
-    assert outs[0] == outs[1]
-    assert outs[0].count(b"\nsteps[") == 2184
+    both = ("import sys\nfrom microlump.cli import main\n"
+            "sys.exit(main(['analyze', sys.argv[1]])"
+            " or main(['analyze', sys.argv[1], '--format', 'kv']))")
+    for chain, transient in ((path7, 2184), (line, 2400)):
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=src)
+            outs.append(subprocess.run([sys.executable, "-c", both, str(chain)],
+                                       capture_output=True, env=env, timeout=600,
+                                       check=True).stdout)
+        assert outs[0] == outs[1]
+        assert outs[0].count(b"\nsteps[") == transient
 
 
 def test_a_lumped_decimal_chain_reads_back_inexact(tmp_path, capsys):
@@ -362,6 +382,43 @@ def test_generator_file_via_cli(tmp_path, capsys):
     gens.write_text("agents: (1 2)\n")
     code, out, _ = run(capsys, "check-sym", VOTER3, "--gens-file", str(gens))
     assert code == 0
+
+
+def test_gens_and_gens_file_together_exit_2_and_write_nothing(tmp_path, capsys):
+    gens, target = tmp_path / "swap.gens", tmp_path / "out.part"
+    gens.write_text("agents: (1 2)\n")
+    for argv in (["--gens", "SN", "--gens-file", str(gens)],
+                 ["--gens-file", str(gens), "--gens", "flip"]):
+        for verb in ("orbits", "check-sym"):
+            code, out, err = run(capsys, verb, VOTER3, *argv,
+                                 *(["-o", str(target)] if verb == "orbits" else []))
+            assert (code, out) == (2, "") and "not allowed with argument" in err
+    assert not target.exists()
+
+
+ONE_AGENT = ("[model]\nattributes = a, b, c\n[topology]\nagents 1\n[rule]\narity 1\n"
+             "lambda up 1/2\nlambda stay 1/2\na up -> b\nb up -> c\nc up -> a\n"
+             "a stay -> a\nb stay -> b\nc stay -> c\n[choice]\nfrom-topology uniform\n")
+
+
+def test_presets_without_generators_are_the_trivial_group(tmp_path, capsys):
+    """SN on one agent and Sdelta-1 on two codes give no generators: singleton
+    orbits and a certified symmetry. A preset list numbers only the
+    generators it gives, so a witness names the first real one 0."""
+    model = tmp_path / "one.model"
+    model.write_text(ONE_AGENT, encoding="utf-8")
+    assert run(capsys, "orbits", str(model), "--gens", "SN") == (
+        0, "⟨1,0,0⟩: 0\n⟨0,1,0⟩: 1\n⟨0,0,1⟩: 2\n", "blocks=3\n")
+    assert run(capsys, "check-sym", str(model), "--gens", "SN") == (0, "symmetric under SN\n", "")
+    assert run(capsys, "orbits", VOTER3, "--gens", "Sdelta-1") == (
+        0, "⟨3,0⟩: 0\nO1: 1\nO2: 2\nO3: 3\nO4: 4\nO5: 5\nO6: 6\n⟨0,3⟩: 7\n", "blocks=8\n")
+    assert run(capsys, "check-sym", VOTER3, "--gens", "Sdelta-1") == (
+        0, "symmetric under Sdelta-1\n", "")
+    code, out, _ = run(capsys, "check-sym", str(model), "--gens", "full")
+    assert code == 3 and "witness: generator 0: P(0,1) = 1/2 but P(1,0) = 0\n" in out
+    for verb in ("orbits", "check-sym"):
+        assert run(capsys, verb, VOTER3, "--gens", ",") == (
+            4, "", "parse error: no generator presets given\n")
 
 
 def rejected(capsys, tmp_path, *argv):

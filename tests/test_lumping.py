@@ -113,6 +113,13 @@ def test_check_lumpable_path_witness(path3_chain):
     assert entry(block_row_sums(path3_chain, part, [c]), 0, two_white) == Fraction(2, 3)
 
 
+def test_one_block_is_exactly_lumpable(path3_chain):
+    """No entry leaves the block, so the exact test has no block sums."""
+    part = partition((tuple(range(path3_chain.n_states)),), ("all",))
+    assert check_lumpable(path3_chain, part, exhaustive=True)
+    assert entry(lump(path3_chain, part), 0, 0) == 1
+
+
 def test_singleton_partition_always_lumpable(path3_chain):
     part = singleton_partition(path3_chain.n_states)
     assert check_lumpable(path3_chain, part)

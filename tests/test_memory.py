@@ -121,10 +121,11 @@ print(nt, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 """
 
 
+@pytest.fixture(scope="module")
 def absorption_rss_growth():
     """The path voter's transient state count, and the bytes by which one
     absorption call grows ru_maxrss (KiB on Linux): a fresh process, one
-    BLAS thread."""
+    BLAS thread, started once for both bounds."""
     src = str(Path(microlump.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", ABSORPTION_RSS], capture_output=True,
@@ -134,17 +135,18 @@ def absorption_rss_growth():
     return nt, grown_kib * 1024
 
 
-def test_absorption_on_the_path_grows_the_peak_rss_below_one_and_a_half_nt_squared():
+def test_absorption_on_the_path_grows_the_peak_rss_below_one_and_a_half_nt_squared(
+        absorption_rss_growth):
     """The 3-code voter on a 7-agent path, 2184 transient states in 378
     components of at most 20: a whole-system solve adds an nt x nt I - Q
     (8 nt^2 bytes) and LAPACK's copy of it."""
-    nt, grown = absorption_rss_growth()
+    nt, grown = absorption_rss_growth
     assert grown <= 1.5 * 8 * nt ** 2
 
 
-def test_absorption_on_the_path_grows_the_peak_rss_below_nt_squared_bytes():
+def test_absorption_on_the_path_grows_the_peak_rss_below_nt_squared_bytes(absorption_rss_growth):
     """Batches of small components make no nt x nt array, not even for
     the residuals: the growth stays below one byte per entry of I - Q
     (2.75 MB measured, against 38.6 MB with one dense residual I - Q)."""
-    nt, grown = absorption_rss_growth()
+    nt, grown = absorption_rss_growth
     assert grown < nt ** 2

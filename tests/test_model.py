@@ -1,8 +1,9 @@
+import re
 from fractions import Fraction
 
 import pytest
 
-from microlump import (ChoiceDistribution, DocumentParseError, Topology,
+from microlump import (ChoiceDistribution, DocumentParseError, ModelSpec, Topology,
                        ValidationError, builtin_voter, model_fingerprint,
                        parse_model, serialize_model)
 from microlump.model import voter_rule
@@ -234,6 +235,26 @@ def test_undirected_flag_expands_both_directions():
     from-topology uniform
     """)
     assert spec.topology.edges == {(0, 1): Fraction(3, 2), (1, 0): Fraction(3, 2)}
+
+
+@pytest.mark.parametrize("key", [(0, 1, 2), ("a", "b"), 0])
+def test_a_malformed_edge_key_is_named(key):
+    with pytest.raises(ValidationError, match=f"^malformed edge key {re.escape(repr(key))}$"):
+        Topology(3, {key: 1})
+    with pytest.raises(ValidationError, match="^edge .+ weight must be an integer"):
+        Topology(3, {key: 0.5})
+
+
+@pytest.mark.parametrize("key", [5, ("a", 1)])
+def test_a_malformed_choice_key_is_named(voter3, key):
+    entries = dict(voter3.choice.entries)
+    entries[key] = entries.pop((0, 1))
+    with pytest.raises(ValidationError, match=f"^malformed choice key {re.escape(repr(key))}$"):
+        ModelSpec(name="bad", alphabet=voter3.alphabet, topology=voter3.topology,
+                  rule=voter3.rule, choice=ChoiceDistribution(entries))
+    entries[key] = 0
+    with pytest.raises(ValidationError, match=f"^choice {re.escape(repr(key))} has non-positive"):
+        ChoiceDistribution(entries)
 
 
 def test_integer_weights_become_fractions_and_floats_are_rejected():

@@ -1726,13 +1726,14 @@ def _error(make):
 
 
 def _bad_edges(edges, n, rng):
-    """Two edges made invalid, each in its own way."""
+    """Two edges made invalid, each in its own way, a malformed key among them."""
     items = list(edges.items())
     for k in rng.sample(range(len(items)), 2):
         (i, j), w = items[k]
         items[k] = rng.choice([((i, i), w), ((i, n + rng.randrange(3)), w), ((-1, j), w),
                                ((i, j), Fraction(0)),
-                               ((i, j), Fraction(-rng.randint(1, 5), rng.randint(1, 3)))])
+                               ((i, j), Fraction(-rng.randint(1, 5), rng.randint(1, 3))),
+                               ((i, j, j), w), ((str(i), j), w), (i, w)])
     return dict(items)
 
 
@@ -1746,14 +1747,14 @@ def _bad_probabilities(entries, rng):
 
 
 def _bad_tuples(entries, n, rng):
-    """Two agent tuples replaced: wrong arity, an unknown agent, or a
-    non-neighbor (every other agent, or only the last)."""
+    """Two agent tuples replaced: wrong arity, an unknown agent, a
+    non-neighbor (every other agent, or only the last), or a malformed key."""
     items = list(entries.items())
     for k in rng.sample(range(len(items)), 2):
         tup, p = items[k]
         items[k] = (rng.choice([tup + tup[-1:], tup[:1], (n + k,) + tup[1:],
                                 (tup[0], -1) + tup[2:], (tup[0],) * len(tup),
-                                tup[:-1] + tup[:1]]), p)
+                                tup[:-1] + tup[:1], n + k, ("a",) + tup[1:]]), p)
     return dict(items)
 
 

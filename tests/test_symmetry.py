@@ -113,6 +113,18 @@ def test_orbits_identity_generators_are_singletons():
     assert part.labels[letter_index("c")].startswith("O")
 
 
+def test_the_trivial_group_has_singleton_orbits_and_passes_both_tests(path3, path3_chain):
+    """No generators: every state is its own orbit, labeled as under the
+    identity, and neither symmetry test has anything to refuse."""
+    trivial = GeneratorSet("trivial", ())
+    part = orbits(path3_chain.space, trivial)
+    ident = orbits(path3_chain.space, GeneratorSet("id", (SpacePermutation.identity(3, 2),)))
+    assert (part.blocks, part.labels) == (ident.blocks, ident.labels)
+    assert part.n_blocks == path3_chain.n_states
+    assert certify(path3, trivial)
+    assert is_chain_symmetric(path3_chain, trivial)
+
+
 def test_agent_orbits_build_no_index_map_per_generator():
     """SN's 15 transpositions at delta=2, N=16 collapse to count classes:
     the peak stays below half of what their index maps alone would hold."""
