@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from math import gcd
-from typing import Iterator, List, Sequence, TextIO, Tuple
+from typing import Dict, Iterator, List, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .chain import Chain, decimal_text, to_floats, to_fractions
 from .errors import AnalysisError, DocumentParseError, ValidationError
 from .lumping import Partition, block_row_sums, group_blocks, lump
 from .model import INT64_MAX, content_lines, int_dtype, to_numerators
+from .space import integer
 
 RESIDUAL_BOUND = 1e-9
 
@@ -112,18 +114,24 @@ class AbsorptionReport(Classification):
     residual_probs: float
     residual_steps: float
 
+    @cached_property
+    def _places(self) -> Tuple[Dict[int, int], Dict[int, int]]:
+        """Each transient state's row and each absorbing state's column of
+        `probs`, built on the first lookup."""
+        return ({x: i for i, x in enumerate(self.transient)},
+                {x: j for j, x in enumerate(self.absorbing)})
+
     def fixation_prob(self, state: int, target: int) -> float:
-        if target not in self.absorbing:
+        rows, cols = self._places
+        if target not in cols:
             raise AnalysisError(f"state {target} is not absorbing")
-        if state in self.absorbing:
+        if state in cols:
             return 1.0 if state == target else 0.0
-        i = self.transient.index(state)
-        return float(self.probs[i, self.absorbing.index(target)])
+        return float(self.probs[rows[state], cols[target]])
 
     def steps_from(self, state: int) -> float:
-        if state in self.absorbing:
-            return 0.0
-        return float(self.expected_steps[self.transient.index(state)])
+        rows, cols = self._places
+        return 0.0 if state in cols else float(self.expected_steps[rows[state]])
 
 
 def absorption_analysis(chain: Chain) -> AbsorptionReport:
@@ -223,6 +231,7 @@ def absorption_analysis(chain: Chain) -> AbsorptionReport:
 # numpy code runs on both, and float64 never enters (no `bincount`).
 
 def point_mass(n_states: int, state: int) -> List[Fraction]:
+    state = integer(state, "state")
     if not 0 <= state < n_states:
         raise ValidationError(f"state {state} out of range")
     mu = [Fraction(0)] * n_states

@@ -226,21 +226,15 @@ def validate_stochastic(chain: Chain) -> None:
     `SUM_TOL` when `chain.exact` is False. Reports the first failing row.
     Column order is the reader's to check, line by line."""
     n, nums, denom = chain.n_states, chain.nums, chain.denom
-    # not `chain.sources`, whose cache would stay on every chain read
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(chain.indptr))
-    negative = np.zeros(n, dtype=bool)
-    negative[src[nums < 0]] = True
-    sums = np.zeros(n, dtype=nums.dtype)
+    negative, sums = np.zeros(n, dtype=bool), np.zeros(n, dtype=nums.dtype)
     filled = np.flatnonzero(np.diff(chain.indptr))
     if len(filled):
+        negative[filled] = np.minimum.reduceat(nums, chain.indptr[filled]) < 0
         sums[filled] = np.add.reduceat(nums, chain.indptr[filled])
-    if chain.exact:
-        off = sums != denom
-    else:
-        # |sum - denom| is an integer, so comparing it with
-        # floor(SUM_TOL * denom) is exact; the clamp keeps the bound inside int64
-        off = abs(sums - denom) > min(floor(Fraction(SUM_TOL) * denom), INT64_MAX)
-    bad = np.flatnonzero(negative | off)
+    # |sum - denom| is an integer, so comparing it with 0, or floor(SUM_TOL *
+    # denom) when inexact, is exact; the clamp keeps the bound inside int64
+    limit = 0 if chain.exact else min(floor(Fraction(SUM_TOL) * denom), INT64_MAX)
+    bad = np.flatnonzero(negative | (abs(sums - denom) > limit))
     if not len(bad):
         return
     x = int(bad[0])

@@ -219,14 +219,14 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument("--gens", help="comma-separated presets (default SN)")
         group.add_argument("--gens-file", help="generator file, one generator per line")
 
-    p = add("check-lump", "block-sum lumpability test", "chain partition", output=False, cap=False)
-    p.add_argument("--tol", type=float, nargs="?", const=1e-12, default=None,
-                   help="absolute tolerance for imported float chains "
-                        "(bare flag means 1e-12)")
-    p.add_argument("--exhaustive", action="store_true",
-                   help="report every violation, not just the first")
-    p = add("lump", "build the reduced chain over a partition", "chain partition", cap=False)
-    p.add_argument("--tol", type=float, nargs="?", const=1e-12, default=None)
+    for p in (check_lump := add("check-lump", "block-sum lumpability test", "chain partition",
+                                output=False, cap=False),
+              add("lump", "build the reduced chain over a partition", "chain partition", cap=False)):
+        p.add_argument("--tol", type=float, nargs="?", const=1e-12, default=None,
+                       help="absolute tolerance for imported float chains "
+                            "(bare flag means 1e-12)")
+    check_lump.add_argument("--exhaustive", action="store_true",
+                            help="report every violation, not just the first")
 
     p = add("analyze", "state classification and absorption solve", "chain", cap=False)
     p.add_argument("--format", choices=("text", "kv"), default="text")

@@ -2,10 +2,11 @@
 construction of the reduced chain.
 
 A partition passes the test when, block by block, every member state sends
-the same total probability into each other block; those common sums are the
-reduced chain's entries. Rows are exactly stochastic, so the sum into a
-state's own block is implied by the others and the exact test skips it
-(tolerance mode, meant for imported float chains, checks every pair).
+the same total probability into each block; those common sums are the
+reduced chain's entries. One grouping of every (state, block) sum serves
+the test, exact or within a tolerance, and the reduced rows. An exact
+chain's rows sum to one, so an own-block sum is implied by the others and
+the exact test never reports it as a witness.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .chain import Chain, text_pieces, written_ints
 from .errors import DocumentParseError, NotLumpableError, ValidationError
 from .model import content_lines, int_array
-from .space import ConfigSpace
+from .space import ConfigSpace, integer
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +41,11 @@ class Partition:
             raise ValidationError("need exactly one label per block")
         if len(set(self.labels)) != len(self.labels):
             raise ValidationError("block labels must be distinct")
-        # an index past int64 is out of range, kept exact for the message
+        # floats must be integral; an index past int64 is out of range,
+        # kept exact for the message
+        if (given := np.asarray(self.members)).dtype.kind not in "iu":
+            for x in given.tolist():
+                integer(x, "state")
         members = int_array(self.members)
         indptr, n = np.asarray(self.indptr, dtype=np.int64), len(members)
         empty = np.flatnonzero(indptr[1:] == indptr[:-1])
@@ -133,6 +138,7 @@ def frequency_partition(space: ConfigSpace) -> Partition:
 def moran_partition(space: ConfigSpace, distinguished: int = 0) -> Partition:
     """N+1 line states X_k, k = number of agents holding the distinguished
     code; coincides with the count partition when there are two codes."""
+    distinguished = integer(distinguished, "attribute code")
     if not 0 <= distinguished < space.delta:
         raise ValidationError(f"attribute code {distinguished} out of range")
     # a count fits in a byte: an indexed space has at most 62 agents
@@ -194,21 +200,15 @@ class LumpVerdict:
         return self.lumpable
 
 
-def _block_sums(chain, block_of: np.ndarray, n_blocks: int, own: bool):
-    """Every (state, block) pair a row reaches, with the summed numerator
-    and the position of the row's first entry into the block, ordered by
-    state then block: the keys are grouped by a stable sort and summed by
-    `reduceat`, in the chain's exact integers. `own=False` leaves out each
-    state's own block, which needs one row per state. Keys are built in
-    place, and each full-length temporary is let go once it has been read."""
-    counts, rows = np.diff(chain.indptr), np.arange(chain.n_states, dtype=np.int64) * n_blocks
-    keys = np.repeat(rows, counts)
+def _block_sums(chain, block_of: np.ndarray, n_blocks: int):
+    """Every (state, block) pair a row reaches, the state's own block
+    included, with the summed numerator and the position of the row's first
+    entry into the block, ordered by state then block: the keys are grouped
+    by a stable sort and summed by `reduceat`, in the chain's exact
+    integers. Keys are built in place, and each full-length temporary is
+    let go once it has been read."""
+    keys = np.repeat(np.arange(chain.n_states, dtype=np.int64) * n_blocks, np.diff(chain.indptr))
     keys += block_of[chain.cols]
-    nums = chain.nums
-    if not own:
-        other = keys != np.repeat(rows + block_of, counts)
-        keys, nums = keys[other], nums[other]
-        del other
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     new = np.ones(len(keys), dtype=bool)
@@ -216,7 +216,7 @@ def _block_sums(chain, block_of: np.ndarray, n_blocks: int, own: bool):
     starts = np.flatnonzero(new)
     del new
     keys = keys[starts]
-    sums = np.add.reduceat(nums[order], starts) if len(keys) else nums[:0]
+    sums = np.add.reduceat(chain.nums[order], starts) if len(keys) else chain.nums[:0]
     return keys // n_blocks, keys % n_blocks, sums, order[starts]
 
 
@@ -234,7 +234,7 @@ def block_row_sums(chain, part: Partition, states: Sequence[int]) -> Chain:
     at = _spans(chain.indptr[states], lengths)
     picked = Chain(np.concatenate(([0], np.cumsum(lengths))), chain.cols[at],
                    chain.nums[at], chain.denom)
-    rows, blocks, sums, _ = _block_sums(picked, part.block_of, part.n_blocks, own=True)
+    rows, blocks, sums, _ = _block_sums(picked, part.block_of, part.n_blocks)
     keep = sums != 0
     counts = np.bincount(rows[keep], minlength=len(states))
     indptr = np.concatenate(([0], np.cumsum(counts)))
@@ -245,9 +245,10 @@ def check_lumpable(chain, part: Partition, tol: Optional[float] = None,
                    exhaustive: bool = False) -> LumpVerdict:
     """Block-sum test against the smallest member of each block.
 
-    Exact mode compares rationals and skips each state's own block (its sum
-    is one minus the rest). `tol` switches to absolute-difference
-    comparison including the own block, for chains imported from floats.
+    Every (state, block) sum is compared: exactly when `tol` is None, else
+    within the absolute tolerance `tol`, for chains imported from floats.
+    An exact chain's own-block sums are one minus the rest, so its exact
+    test reports none of them as a witness; a decimal chain's test does.
     `exhaustive` collects every violating (state, block) pair instead of
     stopping at the first.
 
@@ -265,7 +266,7 @@ def check_lumpable(chain, part: Partition, tol: Optional[float] = None,
     # only flags more states, and the exact rule decides each pair
     limit = min(tol_num * chain.denom // tol_den, chain.denom)
     block_of, n_blocks = part.block_of, part.n_blocks
-    states, blocks, sums, reach = _block_sums(chain, block_of, n_blocks, own=tol is not None)
+    states, blocks, sums, reach = _block_sums(chain, block_of, n_blocks)
     ref = np.minimum.reduceat(part.members, part.indptr[:-1])[block_of]
     # each state's row of (block, sum) pairs against its reference's, pair
     # by pair: a state is flagged when the rows differ in length, or an
@@ -285,6 +286,9 @@ def check_lumpable(chain, part: Partition, tol: Optional[float] = None,
     # so that the set order of `base.keys() | agg.keys()` below is the one
     # the row-by-row reference gives
     by_reach = np.argsort(reach)
+    if tol is None and chain.exact:  # the own block's sum is one minus the rest
+        by_reach = by_reach[blocks[by_reach] != block_of[states[by_reach]]]
+        ptr = np.searchsorted(states[by_reach], np.arange(chain.n_states + 1))
     blocks, sums = blocks[by_reach], sums[by_reach]
 
     def row_sums(x: int) -> Dict[int, int]:

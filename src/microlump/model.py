@@ -39,14 +39,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from numbers import Rational, Real
+from numbers import Rational
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 
 import numpy as np
 
 from .errors import DocumentParseError, ValidationError
-from .space import ConfigSpace
+from .space import ConfigSpace, is_integral
 
 ONE = Fraction(1)
 INT64_MAX = int(np.iinfo(np.int64).max)
@@ -106,9 +106,9 @@ def _index_array(keys: Iterable, width: Optional[int] = None) -> Optional[np.nda
 
 
 def _malformed(key, width: Optional[int] = None) -> bool:
-    """Is `key` anything but a tuple of (`width`) real numbers?"""
+    """Is `key` anything but a tuple of (`width`) integral numbers?"""
     return not (isinstance(key, tuple) and width in (None, len(key))
-                and all(isinstance(a, Real) for a in key))
+                and all(map(is_integral, key)))
 
 
 def _first_error(items, bad: Optional[np.ndarray], error: Callable) -> None:

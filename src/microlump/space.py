@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Rational, Real
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,6 +22,22 @@ Config = Tuple[int, ...]
 
 DEFAULT_CAP = 1 << 24
 CAP_ENV_VAR = "MICROLUMP_CAP"
+
+
+def is_integral(value) -> bool:
+    """Is `value` a real number equal to an integer, as 3, 3.0 and
+    Fraction(6, 2) are?"""
+    if isinstance(value, Rational):
+        return value.denominator == 1
+    return isinstance(value, Real) and float(value).is_integer()
+
+
+def integer(value, what: str) -> int:
+    """`value` as an int when it is integral; else a ValidationError that
+    names it as `what`."""
+    if not is_integral(value):
+        raise ValidationError(f"{what} {value!r} is not an integer")
+    return int(value)
 
 
 def default_cap() -> int:
@@ -71,7 +88,7 @@ class ConfigSpace:
         return self.delta ** self.n_agents
 
     def check_config(self, config: Sequence[int]) -> Config:
-        config = tuple(config)
+        config = tuple(integer(code, "attribute code") for code in config)
         if len(config) != self.n_agents:
             raise ValidationError(
                 f"configuration has {len(config)} entries, expected {self.n_agents}"

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DocumentParseError, ValidationError
 from .lumping import Partition, count_label, group_blocks, rank_minima
 from .model import ModelSpec, content_lines
-from .space import ConfigSpace
+from .space import ConfigSpace, integer
 
 
 def _check_perm(p: Tuple[int, ...], what: str) -> None:
@@ -98,6 +98,7 @@ def attr_symmetric_group(n: int, delta: int) -> GeneratorSet:
 
 def attr_group_fixing(n: int, delta: int, fixed: int) -> GeneratorSet:
     """Transpositions among all codes except `fixed`."""
+    fixed = integer(fixed, "attribute code")
     if not 0 <= fixed < delta:
         raise ValidationError(f"attribute code {fixed} out of range")
     moving = [s for s in range(delta) if s != fixed]

@@ -57,7 +57,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import isfinite, lcm
 from numbers import Real
 from typing import Tuple
 
@@ -81,8 +81,10 @@ def _show(tup):
 
 
 def _malformed(key, width=None):
+    """Anything but a tuple of (`width`) reals with integer values: 2.0
+    is the agent 2 is, 2.5 is malformed."""
     return not (isinstance(key, tuple) and width in (None, len(key))
-                and all(isinstance(a, Real) for a in key))
+                and all(isinstance(a, Real) and isfinite(a) and a % 1 == 0 for a in key))
 
 
 def check_topology(n_agents, edges):
@@ -242,9 +244,9 @@ def validate_stochastic(rows, exact=True, tol=1e-9):
     return tuple(checked)
 
 
-def write_sparse(rows, fh):
+def write_sparse(rows, fh, exact=True):
     nnz = sum(len(row) for row in rows)
-    fh.write(f"states={len(rows)} nnz={nnz}\n")
+    fh.write(f"states={len(rows)} nnz={nnz}{'' if exact else ' exact=0'}\n")
     for x, row in enumerate(rows):
         for y, p in row:
             fh.write(f"{x} {y} {p.numerator}/{p.denominator}\n")
@@ -490,7 +492,9 @@ def block_row_sums(rows, part, state):
     return agg
 
 
-def check_lumpable(rows, part, tol=None, exhaustive=False):
+def check_lumpable(rows, part, tol=None, exhaustive=False, exact=True):
+    """The block-sum test row by row; an exact chain's own block is left
+    out of its exact test, as its sum is one minus the rest."""
     if part.n_states != len(rows):
         raise ValidationError(
             f"partition covers {part.n_states} states, chain has {len(rows)}")
@@ -501,7 +505,7 @@ def check_lumpable(rows, part, tol=None, exhaustive=False):
     for x in range(len(rows)):
         agg = block_row_sums(rows, part, x)
         k = part.block_of[x]
-        if tol_frac is None:
+        if tol_frac is None and exact:
             agg.pop(k, None)
         if ref[k] is None:
             ref[k] = agg
@@ -523,10 +527,10 @@ def check_lumpable(rows, part, tol=None, exhaustive=False):
     return LumpVerdict(True)
 
 
-def lump(rows, part, tol=None):
+def lump(rows, part, tol=None, exact=True):
     """Reduced rows; raises ValueError carrying the verdict when the
     partition fails the test."""
-    verdict = check_lumpable(rows, part, tol=tol)
+    verdict = check_lumpable(rows, part, tol=tol, exact=exact)
     if not verdict:
         raise ValueError(verdict)
     out = []

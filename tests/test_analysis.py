@@ -77,6 +77,39 @@ def test_a_65536_state_identity_chain_is_analysed_in_linear_time():
     assert report.absorbing == tuple(range(n)) and report.transient == ()
 
 
+def test_every_state_of_the_65536_state_identity_chain_is_looked_up_in_constant_time():
+    """`fixation_prob` and `steps_from` find a state by its place, built
+    once per report, where a scan of the state tuples takes milliseconds a
+    call; numpy integers are states too."""
+    n = 1 << 16
+    report = absorption_analysis(
+        Chain(np.arange(n + 1), np.arange(n), np.ones(n, dtype=np.int64), 1))
+    deadline = time.perf_counter() + 5
+    for x in range(n):
+        assert report.fixation_prob(x, x) == 1.0 and report.fixation_prob(x, n - 1) == (x == n - 1)
+        assert report.steps_from(np.int64(x)) == 0.0
+        assert time.perf_counter() < deadline, x
+
+
+def test_lookups_answer_the_report_entries(voter3_chain):
+    """Transient states read their row of `probs` and `expected_steps`;
+    absorbing ones stay put; a target must be absorbing."""
+    report = absorption_analysis(voter3_chain)
+    assert report.transient
+    for i, x in enumerate(report.transient):
+        assert report.steps_from(x) == report.expected_steps[i] > 0
+        for j, a in enumerate(report.absorbing):
+            assert report.fixation_prob(np.int64(x), a) == report.probs[i, j]
+    for a in report.absorbing:
+        assert [report.fixation_prob(a, b) for b in report.absorbing] == [
+            float(a == b) for b in report.absorbing]
+        assert report.steps_from(a) == 0.0
+    x = report.transient[0]
+    for state in (x, report.absorbing[0]):
+        with pytest.raises(AnalysisError, match=f"^state {x} is not absorbing$"):
+            report.fixation_prob(state, x)
+
+
 @pytest.mark.parametrize("step", [1, -1], ids=["up", "down"])
 def test_classify_a_20000_state_line(step):
     """One-way line of 20,000 states ending in an absorbing state: both

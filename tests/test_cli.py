@@ -284,6 +284,23 @@ def test_a_lumped_decimal_chain_reads_back_inexact(tmp_path, capsys):
     assert out == "0 3333333333/10000000000\n1 3333333333/5000000000\n"
 
 
+@pytest.mark.parametrize("listed", ["0 1", "1 0"])
+@pytest.mark.parametrize("argv", [["check-lump"], ["check-lump", "--tol=0"], ["lump"]],
+                         ids=["check-lump", "check-lump tol 0", "lump"])
+def test_a_decimal_chain_without_tol_compares_its_own_blocks(tmp_path, capsys, argv, listed):
+    """Decimal rows sum to one within 1e-9 only, so the sum into a state's
+    own block is not implied by the others: without `--tol` both verbs
+    compare it exactly, as `--tol 0` does, whichever member is listed
+    first."""
+    chain, part = tmp_path / "d.sparse", tmp_path / "d.part"
+    chain.write_text("states=3 nnz=5\n0 0 0.3333333333\n0 2 0.6666666667\n"
+                     "1 1 0.3333333334\n1 2 0.6666666667\n2 2 1\n")
+    part.write_text(f"A: {listed}\nB: 2\n")
+    assert run(capsys, argv[0], str(chain), str(part), *argv[1:]) == (
+        3, "not lumpable\nwitness: block A → A: state 0 sums to 3333333333/10000000000 "
+           "but state 1 sums to 1666666667/5000000000\n", "")
+
+
 def test_propagate_point_mass(tmp_path, capsys):
     chain = tmp_path / "chain.sparse"
     run(capsys, "compile", VOTER3, "-o", str(chain))
@@ -649,6 +666,122 @@ def test_decimal_digits_int_reads_are_counts(tmp_path, capsys):
     code, out, _ = run(capsys, "simulate", VOTER3, "--start", "٣", "--steps", "0",
                        "--seed", "1")
     assert code == 0 and out.splitlines()[1] == "(white,white,black)"
+
+
+# --- error messages, one per bad input -----------------------------------------
+
+BAD_GENERATOR_FILES = {
+    "unclosed": ("agents: (1 2", "agent cycles must look like (a b)(c d)"),
+    "not a number": ("agents: (1 x)", "bad cycle entry in agent cycles '(1 x)'"),
+    "one entry": ("agents: (1)", "cycle in agent needs at least two entries"),
+    "reused": ("agents: (1 2)(2 3)", "agent cycles reuse an entry in '(1 2)(2 3)'"),
+    "out of range": ("attrs: (0 2)", "attribute cycle entry out of range in '(0 2)'"),
+    "unknown key": ("foo: (1 2)", "line 1: expected 'agents:' or 'attrs:', got 'foo'"),
+    "empty line": (" ; ", "line 1: empty generator line"),
+    "comments only": ("# nothing", "generator file defines no generators"),
+}
+
+
+@pytest.mark.parametrize("text, message", BAD_GENERATOR_FILES.values(), ids=BAD_GENERATOR_FILES)
+def test_a_bad_generator_file_is_a_parse_error(tmp_path, capsys, text, message):
+    gens = tmp_path / "g.txt"
+    gens.write_text(text + "\n")
+    assert run(capsys, "orbits", VOTER3, "--gens-file", str(gens)) == (
+        4, "", f"parse error: {message}\n")
+
+
+def test_empty_cycles_in_a_generator_file_are_the_identity(tmp_path, capsys):
+    gens = tmp_path / "g.txt"
+    gens.write_text("agents: ()\nattrs: () ; agents:\n")
+    code, out, err = run(capsys, "orbits", VOTER3, "--gens-file", str(gens))
+    assert (code, err) == (0, "blocks=8\n")
+    assert [line.split(": ")[1] for line in out.splitlines()] == [str(x) for x in range(8)]
+
+
+@pytest.mark.parametrize("preset, expected", [
+    ("Sdelta-1:x", (4, "", "parse error: bad preset 'Sdelta-1:x'\n")),
+    ("Sdelta-1:5", (5, "", "error: attribute code 5 out of range\n")),
+])
+def test_a_bad_fixed_code_preset_is_refused(capsys, preset, expected):
+    assert run(capsys, "orbits", VOTER3, "--gens", preset) == expected
+
+
+MAJORITY3 = str(SAMPLES / "majority3.model")
+BAD_MODELS = {
+    "empty attributes": (VOTER3, "attributes = black, white", "attributes = ,",
+                         4, "parse error: line 4: empty attribute list"),
+    "repeated attribute": (VOTER3, "attributes = black, white", "attributes = black, black",
+                           5, "error: alphabet symbols must be distinct"),
+    "lines after complete": (VOTER3, "complete 3", "complete 3\nagents 3",
+                             4, "parse error: line 8: no further lines allowed after 'complete N'"),
+    "late lambda": (MAJORITY3, "white white white copy -> white",
+                    "white white white copy -> white\nlambda late 0",
+                    4, "parse error: line 32: lambda lines must precede table lines"),
+    "lambda without probability": (MAJORITY3, "lambda copy 1/3", "lambda copy",
+                                   4, "parse error: line 15: expected: lambda <label> <prob>"),
+    "zero probability": (MAJORITY3, "lambda copy 1/3", "lambda copy 0",
+                         5, "error: option 'copy' has non-positive probability 0"),
+    "probabilities short of one": (MAJORITY3, "lambda copy 1/3", "lambda copy 1/4",
+                                   5, "error: option probabilities sum to 11/12 ≠ 1"),
+    "missing table line": (MAJORITY3, "white white white copy -> white\n", "",
+                           5, "error: rule table has 15 entries, needs all 16"),
+}
+
+
+@pytest.mark.parametrize("source, old, new, code, message", BAD_MODELS.values(), ids=BAD_MODELS)
+def test_a_bad_model_is_refused_naming_the_fault(tmp_path, capsys, source, old, new, code,
+                                                message):
+    assert run(capsys, "compile", _model_with(tmp_path, source, old, new)) == (
+        code, "", message + "\n")
+
+
+def test_an_arity_0_rule_is_refused(tmp_path, capsys):
+    model = tmp_path / "arity0.model"
+    model.write_text("[model]\nattributes = a, b\n[topology]\ncomplete 2\n"
+                     "[rule]\narity 0\nlambda stay 1\n[choice]\nfrom-topology uniform\n")
+    assert run(capsys, "compile", str(model)) == (
+        5, "", "error: rule arity must be at least 1\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0 1/2 x", "line 1: expected: index probability"),
+    ("0 x", "line 1: bad distribution line '0 x'"),
+    ("# mass\n9 1", "line 2: state 9 out of range"),
+], ids=["three tokens", "not a number", "out of range"])
+def test_a_bad_distribution_file_is_a_parse_error(tmp_path, capsys, text, message):
+    chain, mu = tmp_path / "c.sparse", tmp_path / "mu.txt"
+    assert run(capsys, "compile", VOTER3, "-o", str(chain))[0] == 0
+    mu.write_text(text + "\n")
+    assert run(capsys, "propagate", str(chain), "--mu0", str(mu), "-t", "1") == (
+        4, "", f"parse error: {message}\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty sparse file"),
+    ("# a\n\n   # b\n", "empty sparse file"),
+    ("states=x nnz=1\n0 0 1\n", "line 1: header counts must be integers"),
+], ids=["empty", "comments only", "not a count"])
+def test_a_sparse_file_without_a_good_header_is_a_parse_error(tmp_path, capsys, text, message):
+    chain = tmp_path / "c.sparse"
+    chain.write_text(text)
+    assert run(capsys, "analyze", str(chain)) == (4, "", f"parse error: {message}\n")
+
+
+def test_a_missing_input_file_is_an_io_error(tmp_path, capsys):
+    missing = tmp_path / "missing.sparse"
+    assert run(capsys, "analyze", str(missing)) == (
+        5, "", f"io error: [Errno 2] No such file or directory: {str(missing)!r}\n")
+
+
+def test_a_cap_below_one_in_the_environment_is_refused(capsys, monkeypatch):
+    monkeypatch.setenv("MICROLUMP_CAP", "0")
+    assert run(capsys, "compile", VOTER3) == (5, "", "error: MICROLUMP_CAP must be positive, got 0\n")
+
+
+def test_estimate_lists_each_entry_beyond_its_bound(capsys):
+    assert run(capsys, "estimate", VOTER3, "--samples", "30", "--seed", "1") == (
+        0, "samples_per_state=30 seed=1\nmax_abs_deviation=0.3\nentries_beyond_3sigma=1\n"
+           "  (1,1): empirical 0.633333 vs exact 0.333333, bound 0.258199\n", "")
 
 
 # --- one parser per process -------------------------------------------------

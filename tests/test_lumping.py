@@ -317,3 +317,10 @@ def test_partitions_match_the_loop_reference(n, delta):
                                    if counts[x] == counts[block[0]]}
             assert part.labels[bid] == (_count_label(counts[block[0]]) if whole
                                         else f"O{bid}")
+
+
+def test_partition_shapes_are_checked():
+    with pytest.raises(ValidationError, match="^need exactly one label per block$"):
+        Partition([0, 1], [0, 2], ("a", "b"))
+    with pytest.raises(ValidationError, match="^partitions cover different state counts$"):
+        induced_partition(singleton_partition(2), singleton_partition(3))

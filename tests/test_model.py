@@ -6,7 +6,7 @@ import pytest
 from microlump import (ChoiceDistribution, DocumentParseError, ModelSpec, Topology,
                        ValidationError, builtin_voter, model_fingerprint,
                        parse_model, serialize_model)
-from microlump.model import voter_rule
+from microlump.model import UpdateRule, voter_rule
 from oracle import draw_choices, result
 from conftest import assert_outcome_holds_the_table, shift_rule, star_topology
 
@@ -259,7 +259,7 @@ def test_a_malformed_choice_key_is_named(voter3, key):
 
 def test_integer_weights_become_fractions_and_floats_are_rejected():
     from microlump import UpdateRule, build_micro_chain
-    from microlump.model import voter_rule
+    from microlump.model import UpdateRule, voter_rule
     ints = Topology(3, {(0, 1): 1, (1, 0): 1, (1, 2): 1, (2, 1): 1})
     assert all(type(w) is Fraction for w in ints.edges.values())
     spec = builtin_voter(ints)
@@ -294,3 +294,31 @@ def test_the_parse_to_simulate_path_never_builds_the_fraction_mappings():
     assert len(spec.choice.entries) == 200 * 199 and "dict" not in vars(spec.choice.entries)
     assert spec.choice.entries[(0, 1)] == Fraction(1, 200 * 199)
     assert "dict" in vars(spec.choice.entries)
+
+
+ONE = Fraction(1)
+BAD_RULES = {
+    "no option": (dict(options=(), table={}), "rule needs at least one option"),
+    "repeated option": (dict(options=(("a", ONE / 2), ("a", ONE / 2))),
+                        "option labels must be distinct"),
+    "short key": (dict(table={(0, 0): 0, (1,): 1}), "malformed table key (1,)"),
+    "code out of range": (dict(table={(0, 0): 0, (2, 0): 1}),
+                          "table key (2, 0) has an out-of-range code"),
+    "option out of range": (dict(table={(0, 0): 0, (1, 1): 1}),
+                            "table key (1, 1) has an out-of-range option"),
+    "output out of range": (dict(table={(0, 0): 0, (1, 0): 2}), "table output 2 out of range"),
+}
+
+
+@pytest.mark.parametrize("change, message", BAD_RULES.values(), ids=BAD_RULES)
+def test_a_bad_rule_is_refused_naming_the_fault(change, message):
+    args = dict(arity=1, options=(("stay", ONE),), table={(0, 0): 0, (1, 0): 1}, delta=2)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        UpdateRule(**{**args, **change})
+
+
+def test_a_rule_over_another_code_count_than_the_alphabet_is_refused(voter3):
+    with pytest.raises(ValidationError,
+                       match="^rule table and alphabet disagree on the code count$"):
+        ModelSpec(name="bad", alphabet=voter3.alphabet, topology=voter3.topology,
+                  rule=voter_rule(3), choice=voter3.choice)

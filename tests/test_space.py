@@ -1,8 +1,14 @@
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from microlump import CapExceededError, ConfigSpace, ValidationError
+from microlump import (CapExceededError, ChoiceDistribution, ConfigSpace, ModelSpec, Topology,
+                       ValidationError, attr_group_fixing, builtin_voter, moran_partition,
+                       simulate)
+from microlump.analysis import point_mass
+from microlump.lumping import Partition
 from oracle import counts, neighbors
 from conftest import LETTERS
 
@@ -132,3 +138,57 @@ def test_format_config():
     space = ConfigSpace(3, 2, labels=("white", "black"))
     assert space.format_config((0, 1, 1)) == "(white,black,black)"
     assert space.format_index(0) == "(white,white,white)"
+
+
+def _voter3_with(choice):
+    voter3 = builtin_voter(Topology.complete(3))
+    return ModelSpec(name="bad", alphabet=voter3.alphabet, topology=voter3.topology,
+                     rule=voter3.rule, choice=ChoiceDistribution(choice))
+
+
+NON_INTEGRAL = {
+    "edge key": (lambda: Topology(3, {(0, 1.5): 1, (1, 0): 1}), "malformed edge key (0, 1.5)"),
+    "choice key": (lambda: _voter3_with({(0, 1): Fraction(1, 2), (0, 1.5): Fraction(1, 2)}),
+                   "malformed choice key (0, 1.5)"),
+    "partition member": (lambda: Partition([0.5, 1.7], [0, 2], ("a",)),
+                         "state 0.5 is not an integer"),
+    "simulate start": (lambda: simulate(builtin_voter(Topology.complete(3)), (0.5, 1, 0), 5, 1),
+                       "attribute code 0.5 is not an integer"),
+    "fixed code": (lambda: attr_group_fixing(3, 3, 0.5), "attribute code 0.5 is not an integer"),
+    "moran code": (lambda: moran_partition(ConfigSpace(3, 3), 0.5),
+                   "attribute code 0.5 is not an integer"),
+    "point mass": (lambda: point_mass(3, 1.5), "state 1.5 is not an integer"),
+    "nan code": (lambda: ConfigSpace(3, 2).index_of((0, float("nan"), 1)),
+                 "attribute code nan is not an integer"),
+    "text code": (lambda: ConfigSpace(3, 2).index_of(("1", 0, 0)),
+                  "attribute code '1' is not an integer"),
+}
+
+
+@pytest.mark.parametrize("call, message", NON_INTEGRAL.values(), ids=NON_INTEGRAL)
+def test_a_non_integral_agent_state_or_code_is_named(call, message):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_integral_floats_and_fractions_are_their_integers():
+    voter = builtin_voter(Topology.complete(3))
+    assert (simulate(voter, (1.0, Fraction(2, 2), np.int64(0)), 5, 1).states
+            == simulate(voter, (1, 1, 0), 5, 1).states)
+    assert Partition([1.0, 0.0], [0, 2], ("a",)).blocks == ((1, 0),)
+    assert attr_group_fixing(3, 3, 1.0) == attr_group_fixing(3, 3, 1)
+    space = ConfigSpace(3, 3)
+    assert moran_partition(space, 2.0).blocks == moran_partition(space, 2).blocks
+    assert point_mass(3, np.float64(1.0)) == point_mass(3, 1)
+    assert ConfigSpace(3, 2).index_of((1.0, 0, 1)) == 5
+    assert (Topology(3, {(0, 1.0): 1, (1.0, 0): 1}).pairs.tolist()
+            == Topology(3, {(0, 1): 1, (1, 0): 1}).pairs.tolist())
+
+
+def test_a_space_needs_an_agent_and_distinct_labels():
+    with pytest.raises(ValidationError, match="^need at least one agent, got 0$"):
+        ConfigSpace(0, 2)
+    with pytest.raises(ValidationError,
+                       match="^labels must be distinct and one per attribute code$"):
+        ConfigSpace(2, 2, labels=("a", "a"))
