@@ -598,9 +598,11 @@ def _parse_rule_section(lines, alphabet: Alphabet) -> UpdateRule:
                 f"table line needs {arity} attribute labels and one lambda label", lineno)
         try:
             args = tuple(alphabet.code_of(t) for t in toks[:-1])
+            if toks[-1] not in labels:
+                raise ValidationError(f"lambda label {toks[-1]!r} is not declared")
             opt = labels.index(toks[-1])
             out = alphabet.code_of(right)
-        except (ValidationError, ValueError) as exc:
+        except ValidationError as exc:
             raise DocumentParseError(str(exc), lineno)
         key = args + (opt,)
         if key in table:

@@ -3,14 +3,14 @@ transition matrix.
 
 Each step samples one (agent tuple, option) draw and applies the update
 table, exactly the process the matrix encodes. A block of uniforms finds
-its draws through a guide table, the same indices a binary search gives,
-and a step is one move-table lookup on a state index. Sampling runs on
-numpy's counter-based Philox generator from one master seed; matrix
-estimation draws state x from the stream of `SeedSequence(seed).spawn(n)[x]`,
-on one generator re-keyed per state with keys derived in one array pass.
-So runs are reproducible and stream order never matters. Draw
-probabilities are converted to floats once, for sampling speed only; the
-exact path is the matrix itself.
+its draws through a guide table, the same indices a binary search gives;
+a step takes a state index's change from the draw's move table, by the
+focal agent's code, then its co-agents'. Sampling runs on numpy's Philox
+generator from one master seed; matrix estimation draws state x from the
+stream of `SeedSequence(seed).spawn(n)[x]`, on one generator re-keyed per
+state with keys derived in one array pass. So runs are reproducible and
+stream order never matters. Draw probabilities are converted to floats
+once, for sampling speed only; the exact path is the matrix itself.
 """
 
 from __future__ import annotations
@@ -113,20 +113,20 @@ class SimRun:
         return Counter(zip(states, islice(states, 1, None)))
 
 
-def _step_kernel(spec: ModelSpec, space: ConfigSpace) -> List[tuple]:
-    """Per draw: a getter of its agents' codes, its move table and its
-    focal agent. A move table, one per (option, focal agent), maps the
-    codes as the getter returns them (a bare code for arity 1) to the
-    focal agent's new code and the state index change, for the codes that
-    move it only. The tables come from the rule's outcome array."""
+def _move_tables(spec: ModelSpec, space: ConfigSpace) -> List[tuple]:
+    """Per draw: its focal agent, its move table and a getter of its co-agents'
+    codes (its own at arity 1). A table, one per option and focal agent, is
+    indexed by the focal agent's code, then the getter's (by a dict past arity
+    2), and holds the new code and the state index change, or None if it stays."""
     outcome, arity, radix = spec.rule.outcome, spec.rule.arity, space.radix.tolist()
-    moved = [(key, new) for key, new in zip(np.ndindex(outcome.shape), outcome.ravel().tolist())
-             if new != key[0]]
-    agents, opts = spec.draws.agents.tolist(), spec.draws.options.tolist()
-    moves = {(opt, f): {key[:-1] if arity > 1 else key[0]: (new, (new - key[0]) * radix[f])
-                        for key, new in moved if key[-1] == opt}
-             for opt, f in set(zip(opts, (tup[0] for tup in agents)))}
-    return [(itemgetter(*tup), moves[opt, tup[0]], tup[0]) for tup, opt in zip(agents, opts)]
+    agents, opts, tables = spec.draws.agents.tolist(), spec.draws.options.tolist(), {}
+    codes = outcome.reshape(spec.delta, -1, outcome.shape[-1]).repeat(spec.delta ** (arity == 1), 1)
+    keys = list(np.ndindex(outcome.shape[1:-1]))
+    for opt, f in set(zip(opts, (tup[0] for tup in agents))):
+        rows = [[(new, (new - c) * radix[f]) if new != c else None for new in row]
+                for c, row in enumerate(codes[..., opt].tolist())]
+        tables[opt, f] = [dict(zip(keys, row)) for row in rows] if arity > 2 else rows
+    return [(a[0], tables[opt, a[0]], itemgetter(*(a[1:] or a))) for a, opt in zip(agents, opts)]
 
 
 def _draw_lookup(cum: np.ndarray):
@@ -151,9 +151,9 @@ def simulate(spec: ModelSpec, start: Sequence[int], steps: int, seed: int,
              cap: Optional[int] = None) -> SimRun:
     """Run one trajectory; identical (model, seed, steps) reproduce it.
 
-    A state index walks through the draws' move tables, one lookup per
-    step. Uniforms come in blocks, the same doubles as drawn one at a
-    time, and a block finds its draws by `_draw_lookup`."""
+    A state index walks through the draws' move tables, two lookups per
+    step. Uniforms come in blocks, the same doubles as drawn one at a time,
+    and a block finds its draws by `_draw_lookup`."""
     if steps < 0:
         raise ValidationError(f"step count must be non-negative, got {steps}")
     rng = np.random.Generator(np.random.Philox(_seed_sequence(seed)))
@@ -163,13 +163,13 @@ def simulate(spec: ModelSpec, start: Sequence[int], steps: int, seed: int,
     cum = np.cumsum(_draw_weights(spec))
     cum[-1] = 1.0  # guard against float round-off at the top end
     lookup = _draw_lookup(cum)
-    draws = _step_kernel(spec, space)
+    draws = _move_tables(spec, space)
     visited = [x]
     for lo in range(0, steps, _DRAW_BLOCK):
         u = rng.random(min(_DRAW_BLOCK, steps - lo))
         for k in lookup(u).tolist():
-            codes, moves, focal = draws[k]
-            move = moves.get(codes(config))
+            focal, table, rest = draws[k]
+            move = table[config[focal]][rest(config)]
             if move:
                 config[focal], change = move
                 x += change

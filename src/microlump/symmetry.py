@@ -146,26 +146,27 @@ def parse_presets(text: str, n: int, delta: int) -> GeneratorSet:
     return GeneratorSet(",".join(names), tuple(perms))
 
 
-def _parse_cycles(text: str, size: int, one_based: bool, what: str) -> Tuple[int, ...]:
+def _parse_cycles(text: str, size: int, one_based: bool, what: str,
+                  lineno: int) -> Tuple[int, ...]:
     perm = list(range(size))
     text = text.strip()
     if text in ("", "()"):
         return tuple(perm)
     if not (text.startswith("(") and text.endswith(")")):
-        raise DocumentParseError(f"{what} cycles must look like (a b)(c d)")
+        raise DocumentParseError(f"{what} cycles must look like (a b)(c d)", lineno)
     seen = set()
     for cycle in text[1:-1].split(")("):
         try:
             members = [int(tok) - (1 if one_based else 0) for tok in cycle.split()]
         except ValueError:
-            raise DocumentParseError(f"bad cycle entry in {what} cycles {text!r}")
+            raise DocumentParseError(f"bad cycle entry in {what} cycles {text!r}", lineno)
         if len(members) < 2:
-            raise DocumentParseError(f"cycle in {what} needs at least two entries")
+            raise DocumentParseError(f"cycle in {what} needs at least two entries", lineno)
         for m in members:
             if not 0 <= m < size:
-                raise DocumentParseError(f"{what} cycle entry out of range in {text!r}")
+                raise DocumentParseError(f"{what} cycle entry out of range in {text!r}", lineno)
             if m in seen:
-                raise DocumentParseError(f"{what} cycles reuse an entry in {text!r}")
+                raise DocumentParseError(f"{what} cycles reuse an entry in {text!r}", lineno)
             seen.add(m)
         for k, m in enumerate(members):
             perm[m] = members[(k + 1) % len(members)]
@@ -188,9 +189,9 @@ def parse_generator_file(text: str, n: int, delta: int) -> GeneratorSet:
             key, _, value = part.partition(":")
             key = key.strip()
             if key == "agents":
-                agents = _parse_cycles(value, n, one_based=True, what="agent")
+                agents = _parse_cycles(value, n, True, "agent", lineno)
             elif key == "attrs":
-                attrs = _parse_cycles(value, delta, one_based=False, what="attribute")
+                attrs = _parse_cycles(value, delta, False, "attribute", lineno)
             else:
                 raise DocumentParseError(f"expected 'agents:' or 'attrs:', got {key!r}", lineno)
             seen = True

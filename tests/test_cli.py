@@ -671,11 +671,13 @@ def test_decimal_digits_int_reads_are_counts(tmp_path, capsys):
 # --- error messages, one per bad input -----------------------------------------
 
 BAD_GENERATOR_FILES = {
-    "unclosed": ("agents: (1 2", "agent cycles must look like (a b)(c d)"),
-    "not a number": ("agents: (1 x)", "bad cycle entry in agent cycles '(1 x)'"),
-    "one entry": ("agents: (1)", "cycle in agent needs at least two entries"),
-    "reused": ("agents: (1 2)(2 3)", "agent cycles reuse an entry in '(1 2)(2 3)'"),
-    "out of range": ("attrs: (0 2)", "attribute cycle entry out of range in '(0 2)'"),
+    "unclosed": ("agents: (1 2", "line 1: agent cycles must look like (a b)(c d)"),
+    "unclosed on line 2": ("attrs: (0 1)\nagents: (1 2",
+                           "line 2: agent cycles must look like (a b)(c d)"),
+    "not a number": ("agents: (1 x)", "line 1: bad cycle entry in agent cycles '(1 x)'"),
+    "one entry": ("agents: (1)", "line 1: cycle in agent needs at least two entries"),
+    "reused": ("agents: (1 2)(2 3)", "line 1: agent cycles reuse an entry in '(1 2)(2 3)'"),
+    "out of range": ("attrs: (0 2)", "line 1: attribute cycle entry out of range in '(0 2)'"),
     "unknown key": ("foo: (1 2)", "line 1: expected 'agents:' or 'attrs:', got 'foo'"),
     "empty line": (" ; ", "line 1: empty generator line"),
     "comments only": ("# nothing", "generator file defines no generators"),
@@ -719,6 +721,8 @@ BAD_MODELS = {
                     4, "parse error: line 32: lambda lines must precede table lines"),
     "lambda without probability": (MAJORITY3, "lambda copy 1/3", "lambda copy",
                                    4, "parse error: line 15: expected: lambda <label> <prob>"),
+    "undeclared lambda label": (MAJORITY3, "black black black majority", "black black black kopy",
+                                4, "parse error: line 16: lambda label 'kopy' is not declared"),
     "zero probability": (MAJORITY3, "lambda copy 1/3", "lambda copy 0",
                          5, "error: option 'copy' has non-positive probability 0"),
     "probabilities short of one": (MAJORITY3, "lambda copy 1/3", "lambda copy 1/4",

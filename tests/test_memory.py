@@ -4,7 +4,7 @@ read, and of the partition builders per state: each bound holds with room
 to spare and fails if a full-size copy of the input or an unneeded
 full-size temporary comes back. The absorption solve's peak resident
 memory, which includes LAPACK's copies that tracemalloc does not see, is
-measured in a child process."""
+measured in a child process, as is a long walk's growth per step."""
 
 import io
 import os
@@ -19,7 +19,9 @@ import microlump
 from microlump import (ConfigSpace, GeneratorSet, SpacePermutation, Topology,
                        agent_symmetric_group, attr_symmetric_group, build_micro_chain,
                        builtin_voter, check_lumpable, frequency_partition, moran_partition,
-                       orbits, read_partition, read_sparse, write_partition, write_sparse)
+                       orbits, read_partition, read_sparse, serialize_model, write_partition,
+                       write_sparse)
+from test_sim import noisy_voter
 
 
 @pytest.fixture(scope="module", params=[(2, 12), (3, 8)], ids=["delta2-N12", "delta3-N8"])
@@ -103,6 +105,22 @@ def test_orbits_over_every_state_peak_below_their_bound_per_state(delta, n, sdel
     assert peak <= bound * space.size
 
 
+# On Linux a process starts with the peak resident set of the image its
+# exec replaced, so a child started from the test process would see no
+# ru_maxrss growth below the test process's own peak: children are started
+# from a bare interpreter, whose image is smaller than theirs at the start.
+LAUNCHER = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+
+
+def child_ints(script, stdin=None, **env):
+    """The integers `script` prints in a fresh process."""
+    src = str(Path(microlump.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", LAUNCHER, sys.executable, "-c", script],
+                          input=stdin, capture_output=True, text=True, timeout=600, check=True,
+                          env=dict(os.environ, PYTHONPATH=src, **env))
+    return list(map(int, proc.stdout.split()))
+
+
 ABSORPTION_RSS = """
 import resource
 from fractions import Fraction
@@ -126,11 +144,7 @@ def absorption_rss_growth():
     """The path voter's transient state count, and the bytes by which one
     absorption call grows ru_maxrss (KiB on Linux): a fresh process, one
     BLAS thread, started once for both bounds."""
-    src = str(Path(microlump.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", ABSORPTION_RSS], capture_output=True,
-                          text=True, env=env, timeout=600, check=True)
-    nt, grown_kib = map(int, proc.stdout.split())
+    nt, grown_kib = child_ints(ABSORPTION_RSS, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     assert nt == 2184
     return nt, grown_kib * 1024
 
@@ -150,3 +164,26 @@ def test_absorption_on_the_path_grows_the_peak_rss_below_nt_squared_bytes(absorp
     (2.75 MB measured, against 38.6 MB with one dense residual I - Q)."""
     nt, grown = absorption_rss_growth
     assert grown < nt ** 2
+
+
+SIMULATE_RSS = """
+import resource, sys
+from microlump import parse_model, simulate
+
+spec = parse_model(sys.stdin.read())
+start = [a % 2 for a in range(spec.n_agents)]
+simulate(spec, start, 1000, 1)  # lazy imports and generator set-up
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+run = simulate(spec, start, 200000, 1)
+print(len(run.states), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_a_long_walk_grows_the_peak_rss_below_38_bytes_per_step():
+    """The benchmark's noisy voter on 20 agents, 200 000 steps: the visited
+    list and the states tuple hold 8 B per step each, and only a step that
+    moves makes a new index int (29.5 B per step measured). A walk that
+    makes an int on every step, moved or not, grows by 47 B per step."""
+    n_states, grown_kib = child_ints(SIMULATE_RSS, serialize_model(noisy_voter(20, 9)))
+    assert n_states == 200001
+    assert grown_kib * 1024 < 38 * 200000

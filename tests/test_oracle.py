@@ -1505,6 +1505,36 @@ def test_arity_one_draws_match_the_rule_dict_references(tmp_path, capsys):
     check_draws(arity_one_model(), 7, tmp_path, capsys)
 
 
+def arity_four_model(delta, seed):
+    """A seeded random table over two options at arity 4, and an explicit
+    choice with seeded weights over the ordered 4-tuples of distinct agents
+    on `complete 5`: the walk's second level is keyed by 3-tuples of codes."""
+    rng = random.Random(seed)
+    table = {codes + (opt,): rng.randrange(delta)
+             for codes in itertools.product(range(delta), repeat=4) for opt in range(2)}
+    p = Fraction(rng.randint(1, 4), 5)
+    rule = UpdateRule(arity=4, options=(("p", p), ("q", 1 - p)), table=table, delta=delta)
+    weights = {tup: rng.randint(1, 3) for tup in itertools.permutations(range(5), 4)}
+    total = sum(weights.values())
+    choice = ChoiceDistribution({tup: Fraction(w, total) for tup, w in weights.items()})
+    return ModelSpec(name="arity4", alphabet=Alphabet(LABELS[:delta]),
+                     topology=Topology.complete(5), rule=rule, choice=choice)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("delta", [2, 3])
+def test_arity_four_walks_match_the_rule_dict_references(delta, seed):
+    spec = arity_four_model(delta, seed)
+    rng = random.Random(seed)
+    start = [rng.randrange(delta) for _ in range(5)]
+    for n_steps in (0, 1, sim._DRAW_BLOCK + 37):
+        run = simulate(spec, start, n_steps, seed)
+        ref, tally = oracle.simulate(spec, start, n_steps, seed)
+        assert run == ref == oracle.simulate_packed(spec, start, n_steps, seed)
+        assert run.counts == tally
+    assert len(run.counts) > 1
+
+
 def skewed_model():
     """Many draws with skewed weights: a noisy voter on the complete graph
     of 8 agents (112 draws), one pair weighted 10**6 times the least and a
