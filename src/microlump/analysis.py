@@ -73,13 +73,25 @@ def _components(chain: Chain) -> Tuple[np.ndarray, int]:
     return np.array(comp, dtype=np.int64), count
 
 
-def _classify(chain: Chain) -> Tuple[Classification, np.ndarray, int]:
-    """`classify_states`, each state's Kosaraju component id, and the ids' count."""
+def _classify(chain: Chain) -> Tuple[Classification, Chain, np.ndarray, np.ndarray]:
+    """`classify_states`, the chain's nonzero entries (a zero entry is no
+    transition), each state's Kosaraju component id, and the height of each
+    state's component: 0 when no entry leaves it, else one more than the
+    highest component it has an entry into."""
+    if not (keep := chain.nums != 0).all():
+        counts = np.bincount(chain.sources[keep], minlength=chain.n_states)
+        chain = Chain(np.concatenate(([0], np.cumsum(counts))), chain.cols[keep],
+                      chain.nums[keep], chain.denom)
     comp, count = _components(chain)
+    # Kosaraju's ids ascend along every entry, so sources in descending id
+    # meet each target's height final
     src, dst = comp[chain.sources], comp[chain.cols]
-    leaves = np.zeros(count, dtype=bool)
-    leaves[src[src != dst]] = True
-    closed = np.flatnonzero(~leaves[comp])
+    edges = np.unique(src[src != dst] * count + dst[src != dst])[::-1]
+    heights = [0] * count
+    for s, d in zip((edges // count).tolist(), (edges % count).tolist()):
+        heights[s] = max(heights[s], heights[d] + 1)
+    height = np.array(heights, dtype=np.int64)[comp]
+    closed = np.flatnonzero(height == 0)
     # closed states grouped by component, each group ascending; a chain of
     # no states has one empty group, which is no class
     members, cuts = group_blocks(comp[closed])
@@ -89,16 +101,16 @@ def _classify(chain: Chain) -> Tuple[Classification, np.ndarray, int]:
     first = chain.indptr[single]
     absorbing = single[(chain.cols[first] == single) & (chain.nums[first] == chain.denom)]
     return Classification(absorbing=tuple(absorbing.tolist()),
-                          transient=tuple(np.flatnonzero(leaves[comp]).tolist()),
-                          recurrent_classes=tuple(recurrent)), comp, count
+                          transient=tuple(np.flatnonzero(height).tolist()),
+                          recurrent_classes=tuple(recurrent)), chain, comp, height
 
 
 def classify_states(chain: Chain) -> Classification:
     """Absorbing states, transient states, and the recurrent classes.
 
-    A state is absorbing when its row is one entry, on the diagonal, equal
-    to `denom`; a strongly connected component is recurrent when no edge
-    leaves it.
+    Entries of zero are no transitions. A state is absorbing when its one
+    nonzero entry is on the diagonal and equals `denom`; a strongly
+    connected component is recurrent when no entry leaves it.
     """
     return _classify(chain)[0]
 
@@ -142,44 +154,35 @@ def absorption_analysis(chain: Chain) -> AbsorptionReport:
     side C was solved with.
 
     Requires every state to reach an absorbing state; a recurrent class
-    that is not a unit self-loop is reported with one of its states.
+    that is not a unit self-loop is reported with one of its states, and a
+    batch whose matrix is singular in floats with its first state.
     """
-    cls, comp, count = _classify(chain)
-    absorbing_set = set(cls.absorbing)
-    for states in cls.recurrent_classes:
-        if len(states) > 1 or states[0] not in absorbing_set:
-            raise AnalysisError(
-                f"state {states[0]} cannot reach any absorbing state")
+    cls, chain, comp, height = _classify(chain)
+    # the least state of the first recurrent class that is no absorbing state
+    stuck = np.setdiff1d(np.flatnonzero(height == 0), cls.absorbing)
+    if len(stuck):
+        raise AnalysisError(f"state {stuck[0]} cannot reach any absorbing state")
     if not cls.absorbing:
         raise AnalysisError("chain has no absorbing state")
     transient, absorbing = np.array(cls.transient, dtype=np.int64), cls.absorbing
     nt, na = len(transient), len(absorbing)
-    # a component's height: 0 when no entry leaves it, else one more than the
-    # highest it has an entry into. Kosaraju's ids ascend along every entry,
-    # so sources in descending id meet each target's height final
-    src, dst = comp[chain.sources], comp[chain.cols]
-    edges = np.unique(src[src != dst] * count + dst[src != dst])[::-1]
-    height = [0] * count
-    for s, d in zip((edges // count).tolist(), (edges % count).tolist()):
-        height[s] = max(height[s], height[d] + 1)
-    height = np.array(height, dtype=np.int64)
     # batches of the components of one height and size, lowest height first,
     # each component's members ascending: q is a transient state's place in
     # batch order (an absorbing state's column), off its place in its batch
     tc = comp[transient]
-    size = np.bincount(tc, minlength=count)[tc]
-    order = np.lexsort((tc, size, height[tc]))
+    size = np.bincount(tc)[tc]
+    order = np.lexsort((tc, size, height[transient]))
     q = np.zeros(chain.n_states, dtype=np.int64)
     q[transient[order]], q[list(absorbing)] = np.arange(nt), np.arange(na)
     k, place = size[order], np.arange(nt)
-    new = np.diff(height[tc[order]] * (nt + 1) + k, prepend=-1) != 0
+    new = np.diff(height[transient[order]] * (nt + 1) + k, prepend=-1) != 0
     off = place - np.maximum.accumulate(np.where(new, place, 0))
     # the entries of transient rows, rows in batch order, each in column order
-    at = np.flatnonzero(height[src] > 0)
+    at = np.flatnonzero(height[chain.sources])
     at = at[np.argsort(q[chain.sources[at]], kind="stable")]
-    rows, qc = q[chain.sources[at]], q[chain.cols[at]]
-    values = to_floats(chain.nums[at], chain.denom)
-    to_r, inner = height[dst[at]] == 0, src[at] == dst[at]
+    sa, ca = chain.sources[at], chain.cols[at]
+    rows, qc, values = q[sa], q[ca], to_floats(chain.nums[at], chain.denom)
+    to_r, inner = height[ca] == 0, comp[sa] == comp[ca]
     loop, out, inner = inner & (rows == qc), ~to_r & ~inner, inner & (rows != qc)
     B = np.zeros((nt, na + 1))  # [R | 1], to which entries into solved states add
     B[rows[to_r], qc[to_r]] = values[to_r]
@@ -201,7 +204,11 @@ def absorption_analysis(chain: Chain) -> AbsorptionReport:
         if i < j:  # row by row in column order, as one entry after another
             np.add.at(B, o_rows[i:j], o_vals[i:j, None] * X[o_cols[i:j]])
         rhs, A = B[s:e].reshape(-1, kb, na + 1), stack.reshape(-1, kb, kb).swapaxes(1, 2)
-        xp, xs = np.linalg.solve(A, rhs[..., :na]), np.linalg.solve(A, rhs[..., na:])
+        try:
+            xp, xs = np.linalg.solve(A, rhs[..., :na]), np.linalg.solve(A, rhs[..., na:])
+        except np.linalg.LinAlgError:
+            raise AnalysisError(f"transient block of state {transient[order[s]]} "
+                                "is singular in floating point") from None
         X[s:e, :na], X[s:e, na] = xp.reshape(-1, na), xs.reshape(-1)
         # the same stack row-major, for each component's residual products
         stack[f_off[a:b]] = 0.0
@@ -309,14 +316,13 @@ def commutation_profile(chain: Chain, part: Partition, mu0: Sequence[Fraction],
     step-then-aggregate, at every time 0..t_max.
 
     Exactly zero everywhere when the partition is lumpable; `force` skips
-    the lumpability check and aggregates each block's first row so the
-    mismatch of a non-lumpable partition can be demonstrated.
+    the lumpability check and aggregates the row of each block's smallest
+    member, so the mismatch of a non-lumpable partition can be demonstrated.
     """
     _check_steps(t_max, INT64_MAX - 1)  # t_max + 1 profile points
     nums, denom = start_numerators(mu0, chain.n_states)
     part.check_covers(chain.n_states)
-    macro = (block_row_sums(chain, part, part.members[part.indptr[:-1]])
-             if force else lump(chain, part))
+    macro = block_row_sums(chain, part, part.smallest) if force else lump(chain, part)
     steps = zip(_trajectory(chain, nums, denom),
                 _trajectory(macro, _block_mass(nums, part), denom))
     out = []

@@ -83,6 +83,12 @@ class Partition:
         return out
 
     @cached_property
+    def smallest(self) -> np.ndarray:
+        """Each block's smallest member: the state that stands for the block
+        in the lumpability test, `lump` and the forced profile."""
+        return np.minimum.reduceat(self.members, self.indptr[:-1])
+
+    @cached_property
     def blocks(self) -> Tuple[Tuple[int, ...], ...]:
         members, bounds = self.members.tolist(), self.indptr.tolist()
         return tuple(tuple(members[a:b]) for a, b in zip(bounds, bounds[1:]))
@@ -267,7 +273,7 @@ def check_lumpable(chain, part: Partition, tol: Optional[float] = None,
     limit = min(tol_num * chain.denom // tol_den, chain.denom)
     block_of, n_blocks = part.block_of, part.n_blocks
     states, blocks, sums, reach = _block_sums(chain, block_of, n_blocks)
-    ref = np.minimum.reduceat(part.members, part.indptr[:-1])[block_of]
+    ref = part.smallest[block_of]
     # each state's row of (block, sum) pairs against its reference's, pair
     # by pair: a state is flagged when the rows differ in length, or an
     # aligned pair in block or by more than `limit` in sum
@@ -319,11 +325,11 @@ def check_lumpable(chain, part: Partition, tol: Optional[float] = None,
 def lump(chain, part: Partition, tol: Optional[float] = None) -> Chain:
     """Reduce the chain; raises NotLumpableError (with the witness) if the
     partition fails the test. Row k holds the nonzero block sums of the
-    first listed member of block k."""
+    smallest member of block k."""
     verdict = check_lumpable(chain, part, tol=tol)
     if not verdict:
         raise NotLumpableError(verdict.witness)
-    return block_row_sums(chain, part, part.members[part.indptr[:-1]])
+    return block_row_sums(chain, part, part.smallest)
 
 
 # ---------------------------------------------------------------------------

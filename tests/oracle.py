@@ -535,7 +535,7 @@ def lump(rows, part, tol=None, exact=True):
         raise ValueError(verdict)
     out = []
     for block in part.blocks:
-        agg = block_row_sums(rows, part, block[0])
+        agg = block_row_sums(rows, part, min(block))
         out.append(tuple((l, p) for l, p in sorted(agg.items()) if p != 0))
     return tuple(out)
 
@@ -586,7 +586,7 @@ def commutation_profile(rows, part, mu0, t_max, force=False):
     partition fails the test and `force` is not set."""
     mu = validate_distribution(mu0, len(rows))
     if force:
-        macro = tuple(tuple(sorted(block_row_sums(rows, part, block[0]).items()))
+        macro = tuple(tuple(sorted(block_row_sums(rows, part, min(block)).items()))
                       for block in part.blocks)
     else:
         macro = lump(rows, part)
@@ -603,13 +603,14 @@ def commutation_profile(rows, part, mu0, t_max, force=False):
 
 
 def _reach(rows):
-    """The states each state reaches, itself included, by a search from it."""
+    """The states each state reaches, itself included, by a search from it
+    along its nonzero entries: an entry of zero is no transition."""
     reach = []
     for x in range(len(rows)):
         seen, todo = {x}, [x]
         while todo:
-            for y, _ in rows[todo.pop()]:
-                if y not in seen:
+            for y, p in rows[todo.pop()]:
+                if p and y not in seen:
                     seen.add(y)
                     todo.append(y)
         reach.append(seen)
@@ -630,7 +631,8 @@ def _classify(rows, reach):
     classes = {_class_of(reach, x) for x in range(len(rows))}
     recurrent = sorted(c for c in classes if all(reach[x] <= set(c) for x in c))
     transient = sorted(x for c in classes if c not in recurrent for x in c)
-    absorbing = tuple(x for x in range(len(rows)) if rows[x] == ((x, Fraction(1)),))
+    absorbing = tuple(x for x in range(len(rows))
+                      if tuple(e for e in rows[x] if e[1]) == ((x, Fraction(1)),))
     return Classification(absorbing, tuple(transient), tuple(recurrent))
 
 

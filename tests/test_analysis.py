@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from microlump import analysis
 from microlump import (AnalysisError, Chain, Topology, ValidationError,
                        absorption_analysis, build_micro_chain,
                        builtin_voter, classify_states,
@@ -163,6 +164,13 @@ def test_no_absorbing_state_reported():
     chain = read_sparse("states=2 nnz=2\n0 1 1/1\n1 0 1/1\n")
     with pytest.raises(AnalysisError, match="state 0"):
         absorption_analysis(chain)
+
+
+def test_a_residual_past_the_bound_is_refused(path3_chain, monkeypatch):
+    assert absorption_analysis(path3_chain).residual_probs > 0
+    monkeypatch.setattr(analysis, "RESIDUAL_BOUND", 0.0)
+    with pytest.raises(AnalysisError, match=r"^solve residuals .* exceed 0e\+00$"):
+        absorption_analysis(path3_chain)
 
 
 def test_propagate_point_mass_absorbing(voter3_chain):

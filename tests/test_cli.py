@@ -301,6 +301,66 @@ def test_a_decimal_chain_without_tol_compares_its_own_blocks(tmp_path, capsys, a
            "but state 1 sums to 1666666667/5000000000\n", "")
 
 
+@pytest.mark.parametrize("listed", ["0 1", "1 0"])
+def test_lump_under_tol_reads_each_block_from_its_smallest_member(tmp_path, capsys, listed):
+    """Under `--tol` the members' rows differ within the tolerance; the
+    reduced row is the smallest member's whichever member is listed first."""
+    chain, part, macro = tmp_path / "d.sparse", tmp_path / "d.part", tmp_path / "d.macro"
+    chain.write_text("states=3 nnz=5\n0 0 0.4999999999\n0 2 0.5000000001\n"
+                     "1 1 0.5\n1 2 0.5\n2 2 1\n")
+    part.write_text(f"A: {listed}\nB: 2\n")
+    assert run(capsys, "lump", str(chain), str(part), "--tol", "1e-6", "-o", str(macro))[0] == 0
+    assert macro.read_text() == ("states=2 nnz=3 exact=0\n0 0 4999999999/10000000000\n"
+                                 "0 1 5000000001/10000000000\n1 1 1/1\n")
+
+
+def _analyze(tmp_path, capsys, text, *argv):
+    chain = tmp_path / "a.sparse"
+    chain.write_text(text)
+    return run(capsys, "analyze", str(chain), *argv)
+
+
+def test_a_zero_entry_is_no_transition_out_of_an_absorbing_state(tmp_path, capsys):
+    text = "states=2 nnz=3\n0 0 1/1\n0 1 0/1\n1 1 1/1\n"
+    assert _analyze(tmp_path, capsys, text, "--format", "kv") == (
+        0, "absorbing=0,1\ntransient=\nresidual_probs=0.000000e+00\n"
+           "residual_steps=0.000000e+00\nvalues=float\n", "")
+
+
+def test_a_zero_entry_joins_no_recurrent_class(tmp_path, capsys):
+    text = "states=2 nnz=3\n0 0 1/1\n0 1 0/1\n1 0 1/1\n"
+    code, out, err = _analyze(tmp_path, capsys, text, "--format", "kv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["absorbing=0", "transient=1"]
+    assert out.splitlines()[-2:] == ["absorb[1][0]=1", "steps[1]=1"]
+
+
+def test_zero_entries_from_the_absorbing_states_leave_the_report_as_it_is(tmp_path, capsys):
+    chain = tmp_path / "voter3.sparse"
+    run(capsys, "compile", VOTER3, "-o", str(chain))
+    header, *lines = chain.read_text().splitlines()
+    lines += ["0 1 0/1", "7 6 0/1"]  # voter3's absorbing states are 0 and 7
+    lines.sort(key=lambda line: tuple(map(int, line.split()[:2])))
+    zeros = "\n".join([header.replace("nnz=26", "nnz=28"), *lines, ""])
+    expected = run(capsys, "analyze", str(chain), "--format", "kv")
+    assert expected[0] == 0
+    assert _analyze(tmp_path, capsys, zeros, "--format", "kv") == expected
+
+
+@pytest.mark.parametrize("loop, message", [
+    # the loop rounds to 1.0: the transient block is singular in floats
+    ("18014398509481983/18014398509481984",
+     "error: transient block of state 0 is singular in floating point\n"),
+    # one minus the loop is 1e-10 in floats only to seven digits, so the
+    # solved probability misses one by about 8e-8: the documented check
+    ("9999999999/10000000000", "error: absorption probabilities do not sum to one\n"),
+])
+def test_a_self_loop_near_one_exits_5(tmp_path, capsys, loop, message):
+    num, den = map(int, loop.split("/"))
+    text = f"states=2 nnz=3\n0 0 {loop}\n0 1 {den - num}/{den}\n1 1 1/1\n"
+    assert _analyze(tmp_path, capsys, text) == (5, "", message)
+
+
 def test_propagate_point_mass(tmp_path, capsys):
     chain = tmp_path / "chain.sparse"
     run(capsys, "compile", VOTER3, "-o", str(chain))
@@ -706,6 +766,13 @@ def test_empty_cycles_in_a_generator_file_are_the_identity(tmp_path, capsys):
 ])
 def test_a_bad_fixed_code_preset_is_refused(capsys, preset, expected):
     assert run(capsys, "orbits", VOTER3, "--gens", preset) == expected
+
+
+def test_a_rule_without_lambda_lines_is_refused(tmp_path, capsys):
+    model = tmp_path / "flip.model"
+    model.write_text(PATH4_FLIP.replace("lambda flip 1\n", ""), encoding="utf-8")
+    assert run(capsys, "compile", str(model)) == (
+        4, "", "parse error: rule has no lambda lines\n")
 
 
 MAJORITY3 = str(SAMPLES / "majority3.model")

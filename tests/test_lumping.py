@@ -53,6 +53,11 @@ def test_moran_three_attrs_block_sizes():
     assert part.labels == ("X_0", "X_1", "X_2")
 
 
+def test_moran_refuses_a_code_past_the_alphabet():
+    with pytest.raises(ValidationError, match="^attribute code 2 out of range$"):
+        moran_partition(ConfigSpace(3, 2), 2)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_moran_is_coarsening_of_mixed_orbits(n):
     """The mixed agent/attribute orbit partition refines the line states:

@@ -36,6 +36,11 @@ def test_parse_complete_voter():
     assert all(p == Fraction(1, 6) for p in pairs.values())
 
 
+def test_a_fraction_map_shows_as_its_dict():
+    edges = Topology.complete(2).edges
+    assert repr(edges) == repr(dict(edges)) == "{(0, 1): Fraction(1, 1), (1, 0): Fraction(1, 1)}"
+
+
 def test_choice_sum_validation_message():
     doc = VOTER3_DOC.replace(
         "from-topology uniform",
