@@ -21,7 +21,7 @@ from typing import Dict, Iterator, List, Sequence, TextIO, Tuple
 
 import numpy as np
 
-from .chain import Chain, decimal_text, to_floats, to_fractions
+from .chain import Chain, decimal_text, is_decimal, to_floats, to_fractions
 from .errors import AnalysisError, DocumentParseError, ValidationError
 from .lumping import Partition, block_row_sums, group_blocks, lump
 from .model import INT64_MAX, content_lines, int_dtype, to_numerators
@@ -296,16 +296,19 @@ def _block_mass(nums: np.ndarray, part: Partition) -> np.ndarray:
     return np.add.reduceat(nums[part.members], part.indptr[:-1])
 
 
-def _check_steps(t: int, most: int) -> None:
-    """A step count from 0 to `most`, the largest `islice` takes here."""
+def _check_steps(t: int, most: int) -> int:
+    """`t` as an int, a step count from 0 to `most`, the largest `islice`
+    takes here."""
+    t = integer(t, "step count")
     if not 0 <= t <= most:
         raise ValidationError("step count must be non-negative" if t < 0 else
                               f"step count must be at most {most}, got {t}")
+    return t
 
 
 def propagate(chain: Chain, mu: Sequence[Fraction], t: int) -> List[Fraction]:
     """mu after t steps of the chain, in exact rationals."""
-    _check_steps(t, INT64_MAX)
+    t = _check_steps(t, INT64_MAX)
     nums, denom = next(islice(_trajectory(chain, *start_numerators(mu, chain.n_states)), t, None))
     return to_fractions(nums, denom)
 
@@ -319,7 +322,7 @@ def commutation_profile(chain: Chain, part: Partition, mu0: Sequence[Fraction],
     the lumpability check and aggregates the row of each block's smallest
     member, so the mismatch of a non-lumpable partition can be demonstrated.
     """
-    _check_steps(t_max, INT64_MAX - 1)  # t_max + 1 profile points
+    t_max = _check_steps(t_max, INT64_MAX - 1)  # t_max + 1 profile points
     nums, denom = start_numerators(mu0, chain.n_states)
     part.check_covers(chain.n_states)
     macro = block_row_sums(chain, part, part.smallest) if force else lump(chain, part)
@@ -361,7 +364,7 @@ def read_distribution(text: str, n_states: int) -> List[Fraction]:
         if x in seen:
             raise DocumentParseError(f"state {x} listed twice", lineno)
         seen.add(x)
-        mu[x], exact = p, exact and "/" in toks[1]
+        mu[x], exact = p, exact and not is_decimal(toks[1])
     return validate_distribution(mu, n_states, exact)
 
 

@@ -121,6 +121,12 @@ def to_floats(nums: np.ndarray, denom: int) -> np.ndarray:
     return np.array([num / denom for num in nums.tolist()], dtype=np.float64)
 
 
+def is_decimal(token: str) -> bool:
+    """Is a value token a decimal, holding a point or an exponent? Those
+    make a chain or distribution inexact; a ratio or a bare integer not."""
+    return not {".", "e", "E"}.isdisjoint(token)
+
+
 def decimal_text(p: Fraction) -> str:
     """A sum of values read as decimals, shown as a float, or in 17
     significant digits when it is beyond the largest double."""
@@ -383,9 +389,9 @@ def _entry(line: str, n_states: int, prev: Tuple[int, int]) -> Tuple[int, int, F
 def _parse_entries(body: str, fields: Optional[Tuple[np.ndarray, ...]], numbers: Sequence[int],
                    n_states: int, prev: Tuple[int, int]):
     """Rows, columns, numerators and denominators of the entry lines of
-    `body`, joined by `\\n`, that follow the entry `prev`, and whether every
-    value is a ratio; or the error of the first line failing a check, named
-    by its file line in `numbers`.
+    `body`, joined by `\\n`, that follow the entry `prev`, and whether no
+    value is a decimal; or the error of the first line failing a check,
+    named by its file line in `numbers`.
 
     The byte gate's arrays (`fields`) are checked as arrays. Text the gate
     rejected, or in which a check flags a line, is converted by `_entry`
@@ -404,15 +410,16 @@ def _parse_entries(body: str, fields: Optional[Tuple[np.ndarray, ...]], numbers:
         except DocumentParseError as exc:
             return None, None, DocumentParseError(str(exc), numbers[len(entries)])
         prev = entries[-1][:2]
-        exact = exact and "/" in line
+        exact = exact and not is_decimal(line.split()[-1])
     xs, ys, values = zip(*entries)
     return (int_array(xs), int_array(ys), int_array([p.numerator for p in values]),
             int_array([p.denominator for p in values])), exact, None
 
 
 def read_sparse(text: str) -> Chain:
-    """Parse the sparse format; entries may be ratios or decimals. The chain
-    is inexact when one entry is a decimal or the header holds `exact=0`.
+    """Parse the sparse format; entries may be ratios, integers or decimals.
+    The chain is inexact when one entry is a decimal (`is_decimal`) or the
+    header holds `exact=0`; a header key may appear once.
 
     After the header, a piece of text the byte gate rejects loses comments,
     blank lines (`content_lines`) and runs of blanks, and meets the gate
@@ -422,7 +429,11 @@ def read_sparse(text: str) -> Chain:
     if not header:
         raise DocumentParseError("empty sparse file")
     lineno = len(text[:start].splitlines())
-    fields = dict(part.split("=", 1) for part in header.split() if "=" in part)
+    fields = {}
+    for key, value in (part.split("=", 1) for part in header.split() if "=" in part):
+        if key in fields:
+            raise DocumentParseError(f"repeated key {key!r} in the header", lineno)
+        fields[key] = value
     if "states" not in fields or "nnz" not in fields:
         raise DocumentParseError("header must be 'states=<n> nnz=<m>'", lineno)
     try:

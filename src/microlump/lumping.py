@@ -48,6 +48,8 @@ class Partition:
                 integer(x, "state")
         members = int_array(self.members)
         indptr, n = np.asarray(self.indptr, dtype=np.int64), len(members)
+        if indptr[0] != 0 or indptr[-1] != n or (np.diff(indptr) < 0).any():
+            raise ValidationError(f"indptr must start at 0, end at {n} and never decrease")
         empty = np.flatnonzero(indptr[1:] == indptr[:-1])
         # n members inside 0..n-1 list each state once exactly when every
         # state is seen, which takes one byte per state

@@ -46,7 +46,7 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, NamedTupl
 import numpy as np
 
 from .errors import DocumentParseError, ValidationError
-from .space import ConfigSpace, is_integral
+from .space import ConfigSpace, integer, is_integral
 
 ONE = Fraction(1)
 INT64_MAX = int(np.iinfo(np.int64).max)
@@ -202,6 +202,7 @@ class Topology:
     weights: Tuple[np.ndarray, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n_agents", integer(self.n_agents, "agent count"))
         if self.n_agents < 1:
             raise ValidationError("need at least one agent")
         if not isinstance(self.edges, FractionMap):
@@ -219,6 +220,7 @@ class Topology:
     @classmethod
     def complete(cls, n_agents: int) -> "Topology":
         """Every ordered pair of distinct agents, source-major, weight 1."""
+        n_agents = integer(n_agents, "agent count")
         src = np.repeat(np.arange(n_agents), n_agents - 1)
         dst = np.tile(np.arange(n_agents - 1), n_agents)
         return cls(n_agents, FractionMap(np.stack([src, dst + (dst >= src)], axis=1),
@@ -499,13 +501,44 @@ def _split_sections(text: str) -> Dict[str, List[Tuple[int, str]]]:
     return sections
 
 
+def _one_line(lines, form: str) -> bool:
+    """Is the first of a section's `lines` its one-line form `form`, token
+    by token, `N` standing for any token? Then no line may follow it."""
+    toks, words = lines[0][1].split(), form.split()
+    if len(toks) != len(words) or any(w not in ("N", t) for w, t in zip(words, toks)):
+        return False
+    if len(lines) > 1:
+        raise DocumentParseError(f"no further lines allowed after {form!r}", lines[1][0])
+    return True
+
+
+def _agent_lines(lines, count: int,
+                 expected: str) -> Iterator[Tuple[int, Tuple[int, ...], Fraction]]:
+    """The line number, `count` 0-based agents and rational of each line of
+    `count` 1-based agent numbers and a rational; `expected` is the error
+    for a line of another length."""
+    for lineno, line in lines:
+        *agents, value = line.split()
+        if len(agents) != count:
+            raise DocumentParseError(expected, lineno)
+        try:
+            tup = tuple(int(a) - 1 for a in agents)
+        except ValueError:
+            raise DocumentParseError("agent numbers must be integers", lineno)
+        yield lineno, tup, parse_fraction(value, lineno)
+
+
 def _parse_model_section(lines) -> Tuple[str, Alphabet]:
     name = "model"
     alphabet = None
+    keys = set()
     for lineno, line in lines:
         if "=" not in line:
             raise DocumentParseError("expected key = value", lineno)
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in keys:
+            raise DocumentParseError(f"repeated key {key!r} in [model]", lineno)
+        keys.add(key)
         if key == "name":
             name = value
         elif key == "attributes":
@@ -524,50 +557,30 @@ def _parse_topology_section(lines) -> Topology:
     if not lines:
         raise DocumentParseError("empty [topology] section")
     lineno, first = lines[0]
-    toks = first.split()
-    if toks[0] == "complete":
-        if len(toks) != 2 or not toks[1].isdecimal():
-            raise DocumentParseError("expected: complete N", lineno)
-        if len(lines) > 1:
-            raise DocumentParseError("no further lines allowed after 'complete N'", lines[1][0])
-        return Topology.complete(int(toks[1]))
-    if toks[0] != "agents":
+    head, *count = first.split()
+    if head not in ("complete", "agents"):
         raise DocumentParseError("topology must start with 'complete N' or 'agents N'", lineno)
-    if len(toks) != 2 or not toks[1].isdecimal():
-        raise DocumentParseError("expected: agents N", lineno)
-    n = int(toks[1])
-    undirected = False
+    if len(count) != 1 or not count[0].isdecimal():
+        raise DocumentParseError(f"expected: {head} N", lineno)
+    if _one_line(lines, "complete N"):
+        return Topology.complete(int(count[0]))
+    undirected = len(lines) > 1 and lines[1][1].split() == ["undirected"]
     edges: Dict[Tuple[int, int], Fraction] = {}
-    body = lines[1:]
-    if body and body[0][1] == "undirected":
-        undirected = True
-        body = body[1:]
-    for lineno, line in body:
-        toks = line.split()
-        if len(toks) != 3:
-            raise DocumentParseError("expected: i j weight", lineno)
-        try:
-            i, j = int(toks[0]) - 1, int(toks[1]) - 1
-        except ValueError:
-            raise DocumentParseError("agent numbers must be integers", lineno)
-        w = parse_fraction(toks[2], lineno)
-        pairs = [(i, j), (j, i)] if undirected else [(i, j)]
-        for pair in pairs:
+    for lineno, (i, j), w in _agent_lines(lines[1 + undirected:], 2, "expected: i j weight"):
+        for pair in [(i, j), (j, i)] if undirected and i != j else [(i, j)]:
             if pair in edges:
                 raise DocumentParseError(
                     f"duplicate edge {pair[0] + 1} {pair[1] + 1}", lineno)
             edges[pair] = w
-    return Topology(n, edges)
+    return Topology(int(count[0]), edges)
 
 
 def _parse_rule_section(lines, alphabet: Alphabet) -> UpdateRule:
     if not lines:
         raise DocumentParseError("empty [rule] section")
-    lineno, first = lines[0]
-    if first == "builtin voter":
-        if len(lines) > 1:
-            raise DocumentParseError("no further lines allowed after 'builtin voter'", lines[1][0])
+    if _one_line(lines, "builtin voter"):
         return voter_rule(alphabet.delta)
+    lineno, first = lines[0]
     toks = first.split()
     if toks[0] != "arity" or len(toks) != 2 or not toks[1].isdecimal():
         raise DocumentParseError("rule must start with 'builtin voter' or 'arity r'", lineno)
@@ -615,24 +628,14 @@ def _parse_rule_section(lines, alphabet: Alphabet) -> UpdateRule:
 def _parse_choice_section(lines, topology: Topology, rule: UpdateRule) -> ChoiceDistribution:
     if not lines:
         raise DocumentParseError("empty [choice] section")
-    if lines[0][1] == "from-topology uniform":
-        if len(lines) > 1:
-            raise DocumentParseError(
-                "no further lines allowed after 'from-topology uniform'", lines[1][0])
+    if _one_line(lines, "from-topology uniform"):
         return ChoiceDistribution.uniform_from_topology(topology, rule.arity)
     entries: Dict[Tuple[int, ...], Fraction] = {}
-    for lineno, line in lines:
-        toks = line.split()
-        if len(toks) != rule.arity + 1:
-            raise DocumentParseError(
-                f"expected {rule.arity} agent numbers and a probability", lineno)
-        try:
-            tup = tuple(int(t) - 1 for t in toks[:-1])
-        except ValueError:
-            raise DocumentParseError("agent numbers must be integers", lineno)
+    for lineno, tup, p in _agent_lines(
+            lines, rule.arity, f"expected {rule.arity} agent numbers and a probability"):
         if tup in entries:
             raise DocumentParseError(f"duplicate choice {_show_tuple(tup)}", lineno)
-        entries[tup] = parse_fraction(toks[-1], lineno)
+        entries[tup] = p
     return ChoiceDistribution(entries)
 
 

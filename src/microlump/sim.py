@@ -28,7 +28,7 @@ from .chain import build_micro_chain, draw_targets, to_floats
 from .errors import ValidationError
 from .lumping import Partition
 from .model import INT64_MAX, ModelSpec, int_dtype, model_fingerprint
-from .space import ConfigSpace
+from .space import ConfigSpace, integer
 
 # uniforms drawn per call to the generator while simulating
 _DRAW_BLOCK = 1 << 12
@@ -154,6 +154,7 @@ def simulate(spec: ModelSpec, start: Sequence[int], steps: int, seed: int,
     A state index walks through the draws' move tables, two lookups per
     step. Uniforms come in blocks, the same doubles as drawn one at a time,
     and a block finds its draws by `_draw_lookup`."""
+    steps, seed = integer(steps, "step count"), integer(seed, "seed")
     if steps < 0:
         raise ValidationError(f"step count must be non-negative, got {steps}")
     rng = np.random.Generator(np.random.Philox(_seed_sequence(seed)))
@@ -281,6 +282,7 @@ def estimate_matrix(spec: ModelSpec, steps_per_state: int, seed: int,
     states at a time adds its tallies onto those entries and compares them
     as arrays. Returns the report and the exact chain it was checked against.
     """
+    steps_per_state, seed = integer(steps_per_state, "sample count"), integer(seed, "seed")
     if steps_per_state < 1:
         raise ValidationError("need at least one sample per state")
     if steps_per_state > INT64_MAX:

@@ -68,6 +68,8 @@ class ConfigSpace:
     cap: Optional[int] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n_agents", integer(self.n_agents, "agent count"))
+        object.__setattr__(self, "delta", integer(self.delta, "code count"))
         if self.n_agents < 1:
             raise ValidationError(f"need at least one agent, got {self.n_agents}")
         if self.delta < 2:

@@ -72,28 +72,26 @@ class GeneratorSet:
     perms: Tuple[SpacePermutation, ...]
 
 
-def _agent_transposition(n: int, delta: int, i: int, j: int) -> SpacePermutation:
-    agents = list(range(n))
-    agents[i], agents[j] = agents[j], agents[i]
-    return SpacePermutation(tuple(agents), tuple(range(delta)))
-
-
-def _attr_transposition(n: int, delta: int, s: int, t: int) -> SpacePermutation:
-    attrs = list(range(delta))
-    attrs[s], attrs[t] = attrs[t], attrs[s]
-    return SpacePermutation(tuple(range(n)), tuple(attrs))
+def _transpositions(n: int, delta: int, part: str, moving: Sequence[int]
+                    ) -> Tuple[SpacePermutation, ...]:
+    """The swaps of neighbours in `moving`, a list of agents (`part` is
+    "agents") or of codes ("attrs"), the other part left as it is."""
+    gens = []
+    for a, b in zip(moving, moving[1:]):
+        perms = {"agents": list(range(n)), "attrs": list(range(delta))}
+        perms[part][a], perms[part][b] = b, a
+        gens.append(SpacePermutation(*map(tuple, perms.values())))
+    return tuple(gens)
 
 
 def agent_symmetric_group(n: int, delta: int) -> GeneratorSet:
     """Adjacent agent transpositions; they generate every agent reordering."""
-    gens = tuple(_agent_transposition(n, delta, i, i + 1) for i in range(n - 1))
-    return GeneratorSet("SN", gens)
+    return GeneratorSet("SN", _transpositions(n, delta, "agents", range(n)))
 
 
 def attr_symmetric_group(n: int, delta: int) -> GeneratorSet:
     """Adjacent attribute-code transpositions."""
-    gens = tuple(_attr_transposition(n, delta, s, s + 1) for s in range(delta - 1))
-    return GeneratorSet("Sdelta", gens)
+    return GeneratorSet("Sdelta", _transpositions(n, delta, "attrs", range(delta)))
 
 
 def attr_group_fixing(n: int, delta: int, fixed: int) -> GeneratorSet:
@@ -102,16 +100,14 @@ def attr_group_fixing(n: int, delta: int, fixed: int) -> GeneratorSet:
     if not 0 <= fixed < delta:
         raise ValidationError(f"attribute code {fixed} out of range")
     moving = [s for s in range(delta) if s != fixed]
-    gens = tuple(_attr_transposition(n, delta, moving[k], moving[k + 1])
-                 for k in range(len(moving) - 1))
-    return GeneratorSet(f"Sdelta-1:{fixed}", gens)
+    return GeneratorSet(f"Sdelta-1:{fixed}", _transpositions(n, delta, "attrs", moving))
 
 
 def flip_generator(n: int, delta: int) -> GeneratorSet:
     """Simultaneous binary state flip; only defined for two codes."""
     if delta != 2:
         raise ValidationError("flip is only defined for two attribute codes")
-    return GeneratorSet("flip", (_attr_transposition(n, 2, 0, 1),))
+    return GeneratorSet("flip", _transpositions(n, 2, "attrs", range(2)))
 
 
 def parse_presets(text: str, n: int, delta: int) -> GeneratorSet:
@@ -175,29 +171,24 @@ def _parse_cycles(text: str, size: int, one_based: bool, what: str,
 
 def parse_generator_file(text: str, n: int, delta: int) -> GeneratorSet:
     """One generator per line. `agents: (1 2)(3 4)` uses 1-based agent
-    numbers, `attrs: (0 1)` uses 0-based codes; a line may carry both parts
-    and the omitted part is the identity."""
+    numbers, `attrs: (0 1)` uses 0-based codes; a line may carry both parts,
+    each once, and the omitted part is the identity."""
     perms: List[SpacePermutation] = []
     for lineno, line in content_lines(text):
-        agents = tuple(range(n))
-        attrs = tuple(range(delta))
-        seen = False
-        for part in line.split(";"):
-            part = part.strip()
-            if not part:
-                continue
+        parts = {}
+        for part in filter(None, map(str.strip, line.split(";"))):
             key, _, value = part.partition(":")
             key = key.strip()
-            if key == "agents":
-                agents = _parse_cycles(value, n, True, "agent", lineno)
-            elif key == "attrs":
-                attrs = _parse_cycles(value, delta, False, "attribute", lineno)
-            else:
+            if key not in ("agents", "attrs"):
                 raise DocumentParseError(f"expected 'agents:' or 'attrs:', got {key!r}", lineno)
-            seen = True
-        if not seen:
+            if key in parts:
+                raise DocumentParseError(f"repeated key {key!r}", lineno)
+            parts[key] = value
+        if not parts:
             raise DocumentParseError("empty generator line", lineno)
-        perms.append(SpacePermutation(agents, attrs))
+        perms.append(SpacePermutation(
+            _parse_cycles(parts.get("agents", ""), n, True, "agent", lineno),
+            _parse_cycles(parts.get("attrs", ""), delta, False, "attribute", lineno)))
     if not perms:
         raise DocumentParseError("generator file defines no generators")
     return GeneratorSet("file", tuple(perms))

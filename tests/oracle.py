@@ -273,7 +273,11 @@ def read_sparse(text):
     if not lines:
         raise DocumentParseError("empty sparse file")
     header_line, header = lines[0]
-    fields = dict(part.split("=", 1) for part in header.split() if "=" in part)
+    fields = {}
+    for key, value in (part.split("=", 1) for part in header.split() if "=" in part):
+        if key in fields:
+            raise DocumentParseError(f"repeated key {key!r} in the header", header_line)
+        fields[key] = value
     if "states" not in fields or "nnz" not in fields:
         raise DocumentParseError("header must be 'states=<n> nnz=<m>'", header_line)
     try:
@@ -299,7 +303,7 @@ def read_sparse(text):
             raise DocumentParseError("entries must be strictly ascending by (row, col)", lineno)
         prev = (x, y)
         tok = toks[2]
-        if "/" not in tok:
+        if any(c in tok for c in ".eE"):  # a decimal; ratios and integers are exact
             exact = False
         try:
             p = Fraction(tok)

@@ -210,6 +210,19 @@ def test_an_inexact_chain_reads_back_inexact():
     assert out.getvalue() == buf.getvalue()
 
 
+def test_a_bare_integer_entry_is_exact():
+    """Only a point or an exponent makes a value a decimal: a bare integer
+    is a ratio over 1, here and in the reference reader."""
+    text = "states=2 nnz=2\n0 1 1\n1 1 1\n"
+    chain = read_sparse(text)
+    assert chain.exact and oracle.read_sparse(text) == (chain.rows, True)
+    buf = io.StringIO()
+    write_sparse(chain, buf)
+    assert buf.getvalue() == "states=2 nnz=2\n0 1 1/1\n1 1 1/1\n"
+    for text in ("states=1 nnz=1\n0 0 1.0\n", "states=1 nnz=1\n0 0 1E0\n"):
+        assert not read_sparse(text).exact
+
+
 def test_sparse_import_rejects_bad_rows():
     with pytest.raises(ValidationError, match="sums to"):
         read_sparse("states=1 nnz=1\n0 0 1/2\n")

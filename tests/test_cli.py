@@ -673,12 +673,12 @@ def test_a_state_index_past_int64_is_a_parse_error(tmp_path, capsys, entry):
 
 def test_a_decimal_distribution_sum_is_shown_in_decimal(tmp_path, capsys):
     """`0 1e400` used to print its 401-digit sum; decimal entries give the
-    sum as a float, or in 17 digits past the double range, and ratios keep
-    the exact sum."""
+    sum as a float, or in 17 digits past the double range, and ratios and
+    bare integers keep the exact sum."""
     chain, mu = tmp_path / "chain.sparse", tmp_path / "mu.dist"
     run(capsys, "compile", VOTER3, "-o", str(chain))
     for text, shown in (("0 1e400\n", "1.0000000000000000e+400"), ("0 1/2\n1 0.25\n", "0.75"),
-                        ("0 1/2\n1 1/3\n", "5/6")):
+                        ("0 1/2\n1 1/3\n", "5/6"), ("0 1\n1 1\n", "2")):
         mu.write_text(text)
         code, out, err = run(capsys, "propagate", str(chain), "--mu0", str(mu), "-t", "1")
         assert code == 5 and out == ""
@@ -739,6 +739,10 @@ BAD_GENERATOR_FILES = {
     "reused": ("agents: (1 2)(2 3)", "line 1: agent cycles reuse an entry in '(1 2)(2 3)'"),
     "out of range": ("attrs: (0 2)", "line 1: attribute cycle entry out of range in '(0 2)'"),
     "unknown key": ("foo: (1 2)", "line 1: expected 'agents:' or 'attrs:', got 'foo'"),
+    "unknown key after a bad cycle": ("agents: (1 x); foo: (1 2)",
+                                      "line 1: expected 'agents:' or 'attrs:', got 'foo'"),
+    "repeated agents": ("agents: (1 2); agents: (1 3)", "line 1: repeated key 'agents'"),
+    "repeated attrs": ("attrs: (0 1); attrs: ()", "line 1: repeated key 'attrs'"),
     "empty line": (" ; ", "line 1: empty generator line"),
     "comments only": ("# nothing", "generator file defines no generators"),
 }
@@ -750,6 +754,18 @@ def test_a_bad_generator_file_is_a_parse_error(tmp_path, capsys, text, message):
     gens.write_text(text + "\n")
     assert run(capsys, "orbits", VOTER3, "--gens-file", str(gens)) == (
         4, "", f"parse error: {message}\n")
+
+
+def test_a_repeated_generator_part_is_refused_not_overridden(tmp_path, capsys):
+    """`(1 2)` alone is no symmetry of path3, which the matrix shows (exit
+    3); a second `agents:` part on its line is refused, not taken in its
+    place."""
+    gens = tmp_path / "g.txt"
+    gens.write_text("agents: (1 2)\n")
+    assert run(capsys, "check-sym", PATH3, "--gens-file", str(gens))[0] == 3
+    gens.write_text("agents: (1 2); agents: (1 3)\n")
+    assert run(capsys, "check-sym", PATH3, "--gens-file", str(gens)) == (
+        4, "", "parse error: line 1: repeated key 'agents'\n")
 
 
 def test_empty_cycles_in_a_generator_file_are_the_identity(tmp_path, capsys):
@@ -781,8 +797,20 @@ BAD_MODELS = {
                          4, "parse error: line 4: empty attribute list"),
     "repeated attribute": (VOTER3, "attributes = black, white", "attributes = black, black",
                            5, "error: alphabet symbols must be distinct"),
+    "repeated name": (VOTER3, "name = voter3", "name = voter3\nname = voter4",
+                      4, "parse error: line 4: repeated key 'name' in [model]"),
+    "repeated attributes": (VOTER3, "attributes = black, white",
+                            "attributes = black, white\nattributes = black, white, red",
+                            4, "parse error: line 5: repeated key 'attributes' in [model]"),
     "lines after complete": (VOTER3, "complete 3", "complete 3\nagents 3",
                              4, "parse error: line 8: no further lines allowed after 'complete N'"),
+    "lines after builtin voter": (VOTER3, "builtin voter", "builtin voter\narity 2",
+                                  4, "parse error: line 11: no further lines allowed after "
+                                     "'builtin voter'"),
+    "undirected self-edge": (PATH3, "1 2 1/1", "1 1 1/1\n1 2 1/1",
+                             5, "error: self-edge on agent 1"),
+    "directed self-edge": (PATH3, "undirected\n1 2 1/1", "1 1 1/1\n1 2 1/1\n2 1 1/1",
+                           5, "error: self-edge on agent 1"),
     "late lambda": (MAJORITY3, "white white white copy -> white",
                     "white white white copy -> white\nlambda late 0",
                     4, "parse error: line 32: lambda lines must precede table lines"),
@@ -804,6 +832,36 @@ def test_a_bad_model_is_refused_naming_the_fault(tmp_path, capsys, source, old, 
                                                 message):
     assert run(capsys, "compile", _model_with(tmp_path, source, old, new)) == (
         code, "", message + "\n")
+
+
+def test_one_line_forms_are_matched_as_tokens(tmp_path, capsys):
+    """Whitespace within a line is free in the one-line forms too."""
+    tabbed = tmp_path / "tabbed.model"
+    tabbed.write_text(Path(VOTER3).read_text().replace("builtin voter", "builtin\tvoter")
+                      .replace("from-topology uniform", "from-topology  uniform"))
+    assert run(capsys, "compile", str(tabbed)) == run(capsys, "compile", VOTER3)
+
+
+def test_a_choice_line_is_read_whole_before_its_tuple_is_looked_up(tmp_path, capsys):
+    """A repeated tuple with a bad rational reports the rational, as an
+    edge line does."""
+    doc = tmp_path / "choice.model"
+    doc.write_text(Path(VOTER3).read_text().replace(
+        "from-topology uniform", "1 2 1/2\n1 2 x"))
+    assert run(capsys, "compile", str(doc)) == (4, "", "parse error: line 14: bad rational 'x'\n")
+
+
+def test_an_all_integer_chain_is_exact(tmp_path, capsys):
+    """A bare integer value is exact: a row it leaves short of one is
+    reported exactly, and `lump` writes no `exact=0`."""
+    chain, part, macro = tmp_path / "i.sparse", tmp_path / "i.part", tmp_path / "i.macro"
+    chain.write_text("states=2 nnz=3\n0 0 1\n0 1 1/1000000000000\n1 1 1/1\n")
+    assert run(capsys, "analyze", str(chain)) == (
+        5, "", "error: row 0 sums to 1000000000001/1000000000000 ≠ 1\n")
+    chain.write_text("states=2 nnz=2\n0 1 1\n1 1 1\n")
+    part.write_text("a: 0\nb: 1\n")
+    assert run(capsys, "lump", str(chain), str(part), "-o", str(macro))[0] == 0
+    assert macro.read_text() == "states=2 nnz=2\n0 1 1/1\n1 1 1/1\n"
 
 
 def test_an_arity_0_rule_is_refused(tmp_path, capsys):
@@ -831,7 +889,9 @@ def test_a_bad_distribution_file_is_a_parse_error(tmp_path, capsys, text, messag
     ("", "empty sparse file"),
     ("# a\n\n   # b\n", "empty sparse file"),
     ("states=x nnz=1\n0 0 1\n", "line 1: header counts must be integers"),
-], ids=["empty", "comments only", "not a count"])
+    ("states=2 nnz=3 states=3\n0 0 1/2\n0 1 1/2\n1 1 1/1\n",
+     "line 1: repeated key 'states' in the header"),
+], ids=["empty", "comments only", "not a count", "repeated key"])
 def test_a_sparse_file_without_a_good_header_is_a_parse_error(tmp_path, capsys, text, message):
     chain = tmp_path / "c.sparse"
     chain.write_text(text)

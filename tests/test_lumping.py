@@ -327,5 +327,16 @@ def test_partitions_match_the_loop_reference(n, delta):
 def test_partition_shapes_are_checked():
     with pytest.raises(ValidationError, match="^need exactly one label per block$"):
         Partition([0, 1], [0, 2], ("a", "b"))
+
+
+@pytest.mark.parametrize("members, indptr, labels, end", [
+    ([0, 1], [1, 2], ("a",), 2),               # not from 0: state 0 in no block
+    ([0, 1, 2], [0, 1], ("a",), 3),            # short of the members
+    ([0, 1], [0, 2, 1, 2], ("a", "b", "c"), 2),  # decreasing
+])
+def test_partition_bounds_are_checked(members, indptr, labels, end):
+    with pytest.raises(ValidationError) as err:
+        Partition(members, indptr, labels)
+    assert str(err.value) == f"indptr must start at 0, end at {end} and never decrease"
     with pytest.raises(ValidationError, match="^partitions cover different state counts$"):
         induced_partition(singleton_partition(2), singleton_partition(3))

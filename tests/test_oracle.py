@@ -343,8 +343,8 @@ def _mutations(text, rng):
     doc(body[:i] + [body[i - 1]] + body[i + 1:])                        # repeated pair
     doc(body[:i] + body[i + 1:])                                        # entry count
     x, y, value = body[i].split()
-    for bad in ("1/0", "abc", "1/-2", "-1/6", "0.5", "1e-1", "+1/6", "1/7", "٣/6",
-                "1_0/60", "1/99999999999999999999999999"):
+    for bad in ("1/0", "abc", "1/-2", "-1/6", "0.5", "1e-1", "1E-1", "0", "+1/6", "1/7",
+                "٣/6", "1_0/60", "1/99999999999999999999999999"):
         doc(body[:i] + [f"{x} {y} {bad}"] + body[i + 1:])
     for row, col in (("-1", y), (x, "99999"), ("99999999999999999999999", y), ("1.0", y)):
         doc(body[:i] + [f"{row} {col} {value}"] + body[i + 1:])
@@ -362,6 +362,7 @@ def _mutations(text, rng):
         out.append("\n".join([f"states={n_states} nnz={nnz}"] + body) + "\n")
     out.append("\n".join([f"states={n_states} nnz={len(body) + 1}"] + body[:i]
                          + [f"{x} {y} 1/0"] + body[i:]) + "\n")       # count first
+    out.append(f"{header} nnz={len(body)}\n" + "\n".join(body) + "\n")   # repeated key
     out.append("states=2 nnz=0\n")
     out.append("states=10000000000000 nnz=1\n0 0 1/1\n")
     out.append("states=10000000000000 nnz=2\n0 0 1/1\n3 3 1/1\n")
@@ -403,6 +404,7 @@ P61, P31 = 2 ** 61 - 1, 2 ** 31 - 1  # primes: their product passes int64
     "states=2 nnz=4\n0 0 0/7\n0 1 14/14\n1 0 0/3\n1 1 1/1\n",       # zeros over anything
     "states=2 nnz=4\n0 0 0.25\n0 1 0.75\n1 0 0.5\n1 1 0.5\n",       # decimals
     "states=2 nnz=3\n0 0 1/3\n0 1 0.6666666666666666\n1 1 1/1\n",  # both
+    "states=2 nnz=3\n0 0 1\n0 1 0\n1 1 1\n",                       # bare integers
     f"states=2 nnz=3\n0 0 {2 ** 64}/{2 ** 65}\n0 1 1/2\n1 1 1/1\n",  # past int64, reduces
     f"states=2 nnz=3\n0 0 1/{P61 * P31}\n0 1 {P61 * P31 - 1}/{P61 * P31}\n1 1 1/1\n",
     f"states=2 nnz=3\n0 0 {P61}/{P61 * P31}\n0 1 {P31 - 1}/{P31}\n1 1 2/2\n",

@@ -7,7 +7,9 @@ import pytest
 from microlump import (CapExceededError, ChoiceDistribution, ConfigSpace, ModelSpec, Topology,
                        ValidationError, attr_group_fixing, builtin_voter, moran_partition,
                        simulate)
-from microlump.analysis import point_mass
+from microlump.analysis import commutation_profile, point_mass, propagate
+from microlump.chain import build_micro_chain
+from microlump.sim import estimate_matrix
 from microlump.lumping import Partition
 from oracle import counts, neighbors
 from conftest import LETTERS
@@ -170,6 +172,45 @@ def test_a_non_integral_agent_state_or_code_is_named(call, message):
     with pytest.raises(ValidationError) as err:
         call()
     assert str(err.value) == message
+
+
+VOTER3 = builtin_voter(Topology.complete(3))
+VOTER3_CHAIN = build_micro_chain(VOTER3)
+NON_INTEGRAL_COUNTS = {
+    "agent count": (lambda: ConfigSpace(2.5, 2), "agent count 2.5 is not an integer"),
+    "code count": (lambda: ConfigSpace(2, 2.5), "code count 2.5 is not an integer"),
+    "topology agents": (lambda: Topology(2.5, {(0, 1): 1, (1, 0): 1}),
+                        "agent count 2.5 is not an integer"),
+    "complete agents": (lambda: Topology.complete(2.5), "agent count 2.5 is not an integer"),
+    "simulate steps": (lambda: simulate(VOTER3, (0, 1, 0), 2.5, 1),
+                       "step count 2.5 is not an integer"),
+    "simulate seed": (lambda: simulate(VOTER3, (0, 1, 0), 5, 1.5), "seed 1.5 is not an integer"),
+    "estimate samples": (lambda: estimate_matrix(VOTER3, 2.5, 1),
+                         "sample count 2.5 is not an integer"),
+    "estimate seed": (lambda: estimate_matrix(VOTER3, 2, "1"), "seed '1' is not an integer"),
+    "propagate steps": (lambda: propagate(VOTER3_CHAIN, point_mass(8, 1), 2.5),
+                        "step count 2.5 is not an integer"),
+    "profile steps": (lambda: commutation_profile(VOTER3_CHAIN, moran_partition(
+        VOTER3_CHAIN.space, 0), point_mass(8, 1), float("nan")), "step count nan is not an integer"),
+}
+
+
+@pytest.mark.parametrize("call, message", NON_INTEGRAL_COUNTS.values(), ids=NON_INTEGRAL_COUNTS)
+def test_a_non_integral_count_or_seed_is_named(call, message):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_integral_counts_and_seeds_are_their_integers():
+    assert ConfigSpace(3.0, Fraction(4, 2)) == ConfigSpace(3, 2)
+    assert Topology.complete(3.0).pairs.tolist() == Topology.complete(3).pairs.tolist()
+    run = simulate(VOTER3, (0, 1, 0), 5.0, np.float64(7.0))
+    assert (run.steps, run.seed, run.states) == (5, 7, simulate(VOTER3, (0, 1, 0), 5, 7).states)
+    report, _ = estimate_matrix(VOTER3, 2.0, 3.0)
+    assert (report.samples_per_state, report.seed) == (2, 3)
+    assert propagate(VOTER3_CHAIN, point_mass(8, 1), 2.0) == propagate(
+        VOTER3_CHAIN, point_mass(8, 1), 2)
 
 
 def test_integral_floats_and_fractions_are_their_integers():
