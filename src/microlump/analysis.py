@@ -24,7 +24,7 @@ import numpy as np
 from .chain import Chain, decimal_text, is_decimal, to_floats, to_fractions
 from .errors import AnalysisError, DocumentParseError, ValidationError
 from .lumping import Partition, block_row_sums, group_blocks, lump
-from .model import INT64_MAX, content_lines, int_dtype, to_numerators
+from .model import INT64_MAX, content_lines, int_dtype, narrow, to_numerators
 from .space import integer
 
 RESIDUAL_BOUND = 1e-9
@@ -56,7 +56,7 @@ def _components(chain: Chain) -> Tuple[np.ndarray, int]:
                         break
                 else:  # no unseen successor left: the state finishes
                     finished.append(work.pop()[0])
-    order = np.argsort(chain.cols, kind="stable")
+    order = np.argsort(narrow(chain.cols, n), kind="stable")
     preds = chain.sources[order].tolist()
     pred_bounds = np.searchsorted(chain.cols[order], np.arange(n + 1)).tolist()
     comp, count = [-1] * n, 0
@@ -179,7 +179,7 @@ def absorption_analysis(chain: Chain) -> AbsorptionReport:
     off = place - np.maximum.accumulate(np.where(new, place, 0))
     # the entries of transient rows, rows in batch order, each in column order
     at = np.flatnonzero(height[chain.sources])
-    at = at[np.argsort(q[chain.sources[at]], kind="stable")]
+    at = at[np.argsort(narrow(q[chain.sources[at]], nt), kind="stable")]
     sa, ca = chain.sources[at], chain.cols[at]
     rows, qc, values = q[sa], q[ca], to_floats(chain.nums[at], chain.denom)
     to_r, inner = height[ca] == 0, comp[sa] == comp[ca]
@@ -274,7 +274,7 @@ def _trajectory(chain: Chain, nums: np.ndarray, denom: int) -> Iterator[Tuple[np
     denom * chain.denom by their gcd. No partial sum exceeds the total
     mass times the largest row sum, which is checked before the multiply.
     """
-    order = np.argsort(chain.cols, kind="stable")
+    order = np.argsort(narrow(chain.cols, chain.n_states), kind="stable")
     cols = chain.cols[order]
     starts = np.flatnonzero(np.diff(cols, prepend=-1))
     targets, src, weights = cols[starts], chain.sources[order], chain.nums[order]

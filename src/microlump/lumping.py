@@ -21,7 +21,7 @@ import numpy as np
 
 from .chain import Chain, text_pieces, written_ints
 from .errors import DocumentParseError, NotLumpableError, ValidationError
-from .model import content_lines, int_array
+from .model import content_lines, int_array, narrow
 from .space import ConfigSpace, integer
 
 
@@ -41,13 +41,14 @@ class Partition:
             raise ValidationError("need exactly one label per block")
         if len(set(self.labels)) != len(self.labels):
             raise ValidationError("block labels must be distinct")
-        # floats must be integral; an index past int64 is out of range,
-        # kept exact for the message
-        if (given := np.asarray(self.members)).dtype.kind not in "iu":
-            for x in given.tolist():
-                integer(x, "state")
-        members = int_array(self.members)
-        indptr, n = np.asarray(self.indptr, dtype=np.int64), len(members)
+        # floats must be integral; an index or bound past int64 is out of
+        # range, kept exact for the message
+        for what, values in (("state", self.members), ("indptr", self.indptr)):
+            if (given := np.asarray(values)).dtype.kind not in "iu":
+                for x in given.tolist():
+                    integer(x, what)
+        members, indptr = int_array(self.members), int_array(self.indptr)
+        n = len(members)
         if indptr[0] != 0 or indptr[-1] != n or (np.diff(indptr) < 0).any():
             raise ValidationError(f"indptr must start at 0, end at {n} and never decrease")
         empty = np.flatnonzero(indptr[1:] == indptr[:-1])
@@ -293,29 +294,29 @@ def check_lumpable(chain, part: Partition, tol: Optional[float] = None,
     # within each row, the blocks in the order the row first reaches them,
     # so that the set order of `base.keys() | agg.keys()` below is the one
     # the row-by-row reference gives
-    by_reach = np.argsort(reach)
+    by_reach = np.argsort(narrow(reach, len(chain.cols)), kind="stable")
     if tol is None and chain.exact:  # the own block's sum is one minus the rest
         by_reach = by_reach[blocks[by_reach] != block_of[states[by_reach]]]
         ptr = np.searchsorted(states[by_reach], np.arange(chain.n_states + 1))
-    blocks, sums = blocks[by_reach], sums[by_reach]
+    # plain lists from here: the loop reads one Python int at a time
+    blocks, sums, ptr = blocks[by_reach].tolist(), sums[by_reach].tolist(), ptr.tolist()
 
     def row_sums(x: int) -> Dict[int, int]:
-        return dict(zip(blocks[ptr[x]:ptr[x + 1]].tolist(),
-                        sums[ptr[x]:ptr[x + 1]].tolist()))
+        return dict(zip(blocks[ptr[x]:ptr[x + 1]], sums[ptr[x]:ptr[x + 1]]))
 
     violations: List[LumpWitness] = []
     bases: Dict[int, Dict[int, int]] = {}
     frac = cache(lambda num: Fraction(num, chain.denom))
-    for x in flagged.tolist():
-        r = int(ref[x])
-        k = part.block_of[x]
+    labels, bound = part.labels, tol_num * chain.denom
+    for x, r, k in zip(flagged.tolist(), ref[flagged].tolist(), block_of[flagged].tolist()):
         if r not in bases:
             bases[r] = row_sums(r)
         base, agg = bases[r], row_sums(x)
         for l in base.keys() | agg.keys():
             a, b = base.get(l, 0), agg.get(l, 0)
-            if abs(a - b) * tol_den > tol_num * chain.denom:
-                witness = LumpWitness(part.labels[k], part.labels[l], x, frac(b), r, frac(a))
+            if abs(a - b) * tol_den > bound:
+                # the tuple's own constructor: NamedTuple's __new__ is Python
+                witness = tuple.__new__(LumpWitness, (labels[k], labels[l], x, frac(b), r, frac(a)))
                 if not exhaustive:
                     return LumpVerdict(False, witness, (witness,))
                 violations.append(witness)

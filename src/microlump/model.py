@@ -59,6 +59,11 @@ def int_dtype(bound: int):
     return np.int64 if bound <= INT64_MAX else object
 
 
+def narrow(keys: np.ndarray, top: int) -> np.ndarray:
+    """Keys in 0..top-1 narrowed: numpy sorts 8- and 16-bit keys by radix."""
+    return keys.astype(np.min_scalar_type(top - 1), copy=False)
+
+
 def int_array(values) -> np.ndarray:
     """Integers as int64, or as an object array of Python ints when one
     does not fit."""
@@ -78,12 +83,12 @@ def content_lines(text: str) -> Iterator[Tuple[int, str]]:
 
 
 def to_numerators(values: Iterable[Fraction]) -> Tuple[np.ndarray, int]:
-    """Rationals over the lcm of their denominators: the numerators, int64
-    while the sum of their absolute values fits in it and else Python ints,
-    and that lcm."""
-    values = list(values)
-    denom = lcm(*{p.denominator for p in values})
-    nums = [p.numerator * (denom // p.denominator) for p in values]
+    """Ints and Fractions over the lcm of their denominators: the numerators,
+    int64 while the sum of their absolute values fits in it and else Python
+    ints, and that lcm."""
+    ratios = [p.as_integer_ratio() for p in values]
+    denom = lcm(*{d for _, d in ratios})
+    nums = [n * (denom // d) for n, d in ratios]
     return np.array(nums, dtype=int_dtype(sum(map(abs, nums)))), denom
 
 

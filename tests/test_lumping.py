@@ -333,6 +333,8 @@ def test_partition_shapes_are_checked():
     ([0, 1], [1, 2], ("a",), 2),               # not from 0: state 0 in no block
     ([0, 1, 2], [0, 1], ("a",), 3),            # short of the members
     ([0, 1], [0, 2, 1, 2], ("a", "b", "c"), 2),  # decreasing
+    ([0, 1], [0, 2 ** 70, 2], ("a", "b"), 2),    # past int64, then decreasing
+    ([0, 1], [0, -2 ** 70, 2], ("a", "b"), 2),   # below int64: decreasing
 ])
 def test_partition_bounds_are_checked(members, indptr, labels, end):
     with pytest.raises(ValidationError) as err:
@@ -340,3 +342,12 @@ def test_partition_bounds_are_checked(members, indptr, labels, end):
     assert str(err.value) == f"indptr must start at 0, end at {end} and never decrease"
     with pytest.raises(ValidationError, match="^partitions cover different state counts$"):
         induced_partition(singleton_partition(2), singleton_partition(3))
+
+
+@pytest.mark.parametrize("indptr, bad", [([0, 1.5, 2], "1.5"), ([0.0, 1.0, 2.5], "2.5"),
+                                         ([0, None, 2], "None")])
+def test_partition_bounds_must_be_integers(indptr, bad):
+    """As members are: integral floats are taken, anything else refused."""
+    with pytest.raises(ValidationError, match=f"^indptr {bad} is not an integer$"):
+        Partition([0, 1], indptr, ("a", "b"))
+    assert Partition([0, 1], [0.0, 1.0, 2.0], ("a", "b")).indptr.dtype == np.int64

@@ -21,6 +21,7 @@ from microlump import (ConfigSpace, GeneratorSet, SpacePermutation, Topology,
                        builtin_voter, check_lumpable, frequency_partition, moran_partition,
                        orbits, read_partition, read_sparse, serialize_model, write_partition,
                        write_sparse)
+from conftest import path_topology
 from test_sim import noisy_voter
 
 
@@ -56,6 +57,17 @@ def test_the_block_sum_test_peaks_below_36_bytes_per_entry(voter):
     verdict, peak = traced_peak(check_lumpable, chain, part)
     assert verdict
     assert peak <= 36 * chain.nnz()
+
+
+def test_the_exhaustive_failing_verdict_peaks_below_105_bytes_per_entry():
+    """Path7's three-code voter against its count partition: 8484
+    witnesses over 17,061 entries, whose tuples and Fractions, returned,
+    take most of the peak beside the grouped sums and their lists."""
+    chain = build_micro_chain(builtin_voter(path_topology(7), labels=("red", "green", "blue")))
+    part = frequency_partition(chain.space)
+    verdict, peak = traced_peak(lambda: check_lumpable(chain, part, exhaustive=True))
+    assert len(verdict.violations) == 8484 and chain.nnz() == 17061
+    assert peak <= 105 * chain.nnz()
 
 
 def test_the_partition_reader_peaks_below_two_and_a_half_times_its_members(voter):

@@ -3,13 +3,16 @@ properties: a model through its canonical document, and a chain through
 the sparse format, read in bulk and by the line converter. Also the
 symmetry chain: a model-level certificate implies the matrix symmetry,
 which implies a lumpable orbit partition and a commutation profile that is
-identically 0."""
+identically 0. And two kernels against their plain forms: narrowed sort
+keys against int64 keys, and numerators against property reads."""
 
 import io
 from fractions import Fraction
+from math import lcm
 from unittest import mock
 
-from hypothesis import Phase, given, settings, strategies as st
+import numpy as np
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from microlump import chain as chainmod
 from microlump import (Alphabet, ChoiceDistribution, GeneratorSet, ModelSpec, SpacePermutation,
@@ -17,6 +20,7 @@ from microlump import (Alphabet, ChoiceDistribution, GeneratorSet, ModelSpec, Sp
                        commutation_profile, is_chain_symmetric, model_fingerprint, orbits,
                        parse_model, parse_presets, point_mass, read_sparse, serialize_model,
                        write_sparse)
+from microlump.model import int_dtype, narrow, to_numerators
 
 import oracle
 
@@ -164,3 +168,43 @@ def test_a_certified_generator_set_is_a_chain_symmetry(spec, data):
             part = orbits(chain.space, gens)
             assert check_lumpable(chain, part)
             assert commutation_profile(chain, part, mu0, 4) == [0] * 5
+
+
+@st.composite
+def index_keys(draw):
+    """Keys below a top on either side of the 8- and 16-bit widths, empty
+    at top 0, drawn from a few values so that stability is tested."""
+    top = draw(st.sampled_from([0, 1, 256, 257, 65536, 65537]))
+    if not top:
+        return np.zeros(0, dtype=np.int64), top
+    pool = draw(st.lists(st.integers(0, top - 1), min_size=1, max_size=6))
+    return np.array(draw(st.lists(st.sampled_from(pool), max_size=600)), dtype=np.int64), top
+
+
+@PROPERTY
+@given(index_keys())
+def test_narrowed_keys_sort_as_int64_keys(case):
+    keys, top = case
+    narrowed = narrow(keys, top)
+    assert narrowed.dtype == np.min_scalar_type(top - 1)
+    assert narrowed.tolist() == keys.tolist()
+    assert np.array_equal(np.argsort(narrowed, kind="stable"), np.argsort(keys, kind="stable"))
+
+
+def _numerators_by_properties(values):
+    """`to_numerators` as three property reads per value."""
+    denom = lcm(*{p.denominator for p in values})
+    nums = [p.numerator * (denom // p.denominator) for p in values]
+    return np.array(nums, dtype=int_dtype(sum(map(abs, nums)))), denom
+
+
+@PROPERTY
+@given(st.lists(st.one_of(st.integers(-2 ** 70, 2 ** 70), st.booleans(),
+                          st.fractions(max_denominator=10 ** 20))))
+@example([])
+@example([True, False, Fraction(1, 3), 2])
+def test_numerators_are_those_of_the_numerator_and_denominator(values):
+    """Ints, bools and Fractions, past int64 too, and no values at all."""
+    (nums, denom), (ref, ref_denom) = to_numerators(iter(values)), _numerators_by_properties(values)
+    assert denom == ref_denom and nums.dtype == ref.dtype
+    assert [(type(v), v) for v in nums.tolist()] == [(type(v), v) for v in ref.tolist()]
