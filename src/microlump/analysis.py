@@ -133,17 +133,21 @@ class AbsorptionReport(Classification):
         return ({x: i for i, x in enumerate(self.transient)},
                 {x: j for j, x in enumerate(self.absorbing)})
 
+    def _row(self, state: int) -> int:
+        if state not in (rows := self._places[0]):
+            raise AnalysisError(f"state {state} is neither transient nor absorbing")
+        return rows[state]
+
     def fixation_prob(self, state: int, target: int) -> float:
-        rows, cols = self._places
+        cols = self._places[1]
         if target not in cols:
             raise AnalysisError(f"state {target} is not absorbing")
         if state in cols:
             return 1.0 if state == target else 0.0
-        return float(self.probs[rows[state], cols[target]])
+        return float(self.probs[self._row(state), cols[target]])
 
     def steps_from(self, state: int) -> float:
-        rows, cols = self._places
-        return 0.0 if state in cols else float(self.expected_steps[rows[state]])
+        return 0.0 if state in self._places[1] else float(self.expected_steps[self._row(state)])
 
 
 def absorption_analysis(chain: Chain) -> AbsorptionReport:

@@ -125,18 +125,16 @@ class ConfigSpace:
 
     @cached_property
     def codes_matrix(self) -> np.ndarray:
-        """(size, n_agents) array of attribute codes, row i = config_of(i).
-        Arrays over every state are made after it, and it refuses a space
-        whose state indices would not fit in int64."""
+        """(size, n_agents) array of attribute codes, row i = config_of(i),
+        column-major: one contiguous column per agent. Arrays over every
+        state are made after it, and it refuses a space whose state indices
+        would not fit in int64."""
         if self.size > np.iinfo(np.int64).max:
             raise CapExceededError(f"state space has {self.size} configurations, past the "
                                    f"int64 index limit {np.iinfo(np.int64).max}")
-        dtype = np.min_scalar_type(self.delta - 1)
-        out = np.empty((self.size, self.n_agents), dtype=dtype)
-        idx = np.arange(self.size, dtype=np.int64)
-        for i in range(self.n_agents):
-            idx, rem = np.divmod(idx, self.delta)
-            out[:, i] = rem
+        out = np.empty((self.size, self.n_agents), np.min_scalar_type(self.delta - 1), order="F")
+        for i in range(self.n_agents):  # agent i holds each code for delta**i states in turn
+            out[:, i].reshape(-1, self.delta, self.delta ** i)[:] = np.arange(self.delta)[:, None]
         return out
 
     def smallest_images(self, agent_classes: Sequence[int]) -> np.ndarray:

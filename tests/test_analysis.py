@@ -111,6 +111,20 @@ def test_lookups_answer_the_report_entries(voter3_chain):
             report.fixation_prob(state, x)
 
 
+@pytest.mark.parametrize("state", [99, 8, -1])
+def test_lookups_of_a_state_outside_the_report_name_it(voter3_chain, state):
+    """A start that is neither transient nor absorbing is refused by name,
+    as a target that is not absorbing is, not with a bare KeyError."""
+    report = absorption_analysis(voter3_chain)
+    message = f"^state {state} is neither transient nor absorbing$"
+    with pytest.raises(AnalysisError, match=message):
+        report.fixation_prob(state, report.absorbing[0])
+    with pytest.raises(AnalysisError, match=message):
+        report.steps_from(state)
+    with pytest.raises(AnalysisError, match=f"^state {state} is not absorbing$"):
+        report.fixation_prob(report.transient[0], state)
+
+
 @pytest.mark.parametrize("step", [1, -1], ids=["up", "down"])
 def test_classify_a_20000_state_line(step):
     """One-way line of 20,000 states ending in an absorbing state: both

@@ -79,6 +79,17 @@ def test_the_partition_reader_peaks_below_two_and_a_half_times_its_members(voter
     assert peak <= 2.5 * read.members.nbytes
 
 
+@pytest.mark.parametrize("delta, n", [(3, 10), (2, 16), (4, 8)],
+                         ids=["delta3-N10", "delta2-N16", "delta4-N8"])
+def test_the_code_rows_peak_at_their_own_bytes(delta, n):
+    """Each agent's column is written in place, code by code, with no
+    full-size index array or quotient beside the returned rows."""
+    space = ConfigSpace(n, delta)
+    codes, peak = traced_peak(lambda: space.codes_matrix)
+    assert codes.shape == (space.size, n)
+    assert peak <= 1.25 * codes.nbytes
+
+
 BUILDERS = {
     "orbits-SN": lambda space: orbits(space, agent_symmetric_group(space.n_agents, space.delta)),
     "frequency": frequency_partition,

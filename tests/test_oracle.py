@@ -1456,9 +1456,11 @@ def test_component_ids_never_decrease_along_an_entry(seed):
 
 def test_exhaustive_witnesses_at_scale_match_the_reference(lapack_chain):
     """The count partition's every violation, in the reference's order;
-    equal sums are one shared Fraction."""
+    equal sums are one shared Fraction. The first alone is the
+    reference's too."""
     name, chain, rows = lapack_chain
     part = frequency_partition(chain.space)
+    assert check_lumpable(chain, part) == oracle.check_lumpable(rows, part)
     verdict = check_lumpable(chain, part, exhaustive=True)
     assert verdict == oracle.check_lumpable(rows, part, exhaustive=True)
     assert len(verdict.violations) == {"path7-three-codes": 8484, "complete11": 0}[name]

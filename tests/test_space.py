@@ -119,10 +119,14 @@ def test_validation():
 
 
 def test_codes_matrix_matches_config_of():
-    space = ConfigSpace(4, 3)
-    codes = space.codes_matrix
-    for idx in range(space.size):
-        assert tuple(int(c) for c in codes[idx]) == space.config_of(idx)
+    """Row i is config_of(i), in the narrowest unsigned type that holds
+    every code, one contiguous column per agent."""
+    for n, delta in [(4, 3), (1, 2), (1, 3), (1, 4), (1, 5), (2, 257)]:
+        space = ConfigSpace(n, delta)
+        codes = space.codes_matrix
+        assert codes.shape == (space.size, n) and codes.flags.f_contiguous
+        assert codes.dtype == (np.uint16 if delta > 256 else np.uint8)
+        assert codes.tolist() == [list(space.config_of(idx)) for idx in range(space.size)]
 
 
 def test_counts_matrix_matches_counts():
