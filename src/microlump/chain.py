@@ -180,12 +180,15 @@ class Chain:
 
 
 def build_micro_chain(spec: ModelSpec, cap: Optional[int] = None) -> Chain:
-    """Assemble the exact transition matrix, one numpy pass per draw.
+    """Assemble the exact transition matrix, one masked add per draw and slot.
 
-    An off-diagonal entry is fixed by its (focal agent, new code) pair, so
-    each draw adds its integer weight over the common denominator of all
-    draw probabilities into that slot of every state it changes; the stay
-    column takes the rest of each row, which comes out exactly stochastic.
+    An off-diagonal entry is fixed by its (focal agent, new code) pair: slot
+    (i, k), where agent i takes the k-th code other than its own, is the
+    contiguous row i * (delta-1) + k of one (slots + 1, states) array. Each
+    draw adds its integer weight over the common denominator of all draw
+    probabilities to its focal agent's rows where its new code is the row's;
+    the last row, the stay, takes the rest of each column, which comes out
+    exactly stochastic. The array's transpose holds the rows' entries.
     """
     space = spec.space(cap)
     codes = space.codes_matrix  # before any array over the states: refuses indices past int64
@@ -194,23 +197,23 @@ def build_micro_chain(spec: ModelSpec, cap: Optional[int] = None) -> Chain:
     other = delta - 1
     # rows of n * other + 1 entries in [0, 1]: as in `_over_common_denominator`
     dtype = int_dtype(denom * (n * other + 2))
-    # slot (state, focal, k): the focal agent takes the k-th code other than its own
-    slots = np.zeros((size, n, other), dtype=dtype)
-    for tup, num, cur, new in apply_draws(spec, space):
-        moved = np.flatnonzero(new != cur)
-        new, cur = new[moved], cur[moved]
-        slots[moved, tup[0], new - (new > cur)] += num
+    values = np.zeros((n * other + 1, size), dtype=dtype)
+    k = np.arange(other)
+    # slot row j's code per state, int64 as `new` is: no cast buffer per compare
+    to = (k[:, None] + (k[:, None] >= codes.T[:, None])).reshape(-1, size)
+    for tup, num, _, new in apply_draws(spec, space):
+        for j in range(tup[0] * other, tup[0] * other + other):
+            np.add(values[j], num, out=values[j], where=new == to[j])
+    del to  # as large as the slot rows: freed before the sort's arrays
+    np.subtract(denom, values[:-1].sum(axis=0), out=values[-1])
 
     states = np.arange(size, dtype=np.int64)
-    k = np.arange(other)
     cur = codes[:, :, None]
     targets = states[:, None, None] + (k + (k >= cur) - cur) * space.radix[:, None]
     targets = np.concatenate([targets.reshape(size, -1), states[:, None]], axis=1)
-    values = np.concatenate([slots.reshape(size, -1),
-                             (denom - slots.sum(axis=(1, 2)))[:, None]], axis=1)
     order = np.argsort(targets, axis=1)
     targets = np.take_along_axis(targets, order, axis=1)
-    values = np.take_along_axis(values, order, axis=1)
+    values = np.take_along_axis(values.T, order, axis=1)
     keep = values != 0
     indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
     return Chain(indptr, targets[keep], values[keep], denom, space=space)
@@ -262,16 +265,18 @@ _ZERO = ord("0")
 def _written_text(values: np.ndarray) -> str:
     """Non-negative int64 values in decimal, four to a line, each followed
     by its byte of `_SEPARATORS`: token lengths from the powers of ten,
-    then the digits placed one position at a time."""
+    then the digits placed one position at a time, in the smallest unsigned
+    type holding every value (Python-int divisors keep that width)."""
     lengths = 1 + np.searchsorted(_POW10[1:], values, side="right")
     ends = np.cumsum(lengths + 1)
     out = np.empty(int(ends[-1]), dtype=np.uint8)
     out[ends.reshape(-1, 4) - 1] = _SEPARATORS
     last = ends - 2
+    values = values.astype(np.min_scalar_type(values.max()))
     out[last] = values % 10 + _ZERO
     for j in range(1, int(lengths.max())):
         live = np.flatnonzero(lengths > j)
-        out[last[live] - j] = values[live] // _POW10[j] % 10 + _ZERO
+        out[last[live] - j] = values[live] // 10 ** j % 10 + _ZERO
     return out.tobytes().decode("ascii")
 
 
@@ -307,7 +312,8 @@ def written_ints(piece: str, cycle: np.ndarray) -> Optional[np.ndarray]:
     so below 2**63, each but the last followed by the next byte of `cycle`
     in turn, the last where `cycle` ends; None for any other text, the empty
     piece included. Values are summed one digit position at a time, with
-    the positions walked in place and the lengths held as uint8."""
+    the positions walked in place, the lengths held as uint8, and the sums
+    in int32 while no token has more than 9 digits."""
     # one byte per character, never raising: "?" for anything not ASCII;
     # the cycle's last byte ends the last token. Digits become 0..9, and
     # every other byte more (uint8 wraps below "0").
@@ -318,22 +324,22 @@ def written_ints(piece: str, cycle: np.ndarray) -> Optional[np.ndarray]:
         return None
     lengths = ends.copy()
     lengths[1:] -= ends[:-1] + 1
-    if lengths.min() < 1 or lengths.max() > 18:
+    top = int(lengths.max())
+    if lengths.min() < 1 or top > 18:
         return None
-    top, lengths = int(lengths.max()), lengths.astype(np.uint8)
-    # int64 before any multiply: numpy 1.24 keeps uint8 * int64 scalar in
-    # uint8. A token no longer than j reads an earlier byte (the first token
-    # may wrap to the end), which the mask drops.
-    at = ends
+    # widened before any multiply, by Python ints, which numpy keeps at the
+    # sums' width. A token no longer than j reads an earlier byte (the first
+    # token may wrap to the end), which the mask drops.
+    at, wide, lengths = ends, np.int32 if top <= 9 else np.int64, lengths.astype(np.uint8)
     at -= 1
-    values, digits = digit[at].astype(np.int64), np.empty(len(at), dtype=np.int64)
+    values, digits = digit[at].astype(wide), np.empty(len(at), dtype=wide)
     for j in range(1, top):
         at -= 1
         digits[:] = digit[at]
-        digits *= _POW10[j]
+        digits *= 10 ** j
         digits *= lengths > j
         values += digits
-    return values
+    return values.astype(np.int64, copy=False)
 
 
 def _split_header(text: str) -> Tuple[str, int]:

@@ -1,10 +1,12 @@
 import gc
 import io
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from microlump import chain as chainmod, lumping
 from microlump import (Chain, ConfigSpace, DocumentParseError, Topology,
                        ValidationError, build_micro_chain, builtin_voter,
                        enumerate_maps, read_sparse, write_sparse)
@@ -184,6 +186,46 @@ def test_sparse_roundtrip_beyond_int64():
     again = io.StringIO()
     write_sparse(imported, again)
     assert again.getvalue() == buf.getvalue()
+
+
+# each side of the step from one digit to two and of the limits of the
+# unsigned widths the writer's digit kernel narrows to, the int32 limit,
+# and the largest int64
+WIDTH_EDGES = (9, 10, 255, 256, 65535, 65536, 2 ** 31 - 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1)
+
+
+@pytest.mark.parametrize("top", WIDTH_EDGES)
+def test_the_byte_writer_formats_each_width_edge_as_the_template(top):
+    """Rows whose largest written value is `top`, beside one-digit values,
+    give the bytes of the `%d` template."""
+    chain = Chain(indptr=np.array([0, 2, 3]), cols=np.array([top - 1, top, 0]),
+                  nums=np.array([1, top - 1, top]), denom=top)
+    buf = io.StringIO()
+    write_sparse(chain, buf)
+    fields = (0, top - 1, 1, top, 0, top, top - 1, top, 1, 0, 1, 1)
+    assert buf.getvalue() == "states=2 nnz=3\n" + "%d %d %d/%d\n" * 3 % fields
+
+
+# tokens of 9, 10 and 18 characters, leading zeros included: a piece whose
+# longest token has 9 digits is summed in int32, a longer one in int64
+WIDE_TOKENS = [("123456789", "000000001", "999999999", "7"),
+               ("0000000001", "1234567890", "9", "000000000"),
+               ("999999999999999999", "000000000000000001", "123456789012345678", "0")]
+
+
+@pytest.mark.parametrize("cycle", [chainmod._SEPARATORS, lumping._SPACE],
+                         ids=["sparse", "partition"])
+def test_written_ints_reads_each_token_width_as_int_does(cycle):
+    def piece(tokens):
+        seps = itertools.cycle(cycle.tobytes().decode())
+        return "".join(tok + sep for tok, sep in zip(tokens, seps))[:-1]
+
+    for tokens in WIDE_TOKENS + [sum(WIDE_TOKENS, ())]:
+        values = chainmod.written_ints(piece(tokens), cycle)
+        assert values.dtype == np.int64
+        assert values.tolist() == [int(tok) for tok in tokens]
+    for long in ("1" * 19, "0" * 19):
+        assert chainmod.written_ints(piece(("1", "2", long, "3")), cycle) is None
 
 
 def test_sparse_import_float_entries():

@@ -1,10 +1,11 @@
-"""Peak traced bytes of the sparse reader, the block-sum test and the
-partition reader on compiled voters, against the arrays they return or
-read, and of the partition builders per state: each bound holds with room
-to spare and fails if a full-size copy of the input or an unneeded
-full-size temporary comes back. The absorption solve's peak resident
-memory, which includes LAPACK's copies that tracemalloc does not see, is
-measured in a child process, as is a long walk's growth per step."""
+"""Peak traced bytes of the micro chain build, the sparse reader, the
+block-sum test and the partition reader on compiled voters, against the
+arrays they return or read, and of the partition builders per state:
+each bound holds with room to spare and fails if a full-size copy of the
+input or an unneeded full-size temporary comes back. The absorption
+solve's peak resident memory, which includes LAPACK's copies that
+tracemalloc does not see, is measured in a child process, as is a long
+walk's growth per step."""
 
 import io
 import os
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import microlump
-from microlump import (ConfigSpace, GeneratorSet, SpacePermutation, Topology,
+from microlump import (ConfigSpace, GeneratorSet, ModelSpec, SpacePermutation, Topology,
                        agent_symmetric_group, attr_symmetric_group, build_micro_chain,
                        builtin_voter, check_lumpable, frequency_partition, moran_partition,
                        orbits, read_partition, read_sparse, serialize_model, write_partition,
@@ -88,6 +89,20 @@ def test_the_code_rows_peak_at_their_own_bytes(delta, n):
     codes, peak = traced_peak(lambda: space.codes_matrix)
     assert codes.shape == (space.size, n)
     assert peak <= 1.25 * codes.nbytes
+
+
+@pytest.mark.parametrize("delta, n", [(2, 12), (3, 8)], ids=["delta2-N12", "delta3-N8"])
+def test_the_micro_chain_build_peaks_below_56_bytes_per_entry(delta, n, monkeypatch):
+    """On cached code rows: the slot rows, the rows' targets, their order
+    and the two sorted tables beside the returned columns, with no second
+    full-size copy of the slot rows."""
+    spec = builtin_voter(Topology.complete(n), labels=tuple("abc"[:delta]))
+    space = spec.space()
+    space.codes_matrix
+    monkeypatch.setattr(ModelSpec, "space", lambda self, cap=None: space)
+    chain, peak = traced_peak(build_micro_chain, spec)
+    assert chain.space is space
+    assert peak <= 56 * chain.nnz()
 
 
 BUILDERS = {

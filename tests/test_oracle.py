@@ -1526,6 +1526,28 @@ def test_arity_one_draws_match_the_rule_dict_references(tmp_path, capsys):
     check_draws(arity_one_model(), 7, tmp_path, capsys)
 
 
+def four_code_models():
+    """Past the three codes of `LABELS`: a voter on the 5-agent path, and
+    spontaneous moves to the next code (mod 4) or to three times the code
+    (mod 4), with unequal weights. The second option fixes codes 0 and 2,
+    moves 1 up and 3 down, so one draw fills slots on both sides of the
+    focal agent's own code."""
+    labels = ("a", "b", "c", "d")
+    table = {(a, opt): (a + 1) % 4 if opt == 0 else 3 * a % 4
+             for a in range(4) for opt in range(2)}
+    rule = UpdateRule(arity=1, options=(("next", Fraction(1, 4)), ("triple", Fraction(3, 4))),
+                      table=table, delta=4)
+    choice = ChoiceDistribution.uniform_from_topology(path_topology(5), 1)
+    return [builtin_voter(path_topology(5), labels=labels),
+            ModelSpec(name="triple", alphabet=Alphabet(labels), topology=path_topology(5),
+                      rule=rule, choice=choice)]
+
+
+@pytest.mark.parametrize("model", range(2), ids=["voter", "arity-one"])
+def test_four_code_draws_match_the_rule_dict_references(model, tmp_path, capsys):
+    check_draws(four_code_models()[model], 11 + model, tmp_path, capsys)
+
+
 def arity_four_model(delta, seed):
     """A seeded random table over two options at arity 4, and an explicit
     choice with seeded weights over the ordered 4-tuples of distinct agents
